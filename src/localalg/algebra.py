@@ -275,14 +275,6 @@ def mul(A: StructureConstants, a: Element, b: Element) -> Element:
     return np.einsum("i,j,ijk->k", a, b, A.C)
 
 
-def element_pow(A: StructureConstants, a: Element, k: int) -> Element:
-    """k-th algebra power, k >= 0."""
-    out = A.unit()
-    for _ in range(k):
-        out = mul(A, out, a)
-    return out
-
-
 def invert(A: StructureConstants, a: Element, nu: int | None = None) -> Element:
     """Inverse of a unit ``a = c + r`` (r nilpotent) via the geometric series.
 
@@ -421,12 +413,6 @@ class StandardBasisInfo:
     def breve_indices(self) -> tuple[int, ...]:
         """Standard radical indices that are not in the socle."""
         return tuple(k for k in range(1, self.n) if k not in self.socle)
-
-    def to_standard(self, a: Element) -> Element:
-        return np.linalg.solve(self.P, np.asarray(a, dtype=float))
-
-    def from_standard(self, a: Element) -> Element:
-        return self.P @ np.asarray(a, dtype=float)
 
 
 def standard_basis(A: StructureConstants,

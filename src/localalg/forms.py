@@ -2,12 +2,17 @@
 
 A 1-form is a table of N = n*m algebra-valued coefficient functions, one
 per angular coordinate, each stored as (component, trig index) coefficients.
-The closed A-linear forms are the kernel of a constraint system combining
+The closed A-linear forms are the kernel of a constraint system whose
+symbol S(k) on the mode of frequency k (see ``torus``) stacks
 
   (i) A-linearity: for every slot j, the n x n matrix of values of the form
       on the coordinate directions of that slot commutes with every basis
-      multiplication operator, identically in the angles;
- (ii) closedness: d(omega) = 0 (A-linearity of d(omega) is then automatic).
+      multiplication operator. These are the rows C of
+      ``torus.commutator_rows``; they involve no derivative, so they are the
+      same on every mode;
+ (ii) closedness: d(omega) = 0, the rows k_alpha omega_beta - k_beta
+      omega_alpha for every alpha < beta and component (A-linearity of
+      d(omega) is then automatic).
 
 On top of the solution space this module measures the dimensions of the
 non-socle component spaces (which stay bounded by n*N, the dimension of the
@@ -25,17 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import IndexNotBreve, SizeCapExceeded
+from .errors import IndexNotBreve
 from .report import Report
 from .torus import (
-    Block,
     ConstraintSystem,
     DEFAULT_CAP,
     DEFAULT_NULL_TOL,
     TorusConfig,
     TrigSpace,
-    _local_cols,
     assemble_function_constraints,
+    capped_trig_space,
+    commutator_rows,
     solve_nullspace,
 )
 
@@ -48,75 +53,37 @@ def exterior_derivative(omega: np.ndarray, trig: TrigSpace) -> dict:
     """
     omega = np.asarray(omega, dtype=float)
     N = omega.shape[0]
-    D = [trig.deriv_matrix(axis) for axis in range(N)]
-    out = {}
-    for alpha in range(N):
-        for beta in range(alpha + 1, N):
-            out[(alpha, beta)] = omega[beta] @ D[alpha].T - omega[alpha] @ D[beta].T
-    return out
+    return {
+        (alpha, beta): trig.derivative(omega[beta], alpha)
+        - trig.derivative(omega[alpha], beta)
+        for alpha in range(N) for beta in range(alpha + 1, N)
+    }
 
 
 def assemble_form_constraints(cfg: TorusConfig, degree: int,
                               cap: int = DEFAULT_CAP) -> ConstraintSystem:
     """Stacked A-linearity and closedness constraints on 1-form coefficients.
 
-    Unknown functions are indexed by the coordinate slot of the form
-    (column layout (coordinate, component, trig index)).
+    Unknowns are indexed (coordinate, component): the coordinate slot of the
+    form, then the algebra component of its coefficient.
     """
-    n, m, N = cfg.n, cfg.m, cfg.ncoords
-    trig = cfg.trig_space(degree)
-    B = trig.size
-    ncols = N * n * B
-    if ncols > cap:
-        raise SizeCapExceeded(f"{ncols} columns exceed the cap {cap}")
-    L = cfg.mults
-    blocks = []
-    for ts, D in trig.pair_blocks():
-        nb = len(ts)
-        eye = np.eye(nb)
-        width = N * n * nb
-        rows = []
-
-        def unk(coord: int, comp: int) -> slice:
-            start = (coord * n + comp) * nb
-            return slice(start, start + nb)
-
-        # (i) the value blocks commute with every radical multiplication
-        for j in range(m):
-            for a in range(1, n):
-                La = L[a]
-                for i in range(n):
-                    for b in range(n):
-                        R = np.zeros((nb, width))
-                        for c in range(n):
-                            if La[c, b]:
-                                R[:, unk(cfg.coord(j, c), i)] += La[c, b] * eye
-                            if La[i, c]:
-                                R[:, unk(cfg.coord(j, b), c)] -= La[i, c] * eye
-                        rows.append(R)
-        # (ii) closedness, component by component
-        for alpha in range(N):
-            for beta in range(alpha + 1, N):
-                for i in range(n):
-                    R = np.zeros((nb, width))
-                    R[:, unk(beta, i)] += D[alpha]
-                    R[:, unk(alpha, i)] -= D[beta]
-                    rows.append(R)
-        mat = np.vstack(rows) if rows else np.zeros((0, width))
-        blocks.append(Block(_local_cols(ts, N, n, B), mat))
-    return ConstraintSystem(ncols, n, N, trig, blocks)
+    n, N = cfg.n, cfg.ncoords
+    trig = capped_trig_space(cfg, degree, N * n, cap)
+    K = trig.mode_freqs()
+    alpha, beta = np.triu_indices(N, 1)
+    eye = np.eye(N)
+    closed = K[:, alpha, None] * eye[beta] - K[:, beta, None] * eye[alpha]
+    C = commutator_rows(cfg)
+    linear = np.broadcast_to(C, (K.shape[0],) + C.shape)
+    symbols = np.concatenate([linear, np.kron(closed, np.eye(n))], axis=1)
+    return ConstraintSystem(trig, symbols)
 
 
 def function_differential(u: np.ndarray, cfg: TorusConfig,
                           trig: TrigSpace) -> np.ndarray:
     """Coefficients of dG for a function coefficient vector (flat, length N*n*B)."""
-    n, N = cfg.n, cfg.ncoords
-    B = trig.size
-    U = np.asarray(u, dtype=float).reshape(n, B)
-    out = np.zeros((N, n, B))
-    for axis in range(N):
-        out[axis] = U @ trig.deriv_matrix(axis).T
-    return out.reshape(-1)
+    U = np.asarray(u, dtype=float).reshape(cfg.n, trig.size)
+    return np.stack([trig.derivative(U, axis) for axis in range(cfg.ncoords)]).ravel()
 
 
 def component_form(solution: np.ndarray, j0: int, cfg: TorusConfig,

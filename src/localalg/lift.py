@@ -59,11 +59,6 @@ class APoint:
     def real_parts(self) -> np.ndarray:
         return self.components[:, 0].copy()
 
-    def radical_parts(self) -> np.ndarray:
-        out = self.components.copy()
-        out[:, 0] = 0.0
-        return out
-
     def flatten(self) -> np.ndarray:
         """Slot-major flattening (slot 0 coefficients first)."""
         return self.components.reshape(-1).copy()
@@ -211,17 +206,6 @@ def lift_map(e: ex.Expr, A: StructureConstants,
 
     def F(flat: np.ndarray) -> np.ndarray:
         return lift_eval(e, APoint.from_flat(flat, A.n), A, info)
-
-    return F
-
-
-def radical_negation_map(A: StructureConstants) -> Callable[[np.ndarray], np.ndarray]:
-    """Map negating all radical coordinates of the first slot (a non-example)."""
-
-    def F(flat: np.ndarray) -> np.ndarray:
-        out = -np.asarray(flat[: A.n], dtype=float)
-        out[0] = flat[0]
-        return out
 
     return F
 

@@ -5,21 +5,25 @@ ordered real parts first: coordinate b*m + j carries basis component b of
 slot j. The first m coordinates are transversal; fixing them selects a leaf
 of the canonical foliation (all leaves are closed sub-tori here).
 
-Differentiability over A becomes a sparse linear system on trigonometric
-coefficients: every Jacobian block must commute with every basis
-multiplication operator, identically in the angles. Because differentiation
-maps each frequency pair {cos(k.t), sin(k.t)} to itself and the commutator
-conditions never mix trig indices, the system block-diagonalizes over
-frequency pairs; assembly and the nullspace solve exploit that structure
-while remaining equivalent to one large sparse matrix (available via
-``ConstraintSystem.toarray`` for cross-checks).
+Differentiability over A is the generalized Cauchy-Riemann system of
+Scheffers and Ketchum: every Jacobian block must commute with every basis
+multiplication operator. On the torus these are linear PDEs with constant
+coefficients in the angles, so the Fourier modes decouple. On the mode of
+frequency k, d/d(theta_a) multiplies by k_a and rotates the (cos, sin)
+coefficient pair, and the constraints reduce to a small real matrix S(k),
+the symbol: a coefficient vector solves the system exactly when S(k)
+annihilates its cos coefficients and its sin coefficients on every mode.
+
+For a function the symbol is C (k tensor I_n), where C (``commutator_rows``)
+holds the A-linearity rows on (coordinate, component) values: a function is
+A-differentiable exactly when its differential is A-linear. The 1-forms of
+``forms`` stack C over their closedness rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -67,6 +71,10 @@ class TrigSpace:
         """Number of real basis functions, (2d+1)^N."""
         return 1 + 2 * self.npairs
 
+    def mode_freqs(self) -> np.ndarray:
+        """Frequency of every mode: the constant first, then each pair's."""
+        return np.vstack([np.zeros((1, self.ncoords), dtype=np.int64), self.freqs])
+
     def freq_of(self, t: int) -> tuple[int, ...]:
         if t == 0:
             return (0,) * self.ncoords
@@ -92,28 +100,17 @@ class TrigSpace:
             out[:, 2::2] = np.sin(phases)
         return out
 
-    def deriv_matrix(self, axis: int) -> np.ndarray:
-        """Dense matrix of d/d(theta_axis) on coefficient vectors."""
-        D = np.zeros((self.size, self.size))
-        for p in range(self.npairs):
-            k = float(self.freqs[p, axis])
-            D[2 + 2 * p, 1 + 2 * p] = -k  # cos -> -k sin
-            D[1 + 2 * p, 2 + 2 * p] = k  # sin ->  k cos
-        return D
+    def derivative(self, coeffs: np.ndarray, axis: int) -> np.ndarray:
+        """Coefficients of d/d(theta_axis); the trig index is the last axis.
 
-    def pair_blocks(self) -> Iterator[tuple[list[int], np.ndarray]]:
-        """Yield (trig indices, local derivative matrices (N, nb, nb)) per pair.
-
-        The constant comes first with a 1x1 zero derivative; each frequency
-        pair follows with the 2x2 rotation generator scaled by k_axis.
+        On pair p with k = freqs[p, axis], cos -> -k sin and sin -> k cos.
         """
-        yield [0], np.zeros((self.ncoords, 1, 1))
-        for p in range(self.npairs):
-            k = self.freqs[p].astype(float)
-            D = np.zeros((self.ncoords, 2, 2))
-            D[:, 1, 0] = -k  # cos -> -k sin
-            D[:, 0, 1] = k  # sin ->  k cos
-            yield [1 + 2 * p, 2 + 2 * p], D
+        coeffs = np.asarray(coeffs, dtype=float)
+        k = self.freqs[:, axis]
+        out = np.zeros_like(coeffs)
+        out[..., 1::2] = k * coeffs[..., 2::2]
+        out[..., 2::2] = -k * coeffs[..., 1::2]
+        return out
 
 
 @dataclass
@@ -156,162 +153,116 @@ def make_torus(source: StructureConstants | str, m: int) -> TorusConfig:
 
 
 @dataclass
-class Block:
-    cols: np.ndarray  # global column indices
-    mat: np.ndarray  # (rows, len(cols))
-
-
-@dataclass
 class ConstraintSystem:
-    """Sparse linear constraints on trig coefficients of A-valued unknowns.
+    """Linear constraints on trig coefficients of A-valued unknowns, by symbol.
 
-    Columns are indexed by (function, component, trig index); rows are
-    scalar constraints. Storage is per frequency pair (``blocks``), which is
-    exactly the sparsity pattern of the assembled matrix.
+    Columns of the full system are indexed by (unknown, trig index), rows by
+    (mode, symbol row, cos or sin). ``symbols[p]`` is the symbol S(k) of
+    mode p: mode 0 is the constant (trig index 0) and mode p >= 1 is pair
+    p - 1 of ``trig`` (cos at trig index 2p - 1, sin at 2p). The full matrix
+    is block diagonal over modes. Up to an orthogonal change of its rows, the
+    block of a pair applies S(k) to the cos and to the sin coefficients, so it
+    has the singular values of S(k), each taken twice.
     """
 
-    ncols: int
-    ncomponents: int
-    nfuncs: int
     trig: TrigSpace
-    blocks: list[Block]
-
-    def column(self, func: int, comp: int, t: int) -> int:
-        return (func * self.ncomponents + comp) * self.trig.size + t
+    symbols: np.ndarray  # (modes, rows, unknowns)
 
     @property
     def nrows(self) -> int:
-        return sum(b.mat.shape[0] for b in self.blocks)
+        return self.symbols.shape[1] * self.trig.size
 
-    def toarray(self) -> np.ndarray:
-        out = np.zeros((self.nrows, self.ncols))
-        row = 0
-        for b in self.blocks:
-            r = b.mat.shape[0]
-            out[row:row + r, b.cols] = b.mat
-            row += r
-        return out
+    @property
+    def ncols(self) -> int:
+        return self.symbols.shape[2] * self.trig.size
 
     def residual_inf(self, u: np.ndarray) -> float:
         """Largest constraint violation of a coefficient vector."""
-        u = np.asarray(u, dtype=float).reshape(-1)
-        worst = 0.0
-        for b in self.blocks:
-            if b.mat.shape[0]:
-                worst = max(worst, float(np.abs(b.mat @ u[b.cols]).max()))
-        return worst
+        U = np.asarray(u, dtype=float).reshape(self.symbols.shape[2], self.trig.size)
+        # a leading zero column pairs up (0, constant), then (cos, sin) per pair
+        modal = np.pad(U, ((0, 0), (1, 0))).reshape(U.shape[0], -1, 2).swapaxes(0, 1)
+        return float(np.abs(self.symbols @ modal).max(initial=0.0))
 
 
-def _local_cols(ts: list[int], nfuncs: int, n: int, B: int) -> np.ndarray:
-    nb = len(ts)
-    cols = np.empty(nfuncs * n * nb, dtype=np.int64)
-    pos = 0
-    for func in range(nfuncs):
-        for comp in range(n):
-            base = (func * n + comp) * B
-            for t in ts:
-                cols[pos] = base + t
-                pos += 1
-    return cols
+def capped_trig_space(cfg: TorusConfig, degree: int, unknowns: int,
+                      cap: int) -> TrigSpace:
+    """The degree-``degree`` trig space, unless the system would have more than
+    ``cap`` columns (``unknowns`` times (2d+1)^N).
+
+    The count is arithmetic, so an oversized request fails with
+    SizeCapExceeded before any frequency is enumerated. A negative degree
+    leaves only the constant, as in ``TrigSpace.build``.
+    """
+    ncols = unknowns * (2 * max(degree, 0) + 1) ** cfg.ncoords
+    if ncols > cap:
+        raise SizeCapExceeded(f"{ncols} columns exceed the cap {cap}")
+    return cfg.trig_space(degree)
+
+
+def commutator_rows(cfg: TorusConfig) -> np.ndarray:
+    """A-linearity rows on (coordinate, component) values, (m*(n-1)*n*n, N*n).
+
+    For slot j and radical basis element e_a, the n x n matrix W with
+    W[i, c] the value at (coordinate coord(j, c), component i) must commute
+    with L_a. On W flattened row-major, W L_a - L_a W is
+    kron(I, L_a^T) - kron(L_a, I). Rows are ordered (j, a, i, b) and the
+    column of (coordinate, component) is coordinate * n + component.
+    """
+    n, m = cfg.n, cfg.m
+    eye = np.eye(n)
+    comm = np.stack([np.kron(eye, L.T) - np.kron(L, eye) for L in cfg.mults[1:]])
+    comp = np.arange(n)
+    rows = np.zeros((m, n - 1, n * n, cfg.ncoords * n))
+    for j in range(m):
+        cols = (cfg.coord(j, comp)[None, :] * n + comp[:, None]).reshape(-1)
+        rows[j][..., cols] = comm
+    return rows.reshape(-1, cfg.ncoords * n)
 
 
 def assemble_function_constraints(cfg: TorusConfig, degree: int,
                                   cap: int = DEFAULT_CAP) -> ConstraintSystem:
     """Linear system whose kernel is the space of A-differentiable functions.
 
-    Unknowns: trig coefficients of the n components of one A-valued function.
-    For every slot j and radical basis element e_a, the Jacobian block
-    J_j (entries d g^i / d theta_{coord(j, b)}) must commute with the
-    multiplication operator of e_a, identically as a trig polynomial.
+    Unknowns: the n components of one A-valued function. The symbol is
+    C (k tensor I_n): the differential of mode k, k_a g^i at (coordinate a,
+    component i), fed to the A-linearity rows C of ``commutator_rows``.
     """
-    n, m = cfg.n, cfg.m
-    trig = cfg.trig_space(degree)
-    B = trig.size
-    ncols = n * B
-    if ncols > cap:
-        raise SizeCapExceeded(f"{ncols} columns exceed the cap {cap}")
-    L = cfg.mults
-    blocks = []
-    for ts, D in trig.pair_blocks():
-        nb = len(ts)
-        rows = []
-        for j in range(m):
-            Dslot = [D[cfg.coord(j, b)] for b in range(n)]
-            for a in range(1, n):
-                La = L[a]
-                for i in range(n):
-                    for b in range(n):
-                        R = np.zeros((nb, n * nb))
-                        for c in range(n):
-                            if La[c, b]:
-                                R[:, i * nb:(i + 1) * nb] += La[c, b] * Dslot[c]
-                            if La[i, c]:
-                                R[:, c * nb:(c + 1) * nb] -= La[i, c] * Dslot[b]
-                        rows.append(R)
-        mat = np.vstack(rows) if rows else np.zeros((0, n * nb))
-        blocks.append(Block(_local_cols(ts, 1, n, B), mat))
-    return ConstraintSystem(ncols, n, 1, trig, blocks)
+    trig = capped_trig_space(cfg, degree, cfg.n, cap)
+    k_tensor_id = np.kron(trig.mode_freqs()[:, :, None], np.eye(cfg.n))
+    return ConstraintSystem(trig, commutator_rows(cfg) @ k_tensor_id)
 
 
 def solve_nullspace(system: ConstraintSystem,
                     tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
-    """Orthonormal nullspace basis, rows ordered by ascending singular value
-    (then by first column index of the carrying block)."""
-    decomps = []
-    smax = 0.0
-    for block in system.blocks:
-        ncl = block.mat.shape[1]
-        if block.mat.shape[0] == 0 or not np.any(block.mat):
-            s = np.zeros(0)
-            vh = np.eye(ncl)
-        else:
-            _, s, vh = np.linalg.svd(block.mat, full_matrices=True)
-            if s.size:
-                smax = max(smax, float(s[0]))
-        decomps.append((block, s, vh))
+    """Orthonormal nullspace basis from one batched SVD of the symbols.
 
-    found = []
-    for bi, (block, s, vh) in enumerate(decomps):
-        ncl = vh.shape[0]
-        mincol = int(block.cols.min())
-        for idx in range(ncl - 1, -1, -1):
-            sigma = float(s[idx]) if idx < s.size else 0.0
-            if sigma > tol * smax:
-                break
-            vec = np.zeros(system.ncols)
-            vec[block.cols] = vh[idx]
-            found.append((sigma, mincol, bi, ncl - 1 - idx, vec))
-    found.sort(key=lambda item: (item[0], item[1], item[2], item[3]))
-    if not found:
+    A right singular vector v of a mode is null when its singular value is
+    at most tol * smax, with smax the largest singular value of any mode; a
+    symbol that vanishes is null in every direction. v gives one row on the
+    constant columns for mode 0, and two rows for a pair: v on its cos
+    columns, then v on its sin columns. Rows are mode-major and, within a
+    mode, by ascending singular value; each row's largest entry is positive.
+    """
+    S = system.symbols
+    modes, nrows, nunk = S.shape
+    # vh must be square; u is needed in full only when a symbol is wide
+    _, s, vh = np.linalg.svd(S, full_matrices=nrows < nunk)
+    vh[~S.any(axis=(1, 2))] = np.eye(nunk)
+    rank = np.sum(s > tol * s.max(initial=0.0), axis=1)
+    B = system.trig.size
+    rows = []
+    for p in range(modes):
+        for v in vh[p, rank[p]:][::-1]:
+            for t in ([0] if p == 0 else [2 * p - 1, 2 * p]):
+                row = np.zeros((nunk, B))
+                row[:, t] = v
+                rows.append(row.reshape(-1))
+    if not rows:
         return np.zeros((0, system.ncols))
-    return linalg.canonical_signs(np.vstack([item[4] for item in found]))
+    return linalg.canonical_signs(np.vstack(rows))
 
 
 # -- verification suites -----------------------------------------------------------
-
-
-def constant_function_vectors(cfg: TorusConfig, trig: TrigSpace) -> np.ndarray:
-    """Coefficient vectors of the n constant functions e_i."""
-    B = trig.size
-    out = np.zeros((cfg.n, cfg.n * B))
-    for i in range(cfg.n):
-        out[i, i * B] = 1.0
-    return out
-
-
-def socle_embedding_vector(cfg: TorusConfig, trig: TrigSpace,
-                           socle_vec: np.ndarray, f_coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients of f(transversal) * s for a socle element s.
-
-    ``f_coeffs`` must be supported on transversal-only basis functions; the
-    result is then an exact solution of the function constraints (the
-    constructive half of the decomposition theorem).
-    """
-    B = trig.size
-    out = np.zeros(cfg.n * B)
-    for i in range(cfg.n):
-        out[i * B:(i + 1) * B] = socle_vec[i] * f_coeffs
-    return out
 
 
 def verify_constancy(solutions: np.ndarray, cfg: TorusConfig,
@@ -410,7 +361,7 @@ def verify_min_leaf(solution: np.ndarray, cfg: TorusConfig, trig: TrigSpace,
     leaf_vals = trig.values(leaf_pts)
     grad_max = 0.0
     for axis in range(N):
-        d_g = trig.deriv_matrix(axis) @ g
+        d_g = trig.derivative(g, axis)
         grad_max = max(grad_max, float(np.abs(leaf_vals @ d_g).max()))
 
     g_all = np.concatenate([trig.values(trans_pts) @ g, leaf_vals @ g])

@@ -25,14 +25,12 @@ from localalg.lift import (
     adiff_defect,
     lift_eval,
     lift_map,
-    radical_negation_map,
     taylor_lift,
 )
 from localalg.linalg import nullspace_rows
 from localalg.torus import (
     assemble_function_constraints,
     make_torus,
-    socle_embedding_vector,
     solve_nullspace,
     verify_constancy,
     verify_min_leaf,
@@ -44,7 +42,12 @@ from localalg.forms import (
     verify_class_injectivity,
 )
 
-from util import PRESETS, unit_safe_point
+from util import (
+    PRESETS,
+    radical_negation_map,
+    socle_embedding_vector,
+    unit_safe_point,
+)
 
 NU_EXPECTED = {"dual": 2, "trunc:3": 3, "trunc:4": 4, "square:2": 2}
 

@@ -19,11 +19,10 @@ from localalg.lift import (
     lift_map,
     parse_element,
     parse_point,
-    radical_negation_map,
     taylor_lift,
 )
 
-from util import PRESETS, unit_safe_point
+from util import PRESETS, radical_negation_map, unit_safe_point
 
 STD = {name: standardize(preset(name)) for name in PRESETS}
 

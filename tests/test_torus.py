@@ -8,14 +8,12 @@ from localalg.algebra import socle_basis
 from localalg.errors import SizeCapExceeded
 from localalg.lift import APoint, adiff_defect
 from localalg.linalg import nullspace_rows
+from localalg.forms import assemble_form_constraints
 from localalg.torus import (
-    Block,
     ConstraintSystem,
     TrigSpace,
     assemble_function_constraints,
-    constant_function_vectors,
     make_torus,
-    socle_embedding_vector,
     solve_nullspace,
     verify_constancy,
     verify_min_leaf,
@@ -23,7 +21,13 @@ from localalg.torus import (
     verify_socle_decomposition,
 )
 
-from util import torus_value_map
+from util import (
+    constant_function_vectors,
+    dense_form_constraints,
+    dense_function_constraints,
+    socle_embedding_vector,
+    torus_value_map,
+)
 
 # analytic dimension count: constants (n of them) plus one copy of the
 # non-constant transversal trig functions per socle component
@@ -60,13 +64,21 @@ def test_trig_derivatives_are_exact():
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 2 * np.pi, size=(40, 2))
     u = rng.standard_normal(trig.size)
+    U = rng.standard_normal((3, 2, trig.size))
     h = 1e-6
     for axis in range(2):
-        du = trig.deriv_matrix(axis) @ u
+        du = trig.derivative(u, axis)
         step = np.zeros(2)
         step[axis] = h
         fd = (trig.values(pts + step) @ u - trig.values(pts - step) @ u) / (2 * h)
         assert np.abs(fd - trig.values(pts) @ du).max() < 1e-7
+        # one product per entry: bit-identical to the dense derivative matrix
+        D = np.zeros((trig.size, trig.size))
+        for p in range(trig.npairs):
+            k = float(trig.freqs[p, axis])
+            D[2 + 2 * p, 1 + 2 * p] = -k
+            D[1 + 2 * p, 2 + 2 * p] = k
+        assert np.array_equal(trig.derivative(U, axis), U @ D.T)
 
 
 def test_trig_transversal_mask():
@@ -89,6 +101,64 @@ def test_nullspace_dimension_matches_analytic_count(name, m, d):
         assert system.residual_inf(u) <= 1e-12
 
 
+ASSEMBLERS = {
+    "functions": (assemble_function_constraints, dense_function_constraints),
+    "forms": (assemble_form_constraints, dense_form_constraints),
+}
+
+
+# CONFIGS already holds every config the forms tests compare with a dense matrix
+@pytest.mark.parametrize("kind", sorted(ASSEMBLERS))
+@pytest.mark.parametrize("name,m,d", CONFIGS)
+def test_symbol_matches_dense_oracle(kind, name, m, d):
+    assemble, oracle = ASSEMBLERS[kind]
+    cfg = make_torus(name, m)
+    system = assemble(cfg, d)
+    trig = system.trig
+    M = oracle(cfg, trig)
+    assert M.shape == (system.nrows, system.ncols)
+    modes, R, nunk = system.symbols.shape
+
+    # the symbol nullspace spans the oracle's nullspace (every M is tall)
+    _, s, vh = np.linalg.svd(M, full_matrices=False)
+    smax = s[0]
+    dense = vh[s <= 1e-8 * smax]
+    sol = solve_nullspace(system)
+    assert sol.shape[0] == dense.shape[0]
+    assert np.abs((dense @ sol.T) @ sol - dense).max(initial=0.0) <= 1e-9
+
+    # per mode, the oracle block has the symbol's singular values, each twice
+    sym_s = np.linalg.svd(system.symbols, compute_uv=False)
+    assert abs(sym_s.max() - smax) <= 1e-12 * smax
+    B = trig.size
+    for p in range(modes):
+        ts = [0] if p == 0 else [2 * p - 1, 2 * p]
+        first = 0 if p == 0 else R * (2 * p - 1)
+        cols = [u * B + t for u in range(nunk) for t in ts]
+        block = M[first:first + R * len(ts)][:, cols]
+        want = np.sort(np.repeat(sym_s[p], len(ts)))
+        got = np.sort(np.linalg.svd(block, compute_uv=False))
+        assert_allclose(got, want, rtol=0, atol=1e-12 * smax)
+
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        u = rng.standard_normal(system.ncols)
+        assert abs(system.residual_inf(u) - np.abs(M @ u).max()) <= 1e-12
+
+
+def test_cap_checked_before_enumeration(monkeypatch):
+    # trunc:3 at m=3, d=3 would enumerate 7^9 frequency tuples
+    def refuse(cls, ncoords, degree):
+        raise AssertionError("TrigSpace.build ran before the cap check")
+
+    monkeypatch.setattr(TrigSpace, "build", classmethod(refuse))
+    cfg = make_torus("trunc:3", 3)
+    with pytest.raises(SizeCapExceeded, match=f"^{3 * 7**9} columns"):
+        assemble_function_constraints(cfg, 3)
+    with pytest.raises(SizeCapExceeded, match=f"^{9 * 3 * 7**9} columns"):
+        assemble_form_constraints(cfg, 3)
+
+
 @pytest.mark.parametrize("name,m,d", [
     ("dual", 1, 1), ("dual", 1, 2), ("trunc:3", 1, 1), ("square:2", 1, 1),
 ])
@@ -96,7 +166,7 @@ def test_block_solver_matches_dense_oracle(name, m, d):
     cfg = make_torus(name, m)
     system = assemble_function_constraints(cfg, d)
     block_sol = solve_nullspace(system)
-    dense = nullspace_rows(system.toarray(), 1e-8)
+    dense = nullspace_rows(dense_function_constraints(cfg, system.trig), 1e-8)
     assert dense.shape[0] == block_sol.shape[0]
     # identical spans: dense vectors project fully onto the block solutions
     proj = (dense @ block_sol.T) @ block_sol
@@ -106,7 +176,7 @@ def test_block_solver_matches_dense_oracle(name, m, d):
 def test_dense_matrix_agrees_with_block_residuals():
     cfg = make_torus("trunc:3", 1)
     system = assemble_function_constraints(cfg, 1)
-    M = system.toarray()
+    M = dense_function_constraints(cfg, system.trig)
     rng = np.random.default_rng(1)
     for _ in range(10):
         u = rng.standard_normal(system.ncols)
@@ -116,16 +186,13 @@ def test_dense_matrix_agrees_with_block_residuals():
 def test_solve_nullspace_zero_system_is_full_space():
     cfg = make_torus("dual", 1)
     system = assemble_function_constraints(cfg, 0)
-    assert not np.any(system.toarray())
+    assert not np.any(dense_function_constraints(cfg, system.trig))
     assert solve_nullspace(system).shape[0] == system.ncols == 2
 
 
 def test_solve_nullspace_full_rank_system_is_empty():
-    trig = TrigSpace.build(1, 0)
-    system = ConstraintSystem(
-        ncols=2, ncomponents=2, nfuncs=1, trig=trig,
-        blocks=[Block(cols=np.array([0, 1]), mat=np.eye(2))],
-    )
+    system = ConstraintSystem(trig=TrigSpace.build(1, 0), symbols=np.eye(2)[None])
+    assert system.nrows == system.ncols == 2
     assert solve_nullspace(system).shape[0] == 0
 
 
