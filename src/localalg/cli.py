@@ -101,6 +101,14 @@ def _validated(args) -> tuple[alg.StructureConstants, Report | None]:
     return A, None
 
 
+def _check_torus_args(args) -> None:
+    """Reject torus arguments out of range before anything is built."""
+    for name, low in (("m", 1), ("degree", 0), ("grid", 1)):
+        value = getattr(args, name, low)
+        if value < low:
+            raise DomainError(f"--{name} {value} must be at least {low}")
+
+
 def cmd_algebra(args) -> tuple[str, int]:
     A, bad = _validated(args)
     if bad is not None:
@@ -166,6 +174,7 @@ def cmd_check(args) -> tuple[str, int]:
 
 
 def cmd_verify(args) -> tuple[str, int]:
+    _check_torus_args(args)
     A, bad = _validated(args)
     if bad is not None:
         return bad.render(), 2
@@ -185,6 +194,7 @@ def cmd_verify(args) -> tuple[str, int]:
 
 
 def cmd_forms(args) -> tuple[str, int]:
+    _check_torus_args(args)
     A, bad = _validated(args)
     if bad is not None:
         return bad.render(), 2

@@ -37,7 +37,7 @@ class UnknownVariable(ExprSyntaxError):
 
 
 class DomainError(LocalAlgError):
-    """Evaluation outside a primitive's domain (log of non-positive, zero division)."""
+    """Evaluation outside a primitive's domain, or a torus argument out of range."""
 
 
 class SizeCapExceeded(LocalAlgError):

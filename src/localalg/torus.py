@@ -96,8 +96,8 @@ class TrigSpace:
         out[:, 0] = 1.0
         if self.npairs:
             phases = points @ self.freqs.T.astype(float)
-            out[:, 1::2] = np.cos(phases)
-            out[:, 2::2] = np.sin(phases)
+            np.cos(phases, out=out[:, 1::2])
+            np.sin(phases, out=out[:, 2::2])
         return out
 
     def derivative(self, coeffs: np.ndarray, axis: int) -> np.ndarray:
@@ -177,10 +177,12 @@ class ConstraintSystem:
         return self.symbols.shape[2] * self.trig.size
 
     def residual_inf(self, u: np.ndarray) -> float:
-        """Largest constraint violation of a coefficient vector."""
-        U = np.asarray(u, dtype=float).reshape(self.symbols.shape[2], self.trig.size)
+        """Largest constraint violation of a coefficient vector or (S, ncols) stack."""
+        modes, _, nunk = self.symbols.shape
+        U = np.asarray(u, dtype=float).reshape(-1, nunk, self.trig.size)
         # a leading zero column pairs up (0, constant), then (cos, sin) per pair
-        modal = np.pad(U, ((0, 0), (1, 0))).reshape(U.shape[0], -1, 2).swapaxes(0, 1)
+        modal = np.pad(U, ((0, 0), (0, 0), (1, 0))).reshape(len(U), nunk, modes, 2)
+        modal = modal.transpose(2, 1, 0, 3).reshape(modes, nunk, -1)
         return float(np.abs(self.symbols @ modal).max(initial=0.0))
 
 
@@ -334,73 +336,75 @@ def _lattice(points_per_axis: int, ndims: int) -> np.ndarray:
     return np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
+def _min_leaf(solutions: np.ndarray, cfg: TorusConfig, trig: TrigSpace,
+              grid: int, leaf_grid: int, system: ConstraintSystem | None):
+    """Minimizing-leaf quantities of a (S, ncols) stack of solutions.
+
+    Returns per-solution arrays (qmin, the minimum leaf average, the largest
+    gradient entry on that leaf, the real part's variation) and the residual
+    of the whole stack, None without ``system``. The leaf average drops every
+    non-transversal frequency, so it is exact on the transversal lattice; ties
+    go to the smallest row-major index, argmin's first. Each design matrix is
+    built once for all solutions: the leaf through x is the base leaf through
+    transversal point 0 shifted by x, so with phi_p = k_p[:m] . x a pair
+    (a, b) on it equals (a cos phi + b sin phi, b cos phi - a sin phi) on
+    the base leaf.
+    """
+    n, m, N = cfg.n, cfg.m, cfg.ncoords
+    U = np.asarray(solutions, dtype=float).reshape(-1, n, trig.size)
+    G, G1 = U[:, 0], U[:, 1 if n > 1 else 0]
+
+    trans_pts = np.zeros((grid**m, N))
+    trans_pts[:, :m] = _lattice(grid, m)
+    T = trig.values(trans_pts)
+    averages = T @ (G1 * trig.transversal_mask(m)).T
+    qmin = np.argmin(averages, axis=0)
+    g_trans = T @ G.T
+    del T
+
+    leaf_pts = np.zeros((leaf_grid ** (N - m), N))
+    leaf_pts[:, m:] = _lattice(leaf_grid, N - m)
+    L = trig.values(leaf_pts)
+    coeffs = np.stack([G] + [trig.derivative(G, axis) for axis in range(N)], axis=1)
+    phi = (trans_pts[qmin] @ trig.freqs.T.astype(float))[:, None, :]
+    cos, sin = np.cos(phi), np.sin(phi)
+    a, b = coeffs[..., 1::2], coeffs[..., 2::2]
+    coeffs[..., 1::2], coeffs[..., 2::2] = a * cos + b * sin, b * cos - a * sin
+    leaf = (coeffs.reshape(-1, trig.size) @ L.T).reshape(len(U), N + 1, len(L))
+
+    grad = np.abs(leaf[:, 1:]).max(axis=(1, 2))
+    variation = (np.maximum(g_trans.max(axis=0), leaf[:, 0].max(axis=1))
+                 - np.minimum(g_trans.min(axis=0), leaf[:, 0].min(axis=1)))
+    residual = None if system is None else system.residual_inf(U)
+    return qmin, averages[qmin, np.arange(len(U))], grad, variation, residual
+
+
+def _min_leaf_report(grad: float, variation: float, residual: float | None,
+                     tol: float, **leaf) -> Report:
+    rep = Report()
+    rep.add("min_leaf_gradient", grad <= tol, grad)
+    rep.add("real_part_variation", variation <= tol, variation)
+    rep.data.update(leaf, GRAD_MAX=grad, G_VARIATION=variation)
+    if residual is not None:
+        rep.add("adiff_constraints", residual <= tol, residual)
+        rep.put("ADIFF_RESIDUAL", residual)
+    return rep
+
+
 def verify_min_leaf(solution: np.ndarray, cfg: TorusConfig, trig: TrigSpace,
                     grid: int = 32, leaf_grid: int = 8, tol: float = 1e-8,
                     system: ConstraintSystem | None = None) -> Report:
     """Locate the leaf minimizing the leaf-average of the e1-component and
-    check the real part is critical there (and in fact constant).
-
-    The leaf average of a trig polynomial drops every frequency with a
-    non-transversal entry, so it is evaluated exactly. Ties go to the
-    smallest row-major grid index.
-    """
-    n, m, N = cfg.n, cfg.m, cfg.ncoords
-    B = trig.size
-    U = np.asarray(solution, dtype=float).reshape(n, B)
-    g, g1 = U[0], U[1] if n > 1 else U[0]
-
-    tmask = trig.transversal_mask(m)
-    trans_pts = np.zeros((grid**m, N))
-    trans_pts[:, :m] = _lattice(grid, m)
-    averages = trig.values(trans_pts) @ (g1 * tmask)
-    qmin = int(np.argmin(averages))
-
-    leaf_pts = np.zeros((leaf_grid ** (N - m), N))
-    leaf_pts[:, :m] = trans_pts[qmin, :m]
-    leaf_pts[:, m:] = _lattice(leaf_grid, N - m)
-    leaf_vals = trig.values(leaf_pts)
-    grad_max = 0.0
-    for axis in range(N):
-        d_g = trig.derivative(g, axis)
-        grad_max = max(grad_max, float(np.abs(leaf_vals @ d_g).max()))
-
-    g_all = np.concatenate([trig.values(trans_pts) @ g, leaf_vals @ g])
-    variation = float(g_all.max() - g_all.min())
-
-    rep = Report()
-    rep.add("min_leaf_gradient", grad_max <= tol, grad_max)
-    rep.add("real_part_variation", variation <= tol, variation)
-    rep.put("MIN_LEAF_INDEX", qmin)
-    rep.put("MIN_LEAF_AVG", float(averages[qmin]))
-    rep.put("GRAD_MAX", grad_max)
-    rep.put("G_VARIATION", variation)
-    if system is not None:
-        res = system.residual_inf(solution)
-        rep.add("adiff_constraints", res <= tol, res)
-        rep.put("ADIFF_RESIDUAL", res)
-    return rep
+    check the real part is critical there (and in fact constant)."""
+    qmin, avg, grad, var, res = _min_leaf(solution, cfg, trig, grid, leaf_grid, system)
+    return _min_leaf_report(float(grad[0]), float(var[0]), res, tol,
+                            MIN_LEAF_INDEX=int(qmin[0]), MIN_LEAF_AVG=float(avg[0]))
 
 
 def verify_min_leaf_all(solutions: np.ndarray, cfg: TorusConfig, trig: TrigSpace,
                         grid: int = 32, leaf_grid: int = 8, tol: float = 1e-8,
                         system: ConstraintSystem | None = None) -> Report:
-    """Aggregate the minimizing-leaf check over every solution."""
-    solutions = np.atleast_2d(solutions)
-    grad_max = 0.0
-    variation = 0.0
-    residual = 0.0
-    for u in solutions:
-        sub = verify_min_leaf(u, cfg, trig, grid, leaf_grid, tol, system)
-        grad_max = max(grad_max, sub.data["GRAD_MAX"])
-        variation = max(variation, sub.data["G_VARIATION"])
-        if system is not None:
-            residual = max(residual, sub.data["ADIFF_RESIDUAL"])
-    rep = Report()
-    rep.add("min_leaf_gradient", grad_max <= tol, grad_max)
-    rep.add("real_part_variation", variation <= tol, variation)
-    rep.put("GRAD_MAX", grad_max)
-    rep.put("G_VARIATION", variation)
-    if system is not None:
-        rep.add("adiff_constraints", residual <= tol, residual)
-        rep.put("ADIFF_RESIDUAL", residual)
-    return rep
+    """The minimizing-leaf check over every solution, worst case reported."""
+    _, _, grad, var, res = _min_leaf(solutions, cfg, trig, grid, leaf_grid, system)
+    return _min_leaf_report(float(grad.max(initial=0.0)),
+                            float(var.max(initial=0.0)), res, tol)

@@ -33,7 +33,7 @@ from localalg.torus import (
     make_torus,
     solve_nullspace,
     verify_constancy,
-    verify_min_leaf,
+    verify_min_leaf_all,
     verify_socle_decomposition,
 )
 from localalg.forms import (
@@ -189,10 +189,10 @@ def test_criterion_6_minimizing_leaf(solved_functions):
     ok = True
     worst = 0.0
     for (name, m, d), (cfg, system, sol) in solved_functions[0].items():
-        for u in sol:
-            rep = verify_min_leaf(u, cfg, system.trig, grid=32)
-            worst = max(worst, rep.data["GRAD_MAX"])
-            ok &= rep.data["GRAD_MAX"] <= 1e-8
+        # GRAD_MAX of the batched check is the largest over all solutions
+        rep = verify_min_leaf_all(sol, cfg, system.trig, grid=32)
+        worst = max(worst, rep.data["GRAD_MAX"])
+        ok &= rep.data["GRAD_MAX"] <= 1e-8
     _report(6, ok, f"gradient at the minimizing leaf, worst {worst:.2e}")
 
 

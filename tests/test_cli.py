@@ -123,3 +123,20 @@ def test_forms_deterministic():
     a = run("forms", "--preset", "trunc:3", "--m", "1", "--degree", "2")
     b = run("forms", "--preset", "trunc:3", "--m", "1", "--degree", "2")
     assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--grid", "0"),
+    ("verify", "--grid", "-3"),
+    ("verify", "--m", "0"),
+    ("verify", "--m", "-1"),
+    ("verify", "--degree", "-1"),
+    ("forms", "--m", "0"),
+    ("forms", "--degree", "-1"),
+], ids=lambda args: f"{args[0]}{args[1]}={args[2]}")
+def test_torus_argument_out_of_range_exit3(args):
+    command, flag, value = args
+    proc = run(command, "--preset", "dual", flag, value)
+    assert proc.returncode == 3
+    assert proc.stdout.startswith(f"ERROR {flag} {value} must be at least")
+    assert "Traceback" not in proc.stderr

@@ -9,6 +9,7 @@ from localalg.errors import SizeCapExceeded
 from localalg.lift import APoint, adiff_defect
 from localalg.linalg import nullspace_rows
 from localalg.forms import assemble_form_constraints
+from localalg import torus
 from localalg.torus import (
     ConstraintSystem,
     TrigSpace,
@@ -25,6 +26,7 @@ from util import (
     constant_function_vectors,
     dense_form_constraints,
     dense_function_constraints,
+    reference_min_leaf,
     socle_embedding_vector,
     torus_value_map,
 )
@@ -79,6 +81,17 @@ def test_trig_derivatives_are_exact():
             D[2 + 2 * p, 1 + 2 * p] = -k
             D[1 + 2 * p, 2 + 2 * p] = k
         assert np.array_equal(trig.derivative(U, axis), U @ D.T)
+
+
+def test_trig_values_are_the_cos_sin_formula_bitwise():
+    trig = TrigSpace.build(3, 2)
+    pts = np.random.default_rng(3).uniform(0, 2 * np.pi, size=(50, 3))
+    phases = pts @ trig.freqs.T.astype(float)
+    vals = trig.values(pts)
+    assert vals.shape == (50, trig.size)
+    assert np.array_equal(vals[:, 0], np.ones(50))
+    assert np.array_equal(vals[:, 1::2], np.cos(phases))
+    assert np.array_equal(vals[:, 2::2], np.sin(phases))
 
 
 def test_trig_transversal_mask():
@@ -144,6 +157,11 @@ def test_symbol_matches_dense_oracle(kind, name, m, d):
     for _ in range(5):
         u = rng.standard_normal(system.ncols)
         assert abs(system.residual_inf(u) - np.abs(M @ u).max()) <= 1e-12
+    # a (S, ncols) stack gives the largest violation of any of its rows
+    stack = rng.standard_normal((4, system.ncols))
+    res = system.residual_inf(stack)
+    assert isinstance(res, float)
+    assert abs(res - np.abs(M @ stack.T).max()) <= 1e-12
 
 
 def test_cap_checked_before_enumeration(monkeypatch):
@@ -305,6 +323,89 @@ def test_min_leaf_flags_injected_nondifferentiable():
     # constraint rows reject the function
     assert "real_part_variation" in failed
     assert "adiff_constraints" in failed
+
+
+MIN_LEAF_KEYS = ("MIN_LEAF_AVG", "GRAD_MAX", "G_VARIATION", "ADIFF_RESIDUAL")
+
+
+@pytest.mark.parametrize("name,m,d", CONFIGS)
+def test_min_leaf_matches_reference(name, m, d):
+    # solutions and seeded sparse and dense non-solutions, checked one by one
+    # and as one stack against the per-solution check evaluated on each leaf
+    # directly; dense real parts mix cos and sin in every pair
+    cfg = make_torus(name, m)
+    system = assemble_function_constraints(cfg, d)
+    trig = system.trig
+    rng = np.random.default_rng(11)
+    noise = np.zeros((4, system.ncols))
+    for row in noise:
+        picked = rng.choice(system.ncols, size=min(6, system.ncols), replace=False)
+        row[picked] = rng.standard_normal(len(picked))
+    dense = rng.standard_normal((2, system.ncols))
+    stack = np.vstack([solve_nullspace(system), noise, dense])
+
+    refs = [reference_min_leaf(u, cfg, trig, system=system).data for u in stack]
+    for u, ref in zip(stack, refs):
+        got = verify_min_leaf(u, cfg, trig, system=system).data
+        assert got["MIN_LEAF_INDEX"] == ref["MIN_LEAF_INDEX"]
+        for key in MIN_LEAF_KEYS:
+            assert_allclose(got[key], ref[key], rtol=1e-12, atol=1e-15)
+
+    qmin, avg, grad, variation, residual = torus._min_leaf(
+        stack, cfg, trig, 32, 8, system)
+    assert list(qmin) == [ref["MIN_LEAF_INDEX"] for ref in refs]
+    for got, key in ((avg, "MIN_LEAF_AVG"), (grad, "GRAD_MAX"),
+                     (variation, "G_VARIATION")):
+        assert_allclose(got, [ref[key] for ref in refs], rtol=1e-12, atol=1e-15)
+    assert_allclose(residual, max(ref["ADIFF_RESIDUAL"] for ref in refs),
+                    rtol=1e-12, atol=1e-15)
+
+
+def test_min_leaf_tie_goes_to_smallest_row_major_index():
+    # g1 = cos(theta_1) is smallest on the whole line theta_1 = pi: the
+    # 32 lattice points (16, j) tie exactly, and (16, 0) has index 16 * 32
+    cfg = make_torus("dual", 2)
+    trig = assemble_function_constraints(cfg, 1).trig
+    u = np.zeros(cfg.n * trig.size)
+    pair = next(p for p in range(trig.npairs)
+                if tuple(trig.freqs[p]) == (1, 0, 0, 0))
+    u[trig.size + 1 + 2 * pair] = 1.0
+    for rep in (verify_min_leaf(u, cfg, trig), reference_min_leaf(u, cfg, trig)):
+        assert rep.data["MIN_LEAF_INDEX"] == 512
+        assert rep.data["MIN_LEAF_AVG"] == -1.0
+
+
+def test_min_leaf_all_flags_injected_among_solutions():
+    cfg = make_torus("dual", 1)
+    system = assemble_function_constraints(cfg, 2)
+    trig = system.trig
+    solutions = solve_nullspace(system)
+    bad = np.zeros(system.ncols)
+    pair = next(p for p in range(trig.npairs) if tuple(trig.freqs[p]) == (1, 0))
+    bad[1 + 2 * pair] = 1.0  # g = cos(x^{1,0})
+    stack = np.vstack([solutions[:3], bad, solutions[3:]])
+    rep = verify_min_leaf_all(stack, cfg, trig, system=system)
+    failed = {c.name for c in rep.checks if not c.passed}
+    assert failed == {"real_part_variation", "adiff_constraints"}
+    assert verify_min_leaf_all(solutions, cfg, trig, system=system).passed
+
+
+def test_min_leaf_all_builds_each_design_matrix_once(monkeypatch):
+    calls = []
+    values = TrigSpace.values
+
+    def counted(self, points):
+        calls.append(len(points))
+        return values(self, points)
+
+    monkeypatch.setattr(TrigSpace, "values", counted)
+    cfg = make_torus("trunc:3", 1)
+    system = assemble_function_constraints(cfg, 2)
+    solutions = solve_nullspace(system)
+    for stack in (solutions[:1], solutions, np.vstack([solutions] * 3)):
+        calls.clear()
+        assert verify_min_leaf_all(stack, cfg, system.trig, system=system).passed
+        assert len(calls) == 2
 
 
 def test_solutions_pass_pointwise_defect():

@@ -3,6 +3,8 @@
 import numpy as np
 
 from localalg.algebra import StructureConstants
+from localalg.report import Report
+from localalg.torus import _lattice
 
 PRESETS = ("dual", "trunc:3", "trunc:4", "square:2")
 
@@ -161,3 +163,49 @@ def dense_form_constraints(cfg, trig):
                     yield R
 
     return _dense(N * n, trig, local_rows)
+
+
+# -- reference minimizing-leaf check: one solution, design matrices evaluated directly
+
+
+def reference_min_leaf(solution, cfg, trig, grid=32, leaf_grid=8, tol=1e-8,
+                       system=None):
+    """Locate the leaf minimizing the leaf-average of the e1-component and
+    check the real part is critical there, evaluating every basis function
+    on the points of that leaf itself. Ties go to the smallest row-major
+    grid index."""
+    n, m, N = cfg.n, cfg.m, cfg.ncoords
+    B = trig.size
+    U = np.asarray(solution, dtype=float).reshape(n, B)
+    g, g1 = U[0], U[1] if n > 1 else U[0]
+
+    tmask = trig.transversal_mask(m)
+    trans_pts = np.zeros((grid**m, N))
+    trans_pts[:, :m] = _lattice(grid, m)
+    averages = trig.values(trans_pts) @ (g1 * tmask)
+    qmin = int(np.argmin(averages))
+
+    leaf_pts = np.zeros((leaf_grid ** (N - m), N))
+    leaf_pts[:, :m] = trans_pts[qmin, :m]
+    leaf_pts[:, m:] = _lattice(leaf_grid, N - m)
+    leaf_vals = trig.values(leaf_pts)
+    grad_max = 0.0
+    for axis in range(N):
+        d_g = trig.derivative(g, axis)
+        grad_max = max(grad_max, float(np.abs(leaf_vals @ d_g).max()))
+
+    g_all = np.concatenate([trig.values(trans_pts) @ g, leaf_vals @ g])
+    variation = float(g_all.max() - g_all.min())
+
+    rep = Report()
+    rep.add("min_leaf_gradient", grad_max <= tol, grad_max)
+    rep.add("real_part_variation", variation <= tol, variation)
+    rep.put("MIN_LEAF_INDEX", qmin)
+    rep.put("MIN_LEAF_AVG", float(averages[qmin]))
+    rep.put("GRAD_MAX", grad_max)
+    rep.put("G_VARIATION", variation)
+    if system is not None:
+        res = system.residual_inf(solution)
+        rep.add("adiff_constraints", res <= tol, res)
+        rep.put("ADIFF_RESIDUAL", res)
+    return rep
