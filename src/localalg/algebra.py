@@ -163,7 +163,7 @@ def from_spec(text: str) -> StructureConstants:
     labels = tuple(lines[1].split()[1:])
     if len(labels) != n:
         raise AlgebraFormatError(f"expected {n} basis names, got {len(labels)}")
-    if labels[0] != "1":
+    if labels[:1] != ("1",):
         raise AlgebraFormatError("first basis name must be '1'")
     index = {name: i for i, name in enumerate(labels)}
     if len(index) != n:
@@ -174,6 +174,7 @@ def from_spec(text: str) -> StructureConstants:
     for j in range(1, n):
         C[j, 0, j] = 1.0
 
+    seen: set[frozenset[int]] = set()
     for ln in lines[2:]:
         m = re.fullmatch(r"mul\s+(\S+)\s+(\S+)\s*=\s*(.+)", ln)
         if not m:
@@ -182,6 +183,9 @@ def from_spec(text: str) -> StructureConstants:
         if ni not in index or nj not in index:
             raise AlgebraFormatError(f"unknown basis name in: {ln!r}")
         i, j = index[ni], index[nj]
+        if frozenset((i, j)) in seen:
+            raise AlgebraFormatError(f"product of {ni} and {nj} given twice: {ln!r}")
+        seen.add(frozenset((i, j)))
         row = np.zeros(n)
         rhs = rhs.strip()
         if rhs != "0":
@@ -370,6 +374,9 @@ def graded_multiindices(parts: int, max_degree: int,
                         min_degree: int = 1) -> Iterator[tuple[int, ...]]:
     """Exponent tuples ordered by total degree, then lexicographically
     (earlier positions dominate, higher exponent first within a degree)."""
+
+    if parts < 1:
+        return
 
     def compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
         if k == 1:

@@ -82,14 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> alg.StructureConstants:
-    if args.preset:
-        return alg.preset(args.preset)
-    return alg.load_spec(args.spec)
-
-
 def _validated(args) -> tuple[alg.StructureConstants, Report | None]:
-    A = _load(args)
+    A = alg.preset(args.preset) if args.preset else alg.load_spec(args.spec)
+    if A.n < 2:
+        raise AlgebraFormatError(f"algebra of dimension {A.n} has a zero radical; need n >= 2")
     violations = alg.validate_algebra(A)
     if violations:
         rep = Report()

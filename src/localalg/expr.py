@@ -11,77 +11,100 @@ evaluation for a small expression language:
 
 Only integer powers are supported so that lifted evaluation stays exact.
 No simplification is performed beyond constant folding.
+
+Nodes are hash-consed by ``Expr.__new__``: structurally equal trees are one
+object (a ``Const`` is keyed by its float's bit pattern, so ``-0.0`` is not
+``0.0``), hashed and compared by identity, and freed with their last user.
+``diff`` and ``eval_real`` memoize by node in an optional ``memo`` (fresh
+per call when omitted; an eval memo serves one point), so one memo shared
+across calls builds or evaluates each distinct node once.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import struct
+import weakref
 from dataclasses import dataclass
 
 from .errors import DomainError, ExprSyntaxError, UnknownVariable
 
 
+# (class, *fields) -> the live node with those fields
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class Expr:
     __slots__ = ()
 
+    def __new__(cls, *fields):
+        fields = (float(*fields),) if cls is Const else fields
+        key = (cls, struct.pack("<d", *fields)) if cls is Const else (cls, *fields)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = _INTERNED[key] = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields):
+                object.__setattr__(node, name, value)
+        return node
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Const(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Var(Expr):
     index: int  # 1-based
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class IntPow(Expr):
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Sin(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Cos(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Exp(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Log(Expr):
     arg: Expr
 
@@ -278,73 +301,89 @@ def parse(text: str, nvars: int) -> Expr:
 # -- differentiation -------------------------------------------------------------
 
 
-def diff(e: Expr, j: int) -> Expr:
+def diff(e: Expr, j: int, memo: dict | None = None) -> Expr:
     """Exact symbolic partial derivative with respect to x<j>."""
+    memo = {} if memo is None else memo
+    if (e, j) in memo:
+        return memo[e, j]
     if isinstance(e, Const):
-        return Const(0.0)
-    if isinstance(e, Var):
-        return Const(1.0 if e.index == j else 0.0)
-    if isinstance(e, Add):
-        return add(diff(e.left, j), diff(e.right, j))
-    if isinstance(e, Sub):
-        return sub(diff(e.left, j), diff(e.right, j))
-    if isinstance(e, Mul):
-        return add(mul(diff(e.left, j), e.right), mul(e.left, diff(e.right, j)))
-    if isinstance(e, Div):
-        num = sub(mul(diff(e.left, j), e.right), mul(e.left, diff(e.right, j)))
-        return div(num, intpow(e.right, 2))
-    if isinstance(e, IntPow):
+        d = Const(0.0)
+    elif isinstance(e, Var):
+        d = Const(1.0 if e.index == j else 0.0)
+    elif isinstance(e, Add):
+        d = add(diff(e.left, j, memo), diff(e.right, j, memo))
+    elif isinstance(e, Sub):
+        d = sub(diff(e.left, j, memo), diff(e.right, j, memo))
+    elif isinstance(e, Mul):
+        d = add(mul(diff(e.left, j, memo), e.right), mul(e.left, diff(e.right, j, memo)))
+    elif isinstance(e, Div):
+        num = sub(mul(diff(e.left, j, memo), e.right), mul(e.left, diff(e.right, j, memo)))
+        d = div(num, intpow(e.right, 2))
+    elif isinstance(e, IntPow):
         if e.exponent == 0:
-            return Const(0.0)
-        return mul(
-            mul(Const(float(e.exponent)), intpow(e.base, e.exponent - 1)),
-            diff(e.base, j),
-        )
-    if isinstance(e, Sin):
-        return mul(Cos(e.arg), diff(e.arg, j))
-    if isinstance(e, Cos):
-        return mul(Const(-1.0), mul(Sin(e.arg), diff(e.arg, j)))
-    if isinstance(e, Exp):
-        return mul(e, diff(e.arg, j))
-    if isinstance(e, Log):
-        return div(diff(e.arg, j), e.arg)
-    raise TypeError(f"not an expression node: {e!r}")
+            d = Const(0.0)
+        else:
+            d = mul(
+                mul(Const(float(e.exponent)), intpow(e.base, e.exponent - 1)),
+                diff(e.base, j, memo),
+            )
+    elif isinstance(e, Sin):
+        d = mul(Cos(e.arg), diff(e.arg, j, memo))
+    elif isinstance(e, Cos):
+        d = mul(Const(-1.0), mul(Sin(e.arg), diff(e.arg, j, memo)))
+    elif isinstance(e, Exp):
+        d = mul(e, diff(e.arg, j, memo))
+    elif isinstance(e, Log):
+        d = div(diff(e.arg, j, memo), e.arg)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    memo[e, j] = d
+    return d
 
 
 # -- evaluation ------------------------------------------------------------------
 
 
-def eval_real(e: Expr, point) -> float:
+def eval_real(e: Expr, point, memo: dict | None = None) -> float:
     """Evaluate at a real point (sequence of length >= max variable index)."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return float(point[e.index - 1])
-    if isinstance(e, Add):
-        return eval_real(e.left, point) + eval_real(e.right, point)
-    if isinstance(e, Sub):
-        return eval_real(e.left, point) - eval_real(e.right, point)
-    if isinstance(e, Mul):
-        return eval_real(e.left, point) * eval_real(e.right, point)
-    if isinstance(e, Div):
-        denom = eval_real(e.right, point)
-        if denom == 0.0:
-            raise DomainError("division by zero")
-        return eval_real(e.left, point) / denom
-    if isinstance(e, IntPow):
-        return eval_real(e.base, point) ** e.exponent
-    if isinstance(e, Sin):
-        return math.sin(eval_real(e.arg, point))
-    if isinstance(e, Cos):
-        return math.cos(eval_real(e.arg, point))
-    if isinstance(e, Exp):
-        return math.exp(eval_real(e.arg, point))
-    if isinstance(e, Log):
-        v = eval_real(e.arg, point)
-        if v <= 0.0:
-            raise DomainError(f"log of non-positive value {v}")
-        return math.log(v)
-    raise TypeError(f"not an expression node: {e!r}")
+    memo = {} if memo is None else memo
+    if e in memo:
+        return memo[e]
+    try:
+        if isinstance(e, Const):
+            v = e.value
+        elif isinstance(e, Var):
+            v = float(point[e.index - 1])
+        elif isinstance(e, Add):
+            v = eval_real(e.left, point, memo) + eval_real(e.right, point, memo)
+        elif isinstance(e, Sub):
+            v = eval_real(e.left, point, memo) - eval_real(e.right, point, memo)
+        elif isinstance(e, Mul):
+            v = eval_real(e.left, point, memo) * eval_real(e.right, point, memo)
+        elif isinstance(e, Div):
+            denom = eval_real(e.right, point, memo)
+            if denom == 0.0:
+                raise DomainError("division by zero")
+            v = eval_real(e.left, point, memo) / denom
+        elif isinstance(e, IntPow):
+            v = eval_real(e.base, point, memo) ** e.exponent
+        elif isinstance(e, Sin):
+            v = math.sin(eval_real(e.arg, point, memo))
+        elif isinstance(e, Cos):
+            v = math.cos(eval_real(e.arg, point, memo))
+        elif isinstance(e, Exp):
+            v = math.exp(eval_real(e.arg, point, memo))
+        elif isinstance(e, Log):
+            v = eval_real(e.arg, point, memo)
+            if v <= 0.0:
+                raise DomainError(f"log of non-positive value {v}")
+            v = math.log(v)
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+    except (OverflowError, ValueError):
+        raise DomainError(f"{type(e).__name__} leaves the float range") from None
+    memo[e] = v
+    return v
 
 
 def to_text(e: Expr) -> str:

@@ -90,16 +90,19 @@ def taylor_lift(e: ex.Expr, X: APoint, A: StructureConstants,
         _radical_powers(A, radical_part(X.components[j]), nu - 1) for j in range(m)
     ]
 
+    # one memo each: every distinct derivative node is built and evaluated once
+    diff_memo: dict = {}
+    eval_memo: dict = {}
     out = A.zero()
-    out[0] = ex.eval_real(e, x)
+    out[0] = ex.eval_real(e, x, eval_memo)
 
     derivs: dict[tuple[int, ...], ex.Expr] = {(0,) * m: e}
     for p in graded_multiindices(m, nu - 1):
         j = next(i for i, pi in enumerate(p) if pi > 0)
         parent = tuple(pi - (1 if i == j else 0) for i, pi in enumerate(p))
-        dp = ex.diff(derivs[parent], j + 1)
+        dp = ex.diff(derivs[parent], j + 1, diff_memo)
         derivs[p] = dp
-        coeff = ex.eval_real(dp, x)
+        coeff = ex.eval_real(dp, x, eval_memo)
         if coeff == 0.0:
             continue
         for pi in p:
@@ -149,21 +152,24 @@ def lift_eval(e: ex.Expr, X: APoint, A: StructureConstants,
         if isinstance(node, (ex.Sin, ex.Cos, ex.Exp, ex.Log)):
             u = ev(node.arg)
             c = u[0]
-            if isinstance(node, ex.Sin):
-                table = (math.sin(c), math.cos(c), -math.sin(c), -math.cos(c))
-                vals = [table[k % 4] for k in range(nu)]
-            elif isinstance(node, ex.Cos):
-                table = (math.cos(c), -math.sin(c), -math.cos(c), math.sin(c))
-                vals = [table[k % 4] for k in range(nu)]
-            elif isinstance(node, ex.Exp):
-                vals = [math.exp(c)] * nu
-            else:
-                if c <= 0.0:
-                    raise DomainError(f"log of non-positive real part {c}")
-                vals = [math.log(c)] + [
-                    (-1.0) ** (k - 1) * math.factorial(k - 1) / c**k
-                    for k in range(1, nu)
-                ]
+            try:
+                if isinstance(node, ex.Sin):
+                    table = (math.sin(c), math.cos(c), -math.sin(c), -math.cos(c))
+                    vals = [table[k % 4] for k in range(nu)]
+                elif isinstance(node, ex.Cos):
+                    table = (math.cos(c), -math.sin(c), -math.cos(c), math.sin(c))
+                    vals = [table[k % 4] for k in range(nu)]
+                elif isinstance(node, ex.Exp):
+                    vals = [math.exp(c)] * nu
+                else:
+                    if c <= 0.0:
+                        raise DomainError(f"log of non-positive real part {c}")
+                    vals = [math.log(c)] + [
+                        (-1.0) ** (k - 1) * math.factorial(k - 1) / c**k
+                        for k in range(1, nu)
+                    ]
+            except (OverflowError, ValueError):
+                raise DomainError(f"{type(node).__name__} leaves the float range") from None
             return _series_apply(A, nu, vals, u)
         raise TypeError(f"not an expression node: {node!r}")
 

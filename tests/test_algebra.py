@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from localalg.algebra import (
     StructureConstants,
     from_spec,
+    graded_multiindices,
     invert,
     mul,
     nilpotency_index,
@@ -376,3 +377,22 @@ def test_spec_file_errors():
         from_spec("algebra n=2\nbasis 1 u\nmul u w = 0\n")
     with pytest.raises(AlgebraFormatError):
         from_spec("algebra n=2\nbasis 1 u\nmul u u = 1*\n")
+    with pytest.raises(AlgebraFormatError):
+        from_spec("algebra n=0\nbasis\n")
+
+
+def test_spec_repeated_product_is_an_error():
+    head = "algebra n=3\nbasis 1 a b\n"
+    for lines in ("mul a a = 1*b\nmul a a = 0\n",
+                  "mul a b = 0\nmul b a = 0\n",
+                  "mul a b = 0\nmul b b = 0\nmul a b = 1*b\n"):
+        with pytest.raises(AlgebraFormatError, match="given twice"):
+            from_spec(head + lines)
+    A = from_spec(head + "mul a a = 1*b\nmul a b = 0\nmul b b = 0\n")
+    assert validate_algebra(A) == []
+
+
+def test_graded_multiindices_of_no_parts_is_empty():
+    assert list(graded_multiindices(0, 5)) == []
+    assert list(graded_multiindices(0, 3, min_degree=0)) == []
+    assert list(graded_multiindices(2, 2)) == [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]

@@ -140,3 +140,52 @@ def test_torus_argument_out_of_range_exit3(args):
     assert proc.returncode == 3
     assert proc.stdout.startswith(f"ERROR {flag} {value} must be at least")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("lift", "--preset", "dual", "--expr", "exp(x1)^1000", "--at", "1 + 1 e1"),
+    # the quotient rule nests the denominator to (1+x1^2)^(2^10) at order 11
+    ("lift", "--preset", "trunc:12", "--expr", "1/(1+x1^2)", "--at", "0.9 + 1 e1"),
+    # check runs lift_eval first, whose exp series overflows at exp(7) = 1096.6
+    ("check", "--preset", "dual", "--expr", "exp(exp(x1))", "--at", "7 + 1 e1"),
+], ids=("intpow", "quotient-rule", "series-exp"))
+def test_float_overflow_exit3(args):
+    proc = run(*args)
+    assert proc.returncode == 3
+    assert proc.stdout.startswith("ERROR ")
+    assert "leaves the float range" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command,extra,code", [
+    ("algebra", (), 2),
+    ("lift", ("--expr", "x1", "--at", "1"), 3),
+    ("check", ("--expr", "x1", "--at", "1"), 3),
+    ("forms", (), 3),
+    ("verify", (), 3),
+])
+@pytest.mark.parametrize("source", ["preset", "spec"])
+def test_one_dimensional_algebra_rejected(tmp_path, command, extra, code, source):
+    if source == "preset":
+        algebra = ("--preset", "trunc:1")
+    else:
+        spec = tmp_path / "one.alg"
+        spec.write_text("algebra n=1\nbasis 1\n")
+        algebra = ("--spec", str(spec))
+    proc = run(command, *algebra, *extra)
+    assert proc.returncode == code
+    assert proc.stdout == "ERROR algebra of dimension 1 has a zero radical; need n >= 2\n"
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("lines", [
+    "mul a a = 1*b\nmul a a = 0\n",
+    "mul a b = 0\nmul b a = 0\n",
+], ids=("same-order", "swapped"))
+def test_repeated_mul_line_exit2(tmp_path, lines):
+    spec = tmp_path / "dup.alg"
+    spec.write_text("algebra n=3\nbasis 1 a b\n" + lines)
+    proc = run("algebra", "--spec", str(spec))
+    assert proc.returncode == 2
+    assert proc.stdout.startswith("ERROR product of ")
+    assert "given twice" in proc.stdout

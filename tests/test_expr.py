@@ -1,11 +1,14 @@
 """Expression parsing, evaluation and symbolic differentiation."""
 
+import gc
 import math
+import weakref
 
 import mpmath
 import numpy as np
 import pytest
 
+from localalg import expr
 from localalg.errors import DomainError, ExprSyntaxError, UnknownVariable
 from localalg.expr import (
     CORPUS,
@@ -25,6 +28,54 @@ from localalg.expr import (
 def test_parse_structure():
     e = parse("x1^2 + sin(x2)", 2)
     assert e == Add(IntPow(Var(1), 2), Sin(Var(2)))
+
+
+# -- interning and memos ---------------------------------------------------------
+
+
+def test_parse_returns_the_interned_node():
+    assert parse("x1^2 + sin(x2)", 2) is Add(IntPow(Var(1), 2), Sin(Var(2)))
+    assert Var(1) is Var(1)
+    assert IntPow(Var(1), 2) is not IntPow(Var(1), 3)
+
+
+def test_constants_are_keyed_by_bit_pattern():
+    assert Const(0.0) is not Const(-0.0)
+    assert math.copysign(1.0, Const(-0.0).value) == -1.0
+    assert Const(2.5) is Const(2.5)
+    assert Const(2) is Const(2.0) and type(Const(2).value) is float
+
+
+def test_unreferenced_tree_leaves_the_table():
+    gc.collect()
+    before = len(expr._INTERNED)
+    tree = parse("exp(x1 + 123.456) / (1 + x1^7)", 1)
+    node = weakref.ref(diff(tree, 1))
+    assert len(expr._INTERNED) > before
+    del tree
+    gc.collect()
+    assert node() is None
+    assert len(expr._INTERNED) == before
+
+
+def test_shared_memo_gives_the_same_nodes_and_values():
+    e = parse("exp(x1 + x2) / (1 + x1^2)", 2)
+    dmemo, emem = {}, {}
+    for j in (1, 2, 1):
+        shared = diff(e, j, dmemo)
+        assert shared is diff(e, j)
+        assert eval_real(shared, (0.3, -0.2), emem) == eval_real(shared, (0.3, -0.2))
+        e = shared
+
+
+@pytest.mark.parametrize("text,x", [
+    ("exp(x1)^1000", 1.0),  # IntPow overflows
+    ("exp(x1)", 1000.0),  # math.exp overflows
+    ("sin(x1 * 1e200 * 1e200)", 1.0),  # sin(inf) is a math domain error
+])
+def test_float_overflow_is_a_domain_error(text, x):
+    with pytest.raises(DomainError, match="leaves the float range"):
+        eval_real(parse(text, 1), [x])
 
 
 def test_parse_unknown_variable():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from localalg.algebra import mul, preset, real_part, standardize
+from localalg import expr
+from localalg.algebra import graded_multiindices, mul, preset, real_part, standardize
 from localalg.errors import AlgebraFormatError, DomainError, NonUnitError
 from localalg.expr import CORPUS, CORPUS_VARS, eval_real, parse
 from localalg.lift import (
@@ -22,7 +23,7 @@ from localalg.lift import (
     taylor_lift,
 )
 
-from util import PRESETS, radical_negation_map, unit_safe_point
+from util import PRESETS, radical_negation_map, reference_taylor_lift, unit_safe_point
 
 STD = {name: standardize(preset(name)) for name in PRESETS}
 
@@ -83,6 +84,14 @@ def test_lift_eval_log_requires_positive_real_part():
         lift_eval(parse("log(x1)", 1), APoint([[-1.0, 0.0]]), A, info)
 
 
+def test_lift_eval_series_overflow_is_a_domain_error():
+    A, info = STD["dual"]
+    with pytest.raises(DomainError, match="leaves the float range"):
+        lift_eval(parse("exp(x1)", 1), APoint([[1000.0, 1.0]]), A, info)
+    with pytest.raises(DomainError, match="leaves the float range"):
+        lift_eval(parse("cos(x1)", 1), APoint([[np.inf, 1.0]]), A, info)
+
+
 def test_lift_eval_division_requires_unit():
     A, info = STD["dual"]
     with pytest.raises(NonUnitError):
@@ -122,6 +131,71 @@ def test_routes_agree_property(name, idx, seed):
     t = taylor_lift(e, X, A, info)
     v = lift_eval(e, X, A, info)
     assert np.abs(t - v).max() <= 1e-9 * (1 + float(np.abs(t).max()))
+
+
+# -- the memoized Taylor lift against its oracles ---------------------------------------
+
+
+TRUNC = {k: standardize(preset(f"trunc:{k}")) for k in range(3, 10)}
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_taylor_lift_is_bitwise_the_reference(k):
+    # the reference re-differentiates and re-walks every tree: same floats, slower
+    A, info = TRUNC[k]
+    rng = np.random.default_rng(100 + k)
+    points = [APoint(unit_safe_point(rng, 2, A.n)) for _ in range(2)]
+    for text in CORPUS:
+        e = parse(text, 2)
+        for X in points:
+            a = taylor_lift(e, X, A, info)
+            b = reference_taylor_lift(e, X, A, info)
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), (k, text)
+
+
+def test_taylor_lift_matches_sympy_series():
+    # X_j = x_j + c_j e1 on trunc:7: the e_k coefficient is [t^k] g(x + c t)
+    A, info = TRUNC[7]
+    x = (0.3, -0.45)
+    c = (0.7, -1.1)
+    t, x1, x2 = sympy.symbols("t x1 x2")
+    shift = {x1: sympy.Rational(x[0]) + sympy.Rational(c[0]) * t,
+             x2: sympy.Rational(x[1]) + sympy.Rational(c[1]) * t}
+    X = APoint([[x[0], c[0]] + [0.0] * (A.n - 2), [x[1], c[1]] + [0.0] * (A.n - 2)])
+    for text in CORPUS:
+        g = sympy.sympify(text.replace("^", "**"), locals={"x1": x1, "x2": x2})
+        series = sympy.series(g.subs(shift, simultaneous=True), t, 0, A.n).removeO()
+        expected = np.array([float(sympy.N(series.coeff(t, k), 30)) for k in range(A.n)])
+        lifted = taylor_lift(parse(text, 2), X, A, info)
+        scale = np.abs(expected).max()
+        assert_allclose(lifted, expected, rtol=1e-12, atol=1e-12 * scale, err_msg=text)
+
+
+def test_taylor_lift_builds_and_evaluates_each_node_once(monkeypatch):
+    A, info = TRUNC[9]
+    diff_memos, eval_memos, diff_calls = {}, {}, []
+    differentiate, evaluate = expr.diff, expr.eval_real
+
+    def diff_spy(e, j, memo=None):
+        diff_memos[id(memo)] = memo
+        diff_calls.append(e)
+        return differentiate(e, j, memo)
+
+    def eval_spy(e, point, memo=None):
+        eval_memos[id(memo)] = memo
+        return evaluate(e, point, memo)
+
+    monkeypatch.setattr(expr, "diff", diff_spy)
+    monkeypatch.setattr(expr, "eval_real", eval_spy)
+    X = APoint(unit_safe_point(np.random.default_rng(1), 2, A.n))
+    taylor_lift(parse("exp(x1 + x2) / (1 + x1^2)", 2), X, A, info)
+    (diff_memo,) = diff_memos.values()
+    (eval_memo,) = eval_memos.values()
+    assert 0 < len(eval_memo) <= 1500
+    # one top-level call per multi-index; each memo entry is built once and
+    # recurses into at most two children
+    orders = len(list(graded_multiindices(2, info.nu - 1)))
+    assert len(diff_calls) <= orders + 2 * len(diff_memo)
 
 
 # -- structural properties -------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Shared helpers and independent oracles for the test suite."""
 
+import math
+
 import numpy as np
 
-from localalg.algebra import StructureConstants
+from localalg import expr as ex
+from localalg.algebra import StructureConstants, graded_multiindices, mul, radical_part
+from localalg.errors import DomainError
 from localalg.report import Report
 from localalg.torus import _lattice
 
@@ -209,3 +213,115 @@ def reference_min_leaf(solution, cfg, trig, grid=32, leaf_grid=8, tol=1e-8,
         rep.add("adiff_constraints", res <= tol, res)
         rep.put("ADIFF_RESIDUAL", res)
     return rep
+
+
+# -- reference Taylor lift: derivatives re-built and trees re-walked, no memo ------
+
+
+def reference_diff(e, j):
+    """Exact symbolic partial derivative with respect to x<j>."""
+    if isinstance(e, ex.Const):
+        return ex.Const(0.0)
+    if isinstance(e, ex.Var):
+        return ex.Const(1.0 if e.index == j else 0.0)
+    if isinstance(e, ex.Add):
+        return ex.add(reference_diff(e.left, j), reference_diff(e.right, j))
+    if isinstance(e, ex.Sub):
+        return ex.sub(reference_diff(e.left, j), reference_diff(e.right, j))
+    if isinstance(e, ex.Mul):
+        return ex.add(ex.mul(reference_diff(e.left, j), e.right),
+                      ex.mul(e.left, reference_diff(e.right, j)))
+    if isinstance(e, ex.Div):
+        num = ex.sub(ex.mul(reference_diff(e.left, j), e.right),
+                     ex.mul(e.left, reference_diff(e.right, j)))
+        return ex.div(num, ex.intpow(e.right, 2))
+    if isinstance(e, ex.IntPow):
+        if e.exponent == 0:
+            return ex.Const(0.0)
+        return ex.mul(
+            ex.mul(ex.Const(float(e.exponent)), ex.intpow(e.base, e.exponent - 1)),
+            reference_diff(e.base, j),
+        )
+    if isinstance(e, ex.Sin):
+        return ex.mul(ex.Cos(e.arg), reference_diff(e.arg, j))
+    if isinstance(e, ex.Cos):
+        return ex.mul(ex.Const(-1.0), ex.mul(ex.Sin(e.arg), reference_diff(e.arg, j)))
+    if isinstance(e, ex.Exp):
+        return ex.mul(e, reference_diff(e.arg, j))
+    if isinstance(e, ex.Log):
+        return ex.div(reference_diff(e.arg, j), e.arg)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def reference_eval_real(e, point):
+    """Evaluate at a real point (sequence of length >= max variable index)."""
+    if isinstance(e, ex.Const):
+        return e.value
+    if isinstance(e, ex.Var):
+        return float(point[e.index - 1])
+    if isinstance(e, ex.Add):
+        return reference_eval_real(e.left, point) + reference_eval_real(e.right, point)
+    if isinstance(e, ex.Sub):
+        return reference_eval_real(e.left, point) - reference_eval_real(e.right, point)
+    if isinstance(e, ex.Mul):
+        return reference_eval_real(e.left, point) * reference_eval_real(e.right, point)
+    if isinstance(e, ex.Div):
+        denom = reference_eval_real(e.right, point)
+        if denom == 0.0:
+            raise DomainError("division by zero")
+        return reference_eval_real(e.left, point) / denom
+    if isinstance(e, ex.IntPow):
+        return reference_eval_real(e.base, point) ** e.exponent
+    if isinstance(e, ex.Sin):
+        return math.sin(reference_eval_real(e.arg, point))
+    if isinstance(e, ex.Cos):
+        return math.cos(reference_eval_real(e.arg, point))
+    if isinstance(e, ex.Exp):
+        return math.exp(reference_eval_real(e.arg, point))
+    if isinstance(e, ex.Log):
+        v = reference_eval_real(e.arg, point)
+        if v <= 0.0:
+            raise DomainError(f"log of non-positive value {v}")
+        return math.log(v)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _radical_powers(A, r, kmax):
+    powers = [A.unit()]
+    for _ in range(kmax):
+        powers.append(mul(A, powers[-1], r))
+    return powers
+
+
+def reference_taylor_lift(e, X, A, info):
+    """Taylor-sum lift with exact symbolic derivatives, each derivative
+    differentiated from its unsimplified parent and evaluated by a full tree
+    walk. Terms of total order >= nu vanish, so the sum stops at nu - 1."""
+    m = X.m
+    nu = info.nu
+    x = X.real_parts()
+    # powers of the radical parts, slot by slot
+    rad_powers = [
+        _radical_powers(A, radical_part(X.components[j]), nu - 1) for j in range(m)
+    ]
+
+    out = A.zero()
+    out[0] = reference_eval_real(e, x)
+
+    derivs = {(0,) * m: e}
+    for p in graded_multiindices(m, nu - 1):
+        j = next(i for i, pi in enumerate(p) if pi > 0)
+        parent = tuple(pi - (1 if i == j else 0) for i, pi in enumerate(p))
+        dp = reference_diff(derivs[parent], j + 1)
+        derivs[p] = dp
+        coeff = reference_eval_real(dp, x)
+        if coeff == 0.0:
+            continue
+        for pi in p:
+            coeff /= math.factorial(pi)
+        term = A.unit()
+        for i, pi in enumerate(p):
+            if pi:
+                term = mul(A, term, rad_powers[i][pi])
+        out = out + coeff * term
+    return out
