@@ -186,7 +186,7 @@ def from_spec(text: str) -> StructureConstants:
         if frozenset((i, j)) in seen:
             raise AlgebraFormatError(f"product of {ni} and {nj} given twice: {ln!r}")
         seen.add(frozenset((i, j)))
-        row = np.zeros(n)
+        row = [0.0] * n  # Python floats: an overflowing sum becomes inf quietly
         rhs = rhs.strip()
         if rhs != "0":
             pos = 0
@@ -202,6 +202,8 @@ def from_spec(text: str) -> StructureConstants:
                 row[index[name]] += coef
                 pos = tm.end()
                 first = False
+            if not np.all(np.isfinite(row)):
+                raise AlgebraFormatError(f"coefficient out of the float range in: {ln!r}")
         C[i, j] = row
         C[j, i] = row
     return StructureConstants(n, labels, C)
@@ -350,9 +352,12 @@ def radical_filtration(
 
     Each chain entry is an orthonormal row basis; the chain ends with the
     first zero subspace. ``nu`` is the first power that vanishes, or None if
-    the chain stalls (non-nilpotent radical, i.e. invalid input).
+    the chain stalls (non-nilpotent radical, i.e. invalid input). Ranks are
+    measured against the norm of the structure constants, so a power whose
+    products are only round-off is zero.
     """
     rad = radical_basis(A, tol)
+    scale = float(np.linalg.norm(A.C))
     chain = [rad]
     current = rad
     while current.shape[0] > 0:
@@ -361,8 +366,7 @@ def radical_filtration(
         products = np.array(
             [mul(A, u, v) for u in current for v in rad]
         ).reshape(-1, A.n)
-        nxt = linalg.orthonormal_rows(products, tol) if products.size else \
-            np.zeros((0, A.n))
+        nxt = linalg.orthonormal_rows(products, tol, scale)
         if nxt.shape[0] >= current.shape[0]:
             return chain, None
         chain.append(nxt)
@@ -429,7 +433,10 @@ def standard_basis(A: StructureConstants,
     The pseudobasis is the orthogonal complement of rad^2 inside rad
     (a minimal generating set). Monomials are scanned in graded
     lexicographic order and kept whenever they raise the numerical rank;
-    SpanFailure signals that they never span the radical.
+    SpanFailure signals that they never span the radical, or that the kept
+    monomials killed by every generator are not as many as the dimension of
+    the socle (``socle_basis``): monomials in generic generators need not be
+    adapted to the socle.
     """
     chain, nu = radical_filtration(A, tol)
     if nu is None:
@@ -480,6 +487,8 @@ def standard_basis(A: StructureConstants,
             worst = max(worst, float(np.abs(prod).max()))
         if worst <= tol * (1.0 + float(np.linalg.norm(vec))):
             socle.append(k)
+    if len(socle) != socle_basis(A, tol=tol).shape[0]:
+        raise SpanFailure("standard basis monomials do not span the socle")
 
     return StandardBasisInfo(
         P=P,

@@ -30,13 +30,19 @@ from .expr import parse
 from .report import Report, fmt
 
 
-def _add_common(p: argparse.ArgumentParser, tol_default: float):
+def _add_common(p: argparse.ArgumentParser):
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", help="algebra preset (dual, trunc:k, square:r)")
     src.add_argument("--spec", help="path to an algebra spec file")
-    p.add_argument("--tol", type=float, default=tol_default)
-    p.add_argument("--cap", type=int, default=tr.DEFAULT_CAP)
     p.add_argument("--out", help="also write the report to this path")
+
+
+def _add_torus(p: argparse.ArgumentParser):
+    _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--cap", type=int, default=tr.DEFAULT_CAP)
+    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--degree", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,11 +54,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("algebra", help="validate and print structural invariants")
-    _add_common(p, 1e-9)
+    _add_common(p)
     p.set_defaults(func=cmd_algebra)
 
     p = sub.add_parser("lift", help="lift an expression at a point, both routes")
-    _add_common(p, 1e-9)
+    _add_common(p)
     p.add_argument("--expr", required=True)
     p.add_argument("--at", required=True, metavar="POINT",
                    help="semicolon-separated element literals")
@@ -60,23 +66,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("check", help="numerical differentiability of a lift")
-    _add_common(p, 1e-5)
+    _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--expr", required=True)
     p.add_argument("--at", required=True, metavar="POINT")
     p.add_argument("--m", type=int, default=None)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify", help="function-space suite on a torus")
-    _add_common(p, 1e-8)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--degree", type=int, default=1)
+    _add_torus(p)
     p.add_argument("--grid", type=int, default=32)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("forms", help="1-form dimension suite on a torus")
-    _add_common(p, 1e-8)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--degree", type=int, default=1)
+    _add_torus(p)
     p.set_defaults(func=cmd_forms)
 
     return parser

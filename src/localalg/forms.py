@@ -81,9 +81,12 @@ def assemble_form_constraints(cfg: TorusConfig, degree: int,
 
 def function_differential(u: np.ndarray, cfg: TorusConfig,
                           trig: TrigSpace) -> np.ndarray:
-    """Coefficients of dG for a function coefficient vector (flat, length N*n*B)."""
-    U = np.asarray(u, dtype=float).reshape(cfg.n, trig.size)
-    return np.stack([trig.derivative(U, axis) for axis in range(cfg.ncoords)]).ravel()
+    """Coefficients of dG, flat (N*n*B,), for a function coefficient vector
+    (n*B,), or one row per function for an (S, n*B) stack."""
+    u = np.asarray(u, dtype=float)
+    U = u.reshape(-1, cfg.n, trig.size)
+    dG = np.stack([trig.derivative(U, axis) for axis in range(cfg.ncoords)], axis=1)
+    return dG.reshape(u.shape[:-1] + (cfg.ncoords * u.shape[-1],))
 
 
 def component_form(solution: np.ndarray, j0: int, cfg: TorusConfig,
@@ -114,8 +117,6 @@ def zero_mean_combinations(solutions: np.ndarray, cfg: TorusConfig,
                            tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
     """Rows spanning the solutions whose constant Fourier coefficients vanish."""
     solutions = np.atleast_2d(solutions)
-    if solutions.shape[0] == 0:
-        return solutions
     B = trig.size
     mean_cols = [(f * cfg.n + i) * B for f in range(cfg.ncoords) for i in range(cfg.n)]
     means = solutions[:, mean_cols]
@@ -149,24 +150,10 @@ def verify_class_injectivity(form_solutions: np.ndarray,
     """Worst distance from a zero-mean closed solution to an exact
     differential, plus the dimension of the zero-mean subspace."""
     zm = zero_mean_combinations(form_solutions, cfg, trig)
-    if zm.shape[0] == 0:
-        return 0.0, 0
-    function_solutions = np.atleast_2d(function_solutions)
-    if function_solutions.shape[0]:
-        basis = np.vstack(
-            [function_differential(u, cfg, trig) for u in function_solutions]
-        )
-    else:
-        basis = np.zeros((0, zm.shape[1]))
-    worst = 0.0
-    for vec in zm:
-        if basis.shape[0]:
-            coef, *_ = np.linalg.lstsq(basis.T, vec, rcond=None)
-            residual = float(np.linalg.norm(basis.T @ coef - vec))
-        else:
-            residual = float(np.linalg.norm(vec))
-        worst = max(worst, residual)
-    return worst, zm.shape[0]
+    basis = function_differential(np.atleast_2d(function_solutions), cfg, trig)
+    coef, *_ = np.linalg.lstsq(basis.T, zm.T, rcond=None)
+    residual = np.linalg.norm(basis.T @ coef - zm.T, axis=0)
+    return float(residual.max(initial=0.0)), zm.shape[0]
 
 
 def cohomology_report(cfg: TorusConfig, degree: int,
@@ -190,17 +177,11 @@ def cohomology_report(cfg: TorusConfig, degree: int,
     B = trig.size
     degree0_dims = {}
     for j0 in breve:
-        comps = np.atleast_2d(fn_sol)[:, j0 * B:(j0 + 1) * B]
-        degree0_dims[j0] = linalg.rank(comps, null_tol) if comps.size else 0
+        comps = fn_sol[:, j0 * B:(j0 + 1) * B]
+        degree0_dims[j0] = linalg.rank(comps, null_tol)
 
     # functions with vanishing differential inside the ansatz
-    if np.atleast_2d(fn_sol).shape[0]:
-        diffs = np.vstack(
-            [function_differential(u, cfg, trig) for u in np.atleast_2d(fn_sol)]
-        )
-        h0 = np.atleast_2d(fn_sol).shape[0] - linalg.rank(diffs, null_tol)
-    else:
-        h0 = 0
+    h0 = fn_sol.shape[0] - linalg.rank(function_differential(fn_sol, cfg, trig), null_tol)
 
     residual, zm_dim = verify_class_injectivity(form_sol, fn_sol, cfg, trig, null_tol)
 

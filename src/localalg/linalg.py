@@ -3,6 +3,15 @@
 Subspace bases are stored as 2-d arrays whose *rows* are the basis vectors.
 All bases returned here are orthonormalized and sign-canonicalized so that
 repeated runs produce identical output.
+
+Every rank decision follows one rule, in ``_svd_rank``: a singular value
+counts when it exceeds ``tol * ref``, where ``ref`` is the larger of the
+largest singular value of the matrix (of the whole stack, for a stack of
+matrices) and a ``scale`` the caller works out from its inputs. Without a
+scale the rule is relative, so a matrix of pure round-off keeps full rank; a
+scale such as the norm of the structure constants sends it to rank 0. A zero
+matrix, empty ones included, has rank 0 and the identity as its right
+singular vectors.
 """
 
 from __future__ import annotations
@@ -10,6 +19,23 @@ from __future__ import annotations
 import numpy as np
 
 RANK_TOL = 1e-9
+
+
+def _svd_rank(matrix: np.ndarray, tol: float, scale: float = 0.0,
+              full_matrices: bool = False, compute_uv: bool = True):
+    """Ranks and right singular vectors of a matrix or (modes, rows, cols) stack.
+
+    Returns ``(rank, vh)``: an int for a matrix or an int array for a stack,
+    and ``vh`` as ``np.linalg.svd`` gives it (None without ``compute_uv``).
+    """
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if compute_uv:
+        _, s, vh = np.linalg.svd(matrix, full_matrices=full_matrices)
+        vh[~matrix.any(axis=(-2, -1))] = np.eye(*vh.shape[-2:])
+    else:
+        s, vh = np.linalg.svd(matrix, compute_uv=False), None
+    ref = max(float(s.max(initial=0.0)), scale)
+    return np.sum(s > tol * ref, axis=-1), vh
 
 
 def canonical_signs(rows: np.ndarray) -> np.ndarray:
@@ -21,49 +47,24 @@ def canonical_signs(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def orthonormal_rows(vectors: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis for the row span of ``vectors``.
-
-    Rank is decided by singular values relative to the largest one.
-    """
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if vectors.size == 0:
-        return np.zeros((0, vectors.shape[-1]))
-    _, s, vh = np.linalg.svd(vectors, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((0, vectors.shape[1]))
-    rank = int(np.sum(s > tol * s[0]))
+def orthonormal_rows(vectors: np.ndarray, tol: float = RANK_TOL,
+                     scale: float = 0.0) -> np.ndarray:
+    """Orthonormal basis for the row span of ``vectors`` (rank by ``_svd_rank``)."""
+    rank, vh = _svd_rank(vectors, tol, scale)
     return canonical_signs(vh[:rank])
 
 
 def rank(matrix: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Numerical rank with a relative singular-value threshold."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if matrix.size == 0:
-        return 0
-    s = np.linalg.svd(matrix, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    """Numerical rank by the rule of ``_svd_rank``."""
+    return int(_svd_rank(matrix, tol, compute_uv=False)[0])
 
 
 def nullspace_rows(matrix: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis (rows) of ``{x : matrix @ x = 0}``.
 
-    Directions with singular value <= tol * (largest singular value) count as
-    null; rows come out ordered by ascending singular value.
+    The directions ``_svd_rank`` does not count are null; rows come out
+    ordered by ascending singular value.
     """
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    ncols = matrix.shape[1]
-    if matrix.shape[0] == 0 or not np.any(matrix):
-        return canonical_signs(np.eye(ncols))
     # full_matrices so the kernel of a wide matrix is complete
-    _, s, vh = np.linalg.svd(matrix, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    keep = []
-    for idx in range(ncols - 1, -1, -1):
-        sigma = s[idx] if idx < s.size else 0.0
-        if sigma > tol * smax:
-            break
-        keep.append(idx)
-    return canonical_signs(vh[keep]) if keep else np.zeros((0, ncols))
+    rank, vh = _svd_rank(matrix, tol, full_matrices=True)
+    return canonical_signs(vh[rank:][::-1])

@@ -238,19 +238,17 @@ def solve_nullspace(system: ConstraintSystem,
                     tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
     """Orthonormal nullspace basis from one batched SVD of the symbols.
 
-    A right singular vector v of a mode is null when its singular value is
-    at most tol * smax, with smax the largest singular value of any mode; a
-    symbol that vanishes is null in every direction. v gives one row on the
-    constant columns for mode 0, and two rows for a pair: v on its cos
-    columns, then v on its sin columns. Rows are mode-major and, within a
-    mode, by ascending singular value; each row's largest entry is positive.
+    The right singular vectors of a mode that the rank rule of
+    ``linalg._svd_rank`` does not count over the whole stack are null, so a
+    symbol that vanishes is null in every direction. A null vector v gives
+    one row on the constant columns for mode 0, and two rows for a pair: v
+    on its cos columns, then v on its sin columns. Rows are mode-major and,
+    within a mode, by ascending singular value; each row's largest entry is
+    positive.
     """
-    S = system.symbols
-    modes, nrows, nunk = S.shape
+    modes, nrows, nunk = system.symbols.shape
     # vh must be square; u is needed in full only when a symbol is wide
-    _, s, vh = np.linalg.svd(S, full_matrices=nrows < nunk)
-    vh[~S.any(axis=(1, 2))] = np.eye(nunk)
-    rank = np.sum(s > tol * s.max(initial=0.0), axis=1)
+    rank, vh = linalg._svd_rank(system.symbols, tol, full_matrices=nrows < nunk)
     B = system.trig.size
     rows = []
     for p in range(modes):

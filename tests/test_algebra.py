@@ -291,6 +291,55 @@ def test_standard_basis_rejects_split_algebra():
         standard_basis(r_plus_r())
 
 
+def _changed_radical_basis(A, seed):
+    """A in a seeded random basis: the unit stays first, every other basis
+    vector is a random combination of the radical basis vectors."""
+    P = np.eye(A.n)
+    P[1:, 1:] = np.random.default_rng(seed).standard_normal((A.n - 1, A.n - 1))
+    C = np.einsum("si,tj,stu,ku->ijk", P, P, A.C, np.linalg.inv(P))
+    return StructureConstants(A.n, A.labels, C)
+
+
+def _monomial_quotient(cells):
+    """R[x, y] modulo every monomial outside the down-set ``cells``, unit first."""
+    index = {c: i for i, c in enumerate(cells)}
+    n = len(cells)
+    C = np.zeros((n, n, n))
+    for i, a in enumerate(cells):
+        for j, b in enumerate(cells):
+            k = index.get((a[0] + b[0], a[1] + b[1]))
+            if k is not None:
+                C[i, j, k] = 1.0
+    return StructureConstants(n, ("1",) + tuple(f"e{i}" for i in range(1, n)), C)
+
+
+@pytest.mark.parametrize("name,dims,nu,socle", [
+    ("trunc:3", (2, 1, 0), 3, 1),
+    ("trunc:4", (3, 2, 1, 0), 4, 1),
+    ("square:2", (2, 0), 2, 2),
+])
+@pytest.mark.parametrize("seed", range(5))
+def test_changed_radical_basis_keeps_invariants(name, dims, nu, socle, seed):
+    # in a changed basis the powers of the radical past nu are round-off,
+    # which must not count as rank
+    A = _changed_radical_basis(preset(name), seed)
+    chain, got_nu = radical_filtration(A)
+    assert (tuple(c.shape[0] for c in chain), got_nu) == (dims, nu)
+    assert radical_basis(A).shape[0] == A.n - 1
+    info = standard_basis(A)
+    assert (info.filtration_dims, info.nu, len(info.socle)) == (dims, nu, socle)
+    assert socle_basis(A).shape[0] == socle
+
+
+def test_changed_monomial_quotient_socle_is_a_span_failure():
+    # R[x, y]/(x^4, xy, y^2) has socle span{y, x^3}; monomials in generic
+    # generators are not adapted to it
+    M = _monomial_quotient([(0, 0), (1, 0), (0, 1), (2, 0), (3, 0)])
+    assert len(standard_basis(M).socle) == 2
+    with pytest.raises(SpanFailure, match="do not span the socle"):
+        standard_basis(_changed_radical_basis(M, 0))
+
+
 # -- socle --------------------------------------------------------------------------
 
 
@@ -379,6 +428,12 @@ def test_spec_file_errors():
         from_spec("algebra n=2\nbasis 1 u\nmul u u = 1*\n")
     with pytest.raises(AlgebraFormatError):
         from_spec("algebra n=0\nbasis\n")
+
+
+@pytest.mark.parametrize("rhs", ["1e400*a", "-1e400*a", "1e308*a + 1e308*a"])
+def test_spec_non_finite_coefficient_is_an_error(rhs):
+    with pytest.raises(AlgebraFormatError, match="float range"):
+        from_spec(f"algebra n=2\nbasis 1 a\nmul a a = {rhs}\n")
 
 
 def test_spec_repeated_product_is_an_error():

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from localalg.cli import build_parser
+
 CMD = [sys.executable, "-m", "localalg"]
 
 
@@ -189,3 +191,33 @@ def test_repeated_mul_line_exit2(tmp_path, lines):
     assert proc.returncode == 2
     assert proc.stdout.startswith("ERROR product of ")
     assert "given twice" in proc.stdout
+
+
+@pytest.mark.parametrize("command,code", [("algebra", 2), ("check", 3)])
+def test_non_finite_spec_coefficient_exit(tmp_path, command, code):
+    spec = tmp_path / "huge.alg"
+    spec.write_text("algebra n=2\nbasis 1 a\nmul a a = 1e400*a\n")
+    extra = ("--expr", "x1", "--at", "1") if command == "check" else ()
+    proc = run(command, "--spec", str(spec), *extra)
+    assert proc.returncode == code
+    assert proc.stdout.startswith("ERROR coefficient out of the float range")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command,extra,tol,cap", [
+    ("algebra", (), False, False),
+    ("lift", ("--expr", "x1", "--at", "1"), False, False),
+    ("check", ("--expr", "x1", "--at", "1"), True, False),
+    ("verify", (), True, True),
+    ("forms", (), True, True),
+])
+def test_tol_and_cap_only_where_read(command, extra, tol, cap):
+    parser = build_parser()
+    base = [command, "--preset", "dual", *extra]
+    for option, value, kept in (("--tol", "1e-3", tol), ("--cap", "7", cap)):
+        if kept:
+            args = parser.parse_args(base + [option, value])
+            assert getattr(args, option[2:]) == float(value)
+        else:
+            with pytest.raises(SystemExit):
+                parser.parse_args(base + [option, value])

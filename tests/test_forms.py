@@ -201,6 +201,27 @@ def test_nonzero_mean_constant_form_is_not_exact():
     assert np.linalg.norm(basis.T @ coef - omega) >= 0.5
 
 
+def test_function_differential_of_a_stack_is_row_by_row():
+    cfg = make_torus("trunc:3", 1)
+    trig = cfg.trig_space(1)
+    stack = np.random.default_rng(3).standard_normal((4, cfg.n * trig.size))
+    rows = np.stack([function_differential(u, cfg, trig) for u in stack])
+    assert rows.shape == (4, cfg.ncoords * cfg.n * trig.size)
+    assert np.array_equal(function_differential(stack, cfg, trig), rows)
+    assert function_differential(stack[:0], cfg, trig).shape == (0, rows.shape[1])
+
+
+def test_injectivity_without_function_solutions_is_the_zero_mean_norm():
+    cfg = make_torus("dual", 1)
+    form_sys = assemble_form_constraints(cfg, 1)
+    form_sol = solve_nullspace(form_sys)
+    zm = zero_mean_combinations(form_sol, cfg, form_sys.trig)
+    none = np.zeros((0, cfg.n * form_sys.trig.size))
+    residual, zm_dim = verify_class_injectivity(form_sol, none, cfg, form_sys.trig)
+    assert zm_dim == zm.shape[0] >= 1
+    assert_allclose(residual, np.linalg.norm(zm, axis=1).max(), rtol=1e-14)
+
+
 def test_function_differentials_satisfy_form_constraints():
     for name, d in [("dual", 2), ("trunc:3", 1), ("square:2", 1)]:
         cfg = make_torus(name, 1)

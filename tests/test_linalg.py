@@ -1,0 +1,83 @@
+"""The one rank rule of ``linalg`` and its callers."""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from localalg.linalg import _svd_rank, nullspace_rows, orthonormal_rows, rank
+
+
+def _assert_orthonormal(rows):
+    assert_allclose(rows @ rows.T, np.eye(rows.shape[0]), atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 3), (0, 3), (3, 0), (0, 0)])
+def test_zero_and_empty_matrices_have_rank_zero(shape):
+    zero = np.zeros(shape)
+    assert rank(zero) == 0
+    assert orthonormal_rows(zero).shape == (0, shape[1])
+    null = nullspace_rows(zero)
+    assert null.shape == (shape[1], shape[1])
+    _assert_orthonormal(null)
+
+
+def test_zero_matrix_right_singular_vectors_are_the_identity():
+    stack = np.zeros((3, 2, 4))
+    stack[1, 0, 0] = 1.0
+    ranks, vh = _svd_rank(stack, 1e-9, full_matrices=True)
+    assert list(ranks) == [0, 1, 0]
+    assert_allclose(vh[0], np.eye(4))
+    assert_allclose(vh[2], np.eye(4))
+
+
+def test_tall_matrix():
+    rng = np.random.default_rng(0)
+    M = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 3))
+    assert rank(M) == 2
+    span = orthonormal_rows(M)
+    assert span.shape == (2, 3)
+    _assert_orthonormal(span)
+    assert_allclose(M - (M @ span.T) @ span, 0.0, atol=1e-12)
+    null = nullspace_rows(M)
+    assert null.shape == (1, 3)
+    assert_allclose(M @ null.T, 0.0, atol=1e-12)
+
+
+def test_wide_matrix_nullspace_is_complete():
+    rng = np.random.default_rng(1)
+    M = rng.standard_normal((2, 5))
+    assert rank(M) == 2
+    null = nullspace_rows(M)
+    assert null.shape == (3, 5)
+    _assert_orthonormal(null)
+    assert_allclose(M @ null.T, 0.0, atol=1e-12)
+    assert_allclose(null @ orthonormal_rows(M).T, 0.0, atol=1e-12)
+
+
+def test_stack_reference_is_the_largest_value_of_any_mode():
+    # every value of mode 1 lies below tol times the largest value of mode 0
+    stack = np.stack([np.diag([1.0, 0.5]), np.diag([1e-10, 3e-10])])
+    ranks, _ = _svd_rank(stack, 1e-9)
+    assert list(ranks) == [2, 0]
+    assert rank(stack[1], 1e-9) == 2  # alone, mode 1 has full rank
+
+
+def test_scale_sends_round_off_to_rank_zero():
+    roundoff = 1e-16 * np.random.default_rng(2).standard_normal((3, 4))
+    assert orthonormal_rows(roundoff, 1e-9).shape[0] == 3
+    assert orthonormal_rows(roundoff, 1e-9, scale=1.0).shape[0] == 0
+    # the reference is the larger of the scale and the largest singular value
+    M = np.diag([1.0, 0.015])
+    assert orthonormal_rows(M, 1e-2).shape[0] == 2
+    assert orthonormal_rows(M, 1e-2, scale=0.5).shape[0] == 2
+    assert orthonormal_rows(M, 1e-2, scale=2.0).shape[0] == 1
+
+
+def test_a_value_equal_to_the_threshold_is_not_counted():
+    M = np.diag([1.0, 1e-9])
+    assert np.linalg.svd(M, compute_uv=False)[1] == 1e-9 * 1.0
+    assert rank(M, 1e-9) == 1
+    assert orthonormal_rows(M, 1e-9).shape[0] == 1
+    assert nullspace_rows(M, 1e-9).shape[0] == 1
+    above = np.diag([1.0, np.nextafter(1e-9, 1.0)])
+    assert rank(above, 1e-9) == 2
