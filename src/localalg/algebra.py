@@ -8,9 +8,9 @@ vectors of coefficients in that basis; the coefficient of the unit is the
 
 The module computes the structural invariants needed downstream: the
 radical (nilpotent ideal) via the trace-form kernel, the descending power
-filtration of the radical, a standard basis made of the unit plus monomials
-in a minimal generating set (pseudobasis) of the radical, and the socle
-(annihilator of the radical).
+filtration of the radical, a standard basis (the unit plus monomials in a
+minimal generating set, or pseudobasis, of the radical) found in one graded
+pass of batched products, and the socle (annihilator of the radical).
 """
 
 from __future__ import annotations
@@ -78,10 +78,6 @@ class StructureConstants:
         return e
 
     # -- multiplication operators -------------------------------------------
-
-    def mult_matrix(self, a: Element) -> np.ndarray:
-        """Matrix of multiplication by ``a`` acting on coefficient vectors."""
-        return np.einsum("i,ijk->kj", a, self.C)
 
     def basis_mult_matrices(self) -> np.ndarray:
         """Stacked multiplication matrices of all basis elements, shape (n, n, n)."""
@@ -239,32 +235,29 @@ def validate_algebra(A: StructureConstants, tol: float = 1e-9) -> list[Violation
     """Check commutativity, associativity, the unit row and locality.
 
     Returns one entry per violated axiom with a worst-offender witness;
-    an empty list means the tensor describes a valid local algebra.
+    an empty list means the tensor describes a valid local algebra. Raises
+    AlgebraFormatError when the associativity products or the trace form
+    overflow, since no deviation can then be measured.
     """
     C = A.C
+    with np.errstate(over="ignore", invalid="ignore"):
+        assoc = np.einsum("ijl,lkm->ijkm", C, C) - np.einsum("jkl,ilm->ijkm", C, C)
+        gram = trace_gram_matrix(A)
+    if not np.all(np.isfinite(assoc)):
+        raise AlgebraFormatError("products of the structure constants leave the float range")
     out: list[Violation] = []
-
-    comm = C - np.swapaxes(C, 0, 1)
-    if np.abs(comm).max() > tol:
-        where = np.unravel_index(np.argmax(np.abs(comm)), comm.shape)
-        out.append(Violation("commutativity", tuple(int(w) for w in where),
-                             float(np.abs(comm).max())))
-
-    left = np.einsum("ijl,lkm->ijkm", C, C)
-    right = np.einsum("jkl,ilm->ijkm", C, C)
-    assoc = left - right
-    if np.abs(assoc).max() > tol:
-        where = np.unravel_index(np.argmax(np.abs(assoc)), assoc.shape)
-        out.append(Violation("associativity", tuple(int(w) for w in where),
-                             float(np.abs(assoc).max())))
-
-    unit = C[0] - np.eye(A.n)
-    if np.abs(unit).max() > tol:
-        where = np.unravel_index(np.argmax(np.abs(unit)), unit.shape)
-        out.append(Violation("unit", (0,) + tuple(int(w) for w in where),
-                             float(np.abs(unit).max())))
+    for axiom, deviation, head in (("commutativity", C - np.swapaxes(C, 0, 1), ()),
+                                   ("associativity", assoc, ()),
+                                   ("unit", C[0] - np.eye(A.n), (0,))):
+        worst = np.abs(deviation)
+        if worst.max() > tol:
+            where = np.unravel_index(np.argmax(worst), worst.shape)
+            out.append(Violation(axiom, head + tuple(int(w) for w in where),
+                                 float(worst.max())))
 
     if not out:
+        if not np.all(np.isfinite(gram)):
+            raise AlgebraFormatError("the trace form of the algebra leaves the float range")
         rad_dim = radical_basis(A).shape[0]
         if rad_dim != A.n - 1:
             out.append(Violation("locality", (rad_dim,), float(A.n - 1 - rad_dim)))
@@ -352,21 +345,21 @@ def radical_filtration(
 
     Each chain entry is an orthonormal row basis; the chain ends with the
     first zero subspace. ``nu`` is the first power that vanishes, or None if
-    the chain stalls (non-nilpotent radical, i.e. invalid input). Ranks are
+    the chain stalls (non-nilpotent radical, i.e. invalid input). Each power
+    takes one contraction with the radical's multiplication maps. Ranks are
     measured against the norm of the structure constants, so a power whose
     products are only round-off is zero.
     """
     rad = radical_basis(A, tol)
     scale = float(np.linalg.norm(A.C))
+    rad_maps = np.einsum("vj,ijk->ivk", rad, A.C)  # x -> x * rad[v], stacked
     chain = [rad]
     current = rad
     while current.shape[0] > 0:
         if len(chain) > A.n:
             return chain, None
-        products = np.array(
-            [mul(A, u, v) for u in current for v in rad]
-        ).reshape(-1, A.n)
-        nxt = linalg.orthonormal_rows(products, tol, scale)
+        products = np.tensordot(current, rad_maps, axes=1)  # (u, v, k)
+        nxt = linalg.orthonormal_rows(products.reshape(-1, A.n), tol, scale)
         if nxt.shape[0] >= current.shape[0]:
             return chain, None
         chain.append(nxt)
@@ -430,13 +423,17 @@ def standard_basis(A: StructureConstants,
                    tol: float = linalg.RANK_TOL) -> StandardBasisInfo:
     """Compute a standard basis: {1} plus monomials in a pseudobasis.
 
-    The pseudobasis is the orthogonal complement of rad^2 inside rad
-    (a minimal generating set). Monomials are scanned in graded
-    lexicographic order and kept whenever they raise the numerical rank;
-    SpanFailure signals that they never span the radical, or that the kept
-    monomials killed by every generator are not as many as the dimension of
-    the socle (``socle_basis``): monomials in generic generators need not be
-    adapted to the socle.
+    The pseudobasis g_1..g_r spans the complement of rad^2 in rad. In one
+    graded pass the candidates of degree d are the kept monomials u of degree
+    d-1 times each g_t from u's last generator on, visited higher exponent
+    first: a monomial order, so the kept words form an order ideal (Faugere,
+    Gianni, Lazard & Mora 1993). Each u * g_t is orthogonalized against the
+    kept span and judged by ``linalg._svd_rank`` on the size of its terms,
+    ``|| |u| . |L_{g_t}| ||``. A kept u is in the socle when the next batch,
+    u * g_t for every t, vanishes. SpanFailure signals a radical that is not
+    nilpotent or not n-1 dimensional, monomials that never span it, or socle
+    monomials not as many as ``socle_basis`` finds: monomials in generic
+    generators need not be adapted to the socle.
     """
     chain, nu = radical_filtration(A, tol)
     if nu is None:
@@ -449,51 +446,51 @@ def standard_basis(A: StructureConstants,
         )
 
     # minimal generators: complement of rad^2 inside rad
-    if rad2.shape[0]:
-        residual = rad - (rad @ rad2.T) @ rad2
-    else:
-        residual = rad
-    pseudo = linalg.orthonormal_rows(residual, tol)
+    pseudo = linalg.orthonormal_rows(rad - (rad @ rad2.T) @ rad2, tol)
     r = pseudo.shape[0]
-
+    maps = np.einsum("ti,ijk->tjk", pseudo, A.C)  # u @ maps[t] = u * g_t
+    span = np.zeros((A.n - 1, A.n))  # orthonormal rows of the kept monomials
     selected: list[Element] = []
     exponents: list[tuple[int, ...]] = []
-    span = np.zeros((0, A.n))
-    for exp in graded_multiindices(r, max(nu - 1, 1)):
-        vec = A.unit()
-        for t, power in enumerate(exp):
-            for _ in range(power):
-                vec = mul(A, vec, pseudo[t])
-        trial = np.vstack([span, vec[None, :]])
-        trial_basis = linalg.orthonormal_rows(trial, tol)
-        if trial_basis.shape[0] > span.shape[0]:
-            selected.append(vec)
-            exponents.append(exp)
-            span = trial_basis
-            if len(selected) == A.n - 1:
-                break
+    socle: list[int] = []
+    layer, words, top = A.unit()[None, :], [(0,) * r], max(nu - 1, 1)
+    for degree in range(1, top + 2):
+        products = np.einsum("uj,tjk->utk", layer, maps)
+        if degree > 1:
+            worst = np.abs(products).max(axis=(1, 2), initial=0.0)
+            flags = worst <= tol * (1.0 + np.linalg.norm(layer, axis=1))
+            socle += [len(selected) - len(layer) + 1 + int(u) for u in np.flatnonzero(flags)]
+        if degree > top or len(selected) == A.n - 1:
+            break
+        start = len(selected)
+        candidates = sorted(
+            ((w[:t] + (w[t] + 1,) + w[t + 1:], u, t) for u, w in enumerate(words)
+             for t in range(max((i for i, p in enumerate(w) if p), default=0), r)),
+            reverse=True)
+        for word, u, t in candidates:
+            vec, k = products[u, t], len(selected)
+            rest = vec - (span[:k] @ vec) @ span[:k]
+            rest -= (span[:k] @ rest) @ span[:k]  # twice is enough
+            scale = float(np.linalg.norm(np.abs(layer[u]) @ np.abs(maps[t])))
+            rank, vh = linalg._svd_rank(rest, tol, scale)
+            if rank:
+                span[k] = vh[0]
+                selected.append(vec)
+                exponents.append(word)
+                if len(selected) == A.n - 1:
+                    break
+        layer, words = np.reshape(selected[start:], (-1, A.n)), exponents[start:]
+        if not words:
+            break
     if len(selected) != A.n - 1:
         raise SpanFailure("pseudobasis monomials do not span the radical")
-
-    P = np.column_stack([A.unit()] + selected)
-    monomial = {k + 1: exponents[k] for k in range(A.n - 1)}
-    pseudobasis = tuple(range(1, r + 1))
-
-    socle = []
-    for k, vec in enumerate(selected, start=1):
-        worst = 0.0
-        for t in range(r):
-            prod = mul(A, vec, pseudo[t])
-            worst = max(worst, float(np.abs(prod).max()))
-        if worst <= tol * (1.0 + float(np.linalg.norm(vec))):
-            socle.append(k)
     if len(socle) != socle_basis(A, tol=tol).shape[0]:
         raise SpanFailure("standard basis monomials do not span the socle")
 
     return StandardBasisInfo(
-        P=P,
-        pseudobasis=pseudobasis,
-        monomial=monomial,
+        P=np.column_stack([A.unit()] + selected),
+        pseudobasis=tuple(range(1, r + 1)),
+        monomial={k + 1: exponents[k] for k in range(A.n - 1)},
         socle=tuple(socle),
         nu=nu,
         filtration_dims=tuple(c.shape[0] for c in chain),
@@ -507,7 +504,9 @@ def standardize(
     if info is None:
         info = standard_basis(A)
     Pinv = np.linalg.inv(info.P)
-    C = np.einsum("si,tj,stu,ku->ijk", info.P, info.P, A.C, Pinv)
+    # pairwise in a fixed order, O(n^4); a path search costs more than it saves
+    C = np.einsum("si,tj,stu,ku->ijk", info.P, info.P, A.C, Pinv,
+                  optimize=["einsum_path", (0, 2), (0, 2), (0, 1)])
     return StructureConstants(A.n, _default_labels(A.n), C), info
 
 
@@ -518,12 +517,13 @@ def socle_basis(
 ) -> np.ndarray:
     """Orthonormal basis (rows) of {x in rad : x * rad = 0}.
 
-    Computed as the kernel of the stacked multiplication maps by a radical
-    basis, intersected with the radical itself.
+    Solved in radical coordinates, x = y @ rad with y in the kernel of the
+    stacked maps y -> (y @ rad) * e over the radical basis vectors e.
     """
     rad = radical_basis(A, tol)
     if rad.shape[0] == 0:
         return np.zeros((0, A.n))
-    stacked = [A.mult_matrix(e) for e in rad]
-    stacked.append(np.eye(A.n) - rad.T @ rad)  # force membership in rad
-    return linalg.nullspace_rows(np.vstack(stacked), tol)
+    products = np.einsum("ai,bj,ijk->bka", rad, rad, A.C,
+                         optimize=["einsum_path", (1, 2), (0, 1)])
+    kernel = linalg.nullspace_rows(products.reshape(-1, rad.shape[0]), tol)
+    return linalg.canonical_signs(kernel @ rad)

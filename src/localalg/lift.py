@@ -273,10 +273,20 @@ def parse_element(text: str, A: StructureConstants) -> Element:
             if not first:
                 raise AlgebraFormatError(
                     f"only the leading term may omit a basis name: {text!r}"
+                    + _exponent_hint(tokens[i - 1].group("num"))
                 )
             out[0] += value
         first = False
     return out
+
+
+def _exponent_hint(num: str) -> str:
+    """Hint for a number like ``2e1`` that may have meant 2 times e1."""
+    m = re.fullmatch(r"(.*?)([eE]\d+)", num)
+    if not m:
+        return ""
+    return (f" ({num!r} was read as the number {float(num):g}; "
+            f"for {m.group(1)} times {m.group(2)} write '{m.group(1)} {m.group(2)}')")
 
 
 def format_element(a: Element, A: StructureConstants) -> str:

@@ -44,6 +44,7 @@ from localalg.forms import (
 
 from util import (
     PRESETS,
+    mult_matrix,
     radical_negation_map,
     socle_embedding_vector,
     unit_safe_point,
@@ -106,7 +107,7 @@ def test_criterion_1_algebra_structure():
         soc = socle_basis(A)
         # brute-force annihilator kernel: x * e_l = 0 for every non-unit l,
         # plus membership in the radical
-        rows = [A.mult_matrix(A.basis_element(l)) for l in range(1, A.n)]
+        rows = [mult_matrix(A, A.basis_element(l)) for l in range(1, A.n)]
         rows.append(np.eye(A.n)[:1])
         brute = nullspace_rows(np.vstack(rows), 1e-10)
         ok &= brute.shape[0] == soc.shape[0]

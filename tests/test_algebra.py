@@ -1,5 +1,7 @@
 """Structure computations: validation, arithmetic, radical, standard basis."""
 
+import warnings
+
 import numpy as np
 import pytest
 import sympy
@@ -26,7 +28,14 @@ from localalg.algebra import (
 )
 from localalg.errors import AlgebraFormatError, NonUnitError, SpanFailure
 
-from util import PRESETS, poly_mul_trunc, r_plus_r
+from util import (
+    PRESETS,
+    changed_radical_basis,
+    monomial_quotient,
+    mult_matrix,
+    poly_mul_trunc,
+    r_plus_r,
+)
 
 
 # -- validation -------------------------------------------------------------------
@@ -124,7 +133,7 @@ def test_invert_trunc3_geometric_series():
     inv = invert(A, a)
     assert_allclose(inv, [1.0, -1.0, 1.0])
     # independent oracle: solve the regular-representation linear system
-    oracle = np.linalg.solve(A.mult_matrix(a), A.unit())
+    oracle = np.linalg.solve(mult_matrix(A, a), A.unit())
     assert_allclose(inv, oracle, atol=1e-12)
 
 
@@ -291,28 +300,6 @@ def test_standard_basis_rejects_split_algebra():
         standard_basis(r_plus_r())
 
 
-def _changed_radical_basis(A, seed):
-    """A in a seeded random basis: the unit stays first, every other basis
-    vector is a random combination of the radical basis vectors."""
-    P = np.eye(A.n)
-    P[1:, 1:] = np.random.default_rng(seed).standard_normal((A.n - 1, A.n - 1))
-    C = np.einsum("si,tj,stu,ku->ijk", P, P, A.C, np.linalg.inv(P))
-    return StructureConstants(A.n, A.labels, C)
-
-
-def _monomial_quotient(cells):
-    """R[x, y] modulo every monomial outside the down-set ``cells``, unit first."""
-    index = {c: i for i, c in enumerate(cells)}
-    n = len(cells)
-    C = np.zeros((n, n, n))
-    for i, a in enumerate(cells):
-        for j, b in enumerate(cells):
-            k = index.get((a[0] + b[0], a[1] + b[1]))
-            if k is not None:
-                C[i, j, k] = 1.0
-    return StructureConstants(n, ("1",) + tuple(f"e{i}" for i in range(1, n)), C)
-
-
 @pytest.mark.parametrize("name,dims,nu,socle", [
     ("trunc:3", (2, 1, 0), 3, 1),
     ("trunc:4", (3, 2, 1, 0), 4, 1),
@@ -322,7 +309,7 @@ def _monomial_quotient(cells):
 def test_changed_radical_basis_keeps_invariants(name, dims, nu, socle, seed):
     # in a changed basis the powers of the radical past nu are round-off,
     # which must not count as rank
-    A = _changed_radical_basis(preset(name), seed)
+    A = changed_radical_basis(preset(name), seed)
     chain, got_nu = radical_filtration(A)
     assert (tuple(c.shape[0] for c in chain), got_nu) == (dims, nu)
     assert radical_basis(A).shape[0] == A.n - 1
@@ -334,10 +321,10 @@ def test_changed_radical_basis_keeps_invariants(name, dims, nu, socle, seed):
 def test_changed_monomial_quotient_socle_is_a_span_failure():
     # R[x, y]/(x^4, xy, y^2) has socle span{y, x^3}; monomials in generic
     # generators are not adapted to it
-    M = _monomial_quotient([(0, 0), (1, 0), (0, 1), (2, 0), (3, 0)])
+    M = monomial_quotient([(0, 0), (1, 0), (0, 1), (2, 0), (3, 0)])
     assert len(standard_basis(M).socle) == 2
     with pytest.raises(SpanFailure, match="do not span the socle"):
-        standard_basis(_changed_radical_basis(M, 0))
+        standard_basis(changed_radical_basis(M, 0))
 
 
 # -- socle --------------------------------------------------------------------------
@@ -451,3 +438,20 @@ def test_graded_multiindices_of_no_parts_is_empty():
     assert list(graded_multiindices(0, 5)) == []
     assert list(graded_multiindices(0, 3, min_degree=0)) == []
     assert list(graded_multiindices(2, 2)) == [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+@pytest.mark.parametrize("rhs", ["1e300*a", "-1e300*a"])
+def test_validate_overflowing_products_is_an_error(rhs):
+    A = from_spec(f"algebra n=2\nbasis 1 a\nmul a a = {rhs}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AlgebraFormatError, match="float range"):
+            validate_algebra(A)
+
+
+def test_validate_overflowing_trace_form_is_an_error():
+    A = from_spec("algebra n=3\nbasis 1 a b\nmul a a = 1e154*a\nmul a b = 1e154*b\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AlgebraFormatError, match="trace form .* float range"):
+            validate_algebra(A)

@@ -2,10 +2,11 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from localalg.cli import build_parser
+from localalg.cli import build_parser, main
 
 CMD = [sys.executable, "-m", "localalg"]
 
@@ -221,3 +222,50 @@ def test_tol_and_cap_only_where_read(command, extra, tol, cap):
         else:
             with pytest.raises(SystemExit):
                 parser.parse_args(base + [option, value])
+
+
+@pytest.mark.parametrize("coef", ["1e-6", "1", "1e6", "1e10", "1e14"])
+def test_scaled_square_keeps_its_monomials(tmp_path, coef):
+    # R[a]/(a^3) with b = a^2/coef: the monomial a^2 is coef times longer
+    # than a, and each is judged on its own scale
+    spec = tmp_path / "scaled.alg"
+    spec.write_text(f"algebra n=3\nbasis 1 a b\nmul a a = {coef}*b\n")
+    proc = run("algebra", "--spec", str(spec))
+    assert proc.returncode == 0, proc.stdout
+    lines = proc.stdout.splitlines()
+    for line in ("FILTRATION_DIMS=2,1,0", "NU=3", "SOCLE=e2"):
+        assert line in lines
+
+
+@pytest.mark.parametrize("command,code", [("algebra", 2), ("check", 3)])
+@pytest.mark.parametrize("lines,message", [
+    ("mul a a = 1e300*a\n", "products of the structure constants leave the float range"),
+    # associative, with finite products, but tr(L_a) = 2e154 overflows the form
+    ("mul a a = 1e154*a\nmul a b = 1e154*b\n",
+     "the trace form of the algebra leaves the float range"),
+], ids=("products", "trace-form"))
+def test_overflowing_table_exits_with_float_range(tmp_path, command, code, lines, message):
+    spec = tmp_path / "big.alg"
+    spec.write_text("algebra n=3\nbasis 1 a b\n" + lines)
+    extra = ("--expr", "x1", "--at", "1") if command != "algebra" else ()
+    # warnings as errors: no inf - inf may reach a comparison
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "localalg", command,
+                           "--spec", str(spec), *extra], capture_output=True, text=True)
+    assert proc.returncode == code
+    assert proc.stdout == f"ERROR {message}\n"
+    assert proc.stderr == ""
+
+
+ALGEBRA_GOLDEN = Path(__file__).parent / "golden" / "algebra_presets.txt"
+GOLDEN_PRESETS = (["dual"] + [f"trunc:{k}" for k in range(2, 10)]
+                  + [f"square:{r}" for r in range(2, 5)])
+
+
+def test_algebra_preset_reports_match_golden(capsys):
+    # the golden file holds the reports of the per-monomial rank scan that
+    # the graded standard basis replaced; the reports must not move
+    text = ""
+    for name in GOLDEN_PRESETS:
+        code = main(["algebra", "--preset", name])
+        text += f"# algebra --preset {name}\n{capsys.readouterr().out}# exit {code}\n"
+    assert text == ALGEBRA_GOLDEN.read_text(encoding="utf-8")

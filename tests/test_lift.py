@@ -343,6 +343,17 @@ def test_element_literal_errors():
         parse_element("1 2 e1", A)
 
 
+def test_element_literal_exponent_term_hint():
+    A, _ = STD["trunc:3"]
+    with pytest.raises(AlgebraFormatError, match=r"'2e1' was read as the number 20; "
+                       r"for 2 times e1 write '2 e1'"):
+        parse_element("1 + 2e1", A)
+    with pytest.raises(AlgebraFormatError) as err:
+        parse_element("1 + 2", A)
+    assert "was read as" not in str(err.value)
+    assert_allclose(parse_element("2e1 + 2 e1", A), [20.0, 2.0, 0.0])
+
+
 def test_point_literal():
     A, _ = STD["dual"]
     X = parse_point("3 + 2 e1; 0.5", A)

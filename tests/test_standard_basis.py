@@ -1,0 +1,82 @@
+"""The graded standard basis against the scan it replaced: one SVD of the kept
+span plus each candidate monomial in turn, every product by ``mul``."""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from localalg import algebra
+from localalg.algebra import preset, standard_basis, standardize
+
+from util import (
+    changed_radical_basis,
+    monomial_quotient,
+    reference_standard_basis,
+    reference_standardize_tensor,
+    staircase_cells,
+)
+
+ORACLE_PRESETS = [f"trunc:{k}" for k in range(2, 10)] + [f"square:{r}" for r in range(2, 5)]
+
+
+def _staircases():
+    rng = np.random.default_rng(20)
+    return [monomial_quotient(staircase_cells(rng, n))
+            for n in (4, 6, 9, 12, 16, 20) for _ in range(2)]
+
+
+STAIRCASES = _staircases()
+
+
+def _same_scan(info, ref):
+    assert info.monomial == ref.monomial
+    assert info.socle == ref.socle
+    assert info.pseudobasis == ref.pseudobasis
+    assert info.nu == ref.nu
+    assert info.filtration_dims == ref.filtration_dims
+
+
+@pytest.mark.parametrize("A", [preset(name) for name in ORACLE_PRESETS] + STAIRCASES,
+                         ids=ORACLE_PRESETS + [f"staircase{i}" for i in range(len(STAIRCASES))])
+def test_graded_pass_matches_reference_scan_bitwise(A):
+    info, ref = standard_basis(A), reference_standard_basis(A)
+    _same_scan(info, ref)
+    assert np.array_equal(info.P, ref.P)
+
+
+@pytest.mark.parametrize("name", ["trunc:3", "trunc:4"])
+@pytest.mark.parametrize("seed", range(5))
+def test_graded_pass_matches_reference_scan_changed_basis(name, seed):
+    A = changed_radical_basis(preset(name), seed)
+    info, ref = standard_basis(A), reference_standard_basis(A)
+    _same_scan(info, ref)
+    assert_allclose(info.P, ref.P, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["dual"] + ORACLE_PRESETS)
+def test_standardize_matches_naive_contraction_bitwise(name):
+    A = preset(name)
+    A_std, info = standardize(A)
+    assert np.array_equal(A_std.C, reference_standardize_tensor(A, info))
+
+
+def test_standardize_makes_no_mul_calls(monkeypatch):
+    calls = []
+    real_mul = algebra.mul
+
+    def counting_mul(*args):
+        calls.append(args)
+        return real_mul(*args)
+
+    monkeypatch.setattr(algebra, "mul", counting_mul)
+    for A in [preset("trunc:6"), preset("square:3")] + STAIRCASES[-2:]:
+        standardize(A)
+    assert calls == []
+
+
+def test_staircases_cover_several_shapes():
+    # two generators each (the trunc presets have one), socles of several sizes
+    infos = [standard_basis(A) for A in STAIRCASES]
+    assert {info.r for info in infos} == {2}
+    assert len({len(info.socle) for info in infos}) >= 3
+    assert max(A.n for A in STAIRCASES) == 20

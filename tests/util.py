@@ -5,8 +5,16 @@ import math
 import numpy as np
 
 from localalg import expr as ex
-from localalg.algebra import StructureConstants, graded_multiindices, mul, radical_part
-from localalg.errors import DomainError
+from localalg import linalg
+from localalg.algebra import (
+    StandardBasisInfo,
+    StructureConstants,
+    graded_multiindices,
+    mul,
+    radical_basis,
+    radical_part,
+)
+from localalg.errors import DomainError, SpanFailure
 from localalg.report import Report
 from localalg.torus import _lattice
 
@@ -20,6 +28,48 @@ def r_plus_r() -> StructureConstants:
     C[1, 0, 1] = 1.0
     C[1, 1] = (0.0, 1.0)
     return StructureConstants(2, ("1", "u"), C)
+
+
+def mult_matrix(A: StructureConstants, a) -> np.ndarray:
+    """Matrix of multiplication by ``a`` acting on coefficient vectors."""
+    return np.einsum("i,ijk->kj", a, A.C)
+
+
+def monomial_quotient(cells):
+    """R[x, y] modulo every monomial outside the down-set ``cells``, unit first."""
+    index = {c: i for i, c in enumerate(cells)}
+    n = len(cells)
+    C = np.zeros((n, n, n))
+    for i, a in enumerate(cells):
+        for j, b in enumerate(cells):
+            k = index.get((a[0] + b[0], a[1] + b[1]))
+            if k is not None:
+                C[i, j, k] = 1.0
+    return StructureConstants(n, ("1",) + tuple(f"e{i}" for i in range(1, n)), C)
+
+
+def changed_radical_basis(A, seed):
+    """A in a seeded random basis: the unit stays first, every other basis
+    vector is a random combination of the radical basis vectors."""
+    P = np.eye(A.n)
+    P[1:, 1:] = np.random.default_rng(seed).standard_normal((A.n - 1, A.n - 1))
+    C = np.einsum("si,tj,stu,ku->ijk", P, P, A.C, np.linalg.inv(P))
+    return StructureConstants(A.n, A.labels, C)
+
+
+def staircase_cells(rng, n):
+    """A random down-set of n cells in N^2, grown one addable corner at a
+    time, sorted by degree and then higher x-exponent first."""
+    cells = {(0, 0)}
+    while len(cells) < n:
+        addable = sorted(
+            (a, b) for a in range(n) for b in range(n - a)
+            if (a, b) not in cells
+            and (a == 0 or (a - 1, b) in cells)
+            and (b == 0 or (a, b - 1) in cells)
+        )
+        cells.add(addable[rng.integers(len(addable))])
+    return sorted(cells, key=lambda c: (sum(c), -c[0]))
 
 
 def poly_mul_trunc(a, b, order):
@@ -325,3 +375,108 @@ def reference_taylor_lift(e, X, A, info):
                 term = mul(A, term, rad_powers[i][pi])
         out = out + coeff * term
     return out
+
+
+# -- reference standard basis: one SVD per candidate monomial, products by mul ------
+
+
+def reference_radical_filtration(A, tol=linalg.RANK_TOL):
+    """Descending chain rad >= rad^2 >= ... >= 0 and the nilpotency index."""
+    rad = radical_basis(A, tol)
+    scale = float(np.linalg.norm(A.C))
+    chain = [rad]
+    current = rad
+    while current.shape[0] > 0:
+        if len(chain) > A.n:
+            return chain, None
+        products = np.array(
+            [mul(A, u, v) for u in current for v in rad]
+        ).reshape(-1, A.n)
+        nxt = linalg.orthonormal_rows(products, tol, scale)
+        if nxt.shape[0] >= current.shape[0]:
+            return chain, None
+        chain.append(nxt)
+        current = nxt
+    return chain, len(chain)
+
+
+def reference_socle_basis(A, info=None, tol=linalg.RANK_TOL):
+    """Kernel of the stacked multiplication maps by a radical basis,
+    intersected with the radical itself."""
+    rad = radical_basis(A, tol)
+    if rad.shape[0] == 0:
+        return np.zeros((0, A.n))
+    stacked = [mult_matrix(A, e) for e in rad]
+    stacked.append(np.eye(A.n) - rad.T @ rad)  # force membership in rad
+    return linalg.nullspace_rows(np.vstack(stacked), tol)
+
+
+def reference_standard_basis(A, tol=linalg.RANK_TOL):
+    """Monomials scanned in graded lexicographic order, each kept whenever it
+    raises the numerical rank of the kept span plus itself."""
+    chain, nu = reference_radical_filtration(A, tol)
+    if nu is None:
+        raise SpanFailure("radical is not nilpotent; input is not a local algebra")
+    rad = chain[0]
+    rad2 = chain[1] if len(chain) > 1 else np.zeros((0, A.n))
+    if rad.shape[0] != A.n - 1:
+        raise SpanFailure(
+            f"radical dimension {rad.shape[0]} != n-1; input is not local"
+        )
+
+    # minimal generators: complement of rad^2 inside rad
+    if rad2.shape[0]:
+        residual = rad - (rad @ rad2.T) @ rad2
+    else:
+        residual = rad
+    pseudo = linalg.orthonormal_rows(residual, tol)
+    r = pseudo.shape[0]
+
+    selected = []
+    exponents = []
+    span = np.zeros((0, A.n))
+    for exp in graded_multiindices(r, max(nu - 1, 1)):
+        vec = A.unit()
+        for t, power in enumerate(exp):
+            for _ in range(power):
+                vec = mul(A, vec, pseudo[t])
+        trial = np.vstack([span, vec[None, :]])
+        trial_basis = linalg.orthonormal_rows(trial, tol)
+        if trial_basis.shape[0] > span.shape[0]:
+            selected.append(vec)
+            exponents.append(exp)
+            span = trial_basis
+            if len(selected) == A.n - 1:
+                break
+    if len(selected) != A.n - 1:
+        raise SpanFailure("pseudobasis monomials do not span the radical")
+
+    P = np.column_stack([A.unit()] + selected)
+    monomial = {k + 1: exponents[k] for k in range(A.n - 1)}
+    pseudobasis = tuple(range(1, r + 1))
+
+    socle = []
+    for k, vec in enumerate(selected, start=1):
+        worst = 0.0
+        for t in range(r):
+            prod = mul(A, vec, pseudo[t])
+            worst = max(worst, float(np.abs(prod).max()))
+        if worst <= tol * (1.0 + float(np.linalg.norm(vec))):
+            socle.append(k)
+    if len(socle) != reference_socle_basis(A, tol=tol).shape[0]:
+        raise SpanFailure("standard basis monomials do not span the socle")
+
+    return StandardBasisInfo(
+        P=P,
+        pseudobasis=pseudobasis,
+        monomial=monomial,
+        socle=tuple(socle),
+        nu=nu,
+        filtration_dims=tuple(c.shape[0] for c in chain),
+    )
+
+
+def reference_standardize_tensor(A, info):
+    """The standard-basis structure tensor by the naive four-operand einsum."""
+    Pinv = np.linalg.inv(info.P)
+    return np.einsum("si,tj,stu,ku->ijk", info.P, info.P, A.C, Pinv)
