@@ -178,6 +178,7 @@ def cmd_verify(args) -> tuple[str, int]:
     if bad is not None:
         return bad.render(), 2
     cfg = tr.make_torus(A, args.m)
+    tr.lattice_chunks(cfg, args.grid)
     system = tr.assemble_function_constraints(cfg, args.degree, args.cap)
     solutions = tr.solve_nullspace(system, args.tol)
     rep = Report()

@@ -18,6 +18,11 @@ For a function the symbol is C (k tensor I_n), where C (``commutator_rows``)
 holds the A-linearity rows on (coordinate, component) values: a function is
 A-differentiable exactly when its differential is A-linear. The 1-forms of
 ``forms`` stack C over their closedness rows.
+
+The minimizing-leaf check builds no design matrix: it sums each trig
+polynomial's frequency box onto a lattice one axis at a time, in chunks of
+solutions holding at most LATTICE_BUDGET values. Leaf averages within TIE_RTOL
+times their l1 bound of the minimum tie; the smallest row-major index wins.
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ from .report import Report
 
 DEFAULT_CAP = 20000
 DEFAULT_NULL_TOL = 1e-8
+LEAF_GRID = 8
+LATTICE_BUDGET = 2**22  # complex lattice values per chunk of the min-leaf check
+TIE_RTOL = 1e-12  # relative to the l1 norm of the averaged coefficients
 
 
 @dataclass(frozen=True)
@@ -265,6 +273,12 @@ def solve_nullspace(system: ConstraintSystem,
 # -- verification suites -----------------------------------------------------------
 
 
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit for bit as np.linalg.norm of that row."""
+    X = np.ascontiguousarray(X)
+    return np.sqrt(X[:, None, :] @ X[:, :, None])[:, 0, 0]
+
+
 def verify_constancy(solutions: np.ndarray, cfg: TorusConfig,
                      trig: TrigSpace, tol: float = 1e-8) -> Report:
     """Check that real parts are constant and e1-components are basic.
@@ -273,30 +287,21 @@ def verify_constancy(solutions: np.ndarray, cfg: TorusConfig,
     every non-constant basis function; (b) the e1-component is supported on
     transversal-only frequencies (hence constant on every leaf).
     """
-    B = trig.size
-    tmask = trig.transversal_mask(cfg.m)
+    U = np.atleast_2d(solutions).reshape(-1, cfg.n, trig.size)
+    nonconst = np.abs(U[:, 0, 1:])
+    mass = _row_norms(nonconst)
+    e1 = U[:, 1, ~trig.transversal_mask(cfg.m)] if cfg.n > 1 else np.zeros((len(U), 0))
+    worst_real = float(mass.max(initial=0.0))
+    worst_e1 = float(_row_norms(e1).max(initial=0.0))
     rep = Report()
-    worst_real = 0.0
-    worst_e1 = 0.0
-    violations: list[str] = []
-    for q, u in enumerate(np.atleast_2d(solutions)):
-        U = u.reshape(cfg.n, B)
-        nonconst = np.abs(U[0, 1:])
-        mass = float(np.linalg.norm(nonconst))
-        if mass > worst_real:
-            worst_real = mass
-        if mass > tol and len(violations) < 8:
-            t_bad = 1 + int(np.argmax(nonconst))
-            violations.append(f"solution={q} freq={trig.freq_of(t_bad)}")
-        e1_bad = float(np.linalg.norm(U[1, ~tmask])) if cfg.n > 1 else 0.0
-        worst_e1 = max(worst_e1, e1_bad)
     rep.add("real_part_constant", worst_real <= tol, worst_real)
     rep.add("e1_component_basic", worst_e1 <= tol, worst_e1)
-    rep.put("NULLSPACE_DIM", int(np.atleast_2d(solutions).shape[0]))
+    rep.put("NULLSPACE_DIM", len(U))
     rep.put("REAL_PART_NONCONST_MASS", worst_real)
     rep.put("E1_NONBASIC_MASS", worst_e1)
-    for v, text in enumerate(violations):
-        rep.put(f"REAL_PART_VIOLATION[{v}]", text)
+    for v, q in enumerate(np.flatnonzero(mass > tol)[:8]):
+        freq = trig.freq_of(1 + int(np.argmax(nonconst[q])))
+        rep.put(f"REAL_PART_VIOLATION[{v}]", f"solution={q} freq={freq}")
     return rep
 
 
@@ -306,32 +311,45 @@ def verify_socle_decomposition(solutions: np.ndarray, cfg: TorusConfig,
     """Check each solution is a constant plus socle components times basic
     functions: all non-constant coefficient mass must sit in socle
     components with transversal-only frequencies."""
-    B = trig.size
-    tmask = trig.transversal_mask(cfg.m)
-    socle = set(cfg.info.socle)
-    allowed = np.zeros((cfg.n, B), dtype=bool)
+    socle = list(cfg.info.socle)
+    allowed = np.zeros((cfg.n, trig.size), dtype=bool)
     allowed[:, 0] = True
-    for comp in range(cfg.n):
-        if comp in socle:
-            allowed[comp] = tmask
+    allowed[socle] = trig.transversal_mask(cfg.m)
+    U = np.atleast_2d(solutions).reshape(-1, cfg.n, trig.size)[:, ~allowed]
+    worst = float(_row_norms(U).max(initial=0.0))
     rep = Report()
-    worst = 0.0
-    for u in np.atleast_2d(solutions):
-        U = u.reshape(cfg.n, B)
-        worst = max(worst, float(np.linalg.norm(U[~allowed])))
     rep.add("socle_decomposition", worst <= tol, worst)
     rep.put("SOCLE_DIM", len(socle))
     rep.put("SOCLE_RESIDUAL_MASS", worst)
     return rep
 
 
-def _lattice(points_per_axis: int, ndims: int) -> np.ndarray:
-    """Row-major lattice over [0, 2*pi)^ndims."""
-    if ndims == 0:
-        return np.zeros((1, 0))
-    axes = [np.arange(points_per_axis) * (2 * np.pi / points_per_axis)] * ndims
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=1)
+def lattice_chunks(cfg: TorusConfig, grid: int, leaf_grid: int = LEAF_GRID) -> list[int]:
+    """Solutions per chunk of ``_min_leaf``'s transversal and leaf passes, which
+    put 2 rows on the grid^m lattice and N+1 rows on the leaf_grid^(N-m) one;
+    SizeCapExceeded when one solution's values exceed LATTICE_BUDGET."""
+    per = (2 * grid**cfg.m, (cfg.ncoords + 1) * leaf_grid ** (cfg.ncoords - cfg.m))
+    if max(per) > LATTICE_BUDGET:
+        raise SizeCapExceeded(f"{max(per)} lattice values per solution exceed "
+                              f"the budget {LATTICE_BUDGET}")
+    return [LATTICE_BUDGET // p for p in per]
+
+
+def _lattice_values(const, z, freqs, degree, size):
+    """(rows, size^D) values of const + Re sum_p z[:, p] e^{i freqs[p] . theta}
+    on the row-major lattice theta = 2 pi j / size, exact for any size: z is
+    summed into the box of frequencies -degree..degree, which is then summed
+    one axis at a time against E[j, k] = e^{2 pi i j k / size}."""
+    K, D, rows = 2 * degree + 1, freqs.shape[1], len(z)
+    cell = (freqs + degree) @ K ** np.arange(D)[::-1]
+    flat = (np.arange(rows)[:, None] * K**D + cell).ravel()
+    box = (np.bincount(flat, z.real.ravel(), rows * K**D)
+           + 1j * np.bincount(flat, z.imag.ravel(), rows * K**D)).reshape(rows, *(K,) * D)
+    jk = np.outer(np.arange(size), np.arange(-degree, degree + 1)) % size
+    E = np.exp(2j * np.pi * jk / size)
+    for _ in range(D):
+        box = np.tensordot(box, E, axes=([1], [1]))
+    return const[:, None] + box.real.reshape(rows, -1)
 
 
 def _min_leaf(solutions: np.ndarray, cfg: TorusConfig, trig: TrigSpace,
@@ -340,41 +358,42 @@ def _min_leaf(solutions: np.ndarray, cfg: TorusConfig, trig: TrigSpace,
 
     Returns per-solution arrays (qmin, the minimum leaf average, the largest
     gradient entry on that leaf, the real part's variation) and the residual
-    of the whole stack, None without ``system``. The leaf average drops every
-    non-transversal frequency, so it is exact on the transversal lattice; ties
-    go to the smallest row-major index, argmin's first. Each design matrix is
-    built once for all solutions: the leaf through x is the base leaf through
-    transversal point 0 shifted by x, so with phi_p = k_p[:m] . x a pair
-    (a, b) on it equals (a cos phi + b sin phi, b cos phi - a sin phi) on
-    the base leaf.
+    of the whole stack, None without ``system``. A pair (a, b) is z = a - i b
+    on e^{i k . theta}; chunks of solutions go through ``_lattice_values``
+    twice. On the grid^m lattice: the e1-component's basic part (its leaf
+    average) and the real part at (x, 0); qmin is the smallest row-major index
+    whose average is within TIE_RTOL * (l1 norm of that basic part, which
+    bounds every average and its round-off) of the minimum. On the
+    leaf through x = x_qmin, the base leaf with z rotated by e^{i k[:m] . x}:
+    the real part and its N derivatives (z times i k_axis).
     """
     n, m, N = cfg.n, cfg.m, cfg.ncoords
+    trans_chunk, leaf_chunk = lattice_chunks(cfg, grid, leaf_grid)
     U = np.asarray(solutions, dtype=float).reshape(-1, n, trig.size)
-    G, G1 = U[:, 0], U[:, 1 if n > 1 else 0]
-
-    trans_pts = np.zeros((grid**m, N))
-    trans_pts[:, :m] = _lattice(grid, m)
-    T = trig.values(trans_pts)
-    averages = T @ (G1 * trig.transversal_mask(m)).T
-    qmin = np.argmin(averages, axis=0)
-    g_trans = T @ G.T
-    del T
-
-    leaf_pts = np.zeros((leaf_grid ** (N - m), N))
-    leaf_pts[:, m:] = _lattice(leaf_grid, N - m)
-    L = trig.values(leaf_pts)
-    coeffs = np.stack([G] + [trig.derivative(G, axis) for axis in range(N)], axis=1)
-    phi = (trans_pts[qmin] @ trig.freqs.T.astype(float))[:, None, :]
-    cos, sin = np.cos(phi), np.sin(phi)
-    a, b = coeffs[..., 1::2], coeffs[..., 2::2]
-    coeffs[..., 1::2], coeffs[..., 2::2] = a * cos + b * sin, b * cos - a * sin
-    leaf = (coeffs.reshape(-1, trig.size) @ L.T).reshape(len(U), N + 1, len(L))
-
-    grad = np.abs(leaf[:, 1:]).max(axis=(1, 2))
-    variation = (np.maximum(g_trans.max(axis=0), leaf[:, 0].max(axis=1))
-                 - np.minimum(g_trans.min(axis=0), leaf[:, 0].min(axis=1)))
+    G, G1 = U[:, 0], U[:, 1 if n > 1 else 0] * trig.transversal_mask(m)
+    z, z1 = G[:, 1::2] - 1j * G[:, 2::2], G1[:, 1::2] - 1j * G1[:, 2::2]
+    d, S = max(trig.degree, 0), len(U)
+    qmin, (avg, g_hi, g_lo, grad) = np.empty(S, dtype=np.int64), np.empty((4, S))
+    for c in (slice(s, s + trans_chunk) for s in range(0, S, trans_chunk)):
+        averages, g_trans = np.split(_lattice_values(
+            np.concatenate([G1[c, 0], G[c, 0]]), np.vstack([z1[c], z[c]]),
+            trig.freqs[:, :m], d, grid), 2)
+        tie = averages.min(axis=1) + TIE_RTOL * np.abs(G1[c]).sum(axis=1)
+        qmin[c] = np.argmax(averages <= tie[:, None], axis=1)
+        avg[c] = averages[np.arange(len(averages)), qmin[c]]
+        g_hi[c], g_lo[c] = g_trans.max(axis=1), g_trans.min(axis=1)
+    x = np.stack(np.unravel_index(qmin, (grid,) * m), axis=1)
+    z = z * np.exp(2j * np.pi * (x @ trig.freqs[:, :m].T % grid) / grid)
+    z = np.concatenate([z[:, None], 1j * trig.freqs.T * z[:, None]], axis=1)
+    const = np.pad(G[:, :1], ((0, 0), (0, N)))
+    for c in (slice(s, s + leaf_chunk) for s in range(0, S, leaf_chunk)):
+        leaf = _lattice_values(const[c].ravel(), z[c].reshape(const[c].size, -1),
+                               trig.freqs[:, m:], d, leaf_grid).reshape(*const[c].shape, -1)
+        grad[c] = np.abs(leaf[:, 1:]).max(axis=(1, 2))
+        g_hi[c] = np.maximum(g_hi[c], leaf[:, 0].max(axis=1))
+        g_lo[c] = np.minimum(g_lo[c], leaf[:, 0].min(axis=1))
     residual = None if system is None else system.residual_inf(U)
-    return qmin, averages[qmin, np.arange(len(U))], grad, variation, residual
+    return qmin, avg, grad, g_hi - g_lo, residual
 
 
 def _min_leaf_report(grad: float, variation: float, residual: float | None,
@@ -390,7 +409,7 @@ def _min_leaf_report(grad: float, variation: float, residual: float | None,
 
 
 def verify_min_leaf(solution: np.ndarray, cfg: TorusConfig, trig: TrigSpace,
-                    grid: int = 32, leaf_grid: int = 8, tol: float = 1e-8,
+                    grid: int = 32, leaf_grid: int = LEAF_GRID, tol: float = 1e-8,
                     system: ConstraintSystem | None = None) -> Report:
     """Locate the leaf minimizing the leaf-average of the e1-component and
     check the real part is critical there (and in fact constant)."""
@@ -400,7 +419,7 @@ def verify_min_leaf(solution: np.ndarray, cfg: TorusConfig, trig: TrigSpace,
 
 
 def verify_min_leaf_all(solutions: np.ndarray, cfg: TorusConfig, trig: TrigSpace,
-                        grid: int = 32, leaf_grid: int = 8, tol: float = 1e-8,
+                        grid: int = 32, leaf_grid: int = LEAF_GRID, tol: float = 1e-8,
                         system: ConstraintSystem | None = None) -> Report:
     """The minimizing-leaf check over every solution, worst case reported."""
     _, _, grad, var, res = _min_leaf(solutions, cfg, trig, grid, leaf_grid, system)

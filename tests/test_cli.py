@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: output contracts, exit codes, determinism."""
 
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +107,23 @@ def test_forms_dual_vacuous_note():
 def test_forms_size_cap_exit5():
     proc = run("forms", "--preset", "trunc:4", "--degree", "6")
     assert proc.returncode == 5
+
+
+def test_verify_lattice_over_budget_exit5():
+    # 10^10 transversal lattice points: refused before anything is allocated
+    proc = run("verify", "--preset", "dual", "--m", "2", "--degree", "1",
+               "--grid", "100000")
+    assert proc.returncode == 5
+    assert proc.stdout.startswith("ERROR size cap exceeded")
+    assert proc.stderr == ""
+
+
+def test_verify_dual_m4_fits_the_lattice_budget():
+    # 32^4 transversal points, 8^4 leaf points and 82 solutions, in chunks
+    proc = run("verify", "--preset", "dual", "--m", "4", "--degree", "1")
+    assert proc.returncode == 0
+    assert "NULLSPACE_DIM=82" in proc.stdout
+    assert "FAIL" not in proc.stdout
 
 
 def test_out_file_matches_stdout(tmp_path):
@@ -269,3 +287,19 @@ def test_algebra_preset_reports_match_golden(capsys):
         code = main(["algebra", "--preset", name])
         text += f"# algebra --preset {name}\n{capsys.readouterr().out}# exit {code}\n"
     assert text == ALGEBRA_GOLDEN.read_text(encoding="utf-8")
+
+
+VERIFY_GOLDEN = Path(__file__).parent / "golden" / "verify_presets.txt"
+
+
+def test_verify_preset_reports_match_golden(capsys):
+    # the golden file holds the reports of the design-matrix min-leaf check
+    # that the lattice evaluation replaced; the reports must not move
+    text = ""
+    for name in ("dual", "trunc:3", "square:2"):
+        for m, d, grid in itertools.product((1, 2), (0, 1, 2), (32, 7)):
+            argv = ["verify", "--preset", name, "--m", str(m), "--degree", str(d),
+                    "--grid", str(grid)]
+            code = main(argv)
+            text += f"# {' '.join(argv)}\n{capsys.readouterr().out}# exit {code}\n"
+    assert text == VERIFY_GOLDEN.read_text(encoding="utf-8")

@@ -1,5 +1,7 @@
 """Spectral constraint systems on tori: assembly, nullspaces, suite checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -26,7 +28,9 @@ from util import (
     constant_function_vectors,
     dense_form_constraints,
     dense_function_constraints,
+    reference_constancy,
     reference_min_leaf,
+    reference_socle_decomposition,
     socle_embedding_vector,
     torus_value_map,
 )
@@ -325,6 +329,17 @@ def test_min_leaf_flags_injected_nondifferentiable():
     assert "adiff_constraints" in failed
 
 
+def _mixed_stack(system, seed=11):
+    """Solutions, then seeded sparse and dense non-solutions."""
+    rng = np.random.default_rng(seed)
+    noise = np.zeros((4, system.ncols))
+    for row in noise:
+        picked = rng.choice(system.ncols, size=min(6, system.ncols), replace=False)
+        row[picked] = rng.standard_normal(len(picked))
+    dense = rng.standard_normal((2, system.ncols))
+    return np.vstack([solve_nullspace(system), noise, dense])
+
+
 MIN_LEAF_KEYS = ("MIN_LEAF_AVG", "GRAD_MAX", "G_VARIATION", "ADIFF_RESIDUAL")
 
 
@@ -336,14 +351,7 @@ def test_min_leaf_matches_reference(name, m, d):
     cfg = make_torus(name, m)
     system = assemble_function_constraints(cfg, d)
     trig = system.trig
-    rng = np.random.default_rng(11)
-    noise = np.zeros((4, system.ncols))
-    for row in noise:
-        picked = rng.choice(system.ncols, size=min(6, system.ncols), replace=False)
-        row[picked] = rng.standard_normal(len(picked))
-    dense = rng.standard_normal((2, system.ncols))
-    stack = np.vstack([solve_nullspace(system), noise, dense])
-
+    stack = _mixed_stack(system)
     refs = [reference_min_leaf(u, cfg, trig, system=system).data for u in stack]
     for u, ref in zip(stack, refs):
         got = verify_min_leaf(u, cfg, trig, system=system).data
@@ -390,7 +398,7 @@ def test_min_leaf_all_flags_injected_among_solutions():
     assert verify_min_leaf_all(solutions, cfg, trig, system=system).passed
 
 
-def test_min_leaf_all_builds_each_design_matrix_once(monkeypatch):
+def test_min_leaf_all_builds_no_design_matrix(monkeypatch):
     calls = []
     values = TrigSpace.values
 
@@ -402,10 +410,87 @@ def test_min_leaf_all_builds_each_design_matrix_once(monkeypatch):
     cfg = make_torus("trunc:3", 1)
     system = assemble_function_constraints(cfg, 2)
     solutions = solve_nullspace(system)
+    assert len(solutions) == 7
     for stack in (solutions[:1], solutions, np.vstack([solutions] * 3)):
-        calls.clear()
         assert verify_min_leaf_all(stack, cfg, system.trig, system=system).passed
-        assert len(calls) == 2
+    assert calls == []
+
+
+def test_min_leaf_tie_tolerance():
+    # g1 = 0.037 cos 2x + 0.717 cos 3x is even, so the lattice points 5 and 27
+    # of 32 have the same average in exact arithmetic; through cos and sin of
+    # the lattice points the average at 27 is one ulp smaller, and the tie
+    # rule still picks 5
+    cfg = make_torus("dual", 1)
+    trig = assemble_function_constraints(cfg, 3).trig
+    u = np.zeros(cfg.n * trig.size)
+    for k, c in (((2, 0), 0.037), ((3, 0), 0.717)):
+        pair = next(p for p in range(trig.npairs) if tuple(trig.freqs[p]) == k)
+        u[trig.size + 1 + 2 * pair] = c
+    for rep in (verify_min_leaf(u, cfg, trig), reference_min_leaf(u, cfg, trig)):
+        assert rep.data["MIN_LEAF_INDEX"] == 5
+        assert_allclose(rep.data["MIN_LEAF_AVG"], 0.037 * np.cos(5 * np.pi / 8)
+                        + 0.717 * np.cos(15 * np.pi / 16), rtol=1e-14)
+
+
+@pytest.mark.parametrize("name,m,d", [("dual", 1, 3), ("trunc:3", 1, 2),
+                                      ("square:2", 1, 1), ("dual", 2, 1)])
+def test_min_leaf_aliased_lattices_match_reference(name, m, d):
+    # grids with fewer points than the 2d+1 frequencies per axis fold
+    # frequencies onto each other; the values must still be exact
+    cfg = make_torus(name, m)
+    system = assemble_function_constraints(cfg, d)
+    trig = system.trig
+    stack = _mixed_stack(system)
+    for grid, leaf_grid in itertools.product((1, 2, 3, 5), (1, 2)):
+        refs = [reference_min_leaf(u, cfg, trig, grid, leaf_grid).data for u in stack]
+        qmin, avg, grad, variation, _ = torus._min_leaf(
+            stack, cfg, trig, grid, leaf_grid, None)
+        assert list(qmin) == [ref["MIN_LEAF_INDEX"] for ref in refs]
+        for got, key in ((avg, "MIN_LEAF_AVG"), (grad, "GRAD_MAX"),
+                         (variation, "G_VARIATION")):
+            assert_allclose(got, [ref[key] for ref in refs], rtol=1e-12, atol=1e-13)
+
+
+def test_min_leaf_chunks_do_not_change_results(monkeypatch):
+    cfg = make_torus("trunc:3", 2)
+    system = assemble_function_constraints(cfg, 1)
+    stack = _mixed_stack(system)
+    whole = torus._min_leaf(stack, cfg, system.trig, 128, 8, system)
+    # two solutions per chunk: 2 * 128^2 transversal and 7 * 8^4 leaf values each
+    monkeypatch.setattr(torus, "LATTICE_BUDGET", 4 * 128**2)
+    assert torus.lattice_chunks(cfg, 128) == [2, 2]
+    chunked = torus._min_leaf(stack, cfg, system.trig, 128, 8, system)
+    for a, b in zip(whole, chunked):
+        assert np.array_equal(a, b)
+
+
+def test_lattice_budget_refuses_oversized_lattices():
+    cfg = make_torus("dual", 2)
+    assert torus.lattice_chunks(cfg, 32) == [2**22 // (2 * 32**2), 2**22 // (5 * 8**2)]
+    with pytest.raises(SizeCapExceeded):
+        torus.lattice_chunks(cfg, 2**11)  # 2 * 2^22 values for one solution
+    with pytest.raises(SizeCapExceeded):
+        torus.lattice_chunks(make_torus("trunc:3", 4), 2)  # 13 * 8^8 leaf values
+    trig = assemble_function_constraints(cfg, 1).trig
+    with pytest.raises(SizeCapExceeded):
+        verify_min_leaf_all(np.zeros((1, cfg.n * trig.size)), cfg, trig, grid=10**5)
+
+
+@pytest.mark.parametrize("name,m,d", CONFIGS)
+def test_vectorized_checks_match_per_solution_loop(name, m, d):
+    # reports bitwise, violation texts included, on stacks with more than
+    # eight violating rows once there are non-constant functions (d > 0)
+    cfg = make_torus(name, m)
+    system = assemble_function_constraints(cfg, d)
+    stack = np.vstack([_mixed_stack(system, seed) for seed in range(1, 6)])
+    data = verify_constancy(stack, cfg, system.trig).data
+    assert ("REAL_PART_VIOLATION[7]" in data) == (d > 0)
+    for got, ref in ((verify_constancy, reference_constancy),
+                     (verify_socle_decomposition, reference_socle_decomposition)):
+        for rows in (stack, stack[:1], solve_nullspace(system)):
+            assert (got(rows, cfg, system.trig).render()
+                    == ref(rows, cfg, system.trig).render())
 
 
 def test_solutions_pass_pointwise_defect():

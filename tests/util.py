@@ -16,7 +16,7 @@ from localalg.algebra import (
 )
 from localalg.errors import DomainError, SpanFailure
 from localalg.report import Report
-from localalg.torus import _lattice
+from localalg.torus import TIE_RTOL
 
 PRESETS = ("dual", "trunc:3", "trunc:4", "square:2")
 
@@ -219,7 +219,65 @@ def dense_form_constraints(cfg, trig):
     return _dense(N * n, trig, local_rows)
 
 
+# -- reference coefficient checks: one solution at a time
+
+
+def reference_constancy(solutions, cfg, trig, tol=1e-8):
+    """``verify_constancy`` as a loop over solutions, one norm per solution."""
+    B = trig.size
+    tmask = trig.transversal_mask(cfg.m)
+    rep = Report()
+    worst_real = 0.0
+    worst_e1 = 0.0
+    violations = []
+    for q, u in enumerate(np.atleast_2d(solutions)):
+        U = u.reshape(cfg.n, B)
+        nonconst = np.abs(U[0, 1:])
+        mass = float(np.linalg.norm(nonconst))
+        worst_real = max(worst_real, mass)
+        if mass > tol and len(violations) < 8:
+            t_bad = 1 + int(np.argmax(nonconst))
+            violations.append(f"solution={q} freq={trig.freq_of(t_bad)}")
+        e1_bad = float(np.linalg.norm(U[1, ~tmask])) if cfg.n > 1 else 0.0
+        worst_e1 = max(worst_e1, e1_bad)
+    rep.add("real_part_constant", worst_real <= tol, worst_real)
+    rep.add("e1_component_basic", worst_e1 <= tol, worst_e1)
+    rep.put("NULLSPACE_DIM", int(np.atleast_2d(solutions).shape[0]))
+    rep.put("REAL_PART_NONCONST_MASS", worst_real)
+    rep.put("E1_NONBASIC_MASS", worst_e1)
+    for v, text in enumerate(violations):
+        rep.put(f"REAL_PART_VIOLATION[{v}]", text)
+    return rep
+
+
+def reference_socle_decomposition(solutions, cfg, trig, tol=1e-8):
+    """``verify_socle_decomposition`` as a loop over solutions and components."""
+    B = trig.size
+    tmask = trig.transversal_mask(cfg.m)
+    allowed = np.zeros((cfg.n, B), dtype=bool)
+    allowed[:, 0] = True
+    for comp in cfg.info.socle:
+        allowed[comp] = tmask
+    worst = 0.0
+    for u in np.atleast_2d(solutions):
+        worst = max(worst, float(np.linalg.norm(u.reshape(cfg.n, B)[~allowed])))
+    rep = Report()
+    rep.add("socle_decomposition", worst <= tol, worst)
+    rep.put("SOCLE_DIM", len(cfg.info.socle))
+    rep.put("SOCLE_RESIDUAL_MASS", worst)
+    return rep
+
+
 # -- reference minimizing-leaf check: one solution, design matrices evaluated directly
+
+
+def _lattice(points_per_axis, ndims):
+    """Row-major lattice over [0, 2*pi)^ndims."""
+    if ndims == 0:
+        return np.zeros((1, 0))
+    axes = [np.arange(points_per_axis) * (2 * np.pi / points_per_axis)] * ndims
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
 def reference_min_leaf(solution, cfg, trig, grid=32, leaf_grid=8, tol=1e-8,
@@ -227,7 +285,9 @@ def reference_min_leaf(solution, cfg, trig, grid=32, leaf_grid=8, tol=1e-8,
     """Locate the leaf minimizing the leaf-average of the e1-component and
     check the real part is critical there, evaluating every basis function
     on the points of that leaf itself. Ties go to the smallest row-major
-    grid index."""
+    grid index: averages within TIE_RTOL times the l1 norm of the basic
+    coefficients (a bound on every average and on its round-off) of the
+    minimum tie, so round-off does not decide between equal averages."""
     n, m, N = cfg.n, cfg.m, cfg.ncoords
     B = trig.size
     U = np.asarray(solution, dtype=float).reshape(n, B)
@@ -237,7 +297,8 @@ def reference_min_leaf(solution, cfg, trig, grid=32, leaf_grid=8, tol=1e-8,
     trans_pts = np.zeros((grid**m, N))
     trans_pts[:, :m] = _lattice(grid, m)
     averages = trig.values(trans_pts) @ (g1 * tmask)
-    qmin = int(np.argmin(averages))
+    tie = averages.min() + TIE_RTOL * np.abs(g1 * tmask).sum()
+    qmin = int(np.flatnonzero(averages <= tie)[0])
 
     leaf_pts = np.zeros((leaf_grid ** (N - m), N))
     leaf_pts[:, :m] = trans_pts[qmin, :m]
