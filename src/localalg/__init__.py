@@ -46,7 +46,6 @@ from .forms import (
     assemble_form_constraints,
     cohomology_report,
     component_space_dim,
-    exterior_derivative,
     verify_class_injectivity,
 )
 

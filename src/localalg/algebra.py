@@ -518,12 +518,19 @@ def socle_basis(
     """Orthonormal basis (rows) of {x in rad : x * rad = 0}.
 
     Solved in radical coordinates, x = y @ rad with y in the kernel of the
-    stacked maps y -> (y @ rad) * e over the radical basis vectors e.
+    stacked maps y -> (y @ rad) * e over the radical basis vectors e, each
+    column divided by its term size ``|| |rad_a| |C| |rad| ||``, which bounds
+    its round-off: small products count next to large ones, round-off not.
     """
     rad = radical_basis(A, tol)
     if rad.shape[0] == 0:
         return np.zeros((0, A.n))
-    products = np.einsum("ai,bj,ijk->bka", rad, rad, A.C,
-                         optimize=["einsum_path", (1, 2), (0, 1)])
-    kernel = linalg.nullspace_rows(products.reshape(-1, rad.shape[0]), tol)
-    return linalg.canonical_signs(kernel @ rad)
+    r, n = rad.shape
+    # (rad_a * rad_b)_k at [a, b, k], of the values and of their term sizes
+    products, terms = (R @ (R @ C.reshape(n, -1)).reshape(r, n, n)
+                       for R, C in ((rad, A.C), (abs(rad), abs(A.C))))
+    size = np.linalg.norm(terms.reshape(r, -1), axis=1)
+    size[size == 0.0] = 1.0  # a column without terms is exactly zero
+    rank, vh = linalg._svd_rank(products.reshape(r, -1).T / size, tol, 1.0,
+                                full_matrices=True)
+    return linalg.canonical_signs(np.linalg.qr(((vh[rank:] / size) @ rad).T)[0].T)

@@ -2,17 +2,13 @@
 
 A 1-form is a table of N = n*m algebra-valued coefficient functions, one
 per angular coordinate, each stored as (component, trig index) coefficients.
-The closed A-linear forms are the kernel of a constraint system whose
-symbol S(k) on the mode of frequency k (see ``torus``) stacks
-
-  (i) A-linearity: for every slot j, the n x n matrix of values of the form
-      on the coordinate directions of that slot commutes with every basis
-      multiplication operator. These are the rows C of
-      ``torus.commutator_rows``; they involve no derivative, so they are the
-      same on every mode;
- (ii) closedness: d(omega) = 0, the rows k_alpha omega_beta - k_beta
-      omega_alpha for every alpha < beta and component (A-linearity of
-      d(omega) is then automatic).
+A form is A-linear when on every slot j its n x n value matrix commutes with
+every L_a. For commutative unital A those matrices are exactly the L_b (the
+A-module maps x -> x * b, b the image of 1), so the unknowns are coordinates
+on the orthonormal frame of ``commutant_frame`` (L_b on slot j, m*n
+columns), and the symbol S(k) on the mode of frequency k (see ``torus``)
+holds only the closedness rows of d(omega) = 0 on that frame,
+k_alpha omega_beta - k_beta omega_alpha for alpha < beta and every component.
 
 On top of the solution space this module measures the dimensions of the
 non-socle component spaces (which stay bounded by n*N, the dimension of the
@@ -40,43 +36,31 @@ from .torus import (
     TrigSpace,
     assemble_function_constraints,
     capped_trig_space,
-    commutator_rows,
     solve_nullspace,
 )
 
 
-def exterior_derivative(omega: np.ndarray, trig: TrigSpace) -> dict:
-    """Coefficient table of d(omega) for omega of shape (N, n, B).
-
-    Returns {(alpha, beta): (n, B)} for alpha < beta with
-    d(omega)_{alpha beta} = d_alpha omega_beta - d_beta omega_alpha.
-    """
-    omega = np.asarray(omega, dtype=float)
-    N = omega.shape[0]
-    return {
-        (alpha, beta): trig.derivative(omega[beta], alpha)
-        - trig.derivative(omega[alpha], beta)
-        for alpha in range(N) for beta in range(alpha + 1, N)
-    }
+def commutant_frame(cfg: TorusConfig) -> np.ndarray:
+    """Orthonormal frame (N*n, m*n) of the A-linear 1-form values: column
+    (j, b) is L_b[i, c] at (coordinate coord(j, c), component i), then QR."""
+    n, m = cfg.n, cfg.m
+    blocks = np.einsum("bic,jk->cjikb", cfg.mults, np.eye(m))
+    return np.linalg.qr(blocks.reshape(cfg.ncoords * n, m * n))[0]
 
 
 def assemble_form_constraints(cfg: TorusConfig, degree: int,
                               cap: int = DEFAULT_CAP) -> ConstraintSystem:
-    """Stacked A-linearity and closedness constraints on 1-form coefficients.
-
-    Unknowns are indexed (coordinate, component): the coordinate slot of the
-    form, then the algebra component of its coefficient.
-    """
+    """Closedness of 1-form coefficients, columns (coordinate, component,
+    trig index), with symbols (closedness tensor I_n) F on the frame F."""
     n, N = cfg.n, cfg.ncoords
     trig = capped_trig_space(cfg, degree, N * n, cap)
     K = trig.mode_freqs()
     alpha, beta = np.triu_indices(N, 1)
     eye = np.eye(N)
     closed = K[:, alpha, None] * eye[beta] - K[:, beta, None] * eye[alpha]
-    C = commutator_rows(cfg)
-    linear = np.broadcast_to(C, (K.shape[0],) + C.shape)
-    symbols = np.concatenate([linear, np.kron(closed, np.eye(n))], axis=1)
-    return ConstraintSystem(trig, symbols)
+    frame = commutant_frame(cfg)
+    symbols = (closed @ frame.reshape(N, -1)).reshape(len(K), len(alpha) * n, -1)
+    return ConstraintSystem(trig, symbols, frame)
 
 
 def function_differential(u: np.ndarray, cfg: TorusConfig,

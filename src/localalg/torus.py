@@ -17,7 +17,7 @@ annihilates its cos coefficients and its sin coefficients on every mode.
 For a function the symbol is C (k tensor I_n), where C (``commutator_rows``)
 holds the A-linearity rows on (coordinate, component) values: a function is
 A-differentiable exactly when its differential is A-linear. The 1-forms of
-``forms`` stack C over their closedness rows.
+``forms`` solve on a frame of the kernel of C, with only closedness rows.
 
 The minimizing-leaf check builds no design matrix: it sums each trig
 polynomial's frequency box onto a lattice one axis at a time, in chunks of
@@ -170,11 +170,14 @@ class ConstraintSystem:
     p - 1 of ``trig`` (cos at trig index 2p - 1, sin at 2p). The full matrix
     is block diagonal over modes. Up to an orthogonal change of its rows, the
     block of a pair applies S(k) to the cos and to the sin coefficients, so it
-    has the singular values of S(k), each taken twice.
+    has the singular values of S(k), each taken twice. With an orthonormal
+    ``frame`` F (None is the identity) unknowns take the values F x only and
+    the symbols act on x = F^T u.
     """
 
     trig: TrigSpace
-    symbols: np.ndarray  # (modes, rows, unknowns)
+    symbols: np.ndarray  # (modes, rows, symbol columns)
+    frame: np.ndarray | None = None  # (unknowns, symbol columns)
 
     @property
     def nrows(self) -> int:
@@ -182,15 +185,19 @@ class ConstraintSystem:
 
     @property
     def ncols(self) -> int:
-        return self.symbols.shape[2] * self.trig.size
+        nunk = self.symbols.shape[2] if self.frame is None else self.frame.shape[0]
+        return nunk * self.trig.size
 
     def residual_inf(self, u: np.ndarray) -> float:
         """Largest constraint violation of a coefficient vector or (S, ncols) stack."""
-        modes, _, nunk = self.symbols.shape
-        U = np.asarray(u, dtype=float).reshape(-1, nunk, self.trig.size)
+        modes, _, nsym = self.symbols.shape
+        U = np.atleast_2d(np.asarray(u, dtype=float))
+        U = U.reshape(len(U), -1, self.trig.size)
+        if self.frame is not None:
+            U = self.frame.T @ U
         # a leading zero column pairs up (0, constant), then (cos, sin) per pair
-        modal = np.pad(U, ((0, 0), (0, 0), (1, 0))).reshape(len(U), nunk, modes, 2)
-        modal = modal.transpose(2, 1, 0, 3).reshape(modes, nunk, -1)
+        modal = np.pad(U, ((0, 0), (0, 0), (1, 0))).reshape(len(U), nsym, modes, 2)
+        modal = modal.transpose(2, 1, 0, 3).reshape(modes, nsym, -1)
         return float(np.abs(self.symbols @ modal).max(initial=0.0))
 
 
@@ -250,19 +257,21 @@ def solve_nullspace(system: ConstraintSystem,
     ``linalg._svd_rank`` does not count over the whole stack are null, so a
     symbol that vanishes is null in every direction. A null vector v gives
     one row on the constant columns for mode 0, and two rows for a pair: v
-    on its cos columns, then v on its sin columns. Rows are mode-major and,
-    within a mode, by ascending singular value; each row's largest entry is
-    positive.
+    (F v on a ``frame`` F) on its cos columns, then on its sin columns. Rows
+    are mode-major and, within a mode, by ascending singular value; each
+    row's largest entry is positive.
     """
-    modes, nrows, nunk = system.symbols.shape
+    modes, nrows, nsym = system.symbols.shape
     # vh must be square; u is needed in full only when a symbol is wide
-    rank, vh = linalg._svd_rank(system.symbols, tol, full_matrices=nrows < nunk)
+    rank, vh = linalg._svd_rank(system.symbols, tol, full_matrices=nrows < nsym)
+    if system.frame is not None:
+        vh = vh @ system.frame.T
     B = system.trig.size
     rows = []
     for p in range(modes):
         for v in vh[p, rank[p]:][::-1]:
             for t in ([0] if p == 0 else [2 * p - 1, 2 * p]):
-                row = np.zeros((nunk, B))
+                row = np.zeros((len(v), B))
                 row[:, t] = v
                 rows.append(row.reshape(-1))
     if not rows:

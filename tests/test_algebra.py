@@ -364,6 +364,12 @@ def test_socle_examples():
     assert_allclose(np.abs(socle_basis(preset("dual"))), [[0.0, 1.0]])
 
 
+def test_socle_judges_each_radical_column_on_its_term_size():
+    # a^2 = 1e10 c next to b^2 = c: b is not in the socle
+    A = from_spec("algebra n=4\nbasis 1 a b c\nmul a a = 1e10*c\nmul b b = 1*c\n")
+    assert_allclose(np.abs(socle_basis(A)), [[0, 0, 0, 1.0]])
+
+
 def test_socle_annihilates_radical():
     for name in PRESETS:
         A = preset(name)

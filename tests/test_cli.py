@@ -9,6 +9,8 @@ import pytest
 
 from localalg.cli import build_parser, main
 
+from util import FORMS_LADDER
+
 CMD = [sys.executable, "-m", "localalg"]
 
 
@@ -255,6 +257,34 @@ def test_scaled_square_keeps_its_monomials(tmp_path, coef):
         assert line in lines
 
 
+TWO_SQUARES_REPORT = """CHECK valid_local_algebra PASS detail=0
+---
+N=4
+LABELS=1,e1,e2,e3
+RADICAL_DIM=3
+FILTRATION_DIMS=3,1,0
+NU=3
+PSEUDOBASIS=e1,e2
+MONOMIAL[e1]=(1,0)
+MONOMIAL[e2]=(0,1)
+MONOMIAL[e3]=(2,0)
+SOCLE=e3
+RADICAL_BASIS[0]=0 + 1 a
+RADICAL_BASIS[1]=0 + 1 c
+RADICAL_BASIS[2]=0 + 1 b
+"""
+
+
+@pytest.mark.parametrize("coef", ["1", "1e6", "1e10"])
+def test_socle_of_unequal_squares(tmp_path, coef):
+    # a^2 = coef c and b^2 = c: the socle is span{c} however far apart the
+    # two products are in size (at 1e10 b used to count as socle, exit 2)
+    spec = tmp_path / "squares.alg"
+    spec.write_text(f"algebra n=4\nbasis 1 a b c\nmul a a = {coef}*c\nmul b b = 1*c\n")
+    proc = run("algebra", "--spec", str(spec))
+    assert (proc.returncode, proc.stdout) == (0, TWO_SQUARES_REPORT)
+
+
 @pytest.mark.parametrize("command,code", [("algebra", 2), ("check", 3)])
 @pytest.mark.parametrize("lines,message", [
     ("mul a a = 1e300*a\n", "products of the structure constants leave the float range"),
@@ -303,3 +333,28 @@ def test_verify_preset_reports_match_golden(capsys):
             code = main(argv)
             text += f"# {' '.join(argv)}\n{capsys.readouterr().out}# exit {code}\n"
     assert text == VERIFY_GOLDEN.read_text(encoding="utf-8")
+
+
+FORMS_GOLDEN = Path(__file__).parent / "golden" / "forms_presets.txt"
+ROUND_OFF_PREFIXES = ("INJECTIVITY_RESIDUAL=", "CHECK class_map_injective PASS detail=")
+
+
+def test_forms_preset_reports_match_golden(capsys):
+    # the golden file holds the reports of the solve with A-linearity rows
+    # that the commutant frame replaced; only the injectivity residual, which
+    # is round-off, may move, and it must stay at round-off
+    got = ""
+    for name, m, d in FORMS_LADDER:
+        argv = ["forms", "--preset", name, "--m", str(m), "--degree", str(d)]
+        code = main(argv)
+        got += f"# {' '.join(argv)}\n{capsys.readouterr().out}# exit {code}\n"
+    want = FORMS_GOLDEN.read_text(encoding="utf-8").splitlines()
+    got = got.splitlines()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        prefix = next((p for p in ROUND_OFF_PREFIXES if w.startswith(p)), None)
+        if prefix is None:
+            assert g == w
+        else:
+            assert g.startswith(prefix), (g, w)
+            assert 0.0 <= float(g[len(prefix):]) <= 1e-12, g

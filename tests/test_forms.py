@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from localalg.errors import IndexNotBreve
+from localalg.algebra import from_spec, standard_basis
+from localalg.errors import IndexNotBreve, SizeCapExceeded
 from localalg.forms import (
     assemble_form_constraints,
     cohomology_report,
+    commutant_frame,
     component_form,
     component_space_dim,
-    exterior_derivative,
     forms_report,
     function_differential,
     verify_class_injectivity,
@@ -18,13 +19,45 @@ from localalg.forms import (
 )
 from localalg.linalg import nullspace_rows
 from localalg.torus import (
+    DEFAULT_NULL_TOL,
+    TorusConfig,
     TrigSpace,
     assemble_function_constraints,
+    commutator_rows,
     make_torus,
     solve_nullspace,
 )
 
-from util import dense_form_constraints
+from util import FORMS_LADDER, PRESETS, dense_form_constraints, exterior_derivative
+
+# R[x]/(x^3) in the basis a = x + x^2, b = x - x^2/3, so x^2 = 3/4 (a - b)
+RATIONAL_TRUNC3 = """algebra n=3
+basis 1 a b
+mul a a = 0.75*a - 0.75*b
+mul a b = 0.75*a - 0.75*b
+mul b b = 0.75*a - 0.75*b
+"""
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("source", PRESETS + ("rational trunc:3",))
+def test_commutant_frame_is_kernel_of_commutator_rows(source, m):
+    if source in PRESETS:
+        cfg = make_torus(source, m)
+    else:  # kept in its own basis, not standardized
+        A = from_spec(RATIONAL_TRUNC3)
+        cfg = TorusConfig(A, standard_basis(A), m)
+    n, N = cfg.n, cfg.ncoords
+    Q = commutant_frame(cfg)
+    assert Q.shape == (N * n, m * n)
+    assert_allclose(Q.T @ Q, np.eye(m * n), rtol=0, atol=1e-12)
+    # the A-linearity rows, as built and entry by entry (B = 1 at degree 0)
+    dense = dense_form_constraints(cfg, TrigSpace.build(N, 0), closedness=False)
+    for C in (commutator_rows(cfg), dense):
+        assert C.shape == (m * (n - 1) * n * n, N * n)
+        assert np.linalg.norm(C @ Q) <= 1e-12 * np.linalg.norm(C)
+        # the frame is the whole kernel, not part of it
+        assert np.linalg.matrix_rank(C) == N * n - m * n
 
 
 def test_exterior_derivative_constant_form_is_closed():
@@ -99,14 +132,19 @@ def test_trunc3_breve_components_are_constant():
 
 
 def test_injected_form_violates_a_linearity():
-    # omega = cos(theta^{1,1}) d theta^{1,0} is not A-linear
+    # omega = cos(theta^{1,1}) d theta^{1,0} is not A-linear; the framed
+    # system has no A-linearity rows, so the dense oracle's rows judge it
     cfg = make_torus("dual", 1)
     system = assemble_form_constraints(cfg, 1)
     trig = system.trig
     pair = next(p for p in range(trig.npairs) if tuple(trig.freqs[p]) == (0, 1))
     bad = np.zeros(system.ncols)
     bad[0 * cfg.n * trig.size + 0 * trig.size + 1 + 2 * pair] = 1.0
-    assert system.residual_inf(bad) >= 0.5
+    linear = dense_form_constraints(cfg, trig, closedness=False)
+    assert np.abs(linear @ bad).max() >= 0.5
+    # and no closed A-linear solution comes near it
+    sol = solve_nullspace(system)
+    assert np.linalg.norm(bad - (bad @ sol.T) @ sol) >= 0.5
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -273,3 +311,21 @@ def test_forms_report_rendering():
     rep = forms_report(cfg_dual, cohomology_report(cfg_dual, 2))
     assert "NOTE" in rep.data  # vacuous component check
     assert rep.passed
+
+
+def test_form_solve_rank_margins():
+    # on every uncapped ladder config each singular value of the form symbols
+    # sits at least a factor 1e2 away from the rank cut tol * ref
+    solved = 0
+    for name, m, d in FORMS_LADDER:
+        try:
+            system = assemble_form_constraints(make_torus(name, m), d)
+        except SizeCapExceeded:
+            continue
+        s = np.linalg.svd(system.symbols, compute_uv=False)
+        cut = DEFAULT_NULL_TOL * s.max()
+        counted = s > cut
+        assert s[counted].min(initial=np.inf) >= 1e2 * cut, (name, m, d)
+        assert s[~counted].max(initial=0.0) <= cut / 1e2, (name, m, d)
+        solved += 1
+    assert solved == 44

@@ -16,6 +16,7 @@ from localalg.torus import (
     ConstraintSystem,
     TrigSpace,
     assemble_function_constraints,
+    commutator_rows,
     make_torus,
     solve_nullspace,
     verify_constancy,
@@ -132,37 +133,45 @@ def test_symbol_matches_dense_oracle(kind, name, m, d):
     cfg = make_torus(name, m)
     system = assemble(cfg, d)
     trig = system.trig
+    B = trig.size
     M = oracle(cfg, trig)
-    assert M.shape == (system.nrows, system.ncols)
-    modes, R, nunk = system.symbols.shape
+    modes, R, nsym = system.symbols.shape
+    # the symbols act on frame coordinates (forms) or on the unknowns
+    # (functions); the oracle keeps every row, A-linearity first in each mode
+    frame = np.eye(nsym) if system.frame is None else system.frame
+    lift = np.kron(frame, np.eye(B))
+    dropped = 0 if kind == "functions" else len(commutator_rows(cfg))
+    assert M.shape == ((R + dropped) * B, system.ncols)
+    assert system.nrows == R * B
 
-    # the symbol nullspace spans the oracle's nullspace (every M is tall)
+    # the symbol nullspace spans the full oracle's nullspace (every M is tall)
     _, s, vh = np.linalg.svd(M, full_matrices=False)
-    smax = s[0]
-    dense = vh[s <= 1e-8 * smax]
+    dense = vh[s <= 1e-8 * s[0]]
     sol = solve_nullspace(system)
     assert sol.shape[0] == dense.shape[0]
     assert np.abs((dense @ sol.T) @ sol - dense).max(initial=0.0) <= 1e-9
 
-    # per mode, the oracle block has the symbol's singular values, each twice
+    # per mode, the oracle block on the frame columns has the symbol's
+    # singular values, each twice, and its A-linearity rows vanish there
+    MF, smax = M @ lift, s[0]
     sym_s = np.linalg.svd(system.symbols, compute_uv=False)
-    assert abs(sym_s.max() - smax) <= 1e-12 * smax
-    B = trig.size
+    assert abs(sym_s.max() - np.linalg.norm(MF, 2)) <= 1e-12 * smax
     for p in range(modes):
         ts = [0] if p == 0 else [2 * p - 1, 2 * p]
-        first = 0 if p == 0 else R * (2 * p - 1)
-        cols = [u * B + t for u in range(nunk) for t in ts]
-        block = M[first:first + R * len(ts)][:, cols]
+        first = 0 if p == 0 else (R + dropped) * (2 * p - 1)
+        cols = [u * B + t for u in range(nsym) for t in ts]
+        block = MF[first:first + (R + dropped) * len(ts)][:, cols]
+        assert np.abs(block[:dropped * len(ts)]).max(initial=0.0) <= 1e-12 * smax
         want = np.sort(np.repeat(sym_s[p], len(ts)))
         got = np.sort(np.linalg.svd(block, compute_uv=False))
         assert_allclose(got, want, rtol=0, atol=1e-12 * smax)
 
     rng = np.random.default_rng(7)
     for _ in range(5):
-        u = rng.standard_normal(system.ncols)
+        u = lift @ rng.standard_normal(nsym * B)
         assert abs(system.residual_inf(u) - np.abs(M @ u).max()) <= 1e-12
     # a (S, ncols) stack gives the largest violation of any of its rows
-    stack = rng.standard_normal((4, system.ncols))
+    stack = rng.standard_normal((4, nsym * B)) @ lift.T
     res = system.residual_inf(stack)
     assert isinstance(res, float)
     assert abs(res - np.abs(M @ stack.T).max()) <= 1e-12

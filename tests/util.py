@@ -19,6 +19,10 @@ from localalg.report import Report
 from localalg.torus import TIE_RTOL
 
 PRESETS = ("dual", "trunc:3", "trunc:4", "square:2")
+# the ``forms`` ladder: every run of tests/golden/forms_presets.txt
+FORMS_LADDER = [(name, m, d) for name in ("dual", "trunc:2", "trunc:3", "trunc:4",
+                                          "square:2", "square:3")
+                for m in (1, 2, 3) for d in (0, 1, 2, 3)]
 
 
 def r_plus_r() -> StructureConstants:
@@ -186,9 +190,10 @@ def dense_function_constraints(cfg, trig):
     return _dense(n, trig, local_rows)
 
 
-def dense_form_constraints(cfg, trig):
+def dense_form_constraints(cfg, trig, closedness=True):
     """Dense matrix of the 1-form constraints: A-linearity of every slot's
-    value block, then closedness component by component."""
+    value block, then (unless ``closedness`` is False) closedness component
+    by component."""
     n, m, N, L = cfg.n, cfg.m, cfg.ncoords, cfg.mults
 
     def local_rows(nb, D):
@@ -208,6 +213,8 @@ def dense_form_constraints(cfg, trig):
                             if L[a][i, c]:
                                 R[:, unk(cfg.coord(j, b), c)] -= L[a][i, c] * eye
                         yield R
+        if not closedness:
+            return
         for alpha in range(N):
             for beta in range(alpha + 1, N):
                 for i in range(n):
@@ -217,6 +224,21 @@ def dense_form_constraints(cfg, trig):
                     yield R
 
     return _dense(N * n, trig, local_rows)
+
+
+def exterior_derivative(omega, trig):
+    """Coefficient table of d(omega) for omega of shape (N, n, B).
+
+    Returns {(alpha, beta): (n, B)} for alpha < beta with
+    d(omega)_{alpha beta} = d_alpha omega_beta - d_beta omega_alpha.
+    """
+    omega = np.asarray(omega, dtype=float)
+    N = omega.shape[0]
+    return {
+        (alpha, beta): trig.derivative(omega[beta], alpha)
+        - trig.derivative(omega[alpha], beta)
+        for alpha in range(N) for beta in range(alpha + 1, N)
+    }
 
 
 # -- reference coefficient checks: one solution at a time
