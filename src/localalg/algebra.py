@@ -531,6 +531,5 @@ def socle_basis(
                        for R, C in ((rad, A.C), (abs(rad), abs(A.C))))
     size = np.linalg.norm(terms.reshape(r, -1), axis=1)
     size[size == 0.0] = 1.0  # a column without terms is exactly zero
-    rank, vh = linalg._svd_rank(products.reshape(r, -1).T / size, tol, 1.0,
-                                full_matrices=True)
+    rank, vh = linalg._svd_rank(products.reshape(r, -1).T / size, tol, 1.0)
     return linalg.canonical_signs(np.linalg.qr(((vh[rank:] / size) @ rad).T)[0].T)

@@ -170,14 +170,14 @@ class ConstraintSystem:
     p - 1 of ``trig`` (cos at trig index 2p - 1, sin at 2p). The full matrix
     is block diagonal over modes. Up to an orthogonal change of its rows, the
     block of a pair applies S(k) to the cos and to the sin coefficients, so it
-    has the singular values of S(k), each taken twice. With an orthonormal
-    ``frame`` F (None is the identity) unknowns take the values F x only and
-    the symbols act on x = F^T u.
+    has the singular values of S(k), each taken twice. Unknowns take values
+    only on the orthonormal ``frame`` F (the identity for functions): the
+    symbols act on x = F^T u.
     """
 
     trig: TrigSpace
     symbols: np.ndarray  # (modes, rows, symbol columns)
-    frame: np.ndarray | None = None  # (unknowns, symbol columns)
+    frame: np.ndarray  # (unknowns, symbol columns)
 
     @property
     def nrows(self) -> int:
@@ -185,20 +185,20 @@ class ConstraintSystem:
 
     @property
     def ncols(self) -> int:
-        nunk = self.symbols.shape[2] if self.frame is None else self.frame.shape[0]
-        return nunk * self.trig.size
+        return self.frame.shape[0] * self.trig.size
 
     def residual_inf(self, u: np.ndarray) -> float:
-        """Largest constraint violation of a coefficient vector or (S, ncols) stack."""
+        """Largest constraint violation of a coefficient vector or (S, ncols)
+        stack: the symbols on x = F^T u, and the part u - F x off the frame."""
         modes, _, nsym = self.symbols.shape
         U = np.atleast_2d(np.asarray(u, dtype=float))
         U = U.reshape(len(U), -1, self.trig.size)
-        if self.frame is not None:
-            U = self.frame.T @ U
+        X = self.frame.T @ U
+        off = np.abs(U - self.frame @ X).max(initial=0.0)
         # a leading zero column pairs up (0, constant), then (cos, sin) per pair
-        modal = np.pad(U, ((0, 0), (0, 0), (1, 0))).reshape(len(U), nsym, modes, 2)
+        modal = np.pad(X, ((0, 0), (0, 0), (1, 0))).reshape(len(U), nsym, modes, 2)
         modal = modal.transpose(2, 1, 0, 3).reshape(modes, nsym, -1)
-        return float(np.abs(self.symbols @ modal).max(initial=0.0))
+        return float(np.maximum(np.abs(self.symbols @ modal).max(initial=0.0), off))
 
 
 def capped_trig_space(cfg: TorusConfig, degree: int, unknowns: int,
@@ -246,7 +246,7 @@ def assemble_function_constraints(cfg: TorusConfig, degree: int,
     """
     trig = capped_trig_space(cfg, degree, cfg.n, cap)
     k_tensor_id = np.kron(trig.mode_freqs()[:, :, None], np.eye(cfg.n))
-    return ConstraintSystem(trig, commutator_rows(cfg) @ k_tensor_id)
+    return ConstraintSystem(trig, commutator_rows(cfg) @ k_tensor_id, np.eye(cfg.n))
 
 
 def solve_nullspace(system: ConstraintSystem,
@@ -257,15 +257,14 @@ def solve_nullspace(system: ConstraintSystem,
     ``linalg._svd_rank`` does not count over the whole stack are null, so a
     symbol that vanishes is null in every direction. A null vector v gives
     one row on the constant columns for mode 0, and two rows for a pair: v
-    (F v on a ``frame`` F) on its cos columns, then on its sin columns. Rows
+    (F v on the ``frame`` F) on its cos columns, then on its sin columns. Rows
     are mode-major and, within a mode, by ascending singular value; each
     row's largest entry is positive.
     """
     modes, nrows, nsym = system.symbols.shape
     # vh must be square; u is needed in full only when a symbol is wide
     rank, vh = linalg._svd_rank(system.symbols, tol, full_matrices=nrows < nsym)
-    if system.frame is not None:
-        vh = vh @ system.frame.T
+    vh = vh @ system.frame.T
     B = system.trig.size
     rows = []
     for p in range(modes):

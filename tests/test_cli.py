@@ -275,14 +275,27 @@ RADICAL_BASIS[2]=0 + 1 b
 """
 
 
-@pytest.mark.parametrize("coef", ["1", "1e6", "1e10"])
+def _unequal_squares(tmp_path, coef):
+    spec = tmp_path / "squares.alg"
+    spec.write_text(f"algebra n=4\nbasis 1 a b c\nmul a a = {coef}*c\nmul b b = 1*c\n")
+    return run("algebra", "--spec", str(spec))
+
+
+@pytest.mark.parametrize("coef", ["1", "1e6", "1e10", "1e14"])
 def test_socle_of_unequal_squares(tmp_path, coef):
     # a^2 = coef c and b^2 = c: the socle is span{c} however far apart the
     # two products are in size (at 1e10 b used to count as socle, exit 2)
-    spec = tmp_path / "squares.alg"
-    spec.write_text(f"algebra n=4\nbasis 1 a b c\nmul a a = {coef}*c\nmul b b = 1*c\n")
-    proc = run("algebra", "--spec", str(spec))
+    proc = _unequal_squares(tmp_path, coef)
     assert (proc.returncode, proc.stdout) == (0, TWO_SQUARES_REPORT)
+
+
+def test_socle_of_tiny_square_is_refused(tmp_path):
+    # standard_basis flags a (a^2 = 1e-10 c) as socle without weighing the
+    # term size; socle_basis does not, so the mismatch is refused rather than
+    # printed as the wrong socle e2,e3
+    proc = _unequal_squares(tmp_path, "1e-10")
+    assert proc.returncode == 2
+    assert proc.stdout == "ERROR standard basis monomials do not span the socle\n"
 
 
 @pytest.mark.parametrize("command,code", [("algebra", 2), ("check", 3)])

@@ -132,14 +132,17 @@ def test_trunc3_breve_components_are_constant():
 
 
 def test_injected_form_violates_a_linearity():
-    # omega = cos(theta^{1,1}) d theta^{1,0} is not A-linear; the framed
-    # system has no A-linearity rows, so the dense oracle's rows judge it
+    # omega = cos(theta^{1,1}) d theta^{1,0} is not A-linear: its value
+    # diag(1, 0) on slot 0 lies diag(1/2, -1/2) off the commutant frame, and
+    # its projection I/2 on the frame has closedness defect 1/2
     cfg = make_torus("dual", 1)
     system = assemble_form_constraints(cfg, 1)
     trig = system.trig
     pair = next(p for p in range(trig.npairs) if tuple(trig.freqs[p]) == (0, 1))
     bad = np.zeros(system.ncols)
     bad[0 * cfg.n * trig.size + 0 * trig.size + 1 + 2 * pair] = 1.0
+    assert_allclose(system.residual_inf(bad), 0.5, rtol=1e-12)
+    # the dense oracle's A-linearity rows agree
     linear = dense_form_constraints(cfg, trig, closedness=False)
     assert np.abs(linear @ bad).max() >= 0.5
     # and no closed A-linear solution comes near it

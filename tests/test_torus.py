@@ -136,10 +136,9 @@ def test_symbol_matches_dense_oracle(kind, name, m, d):
     B = trig.size
     M = oracle(cfg, trig)
     modes, R, nsym = system.symbols.shape
-    # the symbols act on frame coordinates (forms) or on the unknowns
-    # (functions); the oracle keeps every row, A-linearity first in each mode
-    frame = np.eye(nsym) if system.frame is None else system.frame
-    lift = np.kron(frame, np.eye(B))
+    # the symbols act on frame coordinates (the identity frame for
+    # functions); the oracle keeps every row, A-linearity first in each mode
+    lift = np.kron(system.frame, np.eye(B))
     dropped = 0 if kind == "functions" else len(commutator_rows(cfg))
     assert M.shape == ((R + dropped) * B, system.ncols)
     assert system.nrows == R * B
@@ -222,7 +221,8 @@ def test_solve_nullspace_zero_system_is_full_space():
 
 
 def test_solve_nullspace_full_rank_system_is_empty():
-    system = ConstraintSystem(trig=TrigSpace.build(1, 0), symbols=np.eye(2)[None])
+    system = ConstraintSystem(trig=TrigSpace.build(1, 0), symbols=np.eye(2)[None],
+                              frame=np.eye(2))
     assert system.nrows == system.ncols == 2
     assert solve_nullspace(system).shape[0] == 0
 
