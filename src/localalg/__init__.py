@@ -5,9 +5,7 @@ from .algebra import (
     StandardBasisInfo,
     StructureConstants,
     from_spec,
-    invert,
     mul,
-    nilpotency_index,
     preset,
     radical_basis,
     radical_filtration,

@@ -25,13 +25,10 @@ from . import linalg
 from .errors import (
     AlgebraFormatError,
     DimensionMismatch,
-    NonUnitError,
     SpanFailure,
 )
 
 Element = np.ndarray
-
-UNIT_THRESHOLD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -272,40 +269,6 @@ def mul(A: StructureConstants, a: Element, b: Element) -> Element:
     a = A.element(a)
     b = A.element(b)
     return np.einsum("i,j,ijk->k", a, b, A.C)
-
-
-def invert(A: StructureConstants, a: Element, nu: int | None = None) -> Element:
-    """Inverse of a unit ``a = c + r`` (r nilpotent) via the geometric series.
-
-    Requires coordinates in which the non-unit basis directions are nilpotent
-    (any standard basis qualifies); then c is the real part ``a[0]``.
-    """
-    a = A.element(a)
-    c = a[0]
-    if abs(c) <= UNIT_THRESHOLD * (1.0 + float(np.linalg.norm(a))):
-        raise NonUnitError(f"real part {c} is numerically zero")
-    terms = nu if nu is not None else A.n
-    x = -a / c
-    x[0] = 0.0  # x = -r/c
-    out = A.unit()
-    power = A.unit()
-    for _ in range(1, terms):
-        power = mul(A, power, x)
-        out = out + power
-    return out / c
-
-
-def nilpotency_index(A: StructureConstants, a: Element,
-                     tol: float = 1e-10) -> int | None:
-    """Least S <= n with a^S = 0 within tolerance, or None."""
-    a = A.element(a)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    power = a.copy()
-    for S in range(1, A.n + 1):
-        if np.abs(power).max() <= tol * scale**S:
-            return S
-        power = mul(A, power, a)
-    return None
 
 
 def real_part(a: Element) -> float:

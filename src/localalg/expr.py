@@ -317,8 +317,8 @@ def diff(e: Expr, j: int, memo: dict | None = None) -> Expr:
     elif isinstance(e, Mul):
         d = add(mul(diff(e.left, j, memo), e.right), mul(e.left, diff(e.right, j, memo)))
     elif isinstance(e, Div):
-        num = sub(mul(diff(e.left, j, memo), e.right), mul(e.left, diff(e.right, j, memo)))
-        d = div(num, intpow(e.right, 2))
+        # (u' - (u/v) v') / v reuses u/v: derivative DAGs grow linearly, no v^(2^k)
+        d = div(sub(diff(e.left, j, memo), mul(e, diff(e.right, j, memo))), e.right)
     elif isinstance(e, IntPow):
         if e.exponent == 0:
             d = Const(0.0)

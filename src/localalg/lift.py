@@ -7,11 +7,13 @@ part. A smooth g then extends to A^m by the finite Taylor sum
 
 which terminates because the radical parts satisfy rad^nu = 0. Two
 independent routes are provided: ``taylor_lift`` evaluates that sum with
-exact symbolic derivatives, while ``lift_eval`` walks the expression tree in
-algebra arithmetic (primitives applied through their own truncated series).
-Both must agree; their agreement and the commutation of numerical Jacobian
-blocks with the multiplication operators (``adiff_defect``) are the working
-definitions of differentiability over A used throughout.
+exact symbolic derivatives, while ``lift_eval`` walks the expression DAG in
+algebra arithmetic over a stack of points at once, every primitive (and 1/x
+for a quotient) applied through one truncated-series kernel. Both must
+agree; their agreement and the commutation of numerical Jacobian blocks with
+the multiplication operators (``adiff_defect``, one evaluation of all its
+central differences) are the working definitions of differentiability over
+A used throughout. A result that leaves the float range is a DomainError.
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ from .algebra import (
     StandardBasisInfo,
     StructureConstants,
     graded_multiindices,
-    invert,
     mul,
     radical_part,
 )
-from .errors import AlgebraFormatError, DomainError
+from .errors import AlgebraFormatError, DomainError, NonUnitError
 
 DEFAULT_STEP = 1e-5
+# a quotient's denominator v is a unit when |v[0]| > UNIT_THRESHOLD * (1 + |v|)
+UNIT_THRESHOLD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -62,10 +65,6 @@ class APoint:
     def flatten(self) -> np.ndarray:
         """Slot-major flattening (slot 0 coefficients first)."""
         return self.components.reshape(-1).copy()
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, n: int) -> "APoint":
-        return cls(np.asarray(flat, dtype=float).reshape(-1, n))
 
 
 def _radical_powers(A: StructureConstants, r: Element, kmax: int) -> list[Element]:
@@ -111,69 +110,108 @@ def taylor_lift(e: ex.Expr, X: APoint, A: StructureConstants,
         for i, pi in enumerate(p):
             if pi:
                 term = mul(A, term, rad_powers[i][pi])
-        out = out + coeff * term
+        with np.errstate(all="ignore"):
+            out = out + coeff * term
+    return _finite(out, "the Taylor lift")
+
+
+def _products(A: StructureConstants, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise products of two stacks of elements, shape (P, n)."""
+    return np.einsum("pi,pj,ijk->pk", a, b, A.C)
+
+
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` itself when every entry is finite, else a DomainError."""
+    if not np.isfinite(values).all():
+        raise DomainError(f"{what} leaves the float range")
+    return values
+
+
+def _series_apply(A: StructureConstants, derivative_values: np.ndarray,
+                  u: np.ndarray) -> np.ndarray:
+    """Apply a primitive via its truncated series at the real parts of u.
+
+    ``derivative_values[k]`` holds the k-th derivative at each row's real
+    part, shape (nu, P); the series stops at the radical's power nu - 1.
+    """
+    r = u.copy()
+    r[:, 0] = 0.0
+    power = np.tile(A.unit(), (len(u), 1))
+    out = np.zeros_like(u)
+    for k, values in enumerate(derivative_values):
+        if k:
+            power = _products(A, power, r)
+        out = out + (values / math.factorial(k))[:, None] * power
     return out
 
 
-def _series_apply(A: StructureConstants, nu: int, derivative_values, u: Element) -> Element:
-    """Apply a primitive via its truncated series at the real part of u."""
-    r = radical_part(u)
-    powers = _radical_powers(A, r, nu - 1)
-    out = A.zero()
-    for k in range(nu):
-        out = out + (derivative_values[k] / math.factorial(k)) * powers[k]
-    return out
-
-
-def lift_eval(e: ex.Expr, X: APoint, A: StructureConstants,
-              info: StandardBasisInfo) -> Element:
-    """Evaluate the expression tree directly in algebra arithmetic."""
-    nu = info.nu
-
-    def ev(node: ex.Expr) -> Element:
-        if isinstance(node, ex.Const):
-            return node.value * A.unit()
-        if isinstance(node, ex.Var):
-            return X.components[node.index - 1].copy()
-        if isinstance(node, ex.Add):
-            return ev(node.left) + ev(node.right)
-        if isinstance(node, ex.Sub):
-            return ev(node.left) - ev(node.right)
-        if isinstance(node, ex.Mul):
-            return mul(A, ev(node.left), ev(node.right))
+def _derivatives(node: ex.Expr, u: np.ndarray, nu: int) -> np.ndarray:
+    """Derivatives 0..nu-1 of the primitive at node (1/x for a Div) at the
+    real parts of the stack u, shape (nu, P)."""
+    c = u[:, 0]  # math per point, not numpy's SIMD kernels: the bits of eval_real
+    try:
         if isinstance(node, ex.Div):
-            return mul(A, ev(node.left), invert(A, ev(node.right), nu))
-        if isinstance(node, ex.IntPow):
-            base = ev(node.base)
-            out = A.unit()
-            for _ in range(node.exponent):
-                out = mul(A, out, base)
-            return out
-        if isinstance(node, (ex.Sin, ex.Cos, ex.Exp, ex.Log)):
-            u = ev(node.arg)
-            c = u[0]
-            try:
-                if isinstance(node, ex.Sin):
-                    table = (math.sin(c), math.cos(c), -math.sin(c), -math.cos(c))
-                    vals = [table[k % 4] for k in range(nu)]
-                elif isinstance(node, ex.Cos):
-                    table = (math.cos(c), -math.sin(c), -math.cos(c), math.sin(c))
-                    vals = [table[k % 4] for k in range(nu)]
-                elif isinstance(node, ex.Exp):
-                    vals = [math.exp(c)] * nu
-                else:
-                    if c <= 0.0:
-                        raise DomainError(f"log of non-positive real part {c}")
-                    vals = [math.log(c)] + [
-                        (-1.0) ** (k - 1) * math.factorial(k - 1) / c**k
-                        for k in range(1, nu)
-                    ]
-            except (OverflowError, ValueError):
-                raise DomainError(f"{type(node).__name__} leaves the float range") from None
-            return _series_apply(A, nu, vals, u)
-        raise TypeError(f"not an expression node: {node!r}")
+            bad = c[np.abs(c) <= UNIT_THRESHOLD * (1.0 + np.linalg.norm(u, axis=1))]
+            if bad.size:
+                raise NonUnitError(f"real part {bad[0]} is numerically zero")
+            vals = [(-1.0) ** k * math.factorial(k) / c ** (k + 1) for k in range(nu)]
+        elif isinstance(node, ex.Log):
+            if (c <= 0.0).any():
+                raise DomainError(f"log of non-positive real part {c[c <= 0.0][0]}")
+            vals = [np.array([math.log(x) for x in c])] + [
+                (-1.0) ** (k - 1) * math.factorial(k - 1) / c**k for k in range(1, nu)]
+        elif isinstance(node, ex.Exp):
+            vals = [np.array([math.exp(x) for x in c])] * nu
+        else:
+            s, co = (np.array([f(x) for x in c]) for f in (math.sin, math.cos))
+            table = (s, co, -s, -co) if isinstance(node, ex.Sin) else (co, -s, -co, s)
+            vals = [table[k % 4] for k in range(nu)]
+    except (OverflowError, ValueError):
+        raise DomainError(f"{type(node).__name__} leaves the float range") from None
+    return _finite(np.array(vals), type(node).__name__)
 
-    return ev(e)
+
+def lift_eval(e: ex.Expr, X, A: StructureConstants,
+              info: StandardBasisInfo) -> np.ndarray:
+    """Evaluate the expression DAG in algebra arithmetic, each interned node
+    once for a whole stack X of points, (..., m, n) -> (..., n); an APoint is
+    a stack of one. Every row is exactly its own single-point evaluation."""
+    pts = X.components if isinstance(X, APoint) else np.asarray(X, dtype=float)
+    lead = pts.shape[:-2]
+    pts = pts.reshape((-1,) + pts.shape[-2:])
+    unit = np.tile(A.unit(), (len(pts), 1))
+    memo: dict[ex.Expr, np.ndarray] = {}
+
+    def ev(node: ex.Expr) -> np.ndarray:
+        if node in memo:
+            return memo[node]
+        if isinstance(node, ex.Const):
+            v = node.value * unit
+        elif isinstance(node, ex.Var):
+            v = pts[:, node.index - 1]
+        elif isinstance(node, ex.Add):
+            v = ev(node.left) + ev(node.right)
+        elif isinstance(node, ex.Sub):
+            v = ev(node.left) - ev(node.right)
+        elif isinstance(node, ex.Mul):
+            v = _products(A, ev(node.left), ev(node.right))
+        elif isinstance(node, ex.IntPow):
+            base, v = ev(node.base), unit
+            for _ in range(node.exponent):
+                v = _products(A, v, base)
+        elif isinstance(node, ex.Div):
+            num, den = ev(node.left), ev(node.right)
+            v = _products(A, num, _series_apply(A, _derivatives(node, den, info.nu), den))
+        elif isinstance(node, (ex.Sin, ex.Cos, ex.Exp, ex.Log)):
+            u = ev(node.arg)
+            v = _series_apply(A, _derivatives(node, u, info.nu), u)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        memo[node] = v
+        return v
+
+    with np.errstate(all="ignore"):
+        return _finite(ev(e), "the series evaluation").reshape(lead + (A.n,))
 
 
 # -- numerical differentiability check -------------------------------------------
@@ -183,35 +221,31 @@ def adiff_defect(F: Callable[[np.ndarray], np.ndarray], X: APoint,
                  A: StructureConstants, h: float = DEFAULT_STEP) -> float:
     """Worst commutator norm between Jacobian blocks and multiplications.
 
-    ``F`` maps a slot-major flat vector of length n*m to n reals. The central
-    difference Jacobian is split into m blocks of shape n x n; the defect is
+    ``F`` maps a stack of slot-major flat vectors, shape (P, n*m), to values
+    of shape (P, n). It is called once, on the 2*n*m central-difference
+    points. The Jacobian is split into m blocks of shape n x n; the defect is
     the largest absolute entry of ``J_j L_i - L_i J_j`` over all slots j and
     basis multiplication operators L_i. Zero defect (up to discretization)
     characterizes differentiability over A.
     """
-    n = A.n
     x0 = X.flatten()
-    dim = x0.size
-    J = np.empty((n, dim))
-    for col in range(dim):
-        step = np.zeros(dim)
-        step[col] = h
-        J[:, col] = (np.asarray(F(x0 + step)) - np.asarray(F(x0 - step))) / (2 * h)
+    steps = h * np.eye(x0.size)
+    # rows x0 + h e_0, x0 - h e_0, x0 + h e_1, ...
+    points = np.stack([x0 + steps, x0 - steps], axis=1).reshape(-1, x0.size)
+    values = np.asarray(F(points))
+    with np.errstate(all="ignore"):
+        J = _finite((values[0::2] - values[1::2]).T / (2 * h), "the Jacobian")
+    blocks = J.reshape(A.n, X.m, A.n).transpose(1, 0, 2)[:, None]
     mats = A.basis_mult_matrices()
-    worst = 0.0
-    for j in range(X.m):
-        block = J[:, j * n:(j + 1) * n]
-        for L in mats:
-            worst = max(worst, float(np.abs(block @ L - L @ block).max()))
-    return worst
+    return float(np.abs(blocks @ mats - mats @ blocks).max())
 
 
 def lift_map(e: ex.Expr, A: StructureConstants,
              info: StandardBasisInfo) -> Callable[[np.ndarray], np.ndarray]:
-    """The lifted expression as a map on slot-major flat coordinates."""
+    """The lifted expression as a map on stacks of slot-major flat coordinates."""
 
     def F(flat: np.ndarray) -> np.ndarray:
-        return lift_eval(e, APoint.from_flat(flat, A.n), A, info)
+        return lift_eval(e, np.reshape(flat, np.shape(flat)[:-1] + (-1, A.n)), A, info)
 
     return F
 
@@ -226,9 +260,8 @@ def e1_component_residual(e: ex.Expr, X: APoint, A: StructureConstants,
     """
     lifted = taylor_lift(e, X, A, info)
     x = X.real_parts()
-    first_order = 0.0
-    for j in range(X.m):
-        first_order += ex.eval_real(ex.diff(e, j + 1), x) * X.components[j, 1]
+    first_order = sum(ex.eval_real(ex.diff(e, j + 1), x) * X.components[j, 1]
+                      for j in range(X.m))
     return abs(float(lifted[1]) - first_order)
 
 
@@ -265,6 +298,9 @@ def parse_element(text: str, A: StructureConstants) -> Element:
         if i >= len(tokens) or not tokens[i].group("num"):
             raise AlgebraFormatError(f"expected a number in {text!r}")
         value = sign * float(tokens[i].group("num"))
+        if not math.isfinite(value):
+            raise AlgebraFormatError(
+                f"coefficient {tokens[i].group('num')} is not a finite number in {text!r}")
         i += 1
         if i < len(tokens) and tokens[i].group("name"):
             out[A.index_of(tokens[i].group("name"))] += value

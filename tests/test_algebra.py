@@ -13,9 +13,7 @@ from localalg.algebra import (
     StructureConstants,
     from_spec,
     graded_multiindices,
-    invert,
     mul,
-    nilpotency_index,
     preset,
     radical_basis,
     radical_filtration,
@@ -31,8 +29,10 @@ from localalg.errors import AlgebraFormatError, NonUnitError, SpanFailure
 from util import (
     PRESETS,
     changed_radical_basis,
+    invert,
     monomial_quotient,
     mult_matrix,
+    nilpotency_index,
     poly_mul_trunc,
     r_plus_r,
 )

@@ -7,9 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from localalg.cli import build_parser, main
+import numpy as np
+import sympy
+from numpy.testing import assert_allclose
 
-from util import FORMS_LADDER
+from localalg.algebra import preset
+from localalg.cli import build_parser, main
+from localalg.expr import CORPUS, CORPUS_VARS
+from localalg.lift import format_element, parse_element
+
+from util import FORMS_LADDER, unit_safe_point
 
 CMD = [sys.executable, "-m", "localalg"]
 
@@ -167,17 +174,49 @@ def test_torus_argument_out_of_range_exit3(args):
 
 @pytest.mark.parametrize("args", [
     ("lift", "--preset", "dual", "--expr", "exp(x1)^1000", "--at", "1 + 1 e1"),
-    # the quotient rule nests the denominator to (1+x1^2)^(2^10) at order 11
-    ("lift", "--preset", "trunc:12", "--expr", "1/(1+x1^2)", "--at", "0.9 + 1 e1"),
     # check runs lift_eval first, whose exp series overflows at exp(7) = 1096.6
     ("check", "--preset", "dual", "--expr", "exp(exp(x1))", "--at", "7 + 1 e1"),
-], ids=("intpow", "quotient-rule", "series-exp"))
+], ids=("intpow", "series-exp"))
 def test_float_overflow_exit3(args):
     proc = run(*args)
     assert proc.returncode == 3
     assert proc.stdout.startswith("ERROR ")
     assert "leaves the float range" in proc.stdout
     assert "Traceback" not in proc.stderr
+
+
+def test_quotient_rule_lift_is_finite():
+    # the order-11 derivative of 1/(1+x1^2) is finite: a quotient rule that
+    # squared the denominator overflowed at (1+x1^2)^(2^10)
+    proc = run("lift", "--preset", "trunc:12", "--expr", "1/(1+x1^2)",
+               "--at", "0.9 + 1 e1")
+    assert proc.returncode == 0, proc.stdout
+    A = preset("trunc:12")
+    lines = proc.stdout.splitlines()
+    lifted = parse_element(lines[0].removeprefix("TAYLOR "), A)
+    scale = np.abs(lifted).max()
+    assert float(lines[3].removeprefix("DIFF=")) <= 1e-10 * scale
+    # X = x + c e1 on R[t]/(t^12): the e_k coefficient is [t^k] g(x + c t)
+    t = sympy.Symbol("t")
+    series = sympy.series(1 / (1 + (sympy.Rational(0.9) + t) ** 2), t, 0, 12).removeO()
+    expected = [float(sympy.N(series.coeff(t, k), 30)) for k in range(12)]
+    assert_allclose(lifted, expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("command,expr,at,message", [
+    ("lift", "x1", "1e400", "coefficient 1e400 is not a finite number"),
+    ("check", "x1", "1e400", "coefficient 1e400 is not a finite number"),
+    ("lift", "x1*x1", "1e200", "leaves the float range"),
+    ("check", "x1*x1", "1e200", "leaves the float range"),
+    ("lift", "log(x1)", "1e-320", "leaves the float range"),
+])
+def test_non_finite_lift_exit3(command, expr, at, message):
+    # each printed inf or nan and exited 0; check's max() dropped the NaN
+    proc = run(command, "--preset", "dual", "--expr", expr, "--at", at)
+    assert proc.returncode == 3
+    assert proc.stdout.startswith("ERROR ") and message in proc.stdout
+    assert "nan" not in proc.stdout and "inf " not in proc.stdout
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("command,extra,code", [
@@ -371,3 +410,51 @@ def test_forms_preset_reports_match_golden(capsys):
         else:
             assert g.startswith(prefix), (g, w)
             assert 0.0 <= float(g[len(prefix):]) <= 1e-12, g
+
+
+LIFT_GOLDEN = Path(__file__).parent / "golden" / "lift_presets.txt"
+# lines whose floats may move on expressions with '/' or 'log': their series
+# went from invert's geometric series and the v^2 quotient rule to the 1/x
+# derivative series and the (u' - (u/v) v') / v rule
+SERIES_LINES = ("TAYLOR ", "EVAL ", "DIFF=", "DEFECT=", "CHECK adiff_defect ")
+
+
+def lift_golden_runs():
+    """argv of every run in tests/golden/lift_presets.txt, seeded points."""
+    rng = np.random.default_rng(2026)
+    for name in ("dual", "trunc:3", "trunc:6", "square:2"):
+        A = preset(name)
+        for text in CORPUS:
+            at = "; ".join(format_element(row, A)
+                           for row in unit_safe_point(rng, CORPUS_VARS, A.n))
+            for command in ("lift", "check"):
+                yield [command, "--preset", name, "--expr", text, "--at", at]
+
+
+def test_lift_preset_reports_match_golden(capsys):
+    # the golden file holds the reports of the single-point lift_eval with
+    # invert's series and the v^2 quotient rule; only the series lines of
+    # expressions with '/' or 'log' may move, and only by round-off
+    got = ""
+    for argv in lift_golden_runs():
+        code = main(argv)
+        got += f"# {' '.join(argv)}\n{capsys.readouterr().out}# exit {code}\n"
+    want = LIFT_GOLDEN.read_text(encoding="utf-8").splitlines()
+    got = got.splitlines()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w.startswith("# ") and not w.startswith("# exit"):
+            text = w.split(" --expr ")[1].split(" --at ")[0]
+            A = preset(w.split(" --preset ")[1].split()[0])
+        prefix = next((p for p in SERIES_LINES if w.startswith(p)), None)
+        if prefix is None or not ("/" in text or "log" in text):
+            assert g == w
+        elif prefix in ("TAYLOR ", "EVAL "):
+            a, b = (parse_element(x.removeprefix(prefix), A) for x in (g, w))
+            assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max(), err_msg=text)
+        elif prefix == "CHECK adiff_defect ":
+            assert g.split()[2] == w.split()[2], (g, w)
+        else:
+            assert g.startswith(prefix), (g, w)
+            bound = 1e-13 if prefix == "DIFF=" else 1e-8
+            assert 0.0 <= float(g.removeprefix(prefix)) <= bound, (text, g)

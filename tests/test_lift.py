@@ -23,7 +23,14 @@ from localalg.lift import (
     taylor_lift,
 )
 
-from util import PRESETS, radical_negation_map, reference_taylor_lift, unit_safe_point
+from util import (
+    PRESETS,
+    invert,
+    radical_negation_map,
+    reference_adiff_defect,
+    reference_taylor_lift,
+    unit_safe_point,
+)
 
 STD = {name: standardize(preset(name)) for name in PRESETS}
 
@@ -92,6 +99,21 @@ def test_lift_eval_series_overflow_is_a_domain_error():
         lift_eval(parse("cos(x1)", 1), APoint([[np.inf, 1.0]]), A, info)
 
 
+def test_non_finite_results_are_domain_errors():
+    # products overflow without an exception: each route tests its result
+    A, info = STD["dual"]
+    X = APoint([[1e200, 0.0]])
+    with pytest.raises(DomainError, match="the Taylor lift leaves the float range"):
+        taylor_lift(parse("x1 * x1", 1), X, A, info)
+    with pytest.raises(DomainError, match="the series evaluation leaves the float range"):
+        lift_eval(parse("x1 * x1", 1), X, A, info)
+    # finite values whose central differences overflow: 1e308 at the points
+    # x0 + h e_col (even rows) and -1e308 at x0 - h e_col (odd rows)
+    F = lambda flat: np.where(np.arange(len(flat)) % 2, -1e308, 1e308)[:, None] * A.unit()  # noqa: E731
+    with pytest.raises(DomainError, match="the Jacobian leaves the float range"):
+        adiff_defect(F, X, A)
+
+
 def test_lift_eval_division_requires_unit():
     A, info = STD["dual"]
     with pytest.raises(NonUnitError):
@@ -131,6 +153,88 @@ def test_routes_agree_property(name, idx, seed):
     t = taylor_lift(e, X, A, info)
     v = lift_eval(e, X, A, info)
     assert np.abs(t - v).max() <= 1e-9 * (1 + float(np.abs(t).max()))
+
+
+# -- the batched series evaluation ---------------------------------------------------
+
+
+BATCH_PRESETS = ("dual", "trunc:3", "trunc:6", "square:2")
+BATCH_STD = {name: standardize(preset(name)) for name in BATCH_PRESETS}
+
+
+@pytest.mark.parametrize("name", BATCH_PRESETS)
+def test_stack_rows_are_single_point_evaluations(name):
+    A, info = BATCH_STD[name]
+    rng = np.random.default_rng(15)
+    stack = np.stack([unit_safe_point(rng, CORPUS_VARS, A.n) for _ in range(6)])
+    for text in CORPUS:
+        e = parse(text, CORPUS_VARS)
+        rows = lift_eval(e, stack, A, info)
+        nested = lift_eval(e, stack.reshape(2, 3, CORPUS_VARS, A.n), A, info)
+        assert rows.shape == (6, A.n) and nested.shape == (2, 3, A.n)
+        for X, row in zip(stack, rows):
+            single = lift_eval(e, APoint(X), A, info)
+            assert np.array_equal(row.view(np.int64), single.view(np.int64)), text
+        assert np.array_equal(nested.reshape(6, A.n), rows)
+
+
+@pytest.mark.parametrize("text", ["sin(x1)", "cos(x1)", "exp(x1)", "log(x1)"])
+def test_primitive_values_are_bitwise_eval_real(text):
+    # the series values come from math, as eval_real's do: numpy's vector
+    # kernels may round differently and would move the lift reports
+    A, info = BATCH_STD["trunc:3"]
+    e = parse(text, 1)
+    stack = np.zeros((20000, 1, A.n))
+    stack[:, 0, 0] = np.random.default_rng(18).uniform(1e-3, 10.0, len(stack))
+    got = lift_eval(e, stack, A, info)[:, 0]
+    want = np.array([eval_real(e, X[:, 0]) for X in stack])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("name", BATCH_PRESETS)
+def test_series_division_is_the_inverse_times_the_numerator(name):
+    # oracle: invert's geometric series, then one product
+    A, info = BATCH_STD[name]
+    rng = np.random.default_rng(16)
+    e = parse("x1 / x2", 2)
+    for _ in range(10):
+        u, v = unit_safe_point(rng, 2, A.n)
+        v[0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
+        want = mul(A, u, invert(A, v, info.nu))
+        got = lift_eval(e, APoint([u, v]), A, info)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_series_division_refuses_non_units_at_the_inverse_threshold():
+    A, info = STD["trunc:3"]
+    e = parse("1 / x1", 1)
+    for factor in (0.5, 0.999, 1.001, 2.0):
+        v = np.array([0.0, 0.8, -0.3])
+        v[0] = factor * 1e-9 * (1.0 + np.linalg.norm(v))
+        refused = []
+        # the oracle, the point alone, and the point in a stack behind a unit
+        for inverse in (lambda: invert(A, v, info.nu),
+                        lambda: lift_eval(e, APoint([v]), A, info),
+                        lambda: lift_eval(e, np.array([[A.unit()], [v]]), A, info)):
+            try:
+                inverse()
+                refused.append(False)
+            except NonUnitError:
+                refused.append(True)
+        assert refused == [factor < 1.0] * 3, factor
+
+
+def test_adiff_defect_is_the_column_loop_reference():
+    rng = np.random.default_rng(17)
+    for name in BATCH_PRESETS:
+        A, info = BATCH_STD[name]
+        for text in CORPUS:
+            X = APoint(unit_safe_point(rng, CORPUS_VARS, A.n))
+            F = lift_map(parse(text, CORPUS_VARS), A, info)
+            assert adiff_defect(F, X, A) == reference_adiff_defect(F, X, A), (name, text)
+        X = APoint(rng.uniform(-2, 2, size=(1, A.n)))
+        F = radical_negation_map(A)
+        assert adiff_defect(F, X, A) == reference_adiff_defect(F, X, A)
 
 
 # -- the memoized Taylor lift against its oracles ---------------------------------------
@@ -262,7 +366,7 @@ def test_lifts_have_small_defect():
 
 def test_constant_map_zero_defect():
     A, _ = STD["trunc:3"]
-    F = lambda flat: np.array([1.0, 2.0, 3.0])  # noqa: E731
+    F = lambda flat: np.tile([1.0, 2.0, 3.0], (len(flat), 1))  # noqa: E731
     assert adiff_defect(F, APoint([[0.1, 0.2, 0.3]]), A) == 0.0
 
 

@@ -14,7 +14,8 @@ from localalg.algebra import (
     radical_basis,
     radical_part,
 )
-from localalg.errors import DomainError, SpanFailure
+from localalg.errors import DomainError, NonUnitError, SpanFailure
+from localalg.lift import UNIT_THRESHOLD
 from localalg.report import Report
 from localalg.torus import TIE_RTOL
 
@@ -91,27 +92,82 @@ def unit_safe_point(rng, m, n, real_scale=0.8, rad_scale=0.9):
 
 
 def torus_value_map(coeffs, cfg, trig):
-    """A trig-coefficient function as a slot-major flat map, for defect checks."""
+    """A trig-coefficient function as a map on stacks of slot-major flat
+    points, (P, m*n) -> (P, n), for defect checks."""
     n, m = cfg.n, cfg.m
     B = trig.size
     U = np.asarray(coeffs, dtype=float).reshape(n, B)
 
     def F(flat):
-        theta = np.asarray(flat, dtype=float).reshape(m, n).T.reshape(1, -1)
-        return trig.values(theta)[0] @ U.T
+        theta = np.asarray(flat, dtype=float).reshape(-1, m, n).transpose(0, 2, 1)
+        return trig.values(theta.reshape(len(theta), -1)) @ U.T
 
     return F
 
 
 def radical_negation_map(A: StructureConstants):
-    """Map negating all radical coordinates of the first slot (a non-example)."""
+    """Map negating all radical coordinates of the first slot (a non-example),
+    on stacks of slot-major flat points."""
 
     def F(flat):
-        out = -np.asarray(flat[: A.n], dtype=float)
-        out[0] = flat[0]
+        out = -np.asarray(flat, dtype=float)[:, : A.n]
+        out[:, 0] = flat[:, 0]
         return out
 
     return F
+
+
+def invert(A: StructureConstants, a, nu: int | None = None):
+    """Inverse of a unit ``a = c + r`` (r nilpotent) via the geometric series.
+
+    Requires coordinates in which the non-unit basis directions are nilpotent
+    (any standard basis qualifies); then c is the real part ``a[0]``.
+    """
+    a = A.element(a)
+    c = a[0]
+    if abs(c) <= UNIT_THRESHOLD * (1.0 + float(np.linalg.norm(a))):
+        raise NonUnitError(f"real part {c} is numerically zero")
+    terms = nu if nu is not None else A.n
+    x = -a / c
+    x[0] = 0.0  # x = -r/c
+    out = A.unit()
+    power = A.unit()
+    for _ in range(1, terms):
+        power = mul(A, power, x)
+        out = out + power
+    return out / c
+
+
+def nilpotency_index(A: StructureConstants, a, tol: float = 1e-10) -> int | None:
+    """Least S <= n with a^S = 0 within tolerance, or None."""
+    a = A.element(a)
+    scale = max(1.0, float(np.linalg.norm(a)))
+    power = a.copy()
+    for S in range(1, A.n + 1):
+        if np.abs(power).max() <= tol * scale**S:
+            return S
+        power = mul(A, power, a)
+    return None
+
+
+def reference_adiff_defect(F, X, A, h=1e-5):
+    """The differentiability defect with one central difference per column:
+    ``F`` is called on one point at a time and the commutator of every
+    Jacobian block with every basis multiplication is formed separately."""
+    n = A.n
+    x0 = X.flatten()
+    dim = x0.size
+    J = np.empty((n, dim))
+    for col in range(dim):
+        step = np.zeros(dim)
+        step[col] = h
+        J[:, col] = (F((x0 + step)[None])[0] - F((x0 - step)[None])[0]) / (2 * h)
+    worst = 0.0
+    for j in range(X.m):
+        block = J[:, j * n:(j + 1) * n]
+        for L in A.basis_mult_matrices():
+            worst = max(worst, float(np.abs(block @ L - L @ block).max()))
+    return worst
 
 
 def constant_function_vectors(cfg, trig):
@@ -365,9 +421,8 @@ def reference_diff(e, j):
         return ex.add(ex.mul(reference_diff(e.left, j), e.right),
                       ex.mul(e.left, reference_diff(e.right, j)))
     if isinstance(e, ex.Div):
-        num = ex.sub(ex.mul(reference_diff(e.left, j), e.right),
-                     ex.mul(e.left, reference_diff(e.right, j)))
-        return ex.div(num, ex.intpow(e.right, 2))
+        return ex.div(ex.sub(reference_diff(e.left, j), ex.mul(e, reference_diff(e.right, j))),
+                      e.right)
     if isinstance(e, ex.IntPow):
         if e.exponent == 0:
             return ex.Const(0.0)
