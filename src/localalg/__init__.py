@@ -10,7 +10,6 @@ from .algebra import (
     radical_basis,
     radical_filtration,
     radical_part,
-    real_part,
     socle_basis,
     standard_basis,
     standardize,

@@ -69,11 +69,6 @@ class StructureConstants:
         u[0] = 1.0
         return u
 
-    def basis_element(self, i: int) -> Element:
-        e = np.zeros(self.n)
-        e[i] = 1.0
-        return e
-
     # -- multiplication operators -------------------------------------------
 
     def basis_mult_matrices(self) -> np.ndarray:
@@ -235,17 +230,22 @@ def validate_algebra(A: StructureConstants, tol: float = 1e-9) -> list[Violation
     an empty list means the tensor describes a valid local algebra. Raises
     AlgebraFormatError when the associativity products or the trace form
     overflow, since no deviation can then be measured.
+    Associativity takes two GEMMs of (n^2, n) by (n, n^2) unfoldings of C:
+    (e_i e_j) e_k at [i, j, k, m], minus e_i (e_j e_k) made at [j, k, i, m].
     """
-    C = A.C
+    C, n = A.C, A.n
     with np.errstate(over="ignore", invalid="ignore"):
-        assoc = np.einsum("ijl,lkm->ijkm", C, C) - np.einsum("jkl,ilm->ijkm", C, C)
+        assoc = (C.reshape(n * n, n) @ C.reshape(n, n * n)).reshape((n,) * 4)
+        right = C.reshape(n * n, n) @ np.swapaxes(C, 0, 1).reshape(n, n * n)
+        np.subtract(assoc, right.reshape((n,) * 4).transpose(2, 0, 1, 3), out=assoc)
+        del right  # in place: no third n^4 array
         gram = trace_gram_matrix(A)
     if not np.all(np.isfinite(assoc)):
         raise AlgebraFormatError("products of the structure constants leave the float range")
     out: list[Violation] = []
     for axiom, deviation, head in (("commutativity", C - np.swapaxes(C, 0, 1), ()),
                                    ("associativity", assoc, ()),
-                                   ("unit", C[0] - np.eye(A.n), (0,))):
+                                   ("unit", C[0] - np.eye(n), (0,))):
         worst = np.abs(deviation)
         if worst.max() > tol:
             where = np.unravel_index(np.argmax(worst), worst.shape)
@@ -256,8 +256,8 @@ def validate_algebra(A: StructureConstants, tol: float = 1e-9) -> list[Violation
         if not np.all(np.isfinite(gram)):
             raise AlgebraFormatError("the trace form of the algebra leaves the float range")
         rad_dim = radical_basis(A).shape[0]
-        if rad_dim != A.n - 1:
-            out.append(Violation("locality", (rad_dim,), float(A.n - 1 - rad_dim)))
+        if rad_dim != n - 1:
+            out.append(Violation("locality", (rad_dim,), float(n - 1 - rad_dim)))
     return out
 
 
@@ -269,11 +269,6 @@ def mul(A: StructureConstants, a: Element, b: Element) -> Element:
     a = A.element(a)
     b = A.element(b)
     return np.einsum("i,j,ijk->k", a, b, A.C)
-
-
-def real_part(a: Element) -> float:
-    """Coefficient of the unit (standard basis coordinates)."""
-    return float(a[0])
 
 
 def radical_part(a: Element) -> Element:
@@ -302,7 +297,7 @@ def radical_basis(A: StructureConstants, tol: float = linalg.RANK_TOL) -> np.nda
 
 
 def radical_filtration(
-    A: StructureConstants, tol: float = linalg.RANK_TOL
+    A: StructureConstants, tol: float = linalg.RANK_TOL, rad: np.ndarray | None = None
 ) -> tuple[list[np.ndarray], int | None]:
     """Descending chain rad >= rad^2 >= ... >= 0 and the nilpotency index.
 
@@ -311,9 +306,9 @@ def radical_filtration(
     the chain stalls (non-nilpotent radical, i.e. invalid input). Each power
     takes one contraction with the radical's multiplication maps. Ranks are
     measured against the norm of the structure constants, so a power whose
-    products are only round-off is zero.
+    products are only round-off is zero. ``rad`` defaults to ``radical_basis``.
     """
-    rad = radical_basis(A, tol)
+    rad = radical_basis(A, tol) if rad is None else rad
     scale = float(np.linalg.norm(A.C))
     rad_maps = np.einsum("vj,ijk->ivk", rad, A.C)  # x -> x * rad[v], stacked
     chain = [rad]
@@ -373,10 +368,6 @@ class StandardBasisInfo:
     def n(self) -> int:
         return self.P.shape[0]
 
-    @property
-    def r(self) -> int:
-        return len(self.pseudobasis)
-
     def breve_indices(self) -> tuple[int, ...]:
         """Standard radical indices that are not in the socle."""
         return tuple(k for k in range(1, self.n) if k not in self.socle)
@@ -396,12 +387,12 @@ def standard_basis(A: StructureConstants,
     u * g_t for every t, vanishes. SpanFailure signals a radical that is not
     nilpotent or not n-1 dimensional, monomials that never span it, or socle
     monomials not as many as ``socle_basis`` finds: monomials in generic
-    generators need not be adapted to the socle.
+    generators need not be adapted to the socle. The trace-form radical is
+    computed once and shared by the filtration and that socle guard.
     """
-    chain, nu = radical_filtration(A, tol)
+    chain, nu = radical_filtration(A, tol, rad := radical_basis(A, tol))
     if nu is None:
         raise SpanFailure("radical is not nilpotent; input is not a local algebra")
-    rad = chain[0]
     rad2 = chain[1] if len(chain) > 1 else np.zeros((0, A.n))
     if rad.shape[0] != A.n - 1:
         raise SpanFailure(
@@ -447,7 +438,7 @@ def standard_basis(A: StructureConstants,
             break
     if len(selected) != A.n - 1:
         raise SpanFailure("pseudobasis monomials do not span the radical")
-    if len(socle) != socle_basis(A, tol=tol).shape[0]:
+    if len(socle) != socle_basis(A, tol, rad).shape[0]:
         raise SpanFailure("standard basis monomials do not span the socle")
 
     return StandardBasisInfo(
@@ -473,19 +464,17 @@ def standardize(
     return StructureConstants(A.n, _default_labels(A.n), C), info
 
 
-def socle_basis(
-    A: StructureConstants,
-    info: StandardBasisInfo | None = None,
-    tol: float = linalg.RANK_TOL,
-) -> np.ndarray:
+def socle_basis(A: StructureConstants, tol: float = linalg.RANK_TOL,
+                rad: np.ndarray | None = None) -> np.ndarray:
     """Orthonormal basis (rows) of {x in rad : x * rad = 0}.
 
     Solved in radical coordinates, x = y @ rad with y in the kernel of the
     stacked maps y -> (y @ rad) * e over the radical basis vectors e, each
     column divided by its term size ``|| |rad_a| |C| |rad| ||``, which bounds
     its round-off: small products count next to large ones, round-off not.
+    ``rad`` is ``radical_basis(A, tol)``, computed when not given.
     """
-    rad = radical_basis(A, tol)
+    rad = radical_basis(A, tol) if rad is None else rad
     if rad.shape[0] == 0:
         return np.zeros((0, A.n))
     r, n = rad.shape

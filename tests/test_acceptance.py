@@ -44,6 +44,7 @@ from localalg.forms import (
 
 from util import (
     PRESETS,
+    basis_element,
     mult_matrix,
     radical_negation_map,
     socle_embedding_vector,
@@ -107,7 +108,7 @@ def test_criterion_1_algebra_structure():
         soc = socle_basis(A)
         # brute-force annihilator kernel: x * e_l = 0 for every non-unit l,
         # plus membership in the radical
-        rows = [mult_matrix(A, A.basis_element(l)) for l in range(1, A.n)]
+        rows = [mult_matrix(A, basis_element(A, l)) for l in range(1, A.n)]
         rows.append(np.eye(A.n)[:1])
         brute = nullspace_rows(np.vstack(rows), 1e-10)
         ok &= brute.shape[0] == soc.shape[0]

@@ -18,7 +18,6 @@ from localalg.algebra import (
     radical_basis,
     radical_filtration,
     radical_part,
-    real_part,
     socle_basis,
     standard_basis,
     standardize,
@@ -28,6 +27,7 @@ from localalg.errors import AlgebraFormatError, NonUnitError, SpanFailure
 
 from util import (
     PRESETS,
+    basis_element,
     changed_radical_basis,
     invert,
     monomial_quotient,
@@ -35,6 +35,10 @@ from util import (
     nilpotency_index,
     poly_mul_trunc,
     r_plus_r,
+    real_part,
+    reference_associativity,
+    reference_violations,
+    staircase_quotients,
 )
 
 
@@ -76,18 +80,60 @@ def test_unit_axiom_checked():
     assert "unit" in {v.axiom for v in validate_algebra(bad)}
 
 
+ALL_PRESETS = (["dual"] + [f"trunc:{k}" for k in range(1, 10)]
+               + [f"square:{r}" for r in range(1, 5)])
+
+
+def _perturbed(A, seed, commutative):
+    """A plus seeded noise on the products of radical basis vectors, the unit
+    row untouched; symmetric noise keeps A commutative but not associative."""
+    rng = np.random.default_rng(seed)
+    noise = 10.0 ** rng.uniform(-6, 0) * rng.standard_normal((A.n - 1, A.n - 1, A.n))
+    C = A.C.copy()
+    C[1:, 1:] += noise + noise.transpose(1, 0, 2) if commutative else noise
+    return StructureConstants(A.n, A.labels, C)
+
+
+@pytest.mark.parametrize("A", [preset(name) for name in ALL_PRESETS] + staircase_quotients(),
+                         ids=ALL_PRESETS + [f"staircase{i}" for i in range(12)])
+def test_associativity_by_gemm_matches_the_einsum_oracle(A):
+    cases = [(A, False)] + [(_perturbed(A, seed, commutative), commutative)
+                            for seed in range(5) for commutative in (False, True)]
+    for B, commutative in cases:
+        got, expected = validate_algebra(B), reference_violations(B)
+        assert [v.axiom for v in got] == [v.axiom for v in expected]
+        # the deviation is a difference of sums of products: its round-off
+        # is relative to the largest such sum, not to the deviation
+        absC = np.abs(B.C).reshape(B.n * B.n, B.n)
+        term = float((absC @ absC.reshape(B.n, -1)).max())
+        assoc = np.abs(reference_associativity(B.C))
+        for v, w in zip(got, expected):
+            if v.axiom != "associativity":
+                assert v == w
+                continue
+            assert abs(v.detail - w.detail) <= 1e-15 * term
+            # commutative deviations tie exactly in exact arithmetic, e.g. at
+            # [i, j, k, m] and [k, j, i, m]; rounding may pick either witness
+            if commutative:
+                assert assoc[v.where] >= w.detail - 2e-15 * term
+            else:
+                assert v.where == w.where
+        # in dimension 2, with the unit row intact, every table is associative
+        assert B is A or B.n < 3 or "associativity" in {v.axiom for v in got}
+
+
 # -- multiplication ----------------------------------------------------------------
 
 
 def test_mul_dual_eps_squared_zero():
     A = preset("dual")
-    eps = A.basis_element(1)
+    eps = basis_element(A, 1)
     assert_allclose(mul(A, eps, eps), [0.0, 0.0])
 
 
 def test_mul_trunc3_defining_relation():
     A = preset("trunc:3")
-    eps = A.basis_element(1)
+    eps = basis_element(A, 1)
     assert_allclose(mul(A, eps, eps), [0.0, 0.0, 1.0])
 
 
@@ -165,7 +211,7 @@ def test_invert_roundtrip_random_units(name, seed):
 
 def test_nilpotency_examples():
     A = preset("dual")
-    assert nilpotency_index(A, A.basis_element(1)) == 2
+    assert nilpotency_index(A, basis_element(A, 1)) == 2
     assert nilpotency_index(A, A.unit()) is None
 
     A3 = preset("trunc:3")
@@ -264,13 +310,13 @@ def test_monomial_reconstruction():
     for name in PRESETS:
         A = preset(name)
         A_std, info = standardize(A)
-        pseudo = [A_std.basis_element(k) for k in info.pseudobasis]
+        pseudo = [basis_element(A_std, k) for k in info.pseudobasis]
         for k, exps in info.monomial.items():
             vec = A_std.unit()
             for t, power in enumerate(exps):
                 for _ in range(power):
                     vec = mul(A_std, vec, pseudo[t])
-            assert np.abs(vec - A_std.basis_element(k)).max() <= 1e-10
+            assert np.abs(vec - basis_element(A_std, k)).max() <= 1e-10
 
 
 def test_two_generator_nilpotent_spec_file():
@@ -287,7 +333,7 @@ mul xy xy = 0
     A = from_spec(text)
     assert validate_algebra(A) == []
     info = standard_basis(A)
-    assert info.r == 2
+    assert len(info.pseudobasis) == 2
     assert info.nu == 3
     assert sorted(info.monomial.values()) == [(0, 1), (1, 0), (1, 1)]
     assert len(info.socle) == 1
@@ -406,7 +452,7 @@ def test_spec_file_coefficients():
         "algebra n=3\nbasis 1 a b\nmul a a = 2*b\nmul a b = 0\nmul b b = 0\n"
     )
     assert validate_algebra(A) == []
-    assert_allclose(mul(A, A.basis_element(1), A.basis_element(1)),
+    assert_allclose(mul(A, basis_element(A, 1), basis_element(A, 1)),
                     [0.0, 0.0, 2.0])
 
 

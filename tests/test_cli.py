@@ -203,6 +203,21 @@ def test_quotient_rule_lift_is_finite():
     assert_allclose(lifted, expected, rtol=1e-12, atol=1e-12 * scale)
 
 
+def test_check_names_the_step_when_only_the_stencil_leaves_the_domain():
+    # x0 = 5e-6 is inside the domain of log, x0 - h = -5e-6 is not
+    near = ("--preset", "dual", "--expr", "log(x1)", "--at", "5e-6 + 1 e1")
+    assert run("lift", *near).returncode == 0
+    proc = run("check", *near)
+    assert proc.returncode == 3
+    assert proc.stdout == ("ERROR central-difference points x0 ± 1e-05 leave the domain: "
+                           "log of non-positive real part -5e-06\n")
+    assert proc.stderr == ""
+    # a point outside the domain is named itself
+    proc = run("check", "--preset", "dual", "--expr", "log(x1)", "--at", "-1")
+    assert proc.returncode == 3
+    assert proc.stdout == "ERROR log of non-positive real part -1.0\n"
+
+
 @pytest.mark.parametrize("command,expr,at,message", [
     ("lift", "x1", "1e400", "coefficient 1e400 is not a finite number"),
     ("check", "x1", "1e400", "coefficient 1e400 is not a finite number"),

@@ -10,22 +10,15 @@ from localalg.algebra import preset, standard_basis, standardize
 
 from util import (
     changed_radical_basis,
-    monomial_quotient,
     reference_standard_basis,
     reference_standardize_tensor,
-    staircase_cells,
+    staircase_quotients,
 )
 
 ORACLE_PRESETS = [f"trunc:{k}" for k in range(2, 10)] + [f"square:{r}" for r in range(2, 5)]
 
 
-def _staircases():
-    rng = np.random.default_rng(20)
-    return [monomial_quotient(staircase_cells(rng, n))
-            for n in (4, 6, 9, 12, 16, 20) for _ in range(2)]
-
-
-STAIRCASES = _staircases()
+STAIRCASES = staircase_quotients()
 
 
 def _same_scan(info, ref):
@@ -74,9 +67,24 @@ def test_standardize_makes_no_mul_calls(monkeypatch):
     assert calls == []
 
 
+def test_standard_basis_takes_one_trace_form_radical(monkeypatch):
+    calls = []
+    real_radical_basis = algebra.radical_basis
+
+    def counting_radical_basis(*args):
+        calls.append(args)
+        return real_radical_basis(*args)
+
+    monkeypatch.setattr(algebra, "radical_basis", counting_radical_basis)
+    for A in [preset("dual"), preset("trunc:6"), preset("square:3")] + STAIRCASES:
+        calls.clear()
+        standard_basis(A)
+        assert len(calls) == 1
+
+
 def test_staircases_cover_several_shapes():
     # two generators each (the trunc presets have one), socles of several sizes
     infos = [standard_basis(A) for A in STAIRCASES]
-    assert {info.r for info in infos} == {2}
+    assert {len(info.pseudobasis) for info in infos} == {2}
     assert len({len(info.socle) for info in infos}) >= 3
     assert max(A.n for A in STAIRCASES) == 20

@@ -9,6 +9,7 @@ from localalg import linalg
 from localalg.algebra import (
     StandardBasisInfo,
     StructureConstants,
+    Violation,
     graded_multiindices,
     mul,
     radical_basis,
@@ -33,6 +34,52 @@ def r_plus_r() -> StructureConstants:
     C[1, 0, 1] = 1.0
     C[1, 1] = (0.0, 1.0)
     return StructureConstants(2, ("1", "u"), C)
+
+
+def basis_element(A: StructureConstants, i: int) -> np.ndarray:
+    """The i-th basis vector of A as an element."""
+    e = np.zeros(A.n)
+    e[i] = 1.0
+    return e
+
+
+def real_part(a) -> float:
+    """Coefficient of the unit (standard basis coordinates)."""
+    return float(a[0])
+
+
+def reference_associativity(C: np.ndarray) -> np.ndarray:
+    """(e_i e_j) e_k - e_i (e_j e_k) at [i, j, k, m], as two plain einsums."""
+    return np.einsum("ijl,lkm->ijkm", C, C) - np.einsum("jkl,ilm->ijkm", C, C)
+
+
+def reference_violations(A: StructureConstants, tol: float = 1e-9) -> list[Violation]:
+    """The axiom checks of ``validate_algebra`` with associativity by einsum;
+    no float-range guards."""
+    C = A.C
+    out = []
+    for axiom, deviation, head in (("commutativity", C - np.swapaxes(C, 0, 1), ()),
+                                   ("associativity", reference_associativity(C), ()),
+                                   ("unit", C[0] - np.eye(A.n), (0,))):
+        worst = np.abs(deviation)
+        if worst.max() > tol:
+            where = np.unravel_index(np.argmax(worst), worst.shape)
+            out.append(Violation(axiom, head + tuple(int(w) for w in where),
+                                 float(worst.max())))
+    if not out:
+        rad_dim = radical_basis(A).shape[0]
+        if rad_dim != A.n - 1:
+            out.append(Violation("locality", (rad_dim,), float(A.n - 1 - rad_dim)))
+    return out
+
+
+def reference_canonical_signs(rows) -> np.ndarray:
+    """Flip each row so its largest-magnitude entry is positive, row by row."""
+    rows = np.array(rows, dtype=float)
+    for row in rows:
+        if row.size and row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
+    return rows
 
 
 def mult_matrix(A: StructureConstants, a) -> np.ndarray:
@@ -60,6 +107,13 @@ def changed_radical_basis(A, seed):
     P[1:, 1:] = np.random.default_rng(seed).standard_normal((A.n - 1, A.n - 1))
     C = np.einsum("si,tj,stu,ku->ijk", P, P, A.C, np.linalg.inv(P))
     return StructureConstants(A.n, A.labels, C)
+
+
+def staircase_quotients(seed=20):
+    """Two seeded monomial quotients of each size 4, 6, 9, 12, 16 and 20."""
+    rng = np.random.default_rng(seed)
+    return [monomial_quotient(staircase_cells(rng, n))
+            for n in (4, 6, 9, 12, 16, 20) for _ in range(2)]
 
 
 def staircase_cells(rng, n):
@@ -538,7 +592,7 @@ def reference_radical_filtration(A, tol=linalg.RANK_TOL):
     return chain, len(chain)
 
 
-def reference_socle_basis(A, info=None, tol=linalg.RANK_TOL):
+def reference_socle_basis(A, tol=linalg.RANK_TOL):
     """Kernel of the stacked multiplication maps by a radical basis,
     intersected with the radical itself."""
     rad = radical_basis(A, tol)
