@@ -297,7 +297,7 @@ def radical_basis(A: StructureConstants, tol: float = linalg.RANK_TOL) -> np.nda
 
 
 def radical_filtration(
-    A: StructureConstants, tol: float = linalg.RANK_TOL, rad: np.ndarray | None = None
+    A: StructureConstants, tol: float = linalg.RANK_TOL
 ) -> tuple[list[np.ndarray], int | None]:
     """Descending chain rad >= rad^2 >= ... >= 0 and the nilpotency index.
 
@@ -306,9 +306,9 @@ def radical_filtration(
     the chain stalls (non-nilpotent radical, i.e. invalid input). Each power
     takes one contraction with the radical's multiplication maps. Ranks are
     measured against the norm of the structure constants, so a power whose
-    products are only round-off is zero. ``rad`` defaults to ``radical_basis``.
+    products are only round-off is zero.
     """
-    rad = radical_basis(A, tol) if rad is None else rad
+    rad = radical_basis(A, tol)
     scale = float(np.linalg.norm(A.C))
     rad_maps = np.einsum("vj,ijk->ivk", rad, A.C)  # x -> x * rad[v], stacked
     chain = [rad]
@@ -388,11 +388,12 @@ def standard_basis(A: StructureConstants,
     nilpotent or not n-1 dimensional, monomials that never span it, or socle
     monomials not as many as ``socle_basis`` finds: monomials in generic
     generators need not be adapted to the socle. The trace-form radical is
-    computed once and shared by the filtration and that socle guard.
+    computed once, by the filtration, and passed on to that socle guard.
     """
-    chain, nu = radical_filtration(A, tol, rad := radical_basis(A, tol))
+    chain, nu = radical_filtration(A, tol)
     if nu is None:
         raise SpanFailure("radical is not nilpotent; input is not a local algebra")
+    rad = chain[0]
     rad2 = chain[1] if len(chain) > 1 else np.zeros((0, A.n))
     if rad.shape[0] != A.n - 1:
         raise SpanFailure(

@@ -223,8 +223,8 @@ def adiff_defect(F: Callable[[np.ndarray], np.ndarray], X: APoint,
 
     ``F`` maps a stack of slot-major flat vectors, shape (P, n*m), to values
     of shape (P, n). It is called on the 2*n*m central-difference points, and
-    on x0 alone when they leave its domain: the DomainError names the step
-    only if x0 is inside. The Jacobian is split into m blocks of shape n x n;
+    on x0 alone when they leave its domain: the DomainError or NonUnitError
+    names the step only if x0 is inside. The Jacobian is split into m blocks of shape n x n;
     the defect is the largest absolute entry of ``J_j L_i - L_i J_j`` over
     all slots j and basis multiplication operators L_i. Zero defect (up to
     discretization) characterizes differentiability over A.
@@ -235,9 +235,9 @@ def adiff_defect(F: Callable[[np.ndarray], np.ndarray], X: APoint,
     points = np.stack([x0 + steps, x0 - steps], axis=1).reshape(-1, x0.size)
     try:
         values = np.asarray(F(points))
-    except DomainError as e:
+    except (DomainError, NonUnitError) as e:
         F(x0[None])  # a point outside the domain raises its own error
-        raise DomainError(f"central-difference points x0 ± {h:g} leave the domain: {e}")
+        raise type(e)(f"central-difference points x0 ± {h:g} leave the domain: {e}")
     with np.errstate(all="ignore"):
         J = _finite((values[0::2] - values[1::2]).T / (2 * h), "the Jacobian")
     blocks = J.reshape(A.n, X.m, A.n).transpose(1, 0, 2)[:, None]

@@ -11,8 +11,7 @@ matrices) and a ``scale`` the caller works out from its inputs. Without a
 scale the rule is relative, so a matrix of pure round-off keeps full rank; a
 scale such as the norm of the structure constants sends it to rank 0. A zero
 matrix, empty ones included, has rank 0 and the identity as its right
-singular vectors. A single row takes the same rule without an SVD: its one
-singular value is its norm and its right singular vector the row over it.
+singular vectors.
 """
 
 from __future__ import annotations
@@ -30,15 +29,9 @@ def _svd_rank(matrix: np.ndarray, tol: float, scale: float = 0.0,
     and ``vh`` as ``np.linalg.svd`` gives it (None without ``compute_uv``).
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if matrix.ndim == 2 and matrix.shape[0] == 1 and matrix.size and not full_matrices:
-        s = float(np.hypot.reduce(matrix[0]))
-        vh = (matrix / s if s else np.eye(*matrix.shape)) if compute_uv else None
-        return int(s > tol * max(s, scale)), vh
     if compute_uv:
         _, s, vh = np.linalg.svd(matrix, full_matrices=full_matrices)
-        zero = ~matrix.any(axis=(-2, -1))
-        if zero.any():
-            vh[zero] = np.eye(*vh.shape[-2:])
+        vh[~matrix.any(axis=(-2, -1))] = np.eye(*vh.shape[-2:])
     else:
         s, vh = np.linalg.svd(matrix, compute_uv=False), None
     ref = max(float(s.max(initial=0.0)), scale)

@@ -216,6 +216,14 @@ def test_check_names_the_step_when_only_the_stencil_leaves_the_domain():
     proc = run("check", "--preset", "dual", "--expr", "log(x1)", "--at", "-1")
     assert proc.returncode == 3
     assert proc.stdout == "ERROR log of non-positive real part -1.0\n"
+    # x0 - h has real part exactly 0.0, where 1/x1 has no inverse
+    near = ("--preset", "dual", "--expr", "1/x1", "--at", "1e-5 + 1 e1")
+    assert run("lift", *near).returncode == 0
+    proc = run("check", *near)
+    assert proc.returncode == 3
+    assert proc.stdout == ("ERROR central-difference points x0 ± 1e-05 leave the domain: "
+                           "real part 0.0 is numerically zero\n")
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("command,expr,at,message", [

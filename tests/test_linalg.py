@@ -91,50 +91,6 @@ def test_a_value_equal_to_the_threshold_is_not_counted():
     assert rank(above, 1e-9) == 2
 
 
-# -- the one-row case of the rule, without an SVD ------------------------------------
-
-
-def _svd_of_row(row, tol, scale):
-    s, vh = np.linalg.svd(row, full_matrices=False)[1:]
-    return int(s[0] > tol * max(s[0], scale)), vh
-
-
-def test_one_row_matches_the_svd_on_random_rows():
-    rng = np.random.default_rng(3)
-    for n in (1, 2, 5, 20):
-        for magnitude in (1e-300, 1e-8, 1.0, 1e150, 1e300):
-            row = magnitude * rng.standard_normal((1, n))
-            rank_, vh = _svd_rank(row, 1e-9)
-            expected_rank, expected_vh = _svd_of_row(row, 1e-9, 0.0)
-            assert rank_ == expected_rank == 1
-            assert_allclose(np.abs(vh), np.abs(expected_vh), rtol=1e-14)
-            assert _svd_rank(row, 1e-9, compute_uv=False) == (1, None)
-            # the stack path takes the SVD and the same rule
-            assert _svd_rank(row[None], 1e-9)[0][0] == 1
-
-
-def test_zero_row_has_rank_zero_and_the_identity():
-    ranks, vh = _svd_rank(np.zeros((1, 4)), 1e-9, scale=1.0)
-    assert ranks == 0
-    assert np.array_equal(vh, np.eye(1, 4))
-    assert np.array_equal(vh, _svd_rank(np.zeros((1, 1, 4)), 1e-9)[1][0])
-
-
-def test_only_the_scale_sends_a_round_off_row_to_rank_zero():
-    row = 1e-16 * np.random.default_rng(4).standard_normal((1, 6))
-    assert _svd_rank(row, 1e-9)[0] == _svd_of_row(row, 1e-9, 0.0)[0] == 1
-    assert _svd_rank(row, 1e-9, scale=1.0)[0] == _svd_of_row(row, 1e-9, 1.0)[0] == 0
-    assert orthonormal_rows(row, 1e-9, scale=1.0).shape == (0, 6)
-
-
-def test_a_row_at_the_threshold_is_not_counted():
-    row = np.array([[0.0, 1e-9, 0.0]])
-    assert np.linalg.svd(row, compute_uv=False)[0] == 1e-9
-    assert _svd_rank(row, 1e-9, scale=1.0)[0] == _svd_of_row(row, 1e-9, 1.0)[0] == 0
-    above = np.array([[0.0, np.nextafter(1e-9, 1.0), 0.0]])
-    assert _svd_rank(above, 1e-9, scale=1.0)[0] == 1
-
-
 def test_canonical_signs_match_the_row_loop():
     rng = np.random.default_rng(5)
     cases = [
