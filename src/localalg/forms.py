@@ -73,14 +73,6 @@ def function_differential(u: np.ndarray, cfg: TorusConfig,
     return dG.reshape(u.shape[:-1] + (cfg.ncoords * u.shape[-1],))
 
 
-def component_form(solution: np.ndarray, j0: int, cfg: TorusConfig,
-                   trig: TrigSpace) -> np.ndarray:
-    """The real 1-form carried by standard component j0, flat (N*B,)."""
-    N, n = cfg.ncoords, cfg.n
-    B = trig.size
-    return np.asarray(solution, dtype=float).reshape(N, n, B)[:, j0, :].reshape(-1)
-
-
 def component_space_dim(solutions: np.ndarray, j0: int, cfg: TorusConfig,
                         trig: TrigSpace, tol: float = DEFAULT_NULL_TOL) -> int:
     """Dimension of the space of j0-components over the closed solutions.
@@ -90,10 +82,8 @@ def component_space_dim(solutions: np.ndarray, j0: int, cfg: TorusConfig,
     if j0 <= 0 or j0 >= cfg.n or j0 in cfg.info.socle:
         raise IndexNotBreve(f"index {j0} is not a non-socle radical index")
     solutions = np.atleast_2d(solutions)
-    if solutions.shape[0] == 0:
-        return 0
-    stacked = np.vstack([component_form(s, j0, cfg, trig) for s in solutions])
-    return linalg.rank(stacked, tol)
+    components = solutions.reshape(len(solutions), cfg.ncoords, cfg.n, trig.size)[:, :, j0]
+    return linalg.rank(components.reshape(len(solutions), cfg.ncoords * trig.size), tol)
 
 
 def zero_mean_combinations(solutions: np.ndarray, cfg: TorusConfig,
@@ -132,9 +122,15 @@ def verify_class_injectivity(form_solutions: np.ndarray,
                              cfg: TorusConfig, trig: TrigSpace,
                              tol: float = DEFAULT_NULL_TOL) -> tuple[float, int]:
     """Worst distance from a zero-mean closed solution to an exact
-    differential, plus the dimension of the zero-mean subspace."""
+    differential, plus the dimension of the zero-mean subspace.
+
+    The least-squares fit runs on the columns where either side is nonzero;
+    the other columns add exactly 0 to every residual.
+    """
     zm = zero_mean_combinations(form_solutions, cfg, trig)
     basis = function_differential(np.atleast_2d(function_solutions), cfg, trig)
+    support = basis.any(axis=0) | zm.any(axis=0)
+    basis, zm = basis[:, support], zm[:, support]
     coef, *_ = np.linalg.lstsq(basis.T, zm.T, rcond=None)
     residual = np.linalg.norm(basis.T @ coef - zm.T, axis=0)
     return float(residual.max(initial=0.0)), zm.shape[0]

@@ -11,7 +11,8 @@ matrices) and a ``scale`` the caller works out from its inputs. Without a
 scale the rule is relative, so a matrix of pure round-off keeps full rank; a
 scale such as the norm of the structure constants sends it to rank 0. A zero
 matrix, empty ones included, has rank 0 and the identity as its right
-singular vectors.
+singular vectors. ``rank`` drops all-zero columns first: they change no
+singular value, and the solution stacks it ranks are zero off a few columns.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ def orthonormal_rows(vectors: np.ndarray, tol: float = RANK_TOL,
 
 
 def rank(matrix: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Numerical rank by the rule of ``_svd_rank``."""
-    return int(_svd_rank(matrix, tol, compute_uv=False)[0])
+    """Numerical rank by the rule of ``_svd_rank``, on the nonzero columns."""
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    return int(_svd_rank(matrix[:, matrix.any(axis=0)], tol, compute_uv=False)[0])
 
 
 def nullspace_rows(matrix: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:

@@ -257,25 +257,23 @@ def solve_nullspace(system: ConstraintSystem,
     ``linalg._svd_rank`` does not count over the whole stack are null, so a
     symbol that vanishes is null in every direction. A null vector v gives
     one row on the constant columns for mode 0, and two rows for a pair: v
-    (F v on the ``frame`` F) on its cos columns, then on its sin columns. Rows
-    are mode-major and, within a mode, by ascending singular value; each
-    row's largest entry is positive.
+    (F v on the ``frame`` F) on its cos columns, then on its sin columns. So
+    every row is nonzero on exactly one trig index, and the cos and sin rows
+    of a pair carry the same vector. Rows are mode-major and, within a mode,
+    by ascending singular value; each row's largest entry is positive.
     """
     modes, nrows, nsym = system.symbols.shape
     # vh must be square; u is needed in full only when a symbol is wide
     rank, vh = linalg._svd_rank(system.symbols, tol, full_matrices=nrows < nsym)
-    vh = vh @ system.frame.T
-    B = system.trig.size
-    rows = []
-    for p in range(modes):
-        for v in vh[p, rank[p]:][::-1]:
-            for t in ([0] if p == 0 else [2 * p - 1, 2 * p]):
-                row = np.zeros((len(v), B))
-                row[:, t] = v
-                rows.append(row.reshape(-1))
-    if not rows:
-        return np.zeros((0, system.ncols))
-    return linalg.canonical_signs(np.vstack(rows))
+    # the null vectors, mode-major by ascending singular value
+    null = np.arange(nsym) < (nsym - rank)[:, None]
+    vecs = linalg.canonical_signs((vh @ system.frame.T)[:, ::-1][null])
+    # cos and sin trig index of each vector's mode; mode 0 has no cos row
+    cos_sin = 2 * np.nonzero(null)[0][:, None] - np.array([1, 0])
+    vec, t = np.nonzero(cos_sin >= 0)
+    out = np.zeros((len(vec), vecs.shape[1], system.trig.size))
+    out[np.arange(len(vec)), :, cos_sin[vec, t]] = vecs[vec]
+    return out.reshape(len(vec), system.ncols)
 
 
 # -- verification suites -----------------------------------------------------------

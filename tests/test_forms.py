@@ -10,7 +10,6 @@ from localalg.forms import (
     assemble_form_constraints,
     cohomology_report,
     commutant_frame,
-    component_form,
     component_space_dim,
     forms_report,
     function_differential,
@@ -28,7 +27,13 @@ from localalg.torus import (
     solve_nullspace,
 )
 
-from util import FORMS_LADDER, PRESETS, dense_form_constraints, exterior_derivative
+from util import (
+    FORMS_LADDER,
+    PRESETS,
+    component_form,
+    dense_form_constraints,
+    exterior_derivative,
+)
 
 # R[x]/(x^3) in the basis a = x + x^2, b = x - x^2/3, so x^2 = 3/4 (a - b)
 RATIONAL_TRUNC3 = """algebra n=3

@@ -29,6 +29,15 @@ def test_zero_and_empty_matrices_have_rank_zero(shape):
     _assert_orthonormal(null)
 
 
+def test_rank_ignores_inserted_zero_columns():
+    rng = np.random.default_rng(4)
+    for rows, cols, r in ((5, 7, 3), (8, 4, 4), (1, 6, 1), (6, 6, 0)):
+        matrix = rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols))
+        padded = np.zeros((rows, 3 * cols))
+        padded[:, np.sort(rng.choice(3 * cols, cols, replace=False))] = matrix
+        assert rank(matrix) == rank(padded) == r
+
+
 def test_zero_matrix_right_singular_vectors_are_the_identity():
     stack = np.zeros((3, 2, 4))
     stack[1, 0, 0] = 1.0

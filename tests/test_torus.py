@@ -26,6 +26,7 @@ from localalg.torus import (
 )
 
 from util import (
+    FORMS_LADDER,
     constant_function_vectors,
     dense_form_constraints,
     dense_function_constraints,
@@ -514,6 +515,36 @@ def test_solutions_pass_pointwise_defect():
             for _ in range(10):
                 X = APoint(rng.uniform(0, 2 * np.pi, size=(m, cfg.n)))
                 assert adiff_defect(F, X, cfg.algebra) <= 1e-5
+
+
+def ladder_systems():
+    """Every function system of the ``verify`` golden ladder and every form and
+    function system of the ``forms`` ladder under the column cap."""
+    runs = [("functions", name, m, d) for name in ("dual", "trunc:3", "square:2")
+            for m in (1, 2) for d in (0, 1, 2)]
+    runs += [(kind, name, m, d) for name, m, d in FORMS_LADDER for kind in ASSEMBLERS]
+    for kind, name, m, d in runs:
+        try:
+            yield ASSEMBLERS[kind][0](make_torus(name, m), d)
+        except SizeCapExceeded:
+            continue
+
+
+def test_solve_nullspace_rows_sit_on_one_trig_index():
+    # each null vector v of mode p is one row on trig index 0 (p = 0) or two
+    # rows, v on cos (2p - 1) then v on sin (2p); rows mode-major, lead positive
+    for system in ladder_systems():
+        sol = solve_nullspace(system)
+        U = sol.reshape(len(sol), system.frame.shape[0], system.trig.size)
+        support = U.any(axis=1)
+        assert np.all(support.sum(axis=1) == 1)
+        t = support.argmax(axis=1)
+        vecs = U[np.arange(len(U)), :, t]
+        assert np.all(np.diff((t + 1) // 2) >= 0)
+        cos, sin = np.flatnonzero(t % 2 == 1), np.flatnonzero((t > 0) & (t % 2 == 0))
+        assert np.array_equal(sin, cos + 1) and np.array_equal(t[sin], t[cos] + 1)
+        assert np.array_equal(vecs[cos], vecs[sin])
+        assert np.all(vecs[np.arange(len(vecs)), np.abs(vecs).argmax(axis=1)] > 0)
 
 
 def test_solver_is_deterministic():

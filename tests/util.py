@@ -336,6 +336,12 @@ def dense_form_constraints(cfg, trig, closedness=True):
     return _dense(N * n, trig, local_rows)
 
 
+def component_form(solution, j0, cfg, trig):
+    """The real 1-form carried by standard component j0, flat (N*B,)."""
+    table = np.asarray(solution, dtype=float).reshape(cfg.ncoords, cfg.n, trig.size)
+    return table[:, j0].reshape(-1)
+
+
 def exterior_derivative(omega, trig):
     """Coefficient table of d(omega) for omega of shape (N, n, B).
 
