@@ -198,16 +198,15 @@ def from_spec(text: str) -> StructureConstants:
 
 
 def load_spec(path: str) -> StructureConstants:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_spec(fh.read())
-
-
-def resolve(source: str) -> StructureConstants:
-    """Resolve either a preset name or a spec file path."""
+    """Parse a spec file; one that cannot be opened or read as UTF-8 text
+    (OSError, ValueError) is an AlgebraFormatError."""
     try:
-        return preset(source)
-    except AlgebraFormatError:
-        return load_spec(source)
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, ValueError) as e:
+        reason = getattr(e, "strerror", None) or e
+        raise AlgebraFormatError(f"cannot read spec {path}: {reason}") from None
+    return from_spec(text)
 
 
 # -- validation ----------------------------------------------------------------
@@ -223,7 +222,7 @@ class Violation:
         return f"{self.axiom} violated at {self.where} (deviation {self.detail:.3e})"
 
 
-def validate_algebra(A: StructureConstants, tol: float = 1e-9) -> list[Violation]:
+def validate_algebra(A: StructureConstants) -> list[Violation]:
     """Check commutativity, associativity, the unit row and locality.
 
     Returns one entry per violated axiom with a worst-offender witness;
@@ -247,7 +246,7 @@ def validate_algebra(A: StructureConstants, tol: float = 1e-9) -> list[Violation
                                    ("associativity", assoc, ()),
                                    ("unit", C[0] - np.eye(n), (0,))):
         worst = np.abs(deviation)
-        if worst.max() > tol:
+        if worst.max() > linalg.RANK_TOL:
             where = np.unravel_index(np.argmax(worst), worst.shape)
             out.append(Violation(axiom, head + tuple(int(w) for w in where),
                                  float(worst.max())))
@@ -287,18 +286,16 @@ def trace_gram_matrix(A: StructureConstants) -> np.ndarray:
     return np.einsum("ijk,k->ij", A.C, traces)
 
 
-def radical_basis(A: StructureConstants, tol: float = linalg.RANK_TOL) -> np.ndarray:
+def radical_basis(A: StructureConstants) -> np.ndarray:
     """Orthonormal basis (rows) of the radical, via the trace-form kernel.
 
     Over the reals the kernel of T[i,j] = tr(L_{e_i e_j}) is exactly the set
     of nilpotent elements.
     """
-    return linalg.nullspace_rows(trace_gram_matrix(A), tol)
+    return linalg.nullspace_rows(trace_gram_matrix(A))
 
 
-def radical_filtration(
-    A: StructureConstants, tol: float = linalg.RANK_TOL
-) -> tuple[list[np.ndarray], int | None]:
+def radical_filtration(A: StructureConstants) -> tuple[list[np.ndarray], int | None]:
     """Descending chain rad >= rad^2 >= ... >= 0 and the nilpotency index.
 
     Each chain entry is an orthonormal row basis; the chain ends with the
@@ -308,7 +305,7 @@ def radical_filtration(
     measured against the norm of the structure constants, so a power whose
     products are only round-off is zero.
     """
-    rad = radical_basis(A, tol)
+    rad = radical_basis(A)
     scale = float(np.linalg.norm(A.C))
     rad_maps = np.einsum("vj,ijk->ivk", rad, A.C)  # x -> x * rad[v], stacked
     chain = [rad]
@@ -317,7 +314,7 @@ def radical_filtration(
         if len(chain) > A.n:
             return chain, None
         products = np.tensordot(current, rad_maps, axes=1)  # (u, v, k)
-        nxt = linalg.orthonormal_rows(products.reshape(-1, A.n), tol, scale)
+        nxt = linalg.orthonormal_rows(products.reshape(-1, A.n), scale=scale)
         if nxt.shape[0] >= current.shape[0]:
             return chain, None
         chain.append(nxt)
@@ -325,10 +322,9 @@ def radical_filtration(
     return chain, len(chain)
 
 
-def graded_multiindices(parts: int, max_degree: int,
-                        min_degree: int = 1) -> Iterator[tuple[int, ...]]:
-    """Exponent tuples ordered by total degree, then lexicographically
-    (earlier positions dominate, higher exponent first within a degree)."""
+def graded_multiindices(parts: int, max_degree: int) -> Iterator[tuple[int, ...]]:
+    """Exponent tuples of total degree 1..max_degree, ordered by degree, then
+    lexicographically (earlier positions dominate, higher exponent first)."""
 
     if parts < 1:
         return
@@ -341,7 +337,7 @@ def graded_multiindices(parts: int, max_degree: int,
             for rest in compositions(total - first, k - 1):
                 yield (first,) + rest
 
-    for degree in range(min_degree, max_degree + 1):
+    for degree in range(1, max_degree + 1):
         yield from compositions(degree, parts)
 
 
@@ -373,8 +369,7 @@ class StandardBasisInfo:
         return tuple(k for k in range(1, self.n) if k not in self.socle)
 
 
-def standard_basis(A: StructureConstants,
-                   tol: float = linalg.RANK_TOL) -> StandardBasisInfo:
+def standard_basis(A: StructureConstants) -> StandardBasisInfo:
     """Compute a standard basis: {1} plus monomials in a pseudobasis.
 
     The pseudobasis g_1..g_r spans the complement of rad^2 in rad. In one
@@ -390,7 +385,7 @@ def standard_basis(A: StructureConstants,
     generators need not be adapted to the socle. The trace-form radical is
     computed once, by the filtration, and passed on to that socle guard.
     """
-    chain, nu = radical_filtration(A, tol)
+    chain, nu = radical_filtration(A)
     if nu is None:
         raise SpanFailure("radical is not nilpotent; input is not a local algebra")
     rad = chain[0]
@@ -401,7 +396,7 @@ def standard_basis(A: StructureConstants,
         )
 
     # minimal generators: complement of rad^2 inside rad
-    pseudo = linalg.orthonormal_rows(rad - (rad @ rad2.T) @ rad2, tol)
+    pseudo = linalg.orthonormal_rows(rad - (rad @ rad2.T) @ rad2)
     r = pseudo.shape[0]
     maps = np.einsum("ti,ijk->tjk", pseudo, A.C)  # u @ maps[t] = u * g_t
     span = np.zeros((A.n - 1, A.n))  # orthonormal rows of the kept monomials
@@ -413,7 +408,7 @@ def standard_basis(A: StructureConstants,
         products = np.einsum("uj,tjk->utk", layer, maps)
         if degree > 1:
             worst = np.abs(products).max(axis=(1, 2), initial=0.0)
-            flags = worst <= tol * (1.0 + np.linalg.norm(layer, axis=1))
+            flags = worst <= linalg.RANK_TOL * (1.0 + np.linalg.norm(layer, axis=1))
             socle += [len(selected) - len(layer) + 1 + int(u) for u in np.flatnonzero(flags)]
         if degree > top or len(selected) == A.n - 1:
             break
@@ -427,7 +422,7 @@ def standard_basis(A: StructureConstants,
             rest = vec - (span[:k] @ vec) @ span[:k]
             rest -= (span[:k] @ rest) @ span[:k]  # twice is enough
             scale = float(np.linalg.norm(np.abs(layer[u]) @ np.abs(maps[t])))
-            rank, vh = linalg._svd_rank(rest, tol, scale)
+            rank, vh = linalg._svd_rank(rest, linalg.RANK_TOL, scale)
             if rank:
                 span[k] = vh[0]
                 selected.append(vec)
@@ -439,7 +434,7 @@ def standard_basis(A: StructureConstants,
             break
     if len(selected) != A.n - 1:
         raise SpanFailure("pseudobasis monomials do not span the radical")
-    if len(socle) != socle_basis(A, tol, rad).shape[0]:
+    if len(socle) != socle_basis(A, rad).shape[0]:
         raise SpanFailure("standard basis monomials do not span the socle")
 
     return StandardBasisInfo(
@@ -452,12 +447,9 @@ def standard_basis(A: StructureConstants,
     )
 
 
-def standardize(
-    A: StructureConstants, info: StandardBasisInfo | None = None
-) -> tuple[StructureConstants, StandardBasisInfo]:
+def standardize(A: StructureConstants) -> tuple[StructureConstants, StandardBasisInfo]:
     """Rewrite the algebra in its standard basis (labels 1, e1, ...)."""
-    if info is None:
-        info = standard_basis(A)
+    info = standard_basis(A)
     Pinv = np.linalg.inv(info.P)
     # pairwise in a fixed order, O(n^4); a path search costs more than it saves
     C = np.einsum("si,tj,stu,ku->ijk", info.P, info.P, A.C, Pinv,
@@ -465,17 +457,15 @@ def standardize(
     return StructureConstants(A.n, _default_labels(A.n), C), info
 
 
-def socle_basis(A: StructureConstants, tol: float = linalg.RANK_TOL,
-                rad: np.ndarray | None = None) -> np.ndarray:
+def socle_basis(A: StructureConstants, rad: np.ndarray) -> np.ndarray:
     """Orthonormal basis (rows) of {x in rad : x * rad = 0}.
 
     Solved in radical coordinates, x = y @ rad with y in the kernel of the
     stacked maps y -> (y @ rad) * e over the radical basis vectors e, each
     column divided by its term size ``|| |rad_a| |C| |rad| ||``, which bounds
     its round-off: small products count next to large ones, round-off not.
-    ``rad`` is ``radical_basis(A, tol)``, computed when not given.
+    ``rad`` is ``radical_basis(A)``.
     """
-    rad = radical_basis(A, tol) if rad is None else rad
     if rad.shape[0] == 0:
         return np.zeros((0, A.n))
     r, n = rad.shape
@@ -484,5 +474,5 @@ def socle_basis(A: StructureConstants, tol: float = linalg.RANK_TOL,
                        for R, C in ((rad, A.C), (abs(rad), abs(A.C))))
     size = np.linalg.norm(terms.reshape(r, -1), axis=1)
     size[size == 0.0] = 1.0  # a column without terms is exactly zero
-    rank, vh = linalg._svd_rank(products.reshape(r, -1).T / size, tol, 1.0)
+    rank, vh = linalg._svd_rank(products.reshape(r, -1).T / size, linalg.RANK_TOL, 1.0)
     return linalg.canonical_signs(np.linalg.qr(((vh[rank:] / size) @ rad).T)[0].T)

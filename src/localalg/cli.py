@@ -3,8 +3,11 @@
 Subcommands: ``algebra`` (structural report), ``lift`` (evaluate both lift
 routes at a point), ``check`` (numerical differentiability of a lifted
 expression), ``verify`` (function-space suite on a torus), ``forms``
-(1-form dimension suite). Exit codes: 0 pass, 2 invalid algebra, 3
-parse/domain error, 4 failed checks, 5 size cap exceeded.
+(1-form dimension suite). Exit codes: 0 pass; 2 invalid algebra, or an
+unreadable or malformed spec for ``algebra``; 3 parse or domain error, such
+a spec for the other commands, an empty ``--at`` slot, an out-of-range
+``--m``/``--degree``/``--grid`` or ``--tol`` (negative, nan or inf) and an
+unwritable ``--out``; 4 failed checks; 5 size cap exceeded.
 """
 
 from __future__ import annotations
@@ -101,11 +104,13 @@ def _validated(args) -> tuple[alg.StructureConstants, Report | None]:
 
 
 def _check_torus_args(args) -> None:
-    """Reject torus arguments out of range before anything is built."""
+    """Reject numeric arguments out of range before anything is built."""
     for name, low in (("m", 1), ("degree", 0), ("grid", 1)):
-        value = getattr(args, name, low)
-        if value < low:
+        value = getattr(args, name, None)
+        if value is not None and value < low:
             raise DomainError(f"--{name} {value} must be at least {low}")
+    if not 0.0 <= args.tol < np.inf:
+        raise DomainError(f"--tol {args.tol:g} must be at least 0 and finite")
 
 
 def cmd_algebra(args) -> tuple[str, int]:
@@ -137,9 +142,9 @@ def cmd_lift(args) -> tuple[str, int]:
         return bad.render(), 2
     A_std, info = alg.standardize(A)
     X = lf.parse_point(args.at, A_std)
-    if args.m is not None and args.m != X.m:
-        raise AlgebraFormatError(f"--m {args.m} != point arity {X.m}")
-    e = parse(args.expr, X.m)
+    if args.m is not None and args.m != len(X):
+        raise AlgebraFormatError(f"--m {args.m} != point arity {len(X)}")
+    e = parse(args.expr, len(X))
     lifted = lf.taylor_lift(e, X, A_std, info)
     evaluated = lf.lift_eval(e, X, A_std, info)
     gap = float(np.abs(lifted - evaluated).max())
@@ -153,14 +158,15 @@ def cmd_lift(args) -> tuple[str, int]:
 
 
 def cmd_check(args) -> tuple[str, int]:
+    _check_torus_args(args)
     A, bad = _validated(args)
     if bad is not None:
         return bad.render(), 2
     A_std, info = alg.standardize(A)
     X = lf.parse_point(args.at, A_std)
-    if args.m is not None and args.m != X.m:
-        raise AlgebraFormatError(f"--m {args.m} != point arity {X.m}")
-    e = parse(args.expr, X.m)
+    if args.m is not None and args.m != len(X):
+        raise AlgebraFormatError(f"--m {args.m} != point arity {len(X)}")
+    e = parse(args.expr, len(X))
     defect = lf.adiff_defect(lf.lift_map(e, A_std, info), X, A_std)
     residual = lf.e1_component_residual(e, X, A_std, info)
     rep = Report()
@@ -184,8 +190,11 @@ def cmd_verify(args) -> tuple[str, int]:
     rep = Report()
     rep.merge(tr.verify_constancy(solutions, cfg, system.trig, args.tol))
     rep.merge(tr.verify_socle_decomposition(solutions, cfg, system.trig, args.tol))
-    rep.merge(tr.verify_min_leaf_all(solutions, cfg, system.trig,
-                                     grid=args.grid, tol=args.tol, system=system))
+    # ahead of the min-leaf pass, after which its arrays fault in fresh pages
+    residual = system.residual_inf(solutions)
+    rep.merge(tr.verify_min_leaf_all(solutions, cfg, system.trig, args.grid, args.tol))
+    rep.add("adiff_constraints", residual <= args.tol, residual)
+    rep.put("ADIFF_RESIDUAL", residual)
     rep.put("M", args.m)
     rep.put("DEGREE", args.degree)
     rep.put("NROWS", system.nrows)
@@ -222,8 +231,12 @@ def main(argv=None) -> int:
         return 2 if args.command == "algebra" else 3
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"ERROR cannot write --out {args.out}: {e.strerror or e}")
+            return 3
     return code
 
 

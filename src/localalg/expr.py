@@ -384,28 +384,3 @@ def eval_real(e: Expr, point, memo: dict | None = None) -> float:
         raise DomainError(f"{type(e).__name__} leaves the float range") from None
     memo[e] = v
     return v
-
-
-def to_text(e: Expr) -> str:
-    """Render an expression; fully parenthesized so parsing round-trips."""
-    if isinstance(e, Const):
-        return f"({e.value!r})" if e.value < 0 else repr(e.value)
-    if isinstance(e, Var):
-        return f"x{e.index}"
-    if isinstance(e, Add):
-        return f"({to_text(e.left)} + {to_text(e.right)})"
-    if isinstance(e, Sub):
-        return f"({to_text(e.left)} - {to_text(e.right)})"
-    if isinstance(e, Mul):
-        return f"({to_text(e.left)} * {to_text(e.right)})"
-    if isinstance(e, Div):
-        return f"({to_text(e.left)} / {to_text(e.right)})"
-    if isinstance(e, IntPow):
-        base = to_text(e.base)
-        if isinstance(e.base, IntPow):
-            base = f"({base})"
-        return f"{base}^{e.exponent}"
-    for name, cls in FUNCTIONS.items():
-        if isinstance(e, cls):
-            return f"{name}({to_text(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")

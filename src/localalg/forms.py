@@ -39,6 +39,8 @@ from .torus import (
     solve_nullspace,
 )
 
+INJECTIVITY_TOL = 1e-9  # largest residual of a zero-mean solution off the differentials
+
 
 def commutant_frame(cfg: TorusConfig) -> np.ndarray:
     """Orthonormal frame (N*n, m*n) of the A-linear 1-form values: column
@@ -81,20 +83,15 @@ def component_space_dim(solutions: np.ndarray, j0: int, cfg: TorusConfig,
     """
     if j0 <= 0 or j0 >= cfg.n or j0 in cfg.info.socle:
         raise IndexNotBreve(f"index {j0} is not a non-socle radical index")
-    solutions = np.atleast_2d(solutions)
     components = solutions.reshape(len(solutions), cfg.ncoords, cfg.n, trig.size)[:, :, j0]
     return linalg.rank(components.reshape(len(solutions), cfg.ncoords * trig.size), tol)
 
 
 def zero_mean_combinations(solutions: np.ndarray, cfg: TorusConfig,
-                           trig: TrigSpace,
-                           tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
+                           trig: TrigSpace) -> np.ndarray:
     """Rows spanning the solutions whose constant Fourier coefficients vanish."""
-    solutions = np.atleast_2d(solutions)
-    B = trig.size
-    mean_cols = [(f * cfg.n + i) * B for f in range(cfg.ncoords) for i in range(cfg.n)]
-    means = solutions[:, mean_cols]
-    combos = linalg.nullspace_rows(means.T, tol)
+    means = solutions[:, ::trig.size]  # trig index 0 of every (coordinate, component)
+    combos = linalg.nullspace_rows(means.T, DEFAULT_NULL_TOL)
     return combos @ solutions
 
 
@@ -119,8 +116,7 @@ class CohomologyReport:
 
 def verify_class_injectivity(form_solutions: np.ndarray,
                              function_solutions: np.ndarray,
-                             cfg: TorusConfig, trig: TrigSpace,
-                             tol: float = DEFAULT_NULL_TOL) -> tuple[float, int]:
+                             cfg: TorusConfig, trig: TrigSpace) -> tuple[float, int]:
     """Worst distance from a zero-mean closed solution to an exact
     differential, plus the dimension of the zero-mean subspace.
 
@@ -128,7 +124,7 @@ def verify_class_injectivity(form_solutions: np.ndarray,
     the other columns add exactly 0 to every residual.
     """
     zm = zero_mean_combinations(form_solutions, cfg, trig)
-    basis = function_differential(np.atleast_2d(function_solutions), cfg, trig)
+    basis = function_differential(function_solutions, cfg, trig)
     support = basis.any(axis=0) | zm.any(axis=0)
     basis, zm = basis[:, support], zm[:, support]
     coef, *_ = np.linalg.lstsq(basis.T, zm.T, rcond=None)
@@ -138,8 +134,7 @@ def verify_class_injectivity(form_solutions: np.ndarray,
 
 def cohomology_report(cfg: TorusConfig, degree: int,
                       null_tol: float = DEFAULT_NULL_TOL,
-                      cap: int = DEFAULT_CAP,
-                      injectivity_tol: float = 1e-9) -> CohomologyReport:
+                      cap: int = DEFAULT_CAP) -> CohomologyReport:
     """Assemble and solve both systems and measure all dimension bounds."""
     n, N = cfg.n, cfg.ncoords
     form_sys = assemble_form_constraints(cfg, degree, cap)
@@ -163,23 +158,22 @@ def cohomology_report(cfg: TorusConfig, degree: int,
     # functions with vanishing differential inside the ansatz
     h0 = fn_sol.shape[0] - linalg.rank(function_differential(fn_sol, cfg, trig), null_tol)
 
-    residual, zm_dim = verify_class_injectivity(form_sol, fn_sol, cfg, trig, null_tol)
+    residual, zm_dim = verify_class_injectivity(form_sol, fn_sol, cfg, trig)
 
     return CohomologyReport(
         degree=degree,
-        dim_solutions=int(np.atleast_2d(form_sol).shape[0]),
+        dim_solutions=len(form_sol),
         component_dims=component_dims,
         bound=n * N,
         degree0_dims=degree0_dims,
         h0_dim=int(h0),
         zero_mean_dim=zm_dim,
         injectivity_residual=residual,
-        injective=residual <= injectivity_tol,
+        injective=residual <= INJECTIVITY_TOL,
     )
 
 
-def forms_report(cfg: TorusConfig, summary: CohomologyReport,
-                 tol: float = 1e-9) -> Report:
+def forms_report(cfg: TorusConfig, summary: CohomologyReport) -> Report:
     """Render a cohomology summary as CHECK lines plus machine keys."""
     rep = Report()
     labels = cfg.algebra.labels

@@ -1,7 +1,8 @@
 """Lifting smooth real expressions to algebra-valued arguments.
 
-A point of A^m splits per slot into a real part x and a nilpotent radical
-part. A smooth g then extends to A^m by the finite Taylor sum
+A point of A^m is an (m, n) array, one row of standard coordinates per
+slot; each row splits into a real part x and a nilpotent radical part. A
+smooth g then extends to A^m by the finite Taylor sum
 
     g(x) + sum_{1 <= |p| < nu} (1/p!) (D^p g)(x) (X - x)^p,
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,32 +41,6 @@ DEFAULT_STEP = 1e-5
 UNIT_THRESHOLD = 1e-9
 
 
-@dataclass(frozen=True)
-class APoint:
-    """A point of A^m: one coefficient row per slot, standard coordinates."""
-
-    components: np.ndarray  # shape (m, n)
-
-    def __post_init__(self):
-        arr = np.atleast_2d(np.asarray(self.components, dtype=float))
-        object.__setattr__(self, "components", arr)
-
-    @property
-    def m(self) -> int:
-        return self.components.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.components.shape[1]
-
-    def real_parts(self) -> np.ndarray:
-        return self.components[:, 0].copy()
-
-    def flatten(self) -> np.ndarray:
-        """Slot-major flattening (slot 0 coefficients first)."""
-        return self.components.reshape(-1).copy()
-
-
 def _radical_powers(A: StructureConstants, r: Element, kmax: int) -> list[Element]:
     powers = [A.unit()]
     for _ in range(kmax):
@@ -74,20 +48,18 @@ def _radical_powers(A: StructureConstants, r: Element, kmax: int) -> list[Elemen
     return powers
 
 
-def taylor_lift(e: ex.Expr, X: APoint, A: StructureConstants,
+def taylor_lift(e: ex.Expr, X: np.ndarray, A: StructureConstants,
                 info: StandardBasisInfo) -> Element:
-    """Taylor-sum lift with exact symbolic derivatives.
+    """Taylor-sum lift at the (m, n) point X with exact symbolic derivatives.
 
     Terms of total order >= nu vanish identically (the radical parts live in
     powers of the radical), so the sum stops at nu - 1.
     """
-    m = X.m
+    m = len(X)
     nu = info.nu
-    x = X.real_parts()
+    x = X[:, 0]
     # powers of the radical parts, slot by slot
-    rad_powers = [
-        _radical_powers(A, radical_part(X.components[j]), nu - 1) for j in range(m)
-    ]
+    rad_powers = [_radical_powers(A, radical_part(X[j]), nu - 1) for j in range(m)]
 
     # one memo each: every distinct derivative node is built and evaluated once
     diff_memo: dict = {}
@@ -174,9 +146,10 @@ def _derivatives(node: ex.Expr, u: np.ndarray, nu: int) -> np.ndarray:
 def lift_eval(e: ex.Expr, X, A: StructureConstants,
               info: StandardBasisInfo) -> np.ndarray:
     """Evaluate the expression DAG in algebra arithmetic, each interned node
-    once for a whole stack X of points, (..., m, n) -> (..., n); an APoint is
-    a stack of one. Every row is exactly its own single-point evaluation."""
-    pts = X.components if isinstance(X, APoint) else np.asarray(X, dtype=float)
+    once for a whole stack X of points, (..., m, n) -> (..., n); a single
+    (m, n) point gives one element. Every row is exactly its own single-point
+    evaluation."""
+    pts = np.asarray(X, dtype=float)
     lead = pts.shape[:-2]
     pts = pts.reshape((-1,) + pts.shape[-2:])
     unit = np.tile(A.unit(), (len(pts), 1))
@@ -217,30 +190,32 @@ def lift_eval(e: ex.Expr, X, A: StructureConstants,
 # -- numerical differentiability check -------------------------------------------
 
 
-def adiff_defect(F: Callable[[np.ndarray], np.ndarray], X: APoint,
-                 A: StructureConstants, h: float = DEFAULT_STEP) -> float:
+def adiff_defect(F: Callable[[np.ndarray], np.ndarray], X: np.ndarray,
+                 A: StructureConstants) -> float:
     """Worst commutator norm between Jacobian blocks and multiplications.
 
     ``F`` maps a stack of slot-major flat vectors, shape (P, n*m), to values
-    of shape (P, n). It is called on the 2*n*m central-difference points, and
-    on x0 alone when they leave its domain: the DomainError or NonUnitError
-    names the step only if x0 is inside. The Jacobian is split into m blocks of shape n x n;
+    of shape (P, n). It is called on the 2*n*m central-difference points
+    x0 ± DEFAULT_STEP e_i of the (m, n) point X, and on x0 alone when they
+    leave its domain: the DomainError or NonUnitError names the step only if
+    x0 is inside. The Jacobian is split into m blocks of shape n x n;
     the defect is the largest absolute entry of ``J_j L_i - L_i J_j`` over
     all slots j and basis multiplication operators L_i. Zero defect (up to
     discretization) characterizes differentiability over A.
     """
-    x0 = X.flatten()
-    steps = h * np.eye(x0.size)
-    # rows x0 + h e_0, x0 - h e_0, x0 + h e_1, ...
+    x0 = X.ravel()
+    steps = DEFAULT_STEP * np.eye(x0.size)
+    # rows x0 + step e_0, x0 - step e_0, x0 + step e_1, ...
     points = np.stack([x0 + steps, x0 - steps], axis=1).reshape(-1, x0.size)
     try:
         values = np.asarray(F(points))
     except (DomainError, NonUnitError) as e:
         F(x0[None])  # a point outside the domain raises its own error
-        raise type(e)(f"central-difference points x0 ± {h:g} leave the domain: {e}")
+        raise type(e)(f"central-difference points x0 ± {DEFAULT_STEP:g} "
+                      f"leave the domain: {e}")
     with np.errstate(all="ignore"):
-        J = _finite((values[0::2] - values[1::2]).T / (2 * h), "the Jacobian")
-    blocks = J.reshape(A.n, X.m, A.n).transpose(1, 0, 2)[:, None]
+        J = _finite((values[0::2] - values[1::2]).T / (2 * DEFAULT_STEP), "the Jacobian")
+    blocks = J.reshape(A.n, len(X), A.n).transpose(1, 0, 2)[:, None]
     mats = A.basis_mult_matrices()
     return float(np.abs(blocks @ mats - mats @ blocks).max())
 
@@ -255,7 +230,7 @@ def lift_map(e: ex.Expr, A: StructureConstants,
     return F
 
 
-def e1_component_residual(e: ex.Expr, X: APoint, A: StructureConstants,
+def e1_component_residual(e: ex.Expr, X: np.ndarray, A: StructureConstants,
                           info: StandardBasisInfo) -> float:
     """Gap between the e1-coefficient of the lift and the first-order term.
 
@@ -264,9 +239,8 @@ def e1_component_residual(e: ex.Expr, X: APoint, A: StructureConstants,
     whose standard-basis expansion has no e1-component.
     """
     lifted = taylor_lift(e, X, A, info)
-    x = X.real_parts()
-    first_order = sum(ex.eval_real(ex.diff(e, j + 1), x) * X.components[j, 1]
-                      for j in range(X.m))
+    first_order = sum(ex.eval_real(ex.diff(e, j + 1), X[:, 0]) * X[j, 1]
+                      for j in range(len(X)))
     return abs(float(lifted[1]) - first_order)
 
 
@@ -344,9 +318,10 @@ def format_element(a: Element, A: StructureConstants) -> str:
     return " ".join(parts)
 
 
-def parse_point(text: str, A: StructureConstants) -> APoint:
-    """Parse a semicolon-separated list of element literals."""
-    pieces = [p for p in text.split(";")]
-    if not pieces or not any(p.strip() for p in pieces):
-        raise AlgebraFormatError("empty point literal")
-    return APoint(np.vstack([parse_element(p, A) for p in pieces]))
+def parse_point(text: str, A: StructureConstants) -> np.ndarray:
+    """Parse a semicolon-separated list of element literals into an (m, n)
+    array; every slot must hold a literal."""
+    pieces = text.split(";")
+    if not all(p.strip() for p in pieces):
+        raise AlgebraFormatError(f"empty slot in point literal {text!r}")
+    return np.vstack([parse_element(p, A) for p in pieces])

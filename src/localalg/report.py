@@ -19,8 +19,6 @@ def fmt(value) -> str:
         return "1" if value else "0"
     if isinstance(value, float):
         return f"{value:.17g}"
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 
@@ -40,10 +38,8 @@ class Report:
     checks: list[Check] = field(default_factory=list)
     data: dict[str, object] = field(default_factory=dict)
 
-    def add(self, name: str, passed: bool, detail) -> Check:
-        check = Check(name, bool(passed), detail)
-        self.checks.append(check)
-        return check
+    def add(self, name: str, passed: bool, detail) -> None:
+        self.checks.append(Check(name, bool(passed), detail))
 
     def put(self, key: str, value) -> None:
         self.data[key] = value

@@ -59,14 +59,9 @@ class TrigSpace:
 
     @classmethod
     def build(cls, ncoords: int, degree: int) -> "TrigSpace":
-        reps = []
-        for k in itertools.product(range(-degree, degree + 1), repeat=ncoords):
-            for entry in k:
-                if entry > 0:
-                    reps.append(k)
-                    break
-                if entry < 0:
-                    break
+        zero = (0,) * ncoords  # k > zero: the first nonzero entry of k is positive
+        box = itertools.product(range(-degree, degree + 1), repeat=ncoords)
+        reps = [k for k in box if k > zero]
         freqs = np.array(reps, dtype=np.int64).reshape(len(reps), ncoords)
         return cls(ncoords, degree, freqs)
 
@@ -148,11 +143,8 @@ class TorusConfig:
         return TrigSpace.build(self.ncoords, degree)
 
 
-def make_torus(source: StructureConstants | str, m: int) -> TorusConfig:
-    """Standardize an algebra (or preset name) and build the torus model."""
-    from .algebra import resolve
-
-    A = resolve(source) if isinstance(source, str) else source
+def make_torus(A: StructureConstants, m: int) -> TorusConfig:
+    """Standardize an algebra and build the torus model."""
     A_std, info = standardize(A)
     return TorusConfig(A_std, info, m)
 
@@ -330,11 +322,11 @@ def verify_socle_decomposition(solutions: np.ndarray, cfg: TorusConfig,
     return rep
 
 
-def lattice_chunks(cfg: TorusConfig, grid: int, leaf_grid: int = LEAF_GRID) -> list[int]:
+def lattice_chunks(cfg: TorusConfig, grid: int) -> list[int]:
     """Solutions per chunk of ``_min_leaf``'s transversal and leaf passes, which
-    put 2 rows on the grid^m lattice and N+1 rows on the leaf_grid^(N-m) one;
+    put 2 rows on the grid^m lattice and N+1 rows on the LEAF_GRID^(N-m) one;
     SizeCapExceeded when one solution's values exceed LATTICE_BUDGET."""
-    per = (2 * grid**cfg.m, (cfg.ncoords + 1) * leaf_grid ** (cfg.ncoords - cfg.m))
+    per = (2 * grid**cfg.m, (cfg.ncoords + 1) * LEAF_GRID ** (cfg.ncoords - cfg.m))
     if max(per) > LATTICE_BUDGET:
         raise SizeCapExceeded(f"{max(per)} lattice values per solution exceed "
                               f"the budget {LATTICE_BUDGET}")
@@ -358,13 +350,12 @@ def _lattice_values(const, z, freqs, degree, size):
     return const[:, None] + box.real.reshape(rows, -1)
 
 
-def _min_leaf(solutions: np.ndarray, cfg: TorusConfig, trig: TrigSpace,
-              grid: int, leaf_grid: int, system: ConstraintSystem | None):
+def _min_leaf(solutions: np.ndarray, cfg: TorusConfig, trig: TrigSpace, grid: int):
     """Minimizing-leaf quantities of a (S, ncols) stack of solutions.
 
-    Returns per-solution arrays (qmin, the minimum leaf average, the largest
-    gradient entry on that leaf, the real part's variation) and the residual
-    of the whole stack, None without ``system``. A pair (a, b) is z = a - i b
+    Returns per-solution arrays: qmin, the minimum leaf average, the largest
+    gradient entry on that leaf and the real part's variation, the leaf
+    sampled on the LEAF_GRID^(N-m) lattice. A pair (a, b) is z = a - i b
     on e^{i k . theta}; chunks of solutions go through ``_lattice_values``
     twice. On the grid^m lattice: the e1-component's basic part (its leaf
     average) and the real part at (x, 0); qmin is the smallest row-major index
@@ -374,7 +365,7 @@ def _min_leaf(solutions: np.ndarray, cfg: TorusConfig, trig: TrigSpace,
     the real part and its N derivatives (z times i k_axis).
     """
     n, m, N = cfg.n, cfg.m, cfg.ncoords
-    trans_chunk, leaf_chunk = lattice_chunks(cfg, grid, leaf_grid)
+    trans_chunk, leaf_chunk = lattice_chunks(cfg, grid)
     U = np.asarray(solutions, dtype=float).reshape(-1, n, trig.size)
     G, G1 = U[:, 0], U[:, 1 if n > 1 else 0] * trig.transversal_mask(m)
     z, z1 = G[:, 1::2] - 1j * G[:, 2::2], G1[:, 1::2] - 1j * G1[:, 2::2]
@@ -394,40 +385,32 @@ def _min_leaf(solutions: np.ndarray, cfg: TorusConfig, trig: TrigSpace,
     const = np.pad(G[:, :1], ((0, 0), (0, N)))
     for c in (slice(s, s + leaf_chunk) for s in range(0, S, leaf_chunk)):
         leaf = _lattice_values(const[c].ravel(), z[c].reshape(const[c].size, -1),
-                               trig.freqs[:, m:], d, leaf_grid).reshape(*const[c].shape, -1)
+                               trig.freqs[:, m:], d, LEAF_GRID).reshape(*const[c].shape, -1)
         grad[c] = np.abs(leaf[:, 1:]).max(axis=(1, 2))
         g_hi[c] = np.maximum(g_hi[c], leaf[:, 0].max(axis=1))
         g_lo[c] = np.minimum(g_lo[c], leaf[:, 0].min(axis=1))
-    residual = None if system is None else system.residual_inf(U)
-    return qmin, avg, grad, g_hi - g_lo, residual
+    return qmin, avg, grad, g_hi - g_lo
 
 
-def _min_leaf_report(grad: float, variation: float, residual: float | None,
-                     tol: float, **leaf) -> Report:
+def _min_leaf_report(grad: float, variation: float, tol: float, **leaf) -> Report:
     rep = Report()
     rep.add("min_leaf_gradient", grad <= tol, grad)
     rep.add("real_part_variation", variation <= tol, variation)
     rep.data.update(leaf, GRAD_MAX=grad, G_VARIATION=variation)
-    if residual is not None:
-        rep.add("adiff_constraints", residual <= tol, residual)
-        rep.put("ADIFF_RESIDUAL", residual)
     return rep
 
 
 def verify_min_leaf(solution: np.ndarray, cfg: TorusConfig, trig: TrigSpace,
-                    grid: int = 32, leaf_grid: int = LEAF_GRID, tol: float = 1e-8,
-                    system: ConstraintSystem | None = None) -> Report:
+                    grid: int = 32, tol: float = 1e-8) -> Report:
     """Locate the leaf minimizing the leaf-average of the e1-component and
     check the real part is critical there (and in fact constant)."""
-    qmin, avg, grad, var, res = _min_leaf(solution, cfg, trig, grid, leaf_grid, system)
-    return _min_leaf_report(float(grad[0]), float(var[0]), res, tol,
+    qmin, avg, grad, var = _min_leaf(solution, cfg, trig, grid)
+    return _min_leaf_report(float(grad[0]), float(var[0]), tol,
                             MIN_LEAF_INDEX=int(qmin[0]), MIN_LEAF_AVG=float(avg[0]))
 
 
 def verify_min_leaf_all(solutions: np.ndarray, cfg: TorusConfig, trig: TrigSpace,
-                        grid: int = 32, leaf_grid: int = LEAF_GRID, tol: float = 1e-8,
-                        system: ConstraintSystem | None = None) -> Report:
+                        grid: int = 32, tol: float = 1e-8) -> Report:
     """The minimizing-leaf check over every solution, worst case reported."""
-    _, _, grad, var, res = _min_leaf(solutions, cfg, trig, grid, leaf_grid, system)
-    return _min_leaf_report(float(grad.max(initial=0.0)),
-                            float(var.max(initial=0.0)), res, tol)
+    _, _, grad, var = _min_leaf(solutions, cfg, trig, grid)
+    return _min_leaf_report(float(grad.max(initial=0.0)), float(var.max(initial=0.0)), tol)

@@ -361,7 +361,7 @@ def test_changed_radical_basis_keeps_invariants(name, dims, nu, socle, seed):
     assert radical_basis(A).shape[0] == A.n - 1
     info = standard_basis(A)
     assert (info.filtration_dims, info.nu, len(info.socle)) == (dims, nu, socle)
-    assert socle_basis(A).shape[0] == socle
+    assert socle_basis(A, radical_basis(A)).shape[0] == socle
 
 
 def test_changed_monomial_quotient_socle_is_a_span_failure():
@@ -393,7 +393,7 @@ def _socle_oracle(A):
 def test_socle_matches_exact_annihilator():
     for name in PRESETS:
         A = preset(name)
-        soc = socle_basis(A)
+        soc = socle_basis(A, radical_basis(A))
         oracle = _socle_oracle(A)
         assert soc.shape[0] == oracle.shape[0], name
         # same span: every oracle vector projects onto the computed basis
@@ -403,24 +403,28 @@ def test_socle_matches_exact_annihilator():
 
 
 def test_socle_examples():
-    assert_allclose(np.abs(socle_basis(preset("trunc:4"))), [[0, 0, 0, 1.0]])
-    soc = socle_basis(preset("square:2"))
+    def socle(name):
+        A = preset(name)
+        return socle_basis(A, radical_basis(A))
+
+    assert_allclose(np.abs(socle("trunc:4")), [[0, 0, 0, 1.0]])
+    soc = socle("square:2")
     assert soc.shape[0] == 2
     assert_allclose(soc[:, 0], [0.0, 0.0])
-    assert_allclose(np.abs(socle_basis(preset("dual"))), [[0.0, 1.0]])
+    assert_allclose(np.abs(socle("dual")), [[0.0, 1.0]])
 
 
 def test_socle_judges_each_radical_column_on_its_term_size():
     # a^2 = 1e10 c next to b^2 = c: b is not in the socle
     A = from_spec("algebra n=4\nbasis 1 a b c\nmul a a = 1e10*c\nmul b b = 1*c\n")
-    assert_allclose(np.abs(socle_basis(A)), [[0, 0, 0, 1.0]])
+    assert_allclose(np.abs(socle_basis(A, radical_basis(A))), [[0, 0, 0, 1.0]])
 
 
 def test_socle_annihilates_radical():
     for name in PRESETS:
         A = preset(name)
         rad = radical_basis(A)
-        for s in socle_basis(A):
+        for s in socle_basis(A, radical_basis(A)):
             for e in rad:
                 assert np.abs(mul(A, s, e)).max() <= 1e-12
 
@@ -488,7 +492,6 @@ def test_spec_repeated_product_is_an_error():
 
 def test_graded_multiindices_of_no_parts_is_empty():
     assert list(graded_multiindices(0, 5)) == []
-    assert list(graded_multiindices(0, 3, min_degree=0)) == []
     assert list(graded_multiindices(2, 2)) == [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 

@@ -142,6 +142,18 @@ def test_out_file_matches_stdout(tmp_path):
     assert out.read_text() == proc.stdout
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_exit3(tmp_path, where):
+    out = tmp_path / "missing" / "report.txt" if where == "missing-directory" else tmp_path
+    report = run("algebra", "--preset", "dual").stdout
+    proc = run("algebra", "--preset", "dual", "--out", str(out))
+    assert proc.returncode == 3
+    # the report is printed, then the write fails
+    assert proc.stdout.startswith(report)
+    assert proc.stdout[len(report):].startswith(f"ERROR cannot write --out {out}: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_deterministic():
     a = run("verify", "--preset", "trunc:3", "--m", "1", "--degree", "1")
     b = run("verify", "--preset", "trunc:3", "--m", "1", "--degree", "1")
@@ -163,12 +175,44 @@ def test_forms_deterministic():
     ("verify", "--degree", "-1"),
     ("forms", "--m", "0"),
     ("forms", "--degree", "-1"),
+    ("verify", "--tol", "-1"),
+    ("verify", "--tol", "inf"),
+    ("forms", "--tol", "-1"),
+    ("forms", "--tol", "nan"),
+    ("check", "--tol", "nan", "--expr", "x1", "--at", "1"),
+    ("check", "--tol", "-inf", "--expr", "x1", "--at", "1"),
 ], ids=lambda args: f"{args[0]}{args[1]}={args[2]}")
 def test_torus_argument_out_of_range_exit3(args):
-    command, flag, value = args
-    proc = run(command, "--preset", "dual", flag, value)
+    command, flag, value, *extra = args
+    proc = run(command, "--preset", "dual", f"{flag}={value}", *extra)
     assert proc.returncode == 3
     assert proc.stdout.startswith(f"ERROR {flag} {value} must be at least")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command,source,code", [
+    ("algebra", "missing", 2),
+    ("algebra", "directory", 2),
+    ("algebra", "binary", 2),
+    ("verify", "missing", 3),
+    ("check", "binary", 3),
+])
+def test_unreadable_spec_exits_with_error(tmp_path, command, source, code):
+    binary = tmp_path / "binary.alg"
+    binary.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe\x00")
+    path = {"missing": tmp_path / "missing.alg", "directory": tmp_path, "binary": binary}[source]
+    extra = ("--expr", "x1", "--at", "1") if command == "check" else ()
+    proc = run(command, "--spec", str(path), *extra)
+    assert proc.returncode == code
+    assert proc.stdout.startswith(f"ERROR cannot read spec {path}: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("at", ["1;;2", "1;", ";1"])
+def test_empty_point_slot_exit3(at):
+    proc = run("lift", "--preset", "dual", "--expr", "x1", "--at", at)
+    assert proc.returncode == 3
+    assert proc.stdout == f"ERROR empty slot in point literal {at!r}\n"
     assert "Traceback" not in proc.stderr
 
 

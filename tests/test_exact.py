@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
+from localalg.algebra import preset
 from localalg.cli import main
 from localalg.torus import make_torus
 
@@ -27,7 +28,7 @@ def machine_keys(text):
 
 @pytest.mark.parametrize("name, m, d", [("trunc:3", 1, 3), ("square:2", 1, 3), ("dual", 2, 2)])
 def test_reported_dimensions_match_the_exact_oracle(name, m, d, capsys):
-    cfg = make_torus(name, m)
+    cfg = make_torus(preset(name), m)
     want = exact.dimensions(cfg.algebra, m, d, cfg.info.breve_indices())
     got = {}
     for command in ("verify", "forms"):

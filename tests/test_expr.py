@@ -21,8 +21,8 @@ from localalg.expr import (
     diff,
     eval_real,
     parse,
-    to_text,
 )
+from util import to_text
 
 
 def test_parse_structure():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from localalg.algebra import from_spec, standard_basis
+from localalg.algebra import from_spec, preset, standard_basis
 from localalg.errors import IndexNotBreve, SizeCapExceeded
 from localalg.forms import (
     assemble_form_constraints,
@@ -48,7 +48,7 @@ mul b b = 0.75*a - 0.75*b
 @pytest.mark.parametrize("source", PRESETS + ("rational trunc:3",))
 def test_commutant_frame_is_kernel_of_commutator_rows(source, m):
     if source in PRESETS:
-        cfg = make_torus(source, m)
+        cfg = make_torus(preset(source), m)
     else:  # kept in its own basis, not standardized
         A = from_spec(RATIONAL_TRUNC3)
         cfg = TorusConfig(A, standard_basis(A), m)
@@ -86,7 +86,7 @@ def test_exterior_derivative_single_product_rule():
 
 
 def test_d_of_d_vanishes_exactly():
-    cfg = make_torus("trunc:3", 1)
+    cfg = make_torus(preset("trunc:3"), 1)
     trig = cfg.trig_space(1)
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -101,7 +101,7 @@ def test_d_of_d_vanishes_exactly():
 
 def test_constant_forms_dual():
     # nullspace at degree 0 consists of W * dX, W in A: dimension 2
-    cfg = make_torus("dual", 1)
+    cfg = make_torus(preset("dual"), 1)
     system = assemble_form_constraints(cfg, 0)
     solutions = solve_nullspace(system)
     assert solutions.shape[0] == 2
@@ -116,7 +116,7 @@ def test_constant_forms_dual():
     ("trunc:4", 1, 6, False),  # dense SVD too large to repeat here
 ])
 def test_form_nullspace_dims(name, d, expected, dense_oracle):
-    cfg = make_torus(name, 1)
+    cfg = make_torus(preset(name), 1)
     system = assemble_form_constraints(cfg, d)
     solutions = solve_nullspace(system)
     assert solutions.shape[0] == expected
@@ -128,7 +128,7 @@ def test_form_nullspace_dims(name, d, expected, dense_oracle):
 
 
 def test_trunc3_breve_components_are_constant():
-    cfg = make_torus("trunc:3", 1)
+    cfg = make_torus(preset("trunc:3"), 1)
     system = assemble_form_constraints(cfg, 1)
     trig = system.trig
     for u in solve_nullspace(system):
@@ -140,7 +140,7 @@ def test_injected_form_violates_a_linearity():
     # omega = cos(theta^{1,1}) d theta^{1,0} is not A-linear: its value
     # diag(1, 0) on slot 0 lies diag(1/2, -1/2) off the commutant frame, and
     # its projection I/2 on the frame has closedness defect 1/2
-    cfg = make_torus("dual", 1)
+    cfg = make_torus(preset("dual"), 1)
     system = assemble_form_constraints(cfg, 1)
     trig = system.trig
     pair = next(p for p in range(trig.npairs) if tuple(trig.freqs[p]) == (0, 1))
@@ -157,14 +157,14 @@ def test_injected_form_violates_a_linearity():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_component_dim_trunc3_stable_in_degree(d):
-    cfg = make_torus("trunc:3", 1)
+    cfg = make_torus(preset("trunc:3"), 1)
     system = assemble_form_constraints(cfg, d)
     solutions = solve_nullspace(system)
     assert component_space_dim(solutions, 1, cfg, system.trig) == 2
 
 
 def test_component_dim_rejects_non_breve_indices():
-    cfg = make_torus("dual", 1)
+    cfg = make_torus(preset("dual"), 1)
     system = assemble_form_constraints(cfg, 1)
     solutions = solve_nullspace(system)
     with pytest.raises(IndexNotBreve):
@@ -174,19 +174,19 @@ def test_component_dim_rejects_non_breve_indices():
 
 
 def test_component_dim_empty_solutions():
-    cfg = make_torus("trunc:3", 1)
+    cfg = make_torus(preset("trunc:3"), 1)
     trig = cfg.trig_space(1)
     empty = np.zeros((0, cfg.ncoords * cfg.n * trig.size))
     assert component_space_dim(empty, 1, cfg, trig) == 0
 
 
 def test_dims_within_bound():
-    rep = cohomology_report(make_torus("trunc:3", 1), 2)
+    rep = cohomology_report(make_torus(preset("trunc:3"), 1), 2)
     assert rep.component_dims == {1: 2}
     assert rep.bound == 9
     assert rep.bounds_hold
 
-    rep4 = cohomology_report(make_torus("trunc:4", 1), 1)
+    rep4 = cohomology_report(make_torus(preset("trunc:4"), 1), 1)
     assert rep4.bound == 16
     assert set(rep4.component_dims) == {1, 2}
     assert all(dim <= 16 for dim in rep4.component_dims.values())
@@ -194,20 +194,20 @@ def test_dims_within_bound():
 
 def test_degree0_components_are_constants():
     for name in ("trunc:3", "trunc:4"):
-        rep = cohomology_report(make_torus(name, 1), 1)
+        rep = cohomology_report(make_torus(preset(name), 1), 1)
         assert all(dim == 1 for dim in rep.degree0_dims.values()), name
 
 
 def test_h0_is_constants():
     for name, d in [("dual", 1), ("trunc:3", 1), ("square:2", 1)]:
-        cfg = make_torus(name, 1)
+        cfg = make_torus(preset(name), 1)
         rep = cohomology_report(cfg, d)
         assert rep.h0_dim == cfg.n
 
 
 def test_zero_mean_solutions_are_differentials():
     for name, d in [("dual", 2), ("trunc:3", 1), ("trunc:3", 2), ("trunc:4", 1)]:
-        cfg = make_torus(name, 1)
+        cfg = make_torus(preset(name), 1)
         form_sys = assemble_form_constraints(cfg, d)
         fn_sys = assemble_function_constraints(cfg, d)
         form_sol = solve_nullspace(form_sys)
@@ -221,7 +221,7 @@ def test_zero_mean_solutions_are_differentials():
 
 def test_zero_mean_structure_dual():
     # zero-mean closed solutions over dual numbers are d of (socle * basic)
-    cfg = make_torus("dual", 1)
+    cfg = make_torus(preset("dual"), 1)
     system = assemble_form_constraints(cfg, 2)
     trig = system.trig
     sol = solve_nullspace(system)
@@ -235,7 +235,7 @@ def test_zero_mean_structure_dual():
 
 
 def test_nonzero_mean_constant_form_is_not_exact():
-    cfg = make_torus("dual", 1)
+    cfg = make_torus(preset("dual"), 1)
     trig = cfg.trig_space(1)
     fn_sys = assemble_function_constraints(cfg, 1)
     fn_sol = solve_nullspace(fn_sys)
@@ -248,7 +248,7 @@ def test_nonzero_mean_constant_form_is_not_exact():
 
 
 def test_function_differential_of_a_stack_is_row_by_row():
-    cfg = make_torus("trunc:3", 1)
+    cfg = make_torus(preset("trunc:3"), 1)
     trig = cfg.trig_space(1)
     stack = np.random.default_rng(3).standard_normal((4, cfg.n * trig.size))
     rows = np.stack([function_differential(u, cfg, trig) for u in stack])
@@ -258,7 +258,7 @@ def test_function_differential_of_a_stack_is_row_by_row():
 
 
 def test_injectivity_without_function_solutions_is_the_zero_mean_norm():
-    cfg = make_torus("dual", 1)
+    cfg = make_torus(preset("dual"), 1)
     form_sys = assemble_form_constraints(cfg, 1)
     form_sol = solve_nullspace(form_sys)
     zm = zero_mean_combinations(form_sol, cfg, form_sys.trig)
@@ -270,7 +270,7 @@ def test_injectivity_without_function_solutions_is_the_zero_mean_norm():
 
 def test_function_differentials_satisfy_form_constraints():
     for name, d in [("dual", 2), ("trunc:3", 1), ("square:2", 1)]:
-        cfg = make_torus(name, 1)
+        cfg = make_torus(preset(name), 1)
         form_sys = assemble_form_constraints(cfg, d)
         fn_sol = solve_nullspace(assemble_function_constraints(cfg, d))
         for u in fn_sol:
@@ -279,7 +279,7 @@ def test_function_differentials_satisfy_form_constraints():
 
 
 def test_cohomologous_forms_share_breve_components():
-    cfg = make_torus("trunc:3", 1)
+    cfg = make_torus(preset("trunc:3"), 1)
     d = 1
     form_sys = assemble_form_constraints(cfg, d)
     trig = form_sys.trig
@@ -297,7 +297,7 @@ def test_cohomologous_forms_share_breve_components():
 
 
 def test_component_dims_stabilize():
-    cfg = make_torus("trunc:3", 1)
+    cfg = make_torus(preset("trunc:3"), 1)
     dims = []
     for d in (1, 2, 3):
         sol = solve_nullspace(assemble_form_constraints(cfg, d))
@@ -308,14 +308,14 @@ def test_component_dims_stabilize():
 
 
 def test_forms_report_rendering():
-    cfg = make_torus("trunc:3", 1)
+    cfg = make_torus(preset("trunc:3"), 1)
     rep = forms_report(cfg, cohomology_report(cfg, 2))
     text = rep.render()
     assert "DIM_ZBREVE[e1]=2" in text
     assert "BOUND=9" in text
     assert rep.passed
 
-    cfg_dual = make_torus("dual", 1)
+    cfg_dual = make_torus(preset("dual"), 1)
     rep = forms_report(cfg_dual, cohomology_report(cfg_dual, 2))
     assert "NOTE" in rep.data  # vacuous component check
     assert rep.passed
@@ -327,7 +327,7 @@ def test_form_solve_rank_margins():
     solved = 0
     for name, m, d in FORMS_LADDER:
         try:
-            system = assemble_form_constraints(make_torus(name, m), d)
+            system = assemble_form_constraints(make_torus(preset(name), m), d)
         except SizeCapExceeded:
             continue
         s = np.linalg.svd(system.symbols, compute_uv=False)

@@ -12,7 +12,6 @@ from localalg.algebra import graded_multiindices, mul, preset, standardize
 from localalg.errors import AlgebraFormatError, DomainError, NonUnitError
 from localalg.expr import CORPUS, CORPUS_VARS, eval_real, parse
 from localalg.lift import (
-    APoint,
     adiff_defect,
     e1_component_residual,
     format_element,
@@ -41,7 +40,7 @@ STD = {name: standardize(preset(name)) for name in PRESETS}
 
 def test_taylor_dual_square():
     A, info = STD["dual"]
-    out = taylor_lift(parse("x1^2", 1), APoint([[3.0, 2.0]]), A, info)
+    out = taylor_lift(parse("x1^2", 1), np.array([[3.0, 2.0]]), A, info)
     assert_allclose(out, [9.0, 12.0])
 
 
@@ -49,8 +48,8 @@ def test_taylor_identity_lift():
     rng = np.random.default_rng(0)
     for name in PRESETS:
         A, info = STD[name]
-        X = APoint(rng.uniform(-2, 2, size=(1, A.n)))
-        assert_allclose(taylor_lift(parse("x1", 1), X, A, info), X.components[0])
+        X = rng.uniform(-2, 2, size=(1, A.n))
+        assert_allclose(taylor_lift(parse("x1", 1), X, A, info), X[0])
 
 
 def test_taylor_sin_matches_symbolic_series():
@@ -60,20 +59,20 @@ def test_taylor_sin_matches_symbolic_series():
     series = sympy.series(sympy.sin(xs + t), t, 0, 3).removeO()
     poly = sympy.Poly(series, t)
     for x in (0.0, 0.7, -1.3):
-        out = taylor_lift(parse("sin(x1)", 1), APoint([[x, 1.0, 0.0]]), A, info)
+        out = taylor_lift(parse("sin(x1)", 1), np.array([[x, 1.0, 0.0]]), A, info)
         expected = [float(poly.coeff_monomial(t**k).subs(xs, x)) for k in range(3)]
         assert_allclose(out, expected, atol=1e-15)
 
 
 def test_lift_eval_dual_geometric():
     A, info = STD["dual"]
-    out = lift_eval(parse("1/(1+x1)", 1), APoint([[0.0, 1.0]]), A, info)
+    out = lift_eval(parse("1/(1+x1)", 1), np.array([[0.0, 1.0]]), A, info)
     assert_allclose(out, [1.0, -1.0])
 
 
 def test_lift_eval_trunc3_exponential():
     A, info = STD["trunc:3"]
-    out = lift_eval(parse("exp(x1)", 1), APoint([[0.0, 1.0, 0.0]]), A, info)
+    out = lift_eval(parse("exp(x1)", 1), np.array([[0.0, 1.0, 0.0]]), A, info)
     assert_allclose(out, [1.0, 1.0, 0.5])
 
 
@@ -81,7 +80,7 @@ def test_lift_eval_square2_product():
     # (a + x)(b + y) = ab + b x + a y since generator products vanish
     A, info = STD["square:2"]
     a, b = 1.7, -0.4
-    X = APoint([[a, 1.0, 0.0], [b, 0.0, 1.0]])
+    X = np.array([[a, 1.0, 0.0], [b, 0.0, 1.0]])
     out = lift_eval(parse("x1 * x2", 2), X, A, info)
     assert_allclose(out, [a * b, b, a])
 
@@ -89,21 +88,21 @@ def test_lift_eval_square2_product():
 def test_lift_eval_log_requires_positive_real_part():
     A, info = STD["dual"]
     with pytest.raises(DomainError):
-        lift_eval(parse("log(x1)", 1), APoint([[-1.0, 0.0]]), A, info)
+        lift_eval(parse("log(x1)", 1), np.array([[-1.0, 0.0]]), A, info)
 
 
 def test_lift_eval_series_overflow_is_a_domain_error():
     A, info = STD["dual"]
     with pytest.raises(DomainError, match="leaves the float range"):
-        lift_eval(parse("exp(x1)", 1), APoint([[1000.0, 1.0]]), A, info)
+        lift_eval(parse("exp(x1)", 1), np.array([[1000.0, 1.0]]), A, info)
     with pytest.raises(DomainError, match="leaves the float range"):
-        lift_eval(parse("cos(x1)", 1), APoint([[np.inf, 1.0]]), A, info)
+        lift_eval(parse("cos(x1)", 1), np.array([[np.inf, 1.0]]), A, info)
 
 
 def test_non_finite_results_are_domain_errors():
     # products overflow without an exception: each route tests its result
     A, info = STD["dual"]
-    X = APoint([[1e200, 0.0]])
+    X = np.array([[1e200, 0.0]])
     with pytest.raises(DomainError, match="the Taylor lift leaves the float range"):
         taylor_lift(parse("x1 * x1", 1), X, A, info)
     with pytest.raises(DomainError, match="the series evaluation leaves the float range"):
@@ -118,7 +117,7 @@ def test_non_finite_results_are_domain_errors():
 def test_lift_eval_division_requires_unit():
     A, info = STD["dual"]
     with pytest.raises(NonUnitError):
-        lift_eval(parse("1/x1", 1), APoint([[0.0, 1.0]]), A, info)
+        lift_eval(parse("1/x1", 1), np.array([[0.0, 1.0]]), A, info)
 
 
 # -- equivalence of the two routes ----------------------------------------------------
@@ -129,7 +128,7 @@ def test_routes_agree_on_corpus():
     for name in PRESETS:
         A, info = STD[name]
         points = [
-            APoint(unit_safe_point(rng, CORPUS_VARS, A.n)) for _ in range(20)
+            unit_safe_point(rng, CORPUS_VARS, A.n) for _ in range(20)
         ]
         for text in CORPUS:
             e = parse(text, CORPUS_VARS)
@@ -149,7 +148,7 @@ def test_routes_agree_on_corpus():
 def test_routes_agree_property(name, idx, seed):
     A, info = STD[name]
     rng = np.random.default_rng(seed)
-    X = APoint(unit_safe_point(rng, CORPUS_VARS, A.n))
+    X = unit_safe_point(rng, CORPUS_VARS, A.n)
     e = parse(CORPUS[idx], CORPUS_VARS)
     t = taylor_lift(e, X, A, info)
     v = lift_eval(e, X, A, info)
@@ -174,7 +173,7 @@ def test_stack_rows_are_single_point_evaluations(name):
         nested = lift_eval(e, stack.reshape(2, 3, CORPUS_VARS, A.n), A, info)
         assert rows.shape == (6, A.n) and nested.shape == (2, 3, A.n)
         for X, row in zip(stack, rows):
-            single = lift_eval(e, APoint(X), A, info)
+            single = lift_eval(e, X, A, info)
             assert np.array_equal(row.view(np.int64), single.view(np.int64)), text
         assert np.array_equal(nested.reshape(6, A.n), rows)
 
@@ -202,7 +201,7 @@ def test_series_division_is_the_inverse_times_the_numerator(name):
         u, v = unit_safe_point(rng, 2, A.n)
         v[0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
         want = mul(A, u, invert(A, v, info.nu))
-        got = lift_eval(e, APoint([u, v]), A, info)
+        got = lift_eval(e, np.array([u, v]), A, info)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -215,7 +214,7 @@ def test_series_division_refuses_non_units_at_the_inverse_threshold():
         refused = []
         # the oracle, the point alone, and the point in a stack behind a unit
         for inverse in (lambda: invert(A, v, info.nu),
-                        lambda: lift_eval(e, APoint([v]), A, info),
+                        lambda: lift_eval(e, np.array([v]), A, info),
                         lambda: lift_eval(e, np.array([[A.unit()], [v]]), A, info)):
             try:
                 inverse()
@@ -230,10 +229,10 @@ def test_adiff_defect_is_the_column_loop_reference():
     for name in BATCH_PRESETS:
         A, info = BATCH_STD[name]
         for text in CORPUS:
-            X = APoint(unit_safe_point(rng, CORPUS_VARS, A.n))
+            X = unit_safe_point(rng, CORPUS_VARS, A.n)
             F = lift_map(parse(text, CORPUS_VARS), A, info)
             assert adiff_defect(F, X, A) == reference_adiff_defect(F, X, A), (name, text)
-        X = APoint(rng.uniform(-2, 2, size=(1, A.n)))
+        X = rng.uniform(-2, 2, size=(1, A.n))
         F = radical_negation_map(A)
         assert adiff_defect(F, X, A) == reference_adiff_defect(F, X, A)
 
@@ -249,7 +248,7 @@ def test_taylor_lift_is_bitwise_the_reference(k):
     # the reference re-differentiates and re-walks every tree: same floats, slower
     A, info = TRUNC[k]
     rng = np.random.default_rng(100 + k)
-    points = [APoint(unit_safe_point(rng, 2, A.n)) for _ in range(2)]
+    points = [unit_safe_point(rng, 2, A.n) for _ in range(2)]
     for text in CORPUS:
         e = parse(text, 2)
         for X in points:
@@ -266,7 +265,7 @@ def test_taylor_lift_matches_sympy_series():
     t, x1, x2 = sympy.symbols("t x1 x2")
     shift = {x1: sympy.Rational(x[0]) + sympy.Rational(c[0]) * t,
              x2: sympy.Rational(x[1]) + sympy.Rational(c[1]) * t}
-    X = APoint([[x[0], c[0]] + [0.0] * (A.n - 2), [x[1], c[1]] + [0.0] * (A.n - 2)])
+    X = np.array([[x[0], c[0]] + [0.0] * (A.n - 2), [x[1], c[1]] + [0.0] * (A.n - 2)])
     for text in CORPUS:
         g = sympy.sympify(text.replace("^", "**"), locals={"x1": x1, "x2": x2})
         series = sympy.series(g.subs(shift, simultaneous=True), t, 0, A.n).removeO()
@@ -292,7 +291,7 @@ def test_taylor_lift_builds_and_evaluates_each_node_once(monkeypatch):
 
     monkeypatch.setattr(expr, "diff", diff_spy)
     monkeypatch.setattr(expr, "eval_real", eval_spy)
-    X = APoint(unit_safe_point(np.random.default_rng(1), 2, A.n))
+    X = unit_safe_point(np.random.default_rng(1), 2, A.n)
     taylor_lift(parse("exp(x1 + x2) / (1 + x1^2)", 2), X, A, info)
     (diff_memo,) = diff_memos.values()
     (eval_memo,) = eval_memos.values()
@@ -315,7 +314,7 @@ def test_lift_is_additive_and_multiplicative():
     for name in PRESETS:
         A, info = STD[name]
         for _ in range(5):
-            X = APoint(unit_safe_point(rng, 2, A.n))
+            X = unit_safe_point(rng, 2, A.n)
             l1 = taylor_lift(e1, X, A, info)
             l2 = taylor_lift(e2, X, A, info)
             lsum = taylor_lift(esum, X, A, info)
@@ -332,9 +331,9 @@ def test_real_part_projection_is_exact():
         A, info = STD[name]
         for text in CORPUS:
             e = parse(text, CORPUS_VARS)
-            X = APoint(unit_safe_point(rng, CORPUS_VARS, A.n))
+            X = unit_safe_point(rng, CORPUS_VARS, A.n)
             lifted = taylor_lift(e, X, A, info)
-            assert real_part(lifted) == eval_real(e, X.real_parts())
+            assert real_part(lifted) == eval_real(e, X[:, 0])
 
 
 def test_chain_property_composition():
@@ -342,9 +341,9 @@ def test_chain_property_composition():
     rng = np.random.default_rng(9)
     for name in PRESETS:
         A, info = STD[name]
-        X = APoint(unit_safe_point(rng, 1, A.n))
+        X = unit_safe_point(rng, 1, A.n)
         inner = lift_eval(parse("x1^2", 1), X, A, info)
-        outer = lift_eval(parse("sin(x1)", 1), APoint([inner]), A, info)
+        outer = lift_eval(parse("sin(x1)", 1), np.array([inner]), A, info)
         direct = lift_eval(parse("sin(x1^2)", 1), X, A, info)
         assert np.abs(outer - direct).max() <= 1e-9
         taylor = taylor_lift(parse("sin(x1^2)", 1), X, A, info)
@@ -360,7 +359,7 @@ def test_lifts_have_small_defect():
         A, info = STD[name]
         for text in CORPUS:
             e = parse(text, CORPUS_VARS)
-            X = APoint(unit_safe_point(rng, CORPUS_VARS, A.n))
+            X = unit_safe_point(rng, CORPUS_VARS, A.n)
             F = lift_map(e, A, info)
             assert adiff_defect(F, X, A) <= 1e-6, (name, text)
 
@@ -368,7 +367,7 @@ def test_lifts_have_small_defect():
 def test_constant_map_zero_defect():
     A, _ = STD["trunc:3"]
     F = lambda flat: np.tile([1.0, 2.0, 3.0], (len(flat), 1))  # noqa: E731
-    assert adiff_defect(F, APoint([[0.1, 0.2, 0.3]]), A) == 0.0
+    assert adiff_defect(F, np.array([[0.1, 0.2, 0.3]]), A) == 0.0
 
 
 def test_radical_negation_defect():
@@ -378,7 +377,7 @@ def test_radical_negation_defect():
         A, _ = STD[name]
         F = radical_negation_map(A)
         for _ in range(10):
-            X = APoint(rng.uniform(-2, 2, size=(1, A.n)))
+            X = rng.uniform(-2, 2, size=(1, A.n))
             defect = adiff_defect(F, X, A)
             assert defect >= 0.5
 
@@ -392,7 +391,7 @@ def test_e1_identity_trunc3():
     e = parse("sin(x1)", 1)
     for _ in range(10):
         x, a, b = rng.uniform(-2, 2, 3)
-        X = APoint([[x, a, b]])
+        X = np.array([[x, a, b]])
         assert e1_component_residual(e, X, A, info) <= 1e-12
         lifted = taylor_lift(e, X, A, info)
         assert abs(lifted[1] - a * np.cos(x)) <= 1e-12
@@ -400,7 +399,7 @@ def test_e1_identity_trunc3():
 
 def test_e1_identity_dual_example():
     A, info = STD["dual"]
-    X = APoint([[3.0, 2.0]])
+    X = np.array([[3.0, 2.0]])
     lifted = taylor_lift(parse("x1^2", 1), X, A, info)
     assert lifted[1] == 12.0
     assert e1_component_residual(parse("x1^2", 1), X, A, info) == 0.0
@@ -411,7 +410,7 @@ def test_e1_identity_vanishing_radical():
     for name in PRESETS:
         A, info = STD[name]
         x = rng.uniform(-0.5, 0.5, 2)
-        X = APoint(np.column_stack([x, np.zeros((2, A.n - 1))]))
+        X = np.column_stack([x, np.zeros((2, A.n - 1))])
         for text in CORPUS:
             assert e1_component_residual(parse(text, 2), X, A, info) == 0.0
 
@@ -421,7 +420,7 @@ def test_e1_identity_multislot():
     rng = np.random.default_rng(14)
     for text in CORPUS:
         e = parse(text, 2)
-        X = APoint(unit_safe_point(rng, 2, A.n))
+        X = unit_safe_point(rng, 2, A.n)
         assert e1_component_residual(e, X, A, info) <= 1e-12
 
 
@@ -462,7 +461,10 @@ def test_element_literal_exponent_term_hint():
 def test_point_literal():
     A, _ = STD["dual"]
     X = parse_point("3 + 2 e1; 0.5", A)
-    assert X.m == 2
-    assert_allclose(X.components, [[3.0, 2.0], [0.5, 0.0]])
+    assert len(X) == 2
+    assert_allclose(X, [[3.0, 2.0], [0.5, 0.0]])
     with pytest.raises(AlgebraFormatError):
         parse_point("", A)
+    for text in ("1;;2", "1;", "; 1", "1; "):
+        with pytest.raises(AlgebraFormatError, match="empty slot"):
+            parse_point(text, A)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from localalg.algebra import socle_basis
+from localalg.algebra import preset, radical_basis, socle_basis
 from localalg.errors import SizeCapExceeded
-from localalg.lift import APoint, adiff_defect
+from localalg.lift import adiff_defect
 from localalg.linalg import nullspace_rows
 from localalg.forms import assemble_form_constraints
 from localalg import torus
@@ -109,7 +109,7 @@ def test_trig_transversal_mask():
 
 @pytest.mark.parametrize("name,m,d", CONFIGS)
 def test_nullspace_dimension_matches_analytic_count(name, m, d):
-    cfg = make_torus(name, m)
+    cfg = make_torus(preset(name), m)
     system = assemble_function_constraints(cfg, d)
     solutions = solve_nullspace(system)
     want = expected_dim(cfg.n, len(cfg.info.socle), m, d)
@@ -131,7 +131,7 @@ ASSEMBLERS = {
 @pytest.mark.parametrize("name,m,d", CONFIGS)
 def test_symbol_matches_dense_oracle(kind, name, m, d):
     assemble, oracle = ASSEMBLERS[kind]
-    cfg = make_torus(name, m)
+    cfg = make_torus(preset(name), m)
     system = assemble(cfg, d)
     trig = system.trig
     B = trig.size
@@ -183,7 +183,7 @@ def test_cap_checked_before_enumeration(monkeypatch):
         raise AssertionError("TrigSpace.build ran before the cap check")
 
     monkeypatch.setattr(TrigSpace, "build", classmethod(refuse))
-    cfg = make_torus("trunc:3", 3)
+    cfg = make_torus(preset("trunc:3"), 3)
     with pytest.raises(SizeCapExceeded, match=f"^{3 * 7**9} columns"):
         assemble_function_constraints(cfg, 3)
     with pytest.raises(SizeCapExceeded, match=f"^{9 * 3 * 7**9} columns"):
@@ -194,7 +194,7 @@ def test_cap_checked_before_enumeration(monkeypatch):
     ("dual", 1, 1), ("dual", 1, 2), ("trunc:3", 1, 1), ("square:2", 1, 1),
 ])
 def test_block_solver_matches_dense_oracle(name, m, d):
-    cfg = make_torus(name, m)
+    cfg = make_torus(preset(name), m)
     system = assemble_function_constraints(cfg, d)
     block_sol = solve_nullspace(system)
     dense = nullspace_rows(dense_function_constraints(cfg, system.trig), 1e-8)
@@ -205,7 +205,7 @@ def test_block_solver_matches_dense_oracle(name, m, d):
 
 
 def test_dense_matrix_agrees_with_block_residuals():
-    cfg = make_torus("trunc:3", 1)
+    cfg = make_torus(preset("trunc:3"), 1)
     system = assemble_function_constraints(cfg, 1)
     M = dense_function_constraints(cfg, system.trig)
     rng = np.random.default_rng(1)
@@ -215,7 +215,7 @@ def test_dense_matrix_agrees_with_block_residuals():
 
 
 def test_solve_nullspace_zero_system_is_full_space():
-    cfg = make_torus("dual", 1)
+    cfg = make_torus(preset("dual"), 1)
     system = assemble_function_constraints(cfg, 0)
     assert not np.any(dense_function_constraints(cfg, system.trig))
     assert solve_nullspace(system).shape[0] == system.ncols == 2
@@ -230,7 +230,7 @@ def test_solve_nullspace_full_rank_system_is_empty():
 
 def test_constants_embed():
     for name, m, d in CONFIGS:
-        cfg = make_torus(name, m)
+        cfg = make_torus(preset(name), m)
         system = assemble_function_constraints(cfg, d)
         for vec in constant_function_vectors(cfg, system.trig):
             assert system.residual_inf(vec) <= 1e-10
@@ -241,11 +241,11 @@ def test_socle_embedding_is_in_nullspace():
     rng = np.random.default_rng(2)
     for name, m, d in [("dual", 1, 2), ("trunc:3", 1, 1), ("square:2", 1, 1),
                        ("trunc:4", 1, 1)]:
-        cfg = make_torus(name, m)
+        cfg = make_torus(preset(name), m)
         system = assemble_function_constraints(cfg, d)
         trig = system.trig
         tmask = trig.transversal_mask(m)
-        for s in socle_basis(cfg.algebra):
+        for s in socle_basis(cfg.algebra, radical_basis(cfg.algebra)):
             f = rng.standard_normal(trig.size) * tmask
             vec = socle_embedding_vector(cfg, trig, s, f)
             assert system.residual_inf(vec) <= 1e-9 * (1 + np.abs(vec).max())
@@ -253,7 +253,7 @@ def test_socle_embedding_is_in_nullspace():
 
 def test_verify_constancy_passes_on_solutions():
     for name, m, d in CONFIGS:
-        cfg = make_torus(name, m)
+        cfg = make_torus(preset(name), m)
         system = assemble_function_constraints(cfg, d)
         solutions = solve_nullspace(system)
         rep = verify_constancy(solutions, cfg, system.trig)
@@ -262,7 +262,7 @@ def test_verify_constancy_passes_on_solutions():
 
 
 def test_verify_constancy_flags_injected_counterexample():
-    cfg = make_torus("dual", 1)
+    cfg = make_torus(preset("dual"), 1)
     system = assemble_function_constraints(cfg, 1)
     trig = system.trig
     bad = np.zeros(system.ncols)
@@ -283,7 +283,7 @@ def test_verify_constancy_flags_injected_counterexample():
 
 def test_verify_socle_decomposition():
     for name, m, d in CONFIGS:
-        cfg = make_torus(name, m)
+        cfg = make_torus(preset(name), m)
         system = assemble_function_constraints(cfg, d)
         solutions = solve_nullspace(system)
         rep = verify_socle_decomposition(solutions, cfg, system.trig)
@@ -293,7 +293,7 @@ def test_verify_socle_decomposition():
 def test_nonconstant_dimension_ratio_is_socle_dim():
     # (dim - n) / (transversal trig functions - 1) equals the socle dimension
     for name in ("dual", "trunc:3", "square:2"):
-        cfg = make_torus(name, 1)
+        cfg = make_torus(preset(name), 1)
         ratios = []
         for d in (1, 2):
             system = assemble_function_constraints(cfg, d)
@@ -304,39 +304,40 @@ def test_nonconstant_dimension_ratio_is_socle_dim():
 
 def test_min_leaf_on_solutions():
     for name, m, d in [("dual", 1, 2), ("trunc:3", 1, 1), ("square:2", 1, 1)]:
-        cfg = make_torus(name, m)
+        cfg = make_torus(preset(name), m)
         system = assemble_function_constraints(cfg, d)
         solutions = solve_nullspace(system)
-        rep = verify_min_leaf_all(solutions, cfg, system.trig, grid=32,
-                                  system=system)
+        rep = verify_min_leaf_all(solutions, cfg, system.trig, grid=32)
         assert rep.passed, rep.render()
         assert rep.data["GRAD_MAX"] <= 1e-8
+        assert system.residual_inf(solutions) <= 1e-8
 
 
 def test_min_leaf_constant_solution_exact():
-    cfg = make_torus("trunc:3", 1)
+    cfg = make_torus(preset("trunc:3"), 1)
     system = assemble_function_constraints(cfg, 1)
     const = constant_function_vectors(cfg, system.trig)[0]
-    rep = verify_min_leaf(const, cfg, system.trig, grid=8, system=system)
+    rep = verify_min_leaf(const, cfg, system.trig, grid=8)
     assert rep.passed
     assert rep.data["GRAD_MAX"] == 0.0
     assert rep.data["G_VARIATION"] == 0.0
+    assert system.residual_inf(const) == 0.0
 
 
 def test_min_leaf_flags_injected_nondifferentiable():
-    cfg = make_torus("dual", 1)
+    cfg = make_torus(preset("dual"), 1)
     system = assemble_function_constraints(cfg, 2)
     trig = system.trig
     bad = np.zeros(system.ncols)
     pair = next(p for p in range(trig.npairs) if tuple(trig.freqs[p]) == (1, 0))
     bad[1 + 2 * pair] = 1.0  # g = cos(x^{1,0})
-    rep = verify_min_leaf(bad, cfg, trig, grid=32, system=system)
+    rep = verify_min_leaf(bad, cfg, trig, grid=32)
     assert not rep.passed
     failed = {c.name for c in rep.checks if not c.passed}
     # gradient vanishes on the critical leaf but g is not constant and the
     # constraint rows reject the function
     assert "real_part_variation" in failed
-    assert "adiff_constraints" in failed
+    assert system.residual_inf(bad) > 1e-8
 
 
 def _mixed_stack(system, seed=11):
@@ -350,7 +351,7 @@ def _mixed_stack(system, seed=11):
     return np.vstack([solve_nullspace(system), noise, dense])
 
 
-MIN_LEAF_KEYS = ("MIN_LEAF_AVG", "GRAD_MAX", "G_VARIATION", "ADIFF_RESIDUAL")
+MIN_LEAF_KEYS = ("MIN_LEAF_AVG", "GRAD_MAX", "G_VARIATION")
 
 
 @pytest.mark.parametrize("name,m,d", CONFIGS)
@@ -358,31 +359,31 @@ def test_min_leaf_matches_reference(name, m, d):
     # solutions and seeded sparse and dense non-solutions, checked one by one
     # and as one stack against the per-solution check evaluated on each leaf
     # directly; dense real parts mix cos and sin in every pair
-    cfg = make_torus(name, m)
+    cfg = make_torus(preset(name), m)
     system = assemble_function_constraints(cfg, d)
     trig = system.trig
     stack = _mixed_stack(system)
-    refs = [reference_min_leaf(u, cfg, trig, system=system).data for u in stack]
+    refs = [reference_min_leaf(u, cfg, trig).data for u in stack]
     for u, ref in zip(stack, refs):
-        got = verify_min_leaf(u, cfg, trig, system=system).data
+        got = verify_min_leaf(u, cfg, trig).data
         assert got["MIN_LEAF_INDEX"] == ref["MIN_LEAF_INDEX"]
         for key in MIN_LEAF_KEYS:
             assert_allclose(got[key], ref[key], rtol=1e-12, atol=1e-15)
 
-    qmin, avg, grad, variation, residual = torus._min_leaf(
-        stack, cfg, trig, 32, 8, system)
+    qmin, avg, grad, variation = torus._min_leaf(stack, cfg, trig, 32)
     assert list(qmin) == [ref["MIN_LEAF_INDEX"] for ref in refs]
     for got, key in ((avg, "MIN_LEAF_AVG"), (grad, "GRAD_MAX"),
                      (variation, "G_VARIATION")):
         assert_allclose(got, [ref[key] for ref in refs], rtol=1e-12, atol=1e-15)
-    assert_allclose(residual, max(ref["ADIFF_RESIDUAL"] for ref in refs),
+    # the residual of the stack, as the CLI reports it, is the worst row's
+    assert_allclose(system.residual_inf(stack), max(map(system.residual_inf, stack)),
                     rtol=1e-12, atol=1e-15)
 
 
 def test_min_leaf_tie_goes_to_smallest_row_major_index():
     # g1 = cos(theta_1) is smallest on the whole line theta_1 = pi: the
     # 32 lattice points (16, j) tie exactly, and (16, 0) has index 16 * 32
-    cfg = make_torus("dual", 2)
+    cfg = make_torus(preset("dual"), 2)
     trig = assemble_function_constraints(cfg, 1).trig
     u = np.zeros(cfg.n * trig.size)
     pair = next(p for p in range(trig.npairs)
@@ -394,7 +395,7 @@ def test_min_leaf_tie_goes_to_smallest_row_major_index():
 
 
 def test_min_leaf_all_flags_injected_among_solutions():
-    cfg = make_torus("dual", 1)
+    cfg = make_torus(preset("dual"), 1)
     system = assemble_function_constraints(cfg, 2)
     trig = system.trig
     solutions = solve_nullspace(system)
@@ -402,10 +403,11 @@ def test_min_leaf_all_flags_injected_among_solutions():
     pair = next(p for p in range(trig.npairs) if tuple(trig.freqs[p]) == (1, 0))
     bad[1 + 2 * pair] = 1.0  # g = cos(x^{1,0})
     stack = np.vstack([solutions[:3], bad, solutions[3:]])
-    rep = verify_min_leaf_all(stack, cfg, trig, system=system)
+    rep = verify_min_leaf_all(stack, cfg, trig)
     failed = {c.name for c in rep.checks if not c.passed}
-    assert failed == {"real_part_variation", "adiff_constraints"}
-    assert verify_min_leaf_all(solutions, cfg, trig, system=system).passed
+    assert failed == {"real_part_variation"}
+    assert verify_min_leaf_all(solutions, cfg, trig).passed
+    assert system.residual_inf(stack) > 1e-8 >= system.residual_inf(solutions)
 
 
 def test_min_leaf_all_builds_no_design_matrix(monkeypatch):
@@ -417,12 +419,12 @@ def test_min_leaf_all_builds_no_design_matrix(monkeypatch):
         return values(self, points)
 
     monkeypatch.setattr(TrigSpace, "values", counted)
-    cfg = make_torus("trunc:3", 1)
+    cfg = make_torus(preset("trunc:3"), 1)
     system = assemble_function_constraints(cfg, 2)
     solutions = solve_nullspace(system)
     assert len(solutions) == 7
     for stack in (solutions[:1], solutions, np.vstack([solutions] * 3)):
-        assert verify_min_leaf_all(stack, cfg, system.trig, system=system).passed
+        assert verify_min_leaf_all(stack, cfg, system.trig).passed
     assert calls == []
 
 
@@ -431,7 +433,7 @@ def test_min_leaf_tie_tolerance():
     # of 32 have the same average in exact arithmetic; through cos and sin of
     # the lattice points the average at 27 is one ulp smaller, and the tie
     # rule still picks 5
-    cfg = make_torus("dual", 1)
+    cfg = make_torus(preset("dual"), 1)
     trig = assemble_function_constraints(cfg, 3).trig
     u = np.zeros(cfg.n * trig.size)
     for k, c in (((2, 0), 0.037), ((3, 0), 0.717)):
@@ -445,17 +447,17 @@ def test_min_leaf_tie_tolerance():
 
 @pytest.mark.parametrize("name,m,d", [("dual", 1, 3), ("trunc:3", 1, 2),
                                       ("square:2", 1, 1), ("dual", 2, 1)])
-def test_min_leaf_aliased_lattices_match_reference(name, m, d):
+def test_min_leaf_aliased_lattices_match_reference(name, m, d, monkeypatch):
     # grids with fewer points than the 2d+1 frequencies per axis fold
     # frequencies onto each other; the values must still be exact
-    cfg = make_torus(name, m)
+    cfg = make_torus(preset(name), m)
     system = assemble_function_constraints(cfg, d)
     trig = system.trig
     stack = _mixed_stack(system)
     for grid, leaf_grid in itertools.product((1, 2, 3, 5), (1, 2)):
         refs = [reference_min_leaf(u, cfg, trig, grid, leaf_grid).data for u in stack]
-        qmin, avg, grad, variation, _ = torus._min_leaf(
-            stack, cfg, trig, grid, leaf_grid, None)
+        monkeypatch.setattr(torus, "LEAF_GRID", leaf_grid)
+        qmin, avg, grad, variation = torus._min_leaf(stack, cfg, trig, grid)
         assert list(qmin) == [ref["MIN_LEAF_INDEX"] for ref in refs]
         for got, key in ((avg, "MIN_LEAF_AVG"), (grad, "GRAD_MAX"),
                          (variation, "G_VARIATION")):
@@ -463,25 +465,25 @@ def test_min_leaf_aliased_lattices_match_reference(name, m, d):
 
 
 def test_min_leaf_chunks_do_not_change_results(monkeypatch):
-    cfg = make_torus("trunc:3", 2)
+    cfg = make_torus(preset("trunc:3"), 2)
     system = assemble_function_constraints(cfg, 1)
     stack = _mixed_stack(system)
-    whole = torus._min_leaf(stack, cfg, system.trig, 128, 8, system)
+    whole = torus._min_leaf(stack, cfg, system.trig, 128)
     # two solutions per chunk: 2 * 128^2 transversal and 7 * 8^4 leaf values each
     monkeypatch.setattr(torus, "LATTICE_BUDGET", 4 * 128**2)
     assert torus.lattice_chunks(cfg, 128) == [2, 2]
-    chunked = torus._min_leaf(stack, cfg, system.trig, 128, 8, system)
+    chunked = torus._min_leaf(stack, cfg, system.trig, 128)
     for a, b in zip(whole, chunked):
         assert np.array_equal(a, b)
 
 
 def test_lattice_budget_refuses_oversized_lattices():
-    cfg = make_torus("dual", 2)
+    cfg = make_torus(preset("dual"), 2)
     assert torus.lattice_chunks(cfg, 32) == [2**22 // (2 * 32**2), 2**22 // (5 * 8**2)]
     with pytest.raises(SizeCapExceeded):
         torus.lattice_chunks(cfg, 2**11)  # 2 * 2^22 values for one solution
     with pytest.raises(SizeCapExceeded):
-        torus.lattice_chunks(make_torus("trunc:3", 4), 2)  # 13 * 8^8 leaf values
+        torus.lattice_chunks(make_torus(preset("trunc:3"), 4), 2)  # 13 * 8^8 leaf values
     trig = assemble_function_constraints(cfg, 1).trig
     with pytest.raises(SizeCapExceeded):
         verify_min_leaf_all(np.zeros((1, cfg.n * trig.size)), cfg, trig, grid=10**5)
@@ -491,7 +493,7 @@ def test_lattice_budget_refuses_oversized_lattices():
 def test_vectorized_checks_match_per_solution_loop(name, m, d):
     # reports bitwise, violation texts included, on stacks with more than
     # eight violating rows once there are non-constant functions (d > 0)
-    cfg = make_torus(name, m)
+    cfg = make_torus(preset(name), m)
     system = assemble_function_constraints(cfg, d)
     stack = np.vstack([_mixed_stack(system, seed) for seed in range(1, 6)])
     data = verify_constancy(stack, cfg, system.trig).data
@@ -507,13 +509,13 @@ def test_solutions_pass_pointwise_defect():
     # cross-module consistency: trig solutions are differentiable over A
     rng = np.random.default_rng(5)
     for name, m, d in [("dual", 1, 2), ("trunc:3", 1, 1)]:
-        cfg = make_torus(name, m)
+        cfg = make_torus(preset(name), m)
         system = assemble_function_constraints(cfg, d)
         solutions = solve_nullspace(system)
         for u in solutions:
             F = torus_value_map(u, cfg, system.trig)
             for _ in range(10):
-                X = APoint(rng.uniform(0, 2 * np.pi, size=(m, cfg.n)))
+                X = rng.uniform(0, 2 * np.pi, size=(m, cfg.n))
                 assert adiff_defect(F, X, cfg.algebra) <= 1e-5
 
 
@@ -525,7 +527,7 @@ def ladder_systems():
     runs += [(kind, name, m, d) for name, m, d in FORMS_LADDER for kind in ASSEMBLERS]
     for kind, name, m, d in runs:
         try:
-            yield ASSEMBLERS[kind][0](make_torus(name, m), d)
+            yield ASSEMBLERS[kind][0](make_torus(preset(name), m), d)
         except SizeCapExceeded:
             continue
 
@@ -548,14 +550,14 @@ def test_solve_nullspace_rows_sit_on_one_trig_index():
 
 
 def test_solver_is_deterministic():
-    cfg = make_torus("trunc:3", 1)
+    cfg = make_torus(preset("trunc:3"), 1)
     a = solve_nullspace(assemble_function_constraints(cfg, 1))
     b = solve_nullspace(assemble_function_constraints(cfg, 1))
     assert np.array_equal(a, b)
 
 
 def test_size_cap():
-    cfg = make_torus("trunc:4", 1)
+    cfg = make_torus(preset("trunc:4"), 1)
     with pytest.raises(SizeCapExceeded):
         assemble_function_constraints(cfg, 6)
     assemble_function_constraints(cfg, 6, cap=10**7)  # explicit override works

@@ -209,7 +209,7 @@ def reference_adiff_defect(F, X, A, h=1e-5):
     ``F`` is called on one point at a time and the commutator of every
     Jacobian block with every basis multiplication is formed separately."""
     n = A.n
-    x0 = X.flatten()
+    x0 = X.ravel()
     dim = x0.size
     J = np.empty((n, dim))
     for col in range(dim):
@@ -217,7 +217,7 @@ def reference_adiff_defect(F, X, A, h=1e-5):
         step[col] = h
         J[:, col] = (F((x0 + step)[None])[0] - F((x0 - step)[None])[0]) / (2 * h)
     worst = 0.0
-    for j in range(X.m):
+    for j in range(len(X)):
         block = J[:, j * n:(j + 1) * n]
         for L in A.basis_mult_matrices():
             worst = max(worst, float(np.abs(block @ L - L @ block).max()))
@@ -418,8 +418,7 @@ def _lattice(points_per_axis, ndims):
     return np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
-def reference_min_leaf(solution, cfg, trig, grid=32, leaf_grid=8, tol=1e-8,
-                       system=None):
+def reference_min_leaf(solution, cfg, trig, grid=32, leaf_grid=8, tol=1e-8):
     """Locate the leaf minimizing the leaf-average of the e1-component and
     check the real part is critical there, evaluating every basis function
     on the points of that leaf itself. Ties go to the smallest row-major
@@ -457,10 +456,6 @@ def reference_min_leaf(solution, cfg, trig, grid=32, leaf_grid=8, tol=1e-8,
     rep.put("MIN_LEAF_AVG", float(averages[qmin]))
     rep.put("GRAD_MAX", grad_max)
     rep.put("G_VARIATION", variation)
-    if system is not None:
-        res = system.residual_inf(solution)
-        rep.add("adiff_constraints", res <= tol, res)
-        rep.put("ADIFF_RESIDUAL", res)
     return rep
 
 
@@ -545,12 +540,12 @@ def reference_taylor_lift(e, X, A, info):
     """Taylor-sum lift with exact symbolic derivatives, each derivative
     differentiated from its unsimplified parent and evaluated by a full tree
     walk. Terms of total order >= nu vanish, so the sum stops at nu - 1."""
-    m = X.m
+    m = len(X)
     nu = info.nu
-    x = X.real_parts()
+    x = X[:, 0]
     # powers of the radical parts, slot by slot
     rad_powers = [
-        _radical_powers(A, radical_part(X.components[j]), nu - 1) for j in range(m)
+        _radical_powers(A, radical_part(X[j]), nu - 1) for j in range(m)
     ]
 
     out = A.zero()
@@ -578,9 +573,9 @@ def reference_taylor_lift(e, X, A, info):
 # -- reference standard basis: one SVD per candidate monomial, products by mul ------
 
 
-def reference_radical_filtration(A, tol=linalg.RANK_TOL):
+def reference_radical_filtration(A):
     """Descending chain rad >= rad^2 >= ... >= 0 and the nilpotency index."""
-    rad = radical_basis(A, tol)
+    rad = radical_basis(A)
     scale = float(np.linalg.norm(A.C))
     chain = [rad]
     current = rad
@@ -590,7 +585,7 @@ def reference_radical_filtration(A, tol=linalg.RANK_TOL):
         products = np.array(
             [mul(A, u, v) for u in current for v in rad]
         ).reshape(-1, A.n)
-        nxt = linalg.orthonormal_rows(products, tol, scale)
+        nxt = linalg.orthonormal_rows(products, scale=scale)
         if nxt.shape[0] >= current.shape[0]:
             return chain, None
         chain.append(nxt)
@@ -598,21 +593,21 @@ def reference_radical_filtration(A, tol=linalg.RANK_TOL):
     return chain, len(chain)
 
 
-def reference_socle_basis(A, tol=linalg.RANK_TOL):
+def reference_socle_basis(A):
     """Kernel of the stacked multiplication maps by a radical basis,
     intersected with the radical itself."""
-    rad = radical_basis(A, tol)
+    rad = radical_basis(A)
     if rad.shape[0] == 0:
         return np.zeros((0, A.n))
     stacked = [mult_matrix(A, e) for e in rad]
     stacked.append(np.eye(A.n) - rad.T @ rad)  # force membership in rad
-    return linalg.nullspace_rows(np.vstack(stacked), tol)
+    return linalg.nullspace_rows(np.vstack(stacked))
 
 
-def reference_standard_basis(A, tol=linalg.RANK_TOL):
+def reference_standard_basis(A):
     """Monomials scanned in graded lexicographic order, each kept whenever it
     raises the numerical rank of the kept span plus itself."""
-    chain, nu = reference_radical_filtration(A, tol)
+    chain, nu = reference_radical_filtration(A)
     if nu is None:
         raise SpanFailure("radical is not nilpotent; input is not a local algebra")
     rad = chain[0]
@@ -627,7 +622,7 @@ def reference_standard_basis(A, tol=linalg.RANK_TOL):
         residual = rad - (rad @ rad2.T) @ rad2
     else:
         residual = rad
-    pseudo = linalg.orthonormal_rows(residual, tol)
+    pseudo = linalg.orthonormal_rows(residual)
     r = pseudo.shape[0]
 
     selected = []
@@ -639,7 +634,7 @@ def reference_standard_basis(A, tol=linalg.RANK_TOL):
             for _ in range(power):
                 vec = mul(A, vec, pseudo[t])
         trial = np.vstack([span, vec[None, :]])
-        trial_basis = linalg.orthonormal_rows(trial, tol)
+        trial_basis = linalg.orthonormal_rows(trial)
         if trial_basis.shape[0] > span.shape[0]:
             selected.append(vec)
             exponents.append(exp)
@@ -659,9 +654,9 @@ def reference_standard_basis(A, tol=linalg.RANK_TOL):
         for t in range(r):
             prod = mul(A, vec, pseudo[t])
             worst = max(worst, float(np.abs(prod).max()))
-        if worst <= tol * (1.0 + float(np.linalg.norm(vec))):
+        if worst <= linalg.RANK_TOL * (1.0 + float(np.linalg.norm(vec))):
             socle.append(k)
-    if len(socle) != reference_socle_basis(A, tol=tol).shape[0]:
+    if len(socle) != reference_socle_basis(A).shape[0]:
         raise SpanFailure("standard basis monomials do not span the socle")
 
     return StandardBasisInfo(
@@ -678,3 +673,28 @@ def reference_standardize_tensor(A, info):
     """The standard-basis structure tensor by the naive four-operand einsum."""
     Pinv = np.linalg.inv(info.P)
     return np.einsum("si,tj,stu,ku->ijk", info.P, info.P, A.C, Pinv)
+
+
+def to_text(e: ex.Expr) -> str:
+    """Render an expression; fully parenthesized so parsing round-trips."""
+    if isinstance(e, ex.Const):
+        return f"({e.value!r})" if e.value < 0 else repr(e.value)
+    if isinstance(e, ex.Var):
+        return f"x{e.index}"
+    if isinstance(e, ex.Add):
+        return f"({to_text(e.left)} + {to_text(e.right)})"
+    if isinstance(e, ex.Sub):
+        return f"({to_text(e.left)} - {to_text(e.right)})"
+    if isinstance(e, ex.Mul):
+        return f"({to_text(e.left)} * {to_text(e.right)})"
+    if isinstance(e, ex.Div):
+        return f"({to_text(e.left)} / {to_text(e.right)})"
+    if isinstance(e, ex.IntPow):
+        base = to_text(e.base)
+        if isinstance(e.base, ex.IntPow):
+            base = f"({base})"
+        return f"{base}^{e.exponent}"
+    for name, cls in ex.FUNCTIONS.items():
+        if isinstance(e, cls):
+            return f"{name}({to_text(e.arg)})"
+    raise TypeError(f"not an expression node: {e!r}")
