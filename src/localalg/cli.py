@@ -4,7 +4,7 @@ Subcommands: ``algebra`` (structural report), ``lift`` (evaluate both lift
 routes at a point), ``check`` (numerical differentiability of a lifted
 expression), ``verify`` (function-space suite on a torus), ``forms``
 (1-form dimension suite). Exit codes: 0 pass; 2 invalid algebra, or an
-unreadable or malformed spec for ``algebra``; 3 parse or domain error, such
+unreadable or malformed spec for ``algebra``; 3 parse or domain error, such as
 a spec for the other commands, an empty ``--at`` slot, an out-of-range
 ``--m``/``--degree``/``--grid`` or ``--tol`` (negative, nan or inf) and an
 unwritable ``--out``; 4 failed checks; 5 size cap exceeded.

@@ -22,7 +22,9 @@ A-differentiable exactly when its differential is A-linear. The 1-forms of
 The minimizing-leaf check builds no design matrix: it sums each trig
 polynomial's frequency box onto a lattice one axis at a time, in chunks of
 solutions holding at most LATTICE_BUDGET values. Leaf averages within TIE_RTOL
-times their l1 bound of the minimum tie; the smallest row-major index wins.
+times their l1 bound of the minimum tie; the smallest row-major index wins. A
+real part with no nonzero (cos, sin) coefficient (NaN and inf count) is flat:
+it skips both lattices, as const + Re sum 0 E is const bit for bit.
 """
 
 from __future__ import annotations
@@ -362,33 +364,38 @@ def _min_leaf(solutions: np.ndarray, cfg: TorusConfig, trig: TrigSpace, grid: in
     whose average is within TIE_RTOL * (l1 norm of that basic part, which
     bounds every average and its round-off) of the minimum. On the
     leaf through x = x_qmin, the base leaf with z rotated by e^{i k[:m] . x}:
-    the real part and its N derivatives (z times i k_axis).
+    the real part and its N derivatives (z times i k_axis). Flat real parts
+    (z == 0) go through neither pass: their values are the constant, so their
+    variation and gradient are exactly 0.
     """
     n, m, N = cfg.n, cfg.m, cfg.ncoords
     trans_chunk, leaf_chunk = lattice_chunks(cfg, grid)
     U = np.asarray(solutions, dtype=float).reshape(-1, n, trig.size)
     G, G1 = U[:, 0], U[:, 1 if n > 1 else 0] * trig.transversal_mask(m)
     z, z1 = G[:, 1::2] - 1j * G[:, 2::2], G1[:, 1::2] - 1j * G1[:, 2::2]
-    d, S = max(trig.degree, 0), len(U)
-    qmin, (avg, g_hi, g_lo, grad) = np.empty(S, dtype=np.int64), np.empty((4, S))
+    d, S, live = max(trig.degree, 0), len(U), z.any(axis=1)
+    qmin, avg, grad = np.empty(S, dtype=np.int64), np.empty(S), np.zeros(S)
+    g_hi, g_lo = G[:, 0].copy(), G[:, 0].copy()
     for c in (slice(s, s + trans_chunk) for s in range(0, S, trans_chunk)):
         averages, g_trans = np.split(_lattice_values(
-            np.concatenate([G1[c, 0], G[c, 0]]), np.vstack([z1[c], z[c]]),
-            trig.freqs[:, :m], d, grid), 2)
+            np.concatenate([G1[c, 0], G[c, 0][live[c]]]), np.vstack([z1[c], z[c][live[c]]]),
+            trig.freqs[:, :m], d, grid), [len(G1[c])])
         tie = averages.min(axis=1) + TIE_RTOL * np.abs(G1[c]).sum(axis=1)
         qmin[c] = np.argmax(averages <= tie[:, None], axis=1)
         avg[c] = averages[np.arange(len(averages)), qmin[c]]
-        g_hi[c], g_lo[c] = g_trans.max(axis=1), g_trans.min(axis=1)
-    x = np.stack(np.unravel_index(qmin, (grid,) * m), axis=1)
-    z = z * np.exp(2j * np.pi * (x @ trig.freqs[:, :m].T % grid) / grid)
+        g_hi[c][live[c]], g_lo[c][live[c]] = g_trans.max(axis=1), g_trans.min(axis=1)
+    rows = np.flatnonzero(live)
+    x = np.stack(np.unravel_index(qmin[rows], (grid,) * m), axis=1)
+    z = z[rows] * np.exp(2j * np.pi * (x @ trig.freqs[:, :m].T % grid) / grid)
     z = np.concatenate([z[:, None], 1j * trig.freqs.T * z[:, None]], axis=1)
-    const = np.pad(G[:, :1], ((0, 0), (0, N)))
-    for c in (slice(s, s + leaf_chunk) for s in range(0, S, leaf_chunk)):
+    const = np.pad(G[rows, :1], ((0, 0), (0, N)))
+    for c in (slice(s, s + leaf_chunk) for s in range(0, len(rows), leaf_chunk)):
         leaf = _lattice_values(const[c].ravel(), z[c].reshape(const[c].size, -1),
                                trig.freqs[:, m:], d, LEAF_GRID).reshape(*const[c].shape, -1)
-        grad[c] = np.abs(leaf[:, 1:]).max(axis=(1, 2))
-        g_hi[c] = np.maximum(g_hi[c], leaf[:, 0].max(axis=1))
-        g_lo[c] = np.minimum(g_lo[c], leaf[:, 0].min(axis=1))
+        r = rows[c]
+        grad[r] = np.abs(leaf[:, 1:]).max(axis=(1, 2))
+        g_hi[r] = np.maximum(g_hi[r], leaf[:, 0].max(axis=1))
+        g_lo[r] = np.minimum(g_lo[r], leaf[:, 0].min(axis=1))
     return qmin, avg, grad, g_hi - g_lo
 
 

@@ -1,12 +1,17 @@
 """Spectral constraint systems on tori: assembly, nullspaces, suite checks."""
 
+import collections
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from localalg.algebra import preset, radical_basis, socle_basis
+from localalg.cli import main
 from localalg.errors import SizeCapExceeded
 from localalg.lift import adiff_defect
 from localalg.linalg import nullspace_rows
@@ -475,6 +480,119 @@ def test_min_leaf_chunks_do_not_change_results(monkeypatch):
     chunked = torus._min_leaf(stack, cfg, system.trig, 128)
     for a, b in zip(whole, chunked):
         assert np.array_equal(a, b)
+
+
+def _count_lattice_rows(monkeypatch):
+    """Stacks checked by ``_min_leaf`` and rows sent to ``_lattice_values``,
+    counted by lattice size."""
+    stacks, sent = [], collections.Counter()
+    min_leaf, values = torus._min_leaf, torus._lattice_values
+
+    def spied(solutions, cfg, trig, grid):
+        stacks.append((np.asarray(solutions), cfg, trig, grid))
+        return min_leaf(solutions, cfg, trig, grid)
+
+    def counted(const, z, freqs, degree, size):
+        sent[size] += len(z)
+        return values(const, z, freqs, degree, size)
+
+    monkeypatch.setattr(torus, "_min_leaf", spied)
+    monkeypatch.setattr(torus, "_lattice_values", counted)
+    return stacks, sent
+
+
+def _expected_lattice_rows(stacks):
+    """Every e1 row and every real part with a nonzero non-constant
+    coefficient on the transversal lattice, N + 1 rows of each such real
+    part on the leaf lattice."""
+    expected = collections.Counter()
+    for solutions, cfg, trig, grid in stacks:
+        U = solutions.reshape(-1, cfg.n, trig.size)
+        live = int(np.count_nonzero(U[:, 0, 1:].any(axis=1)))
+        expected[grid] += len(U) + live
+        expected[torus.LEAF_GRID] += (cfg.ncoords + 1) * live
+    return +expected
+
+
+def test_flat_real_parts_never_reach_the_lattice(monkeypatch, capsys):
+    # the verify golden ladder through the CLI, whose solutions all have
+    # constant real parts, then seeded non-solutions on the same tori
+    stacks, sent = _count_lattice_rows(monkeypatch)
+    runs = 0
+    for name, m, d, grid in itertools.product(("dual", "trunc:3", "square:2"),
+                                              (1, 2), (0, 1, 2), (32, 7)):
+        code = main(["verify", "--preset", name, "--m", str(m), "--degree", str(d),
+                     "--grid", str(grid)])
+        capsys.readouterr()
+        if code == 5:  # over the column cap: no solutions to check
+            continue
+        cfg = make_torus(preset(name), m)
+        system = assemble_function_constraints(cfg, d)
+        verify_min_leaf_all(_mixed_stack(system), cfg, system.trig, grid)
+        runs += 1
+    assert len(stacks) == 2 * runs > 0
+    assert sent == _expected_lattice_rows(stacks)
+    assert sent[torus.LEAF_GRID] > 0
+
+    stacks.clear()
+    sent.clear()
+    assert main(["verify", "--preset", "trunc:3", "--m", "2", "--degree", "1"]) == 0
+    assert len(stacks) == 1 and len(stacks[0][0]) > 0
+    assert sent == _expected_lattice_rows(stacks) == {32: len(stacks[0][0])}
+
+
+FLAT_CONFIGS = [("dual", 1, 1), ("trunc:3", 1, 2), ("square:2", 1, 1), ("dual", 2, 1)]
+
+
+@functools.cache
+def _solved(name, m, d):
+    cfg = make_torus(preset(name), m)
+    system = assemble_function_constraints(cfg, d)
+    return cfg, system.trig, solve_nullspace(system)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(config=st.sampled_from(FLAT_CONFIGS), seed=st.integers(0, 2**32 - 1),
+       consts=st.lists(st.sampled_from([0.0, -0.0, 1e300, -1e300]) | st.floats(-1e6, 1e6),
+                       min_size=2, max_size=4),
+       nlive=st.integers(1, 3))
+def test_flat_rows_skip_the_lattice_exactly(config, seed, consts, nlive):
+    # solutions, constant-only real parts, dense rows and one NaN real-part
+    # coefficient, shuffled; chunks of three or four rows mix flat and live ones
+    cfg, trig, solutions = _solved(*config)
+    rng = np.random.default_rng(seed)
+    picked = solutions[rng.choice(len(solutions), size=min(3, len(solutions)),
+                                  replace=False)]
+    flat = rng.standard_normal((len(consts), cfg.n, trig.size))
+    flat[:, 0] = 0.0
+    flat[:, 0, 0] = consts
+    nan = rng.standard_normal((1, cfg.n, trig.size))
+    nan[0, 0, rng.integers(1, trig.size)] = np.nan
+    stack = np.vstack([picked, flat.reshape(len(consts), -1),
+                       rng.standard_normal((nlive, cfg.n * trig.size)),
+                       nan.reshape(1, -1)])
+    order = rng.permutation(len(stack))
+    stack = stack[order]
+    is_flat = ~stack.reshape(len(stack), cfg.n, trig.size)[:, 0, 1:].any(axis=1)
+    is_nan = order == len(stack) - 1
+    quiet = is_flat | is_nan  # all but the dense rows, which fail on their own
+
+    refs = [reference_min_leaf(u, cfg, trig).data for u in stack]
+    per = (2 * 32**cfg.m, (cfg.ncoords + 1) * torus.LEAF_GRID ** (cfg.ncoords - cfg.m))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(torus, "LATTICE_BUDGET", max(3 * per[0], per[1]))
+        assert 3 <= torus.lattice_chunks(cfg, 32)[0] < len(stack)
+        qmin, avg, grad, variation = torus._min_leaf(stack, cfg, trig, 32)
+        assert verify_min_leaf_all(stack[is_flat], cfg, trig).passed
+        rep = verify_min_leaf_all(stack[quiet], cfg, trig)
+    assert list(qmin) == [ref["MIN_LEAF_INDEX"] for ref in refs]
+    for got, key in ((avg, "MIN_LEAF_AVG"), (grad, "GRAD_MAX"),
+                     (variation, "G_VARIATION")):
+        assert_allclose(got, [ref[key] for ref in refs], rtol=1e-12, atol=1e-15)
+    assert np.isnan(grad[is_nan]).all() and np.isnan(variation[is_nan]).all()
+    assert np.all(grad[is_flat] == 0.0) and np.all(variation[is_flat] == 0.0)
+    assert {c.name for c in rep.checks if not c.passed} == {"min_leaf_gradient",
+                                                             "real_part_variation"}
 
 
 def test_lattice_budget_refuses_oversized_lattices():

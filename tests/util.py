@@ -444,7 +444,8 @@ def reference_min_leaf(solution, cfg, trig, grid=32, leaf_grid=8, tol=1e-8):
     grad_max = 0.0
     for axis in range(N):
         d_g = trig.derivative(g, axis)
-        grad_max = max(grad_max, float(np.abs(leaf_vals @ d_g).max()))
+        # np.maximum, unlike Python's max, keeps a NaN
+        grad_max = float(np.maximum(grad_max, np.abs(leaf_vals @ d_g).max()))
 
     g_all = np.concatenate([trig.values(trans_pts) @ g, leaf_vals @ g])
     variation = float(g_all.max() - g_all.min())
