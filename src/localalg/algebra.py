@@ -349,8 +349,9 @@ class StandardBasisInfo:
     coefficients transform by ``P^{-1}``. ``pseudobasis`` indexes the minimal
     radical generators inside the standard basis, ``monomial`` maps every
     standard radical index to its exponent word in those generators,
-    ``socle`` lists the indices annihilating the radical, and ``nu`` is the
-    radical nilpotency index.
+    ``socle`` lists the indices annihilating the radical, ``nu`` is the
+    radical nilpotency index and ``radical`` the orthonormal rows of
+    ``radical_basis`` (input coordinates).
     """
 
     P: np.ndarray
@@ -358,6 +359,7 @@ class StandardBasisInfo:
     monomial: dict[int, tuple[int, ...]]
     socle: tuple[int, ...]
     nu: int
+    radical: np.ndarray
     filtration_dims: tuple[int, ...] = field(default=())
 
     @property
@@ -383,7 +385,7 @@ def standard_basis(A: StructureConstants) -> StandardBasisInfo:
     nilpotent or not n-1 dimensional, monomials that never span it, or socle
     monomials not as many as ``socle_basis`` finds: monomials in generic
     generators need not be adapted to the socle. The trace-form radical is
-    computed once, by the filtration, and passed on to that socle guard.
+    computed once, by the filtration, for that socle guard and the info.
     """
     chain, nu = radical_filtration(A)
     if nu is None:
@@ -443,6 +445,7 @@ def standard_basis(A: StructureConstants) -> StandardBasisInfo:
         monomial={k + 1: exponents[k] for k in range(A.n - 1)},
         socle=tuple(socle),
         nu=nu,
+        radical=rad,
         filtration_dims=tuple(c.shape[0] for c in chain),
     )
 

@@ -3,8 +3,11 @@
 Subcommands: ``algebra`` (structural report), ``lift`` (evaluate both lift
 routes at a point), ``check`` (numerical differentiability of a lifted
 expression), ``verify`` (function-space suite on a torus), ``forms``
-(1-form dimension suite). Exit codes: 0 pass; 2 invalid algebra, or an
-unreadable or malformed spec for ``algebra``; 3 parse or domain error, such as
+(1-form dimension suite). Every command loads, validates and standardizes
+its algebra in ``_standardized``. Exit codes: 0 pass; 2 invalid algebra,
+which every command prints (and writes to ``--out``) as its violation
+report, an unreadable or malformed spec for ``algebra``, or a command line
+argparse rejects, ``--name=--`` included; 3 parse or domain error, such as
 a spec for the other commands, an empty ``--at`` slot, an out-of-range
 ``--m``/``--degree``/``--grid`` or ``--tol`` (negative, nan or inf) and an
 unwritable ``--out``; 4 failed checks; 5 size cap exceeded.
@@ -25,6 +28,7 @@ from .errors import (
     AlgebraFormatError,
     DomainError,
     ExprSyntaxError,
+    InvalidAlgebra,
     NonUnitError,
     SizeCapExceeded,
     SpanFailure,
@@ -88,7 +92,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validated(args) -> tuple[alg.StructureConstants, Report | None]:
+def _standardized(args):
+    """Every command's front door: range-check the numeric options, load the
+    algebra, validate it (InvalidAlgebra carries the violation report) and
+    return it as given, in its standard basis, and the basis info."""
+    for name, low in (("m", 1), ("degree", 0), ("grid", 1)):
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise DomainError(f"--{name} {value} must be at least {low}")
+    tol = getattr(args, "tol", 0.0)
+    if not 0.0 <= tol < np.inf:
+        raise DomainError(f"--tol {tol:g} must be at least 0 and finite")
     A = alg.preset(args.preset) if args.preset else alg.load_spec(args.spec)
     if A.n < 2:
         raise AlgebraFormatError(f"algebra of dimension {A.n} has a zero radical; need n >= 2")
@@ -97,33 +111,28 @@ def _validated(args) -> tuple[alg.StructureConstants, Report | None]:
         rep = Report()
         rep.add("valid_local_algebra", False, len(violations))
         rep.put("N", A.n)
-        for i, v in enumerate(violations):
-            rep.put(f"VIOLATION[{i}]", str(v))
-        return A, rep
-    return A, None
+        rep.data.update((f"VIOLATION[{i}]", str(v)) for i, v in enumerate(violations))
+        raise InvalidAlgebra(rep)
+    return (A, *alg.standardize(A))
 
 
-def _check_torus_args(args) -> None:
-    """Reject numeric arguments out of range before anything is built."""
-    for name, low in (("m", 1), ("degree", 0), ("grid", 1)):
-        value = getattr(args, name, None)
-        if value is not None and value < low:
-            raise DomainError(f"--{name} {value} must be at least {low}")
-    if not 0.0 <= args.tol < np.inf:
-        raise DomainError(f"--tol {args.tol:g} must be at least 0 and finite")
+def _lift_input(args):
+    """``lift`` and ``check``: the standard-basis algebra, its info, the
+    ``--at`` point (arity checked against ``--m``) and the ``--expr``."""
+    _, A, info = _standardized(args)
+    X = lf.parse_point(args.at, A)
+    if args.m is not None and args.m != len(X):
+        raise AlgebraFormatError(f"--m {args.m} != point arity {len(X)}")
+    return A, info, X, parse(args.expr, len(X))
 
 
 def cmd_algebra(args) -> tuple[str, int]:
-    A, bad = _validated(args)
-    if bad is not None:
-        return bad.render(), 2
-    A_std, info = alg.standardize(A)
-    rad = alg.radical_basis(A)
+    A, A_std, info = _standardized(args)
     rep = Report()
     rep.add("valid_local_algebra", True, 0)
     rep.put("N", A.n)
     rep.put("LABELS", ",".join(A_std.labels))
-    rep.put("RADICAL_DIM", rad.shape[0])
+    rep.put("RADICAL_DIM", info.radical.shape[0])
     rep.put("FILTRATION_DIMS", ",".join(str(d) for d in info.filtration_dims))
     rep.put("NU", info.nu)
     rep.put("PSEUDOBASIS", ",".join(A_std.labels[k] for k in info.pseudobasis))
@@ -131,26 +140,19 @@ def cmd_algebra(args) -> tuple[str, int]:
         rep.put(f"MONOMIAL[{A_std.labels[k]}]",
                 "(" + ",".join(str(s) for s in info.monomial[k]) + ")")
     rep.put("SOCLE", ",".join(A_std.labels[k] for k in info.socle))
-    for i, row in enumerate(rad):
+    for i, row in enumerate(info.radical):
         rep.put(f"RADICAL_BASIS[{i}]", lf.format_element(row, A))
     return rep.render(), 0
 
 
 def cmd_lift(args) -> tuple[str, int]:
-    A, bad = _validated(args)
-    if bad is not None:
-        return bad.render(), 2
-    A_std, info = alg.standardize(A)
-    X = lf.parse_point(args.at, A_std)
-    if args.m is not None and args.m != len(X):
-        raise AlgebraFormatError(f"--m {args.m} != point arity {len(X)}")
-    e = parse(args.expr, len(X))
-    lifted = lf.taylor_lift(e, X, A_std, info)
-    evaluated = lf.lift_eval(e, X, A_std, info)
+    A, info, X, e = _lift_input(args)
+    lifted = lf.taylor_lift(e, X, A, info)
+    evaluated = lf.lift_eval(e, X, A, info)
     gap = float(np.abs(lifted - evaluated).max())
     lines = [
-        f"TAYLOR {lf.format_element(lifted, A_std)}",
-        f"EVAL {lf.format_element(evaluated, A_std)}",
+        f"TAYLOR {lf.format_element(lifted, A)}",
+        f"EVAL {lf.format_element(evaluated, A)}",
         "---",
         f"DIFF={fmt(gap)}",
     ]
@@ -158,32 +160,18 @@ def cmd_lift(args) -> tuple[str, int]:
 
 
 def cmd_check(args) -> tuple[str, int]:
-    _check_torus_args(args)
-    A, bad = _validated(args)
-    if bad is not None:
-        return bad.render(), 2
-    A_std, info = alg.standardize(A)
-    X = lf.parse_point(args.at, A_std)
-    if args.m is not None and args.m != len(X):
-        raise AlgebraFormatError(f"--m {args.m} != point arity {len(X)}")
-    e = parse(args.expr, len(X))
-    defect = lf.adiff_defect(lf.lift_map(e, A_std, info), X, A_std)
-    residual = lf.e1_component_residual(e, X, A_std, info)
+    A, info, X, e = _lift_input(args)
+    defect = lf.adiff_defect(lf.lift_map(e, A, info), X, A)
+    residual = lf.e1_component_residual(e, X, A, info)
     rep = Report()
     rep.add("adiff_defect", defect <= args.tol, defect)
     rep.add("e1_component_identity", residual <= args.tol, residual)
-    rep.put("DEFECT", defect)
-    rep.put("E1_RESIDUAL", residual)
-    rep.put("STEP", lf.DEFAULT_STEP)
+    rep.data.update(DEFECT=defect, E1_RESIDUAL=residual, STEP=lf.DEFAULT_STEP)
     return rep.render(), 0 if defect <= args.tol and residual <= args.tol else 4
 
 
 def cmd_verify(args) -> tuple[str, int]:
-    _check_torus_args(args)
-    A, bad = _validated(args)
-    if bad is not None:
-        return bad.render(), 2
-    cfg = tr.make_torus(A, args.m)
+    cfg = tr.TorusConfig(*_standardized(args)[1:], args.m)
     tr.lattice_chunks(cfg, args.grid)
     system = tr.assemble_function_constraints(cfg, args.degree, args.cap)
     solutions = tr.solve_nullspace(system, args.tol)
@@ -194,32 +182,28 @@ def cmd_verify(args) -> tuple[str, int]:
     residual = system.residual_inf(solutions)
     rep.merge(tr.verify_min_leaf_all(solutions, cfg, system.trig, args.grid, args.tol))
     rep.add("adiff_constraints", residual <= args.tol, residual)
-    rep.put("ADIFF_RESIDUAL", residual)
-    rep.put("M", args.m)
-    rep.put("DEGREE", args.degree)
-    rep.put("NROWS", system.nrows)
-    rep.put("NCOLS", system.ncols)
+    rep.data.update(ADIFF_RESIDUAL=residual, M=args.m, DEGREE=args.degree,
+                    NROWS=system.nrows, NCOLS=system.ncols)
     return rep.render(), 0 if rep.passed else 4
 
 
 def cmd_forms(args) -> tuple[str, int]:
-    _check_torus_args(args)
-    A, bad = _validated(args)
-    if bad is not None:
-        return bad.render(), 2
-    cfg = tr.make_torus(A, args.m)
-    summary = fm.cohomology_report(cfg, args.degree, null_tol=args.tol,
-                                   cap=args.cap)
-    rep = fm.forms_report(cfg, summary)
-    rep.put("M", args.m)
-    rep.put("DEGREE", args.degree)
+    cfg = tr.TorusConfig(*_standardized(args)[1:], args.m)
+    rep = fm.cohomology_report(cfg, args.degree, null_tol=args.tol, cap=args.cap)
+    rep.data.update(M=args.m, DEGREE=args.degree)
     return rep.render(), 0 if rep.passed else 4
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # "--name=--": argparse drops the "--"
+            parser.error(f"argument --{name}: expected one argument")
     try:
         text, code = args.func(args)
+    except InvalidAlgebra as e:
+        text, code = e.report.render(), 2
     except SizeCapExceeded as e:
         print(f"ERROR size cap exceeded: {e}")
         return 5

@@ -24,6 +24,14 @@ class AlgebraFormatError(LocalAlgError):
     """Malformed algebra spec file."""
 
 
+class InvalidAlgebra(LocalAlgError):
+    """A tensor that is not a local algebra; ``report`` lists the violations."""
+
+    def __init__(self, report):
+        super().__init__("not a local algebra")
+        self.report = report
+
+
 class ExprSyntaxError(LocalAlgError):
     """Syntax error in an expression string, with the byte offset."""
 

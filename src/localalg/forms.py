@@ -17,11 +17,11 @@ degree-zero counterpart (non-socle components of differentiable functions
 are constants), and checks that a closed solution with zero mean
 coefficients is exactly a differential of a function-space solution (the
 class map to constant coefficients is injective within the ansatz).
+``cohomology_report`` runs all of it and returns the Report of CHECK lines
+and machine keys, as the suites of ``torus`` do.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,25 +95,6 @@ def zero_mean_combinations(solutions: np.ndarray, cfg: TorusConfig,
     return combos @ solutions
 
 
-@dataclass
-class CohomologyReport:
-    """Dimension measurements for closed A-linear 1-forms at a fixed degree."""
-
-    degree: int
-    dim_solutions: int
-    component_dims: dict[int, int]
-    bound: int
-    degree0_dims: dict[int, int]
-    h0_dim: int
-    zero_mean_dim: int
-    injectivity_residual: float
-    injective: bool
-
-    @property
-    def bounds_hold(self) -> bool:
-        return all(d <= self.bound for d in self.component_dims.values())
-
-
 def verify_class_injectivity(form_solutions: np.ndarray,
                              function_solutions: np.ndarray,
                              cfg: TorusConfig, trig: TrigSpace) -> tuple[float, int]:
@@ -134,67 +115,40 @@ def verify_class_injectivity(form_solutions: np.ndarray,
 
 def cohomology_report(cfg: TorusConfig, degree: int,
                       null_tol: float = DEFAULT_NULL_TOL,
-                      cap: int = DEFAULT_CAP) -> CohomologyReport:
-    """Assemble and solve both systems and measure all dimension bounds."""
-    n, N = cfg.n, cfg.ncoords
+                      cap: int = DEFAULT_CAP) -> Report:
+    """Assemble and solve both systems, measure all dimension bounds and
+    report them as CHECK lines plus machine keys."""
     form_sys = assemble_form_constraints(cfg, degree, cap)
     trig = form_sys.trig
     form_sol = solve_nullspace(form_sys, null_tol)
     fn_sys = assemble_function_constraints(cfg, degree, cap)
     fn_sol = solve_nullspace(fn_sys, null_tol)
+    labels, breve, B = cfg.algebra.labels, cfg.info.breve_indices(), trig.size
 
-    breve = cfg.info.breve_indices()
-    component_dims = {
-        j0: component_space_dim(form_sol, j0, cfg, trig, null_tol) for j0 in breve
-    }
-
+    component_dims = {j0: component_space_dim(form_sol, j0, cfg, trig, null_tol)
+                      for j0 in breve}
     # degree-0 counterpart: non-socle components of functions are constants
-    B = trig.size
-    degree0_dims = {}
-    for j0 in breve:
-        comps = fn_sol[:, j0 * B:(j0 + 1) * B]
-        degree0_dims[j0] = linalg.rank(comps, null_tol)
-
+    degree0_dims = {j0: linalg.rank(fn_sol[:, j0 * B:(j0 + 1) * B], null_tol)
+                    for j0 in breve}
     # functions with vanishing differential inside the ansatz
     h0 = fn_sol.shape[0] - linalg.rank(function_differential(fn_sol, cfg, trig), null_tol)
-
     residual, zm_dim = verify_class_injectivity(form_sol, fn_sol, cfg, trig)
 
-    return CohomologyReport(
-        degree=degree,
-        dim_solutions=len(form_sol),
-        component_dims=component_dims,
-        bound=n * N,
-        degree0_dims=degree0_dims,
-        h0_dim=int(h0),
-        zero_mean_dim=zm_dim,
-        injectivity_residual=residual,
-        injective=residual <= INJECTIVITY_TOL,
-    )
-
-
-def forms_report(cfg: TorusConfig, summary: CohomologyReport) -> Report:
-    """Render a cohomology summary as CHECK lines plus machine keys."""
+    bound = cfg.n * cfg.ncoords
     rep = Report()
-    labels = cfg.algebra.labels
-    if summary.component_dims:
-        worst = max(summary.component_dims.values())
-        rep.add("component_dim_bound", summary.bounds_hold, worst)
-        ok0 = all(d == 1 for d in summary.degree0_dims.values())
-        rep.add("degree0_components_constant", ok0,
-                max(summary.degree0_dims.values()))
+    if component_dims:
+        worst = max(component_dims.values())
+        rep.add("component_dim_bound", worst <= bound, worst)
+        rep.add("degree0_components_constant",
+                all(d == 1 for d in degree0_dims.values()), max(degree0_dims.values()))
     else:
         rep.add("component_dim_bound", True, "vacuous")
         rep.put("NOTE", "no non-socle radical components; component check is vacuous")
-    rep.add("class_map_injective", summary.injective, summary.injectivity_residual)
-    rep.add("h0_constants_only", summary.h0_dim == cfg.n, summary.h0_dim)
-    rep.put("FORM_NULLSPACE_DIM", summary.dim_solutions)
-    for j0, dim in summary.component_dims.items():
-        rep.put(f"DIM_ZBREVE[{labels[j0]}]", dim)
-    rep.put("BOUND", summary.bound)
-    for j0, dim in summary.degree0_dims.items():
-        rep.put(f"DEGREE0_DIM[{labels[j0]}]", dim)
-    rep.put("H0_DIM", summary.h0_dim)
-    rep.put("ZERO_MEAN_DIM", summary.zero_mean_dim)
-    rep.put("INJECTIVITY_RESIDUAL", summary.injectivity_residual)
+    rep.add("class_map_injective", residual <= INJECTIVITY_TOL, residual)
+    rep.add("h0_constants_only", h0 == cfg.n, h0)
+    rep.put("FORM_NULLSPACE_DIM", len(form_sol))
+    rep.data.update((f"DIM_ZBREVE[{labels[j0]}]", d) for j0, d in component_dims.items())
+    rep.put("BOUND", bound)
+    rep.data.update((f"DEGREE0_DIM[{labels[j0]}]", d) for j0, d in degree0_dims.items())
+    rep.data.update(H0_DIM=h0, ZERO_MEAN_DIM=zm_dim, INJECTIVITY_RESIDUAL=residual)
     return rep

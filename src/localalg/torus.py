@@ -30,12 +30,13 @@ it skips both lattices, as const + Re sum 0 E is const bit for bit.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .algebra import StandardBasisInfo, StructureConstants, standardize
+from .algebra import StandardBasisInfo, StructureConstants
 from .errors import SizeCapExceeded
 from .report import Report
 
@@ -145,12 +146,6 @@ class TorusConfig:
         return TrigSpace.build(self.ncoords, degree)
 
 
-def make_torus(A: StructureConstants, m: int) -> TorusConfig:
-    """Standardize an algebra and build the torus model."""
-    A_std, info = standardize(A)
-    return TorusConfig(A_std, info, m)
-
-
 # -- constraint systems -----------------------------------------------------------
 
 
@@ -195,6 +190,23 @@ class ConstraintSystem:
         return float(np.maximum(np.abs(self.symbols @ modal).max(initial=0.0), off))
 
 
+def _sizes(terms, limit: int, what: str) -> list[int]:
+    """The counts factor * base**exp of the (factor, base, exp) ``terms``, or
+    SizeCapExceeded naming the largest in ``what`` when one exceeds ``limit``.
+    A count whose logarithm is more than 64 bits past the limit, or that is
+    too long to print, is named "more than 2^bits": no huge integer is built
+    or formatted."""
+    bound = max(limit, 1).bit_length() + 64
+    if any(math.log2(f) > bound or b > 1 and e > bound / math.log2(b) for f, b, e in terms):
+        raise SizeCapExceeded(what.format(f"more than 2^{bound}"))
+    counts = [f * b**e for f, b, e in terms]
+    worst = max(counts)
+    if worst > limit:  # an int under 14000 bits prints in under 4300 digits
+        bits = worst.bit_length()
+        raise SizeCapExceeded(what.format(worst if bits < 14000 else f"more than 2^{bits - 1}"))
+    return counts
+
+
 def capped_trig_space(cfg: TorusConfig, degree: int, unknowns: int,
                       cap: int) -> TrigSpace:
     """The degree-``degree`` trig space, unless the system would have more than
@@ -204,9 +216,8 @@ def capped_trig_space(cfg: TorusConfig, degree: int, unknowns: int,
     SizeCapExceeded before any frequency is enumerated. A negative degree
     leaves only the constant, as in ``TrigSpace.build``.
     """
-    ncols = unknowns * (2 * max(degree, 0) + 1) ** cfg.ncoords
-    if ncols > cap:
-        raise SizeCapExceeded(f"{ncols} columns exceed the cap {cap}")
+    _sizes([(unknowns, 2 * max(degree, 0) + 1, cfg.ncoords)], cap,
+           f"{{}} columns exceed the cap {cap}")
     return cfg.trig_space(degree)
 
 
@@ -328,10 +339,9 @@ def lattice_chunks(cfg: TorusConfig, grid: int) -> list[int]:
     """Solutions per chunk of ``_min_leaf``'s transversal and leaf passes, which
     put 2 rows on the grid^m lattice and N+1 rows on the LEAF_GRID^(N-m) one;
     SizeCapExceeded when one solution's values exceed LATTICE_BUDGET."""
-    per = (2 * grid**cfg.m, (cfg.ncoords + 1) * LEAF_GRID ** (cfg.ncoords - cfg.m))
-    if max(per) > LATTICE_BUDGET:
-        raise SizeCapExceeded(f"{max(per)} lattice values per solution exceed "
-                              f"the budget {LATTICE_BUDGET}")
+    per = _sizes([(2, grid, cfg.m), (cfg.ncoords + 1, LEAF_GRID, cfg.ncoords - cfg.m)],
+                 LATTICE_BUDGET,
+                 f"{{}} lattice values per solution exceed the budget {LATTICE_BUDGET}")
     return [LATTICE_BUDGET // p for p in per]
 
 

@@ -29,7 +29,6 @@ from localalg.lift import (
 from localalg.linalg import nullspace_rows
 from localalg.torus import (
     assemble_function_constraints,
-    make_torus,
     solve_nullspace,
     verify_constancy,
     verify_min_leaf_all,
@@ -44,6 +43,7 @@ from localalg.forms import (
 from util import (
     PRESETS,
     basis_element,
+    make_torus,
     mult_matrix,
     radical_negation_map,
     socle_embedding_vector,

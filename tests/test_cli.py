@@ -3,6 +3,7 @@
 import itertools
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -525,3 +526,81 @@ def test_lift_preset_reports_match_golden(capsys):
             assert g.startswith(prefix), (g, w)
             bound = 1e-13 if prefix == "DIFF=" else 1e-8
             assert 0.0 <= float(g.removeprefix(prefix)) <= bound, (text, g)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--preset", "dual", "--m", "100000"],
+    ["forms", "--preset", "dual", "--m", "100000"],
+    ["forms", "--preset", "dual", "--m", "100000000"],
+], ids=("verify-lattice", "forms-columns", "forms-huge"))
+def test_huge_m_exits_5_at_once(capsys, argv):
+    # the counts 2 * 32^100000 and 4 * 3^(2*10^8) are refused by their
+    # logarithms: building them took seconds and printing them raised
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr().out
+    assert code == 5
+    assert out.startswith("ERROR size cap exceeded: more than 2^")
+
+
+@pytest.mark.parametrize("argv", [
+    ["algebra", "--preset=--"],
+    ["verify", "--preset", "dual", "--degree=--"],
+    ["check", "--preset", "dual", "--expr=sin", "--at=--"],
+    ["algebra", "--preset", "dual", "--out=--"],
+], ids=lambda argv: next(a for a in argv if a.endswith("=--")))
+def test_option_value_dashdash_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # argparse reads "--name=--" as an empty list, which reached the commands
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "expected one argument" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+SPLIT_REPORT = """CHECK valid_local_algebra FAIL detail=1
+---
+N=2
+VIOLATION[0]=locality violated at (0,) (deviation 1.000e+00)
+"""
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("algebra", ()),
+    ("lift", ("--expr", "x1", "--at", "1")),
+    ("check", ("--expr", "x1", "--at", "1")),
+    ("verify", ()),
+    ("forms", ()),
+])
+def test_invalid_algebra_report_from_every_command(tmp_path, capsys, command, extra):
+    spec = tmp_path / "split.alg"
+    spec.write_text("algebra n=2\nbasis 1 u\nmul u u = 1*u\n")
+    out = tmp_path / "report.txt"
+    code = main([command, "--spec", str(spec), *extra, "--out", str(out)])
+    assert (code, capsys.readouterr().out) == (2, SPLIT_REPORT)
+    assert out.read_text(encoding="utf-8") == SPLIT_REPORT
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["algebra", "--preset", "trunc:6"], 2),
+    (["lift", "--preset", "trunc:6", "--expr", "sin(x1)", "--at", "0.5 + 1 e1"], 2),
+])
+def test_trace_form_radical_count(monkeypatch, capsys, argv, calls):
+    # one for the locality check of validate_algebra, one for standard_basis;
+    # algebra prints the rows standard_basis keeps instead of a third
+    from localalg import algebra
+
+    count = []
+    real_radical_basis = algebra.radical_basis
+
+    def counting_radical_basis(A):
+        count.append(A)
+        return real_radical_basis(A)
+
+    monkeypatch.setattr(algebra, "radical_basis", counting_radical_basis)
+    assert main(argv) == 0
+    assert len(count) == calls

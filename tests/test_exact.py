@@ -6,9 +6,9 @@ import sympy
 
 from localalg.algebra import preset
 from localalg.cli import main
-from localalg.torus import make_torus
 
 import exact
+from util import make_torus
 
 
 def test_exact_rank_matches_sympy():

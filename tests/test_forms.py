@@ -11,7 +11,6 @@ from localalg.forms import (
     cohomology_report,
     commutant_frame,
     component_space_dim,
-    forms_report,
     function_differential,
     verify_class_injectivity,
     zero_mean_combinations,
@@ -23,7 +22,6 @@ from localalg.torus import (
     TrigSpace,
     assemble_function_constraints,
     commutator_rows,
-    make_torus,
     solve_nullspace,
 )
 
@@ -33,6 +31,7 @@ from util import (
     component_form,
     dense_form_constraints,
     exterior_derivative,
+    make_torus,
 )
 
 # R[x]/(x^3) in the basis a = x + x^2, b = x - x^2/3, so x^2 = 3/4 (a - b)
@@ -180,29 +179,35 @@ def test_component_dim_empty_solutions():
     assert component_space_dim(empty, 1, cfg, trig) == 0
 
 
+def keyed(rep, key):
+    """The machine keys ``KEY[label]`` of a report, by label."""
+    return {k[len(key) + 1:-1]: v for k, v in rep.data.items() if k.startswith(key + "[")}
+
+
 def test_dims_within_bound():
     rep = cohomology_report(make_torus(preset("trunc:3"), 1), 2)
-    assert rep.component_dims == {1: 2}
-    assert rep.bound == 9
-    assert rep.bounds_hold
+    assert keyed(rep, "DIM_ZBREVE") == {"e1": 2}
+    assert rep.data["BOUND"] == 9
+    assert all(dim <= 9 for dim in keyed(rep, "DIM_ZBREVE").values())
+    assert rep.checks[0].name == "component_dim_bound" and rep.checks[0].passed
 
     rep4 = cohomology_report(make_torus(preset("trunc:4"), 1), 1)
-    assert rep4.bound == 16
-    assert set(rep4.component_dims) == {1, 2}
-    assert all(dim <= 16 for dim in rep4.component_dims.values())
+    assert rep4.data["BOUND"] == 16
+    assert set(keyed(rep4, "DIM_ZBREVE")) == {"e1", "e2"}
+    assert all(dim <= 16 for dim in keyed(rep4, "DIM_ZBREVE").values())
 
 
 def test_degree0_components_are_constants():
     for name in ("trunc:3", "trunc:4"):
         rep = cohomology_report(make_torus(preset(name), 1), 1)
-        assert all(dim == 1 for dim in rep.degree0_dims.values()), name
+        assert all(dim == 1 for dim in keyed(rep, "DEGREE0_DIM").values()), name
 
 
 def test_h0_is_constants():
     for name, d in [("dual", 1), ("trunc:3", 1), ("square:2", 1)]:
         cfg = make_torus(preset(name), 1)
         rep = cohomology_report(cfg, d)
-        assert rep.h0_dim == cfg.n
+        assert rep.data["H0_DIM"] == cfg.n
 
 
 def test_zero_mean_solutions_are_differentials():
@@ -309,14 +314,14 @@ def test_component_dims_stabilize():
 
 def test_forms_report_rendering():
     cfg = make_torus(preset("trunc:3"), 1)
-    rep = forms_report(cfg, cohomology_report(cfg, 2))
+    rep = cohomology_report(cfg, 2)
     text = rep.render()
     assert "DIM_ZBREVE[e1]=2" in text
     assert "BOUND=9" in text
     assert rep.passed
 
     cfg_dual = make_torus(preset("dual"), 1)
-    rep = forms_report(cfg_dual, cohomology_report(cfg_dual, 2))
+    rep = cohomology_report(cfg_dual, 2)
     assert "NOTE" in rep.data  # vacuous component check
     assert rep.passed
 

@@ -22,7 +22,6 @@ from localalg.torus import (
     TrigSpace,
     assemble_function_constraints,
     commutator_rows,
-    make_torus,
     solve_nullspace,
     verify_constancy,
     verify_min_leaf,
@@ -35,6 +34,7 @@ from util import (
     constant_function_vectors,
     dense_form_constraints,
     dense_function_constraints,
+    make_torus,
     reference_constancy,
     reference_min_leaf,
     reference_socle_decomposition,
@@ -605,6 +605,29 @@ def test_lattice_budget_refuses_oversized_lattices():
     trig = assemble_function_constraints(cfg, 1).trig
     with pytest.raises(SizeCapExceeded):
         verify_min_leaf_all(np.zeros((1, cfg.n * trig.size)), cfg, trig, grid=10**5)
+
+
+def test_size_checks_never_build_or_print_huge_counts():
+    # far past the limit: refused on logarithms, 2 * 3^(2*10^6) never built
+    cfg = make_torus(preset("dual"), 10**6)
+    with pytest.raises(SizeCapExceeded) as exc:
+        torus.capped_trig_space(cfg, 1, cfg.n, 20000)
+    assert str(exc.value) == "more than 2^79 columns exceed the cap 20000"
+    with pytest.raises(SizeCapExceeded) as exc:
+        torus.lattice_chunks(cfg, 32)
+    assert str(exc.value) == "more than 2^87 lattice values per solution exceed the budget 4194304"
+    # near a cap of 4296 digits: compared exactly, but 2 * 3^9002 has more
+    # digits than Python prints, so it is named by its bit length
+    cfg = make_torus(preset("dual"), 4501)
+    with pytest.raises(SizeCapExceeded) as exc:
+        torus.capped_trig_space(cfg, 1, cfg.n, 3**9002)
+    assert str(exc.value).startswith("more than 2^14268 columns exceed the cap 1110541996")
+    # small counts are exact, and a count equal to the cap fits
+    cfg = make_torus(preset("dual"), 1)
+    assert torus.capped_trig_space(cfg, 1, 2, 18).size == 9
+    with pytest.raises(SizeCapExceeded) as exc:
+        torus.capped_trig_space(cfg, 1, 2, 17)
+    assert str(exc.value) == "18 columns exceed the cap 17"
 
 
 @pytest.mark.parametrize("name,m,d", CONFIGS)

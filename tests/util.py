@@ -14,17 +14,23 @@ from localalg.algebra import (
     mul,
     radical_basis,
     radical_part,
+    standardize,
 )
 from localalg.errors import DomainError, NonUnitError, SpanFailure
 from localalg.lift import UNIT_THRESHOLD
 from localalg.report import Report
-from localalg.torus import TIE_RTOL
+from localalg.torus import TIE_RTOL, TorusConfig
 
 PRESETS = ("dual", "trunc:3", "trunc:4", "square:2")
 # the ``forms`` ladder: every run of tests/golden/forms_presets.txt
 FORMS_LADDER = [(name, m, d) for name in ("dual", "trunc:2", "trunc:3", "trunc:4",
                                           "square:2", "square:3")
                 for m in (1, 2, 3) for d in (0, 1, 2, 3)]
+
+
+def make_torus(A: StructureConstants, m: int) -> TorusConfig:
+    """Standardize an algebra and build the torus model."""
+    return TorusConfig(*standardize(A), m)
 
 
 def r_plus_r() -> StructureConstants:
@@ -666,6 +672,7 @@ def reference_standard_basis(A):
         monomial=monomial,
         socle=tuple(socle),
         nu=nu,
+        radical=rad,
         filtration_dims=tuple(c.shape[0] for c in chain),
     )
 
