@@ -222,11 +222,12 @@ class Violation:
         return f"{self.axiom} violated at {self.where} (deviation {self.detail:.3e})"
 
 
-def validate_algebra(A: StructureConstants) -> list[Violation]:
+def validate_algebra(A: StructureConstants) -> tuple[list[Violation], np.ndarray | None]:
     """Check commutativity, associativity, the unit row and locality.
 
-    Returns one entry per violated axiom with a worst-offender witness;
-    an empty list means the tensor describes a valid local algebra. Raises
+    Returns one entry per violated axiom with a worst-offender witness, and
+    the ``radical_basis`` the locality check took (None when an axiom fails
+    first); no entry means the tensor describes a valid local algebra. Raises
     AlgebraFormatError when the associativity products or the trace form
     overflow, since no deviation can then be measured.
     Associativity takes two GEMMs of (n^2, n) by (n, n^2) unfoldings of C:
@@ -251,13 +252,12 @@ def validate_algebra(A: StructureConstants) -> list[Violation]:
             out.append(Violation(axiom, head + tuple(int(w) for w in where),
                                  float(worst.max())))
 
-    if not out:
-        if not np.all(np.isfinite(gram)):
-            raise AlgebraFormatError("the trace form of the algebra leaves the float range")
-        rad_dim = radical_basis(A).shape[0]
-        if rad_dim != n - 1:
-            out.append(Violation("locality", (rad_dim,), float(n - 1 - rad_dim)))
-    return out
+    if not out and not np.all(np.isfinite(gram)):
+        raise AlgebraFormatError("the trace form of the algebra leaves the float range")
+    rad = None if out else radical_basis(A)
+    if rad is not None and rad.shape[0] != n - 1:
+        out.append(Violation("locality", (rad.shape[0],), float(n - 1 - rad.shape[0])))
+    return out, rad
 
 
 # -- arithmetic ----------------------------------------------------------------
@@ -295,24 +295,22 @@ def radical_basis(A: StructureConstants) -> np.ndarray:
     return linalg.nullspace_rows(trace_gram_matrix(A))
 
 
-def radical_filtration(A: StructureConstants) -> tuple[list[np.ndarray], int | None]:
+def radical_filtration(A: StructureConstants,
+                       rad: np.ndarray) -> tuple[list[np.ndarray], int | None]:
     """Descending chain rad >= rad^2 >= ... >= 0 and the nilpotency index.
 
     Each chain entry is an orthonormal row basis; the chain ends with the
     first zero subspace. ``nu`` is the first power that vanishes, or None if
-    the chain stalls (non-nilpotent radical, i.e. invalid input). Each power
-    takes one contraction with the radical's multiplication maps. Ranks are
-    measured against the norm of the structure constants, so a power whose
-    products are only round-off is zero.
+    the chain stalls (non-nilpotent radical, i.e. invalid input). ``rad`` is
+    ``radical_basis(A)``. Each power takes one contraction with the radical's
+    multiplication maps. Ranks are measured against the norm of the structure
+    constants, so a power whose products are only round-off is zero.
     """
-    rad = radical_basis(A)
     scale = float(np.linalg.norm(A.C))
     rad_maps = np.einsum("vj,ijk->ivk", rad, A.C)  # x -> x * rad[v], stacked
     chain = [rad]
     current = rad
-    while current.shape[0] > 0:
-        if len(chain) > A.n:
-            return chain, None
+    while current.shape[0] > 0:  # ranks fall every step, or it returns
         products = np.tensordot(current, rad_maps, axes=1)  # (u, v, k)
         nxt = linalg.orthonormal_rows(products.reshape(-1, A.n), scale=scale)
         if nxt.shape[0] >= current.shape[0]:
@@ -371,7 +369,7 @@ class StandardBasisInfo:
         return tuple(k for k in range(1, self.n) if k not in self.socle)
 
 
-def standard_basis(A: StructureConstants) -> StandardBasisInfo:
+def standard_basis(A: StructureConstants, rad: np.ndarray) -> StandardBasisInfo:
     """Compute a standard basis: {1} plus monomials in a pseudobasis.
 
     The pseudobasis g_1..g_r spans the complement of rad^2 in rad. In one
@@ -384,13 +382,13 @@ def standard_basis(A: StructureConstants) -> StandardBasisInfo:
     u * g_t for every t, vanishes. SpanFailure signals a radical that is not
     nilpotent or not n-1 dimensional, monomials that never span it, or socle
     monomials not as many as ``socle_basis`` finds: monomials in generic
-    generators need not be adapted to the socle. The trace-form radical is
-    computed once, by the filtration, for that socle guard and the info.
+    generators need not be adapted to the socle. ``rad`` is
+    ``radical_basis(A)``, as ``validate_algebra`` returns it; it feeds the
+    filtration, that socle guard and the info.
     """
-    chain, nu = radical_filtration(A)
+    chain, nu = radical_filtration(A, rad)
     if nu is None:
         raise SpanFailure("radical is not nilpotent; input is not a local algebra")
-    rad = chain[0]
     rad2 = chain[1] if len(chain) > 1 else np.zeros((0, A.n))
     if rad.shape[0] != A.n - 1:
         raise SpanFailure(
@@ -450,9 +448,10 @@ def standard_basis(A: StructureConstants) -> StandardBasisInfo:
     )
 
 
-def standardize(A: StructureConstants) -> tuple[StructureConstants, StandardBasisInfo]:
-    """Rewrite the algebra in its standard basis (labels 1, e1, ...)."""
-    info = standard_basis(A)
+def standardize(A: StructureConstants,
+                rad: np.ndarray) -> tuple[StructureConstants, StandardBasisInfo]:
+    """Rewrite the algebra in its standard basis (labels 1, e1, ...); ``rad`` as there."""
+    info = standard_basis(A, rad)
     Pinv = np.linalg.inv(info.P)
     # pairwise in a fixed order, O(n^4); a path search costs more than it saves
     C = np.einsum("si,tj,stu,ku->ijk", info.P, info.P, A.C, Pinv,

@@ -4,11 +4,12 @@ Subcommands: ``algebra`` (structural report), ``lift`` (evaluate both lift
 routes at a point), ``check`` (numerical differentiability of a lifted
 expression), ``verify`` (function-space suite on a torus), ``forms``
 (1-form dimension suite). Every command loads, validates and standardizes
-its algebra in ``_standardized``. Exit codes: 0 pass; 2 invalid algebra,
-which every command prints (and writes to ``--out``) as its violation
-report, an unreadable or malformed spec for ``algebra``, or a command line
-argparse rejects, ``--name=--`` included; 3 parse or domain error, such as
-a spec for the other commands, an empty ``--at`` slot, an out-of-range
+its algebra in ``_standardized``; ``main`` builds its parser once per
+process. Exit codes: 0 pass; 2 invalid algebra, which every command prints
+(and writes to ``--out``) as its violation report, an unreadable or
+malformed spec for ``algebra``, or a command line argparse rejects,
+``--name=--`` included; 3 parse or domain error, such as a spec for the
+other commands, an empty ``--at`` slot, an out-of-range
 ``--m``/``--degree``/``--grid`` or ``--tol`` (negative, nan or inf) and an
 unwritable ``--out``; 4 failed checks; 5 size cap exceeded.
 """
@@ -16,6 +17,7 @@ unwritable ``--out``; 4 failed checks; 5 size cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -92,6 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main's own; parsing leaves it unchanged
+
+
 def _standardized(args):
     """Every command's front door: range-check the numeric options, load the
     algebra, validate it (InvalidAlgebra carries the violation report) and
@@ -106,14 +111,14 @@ def _standardized(args):
     A = alg.preset(args.preset) if args.preset else alg.load_spec(args.spec)
     if A.n < 2:
         raise AlgebraFormatError(f"algebra of dimension {A.n} has a zero radical; need n >= 2")
-    violations = alg.validate_algebra(A)
+    violations, rad = alg.validate_algebra(A)
     if violations:
         rep = Report()
         rep.add("valid_local_algebra", False, len(violations))
         rep.put("N", A.n)
         rep.data.update((f"VIOLATION[{i}]", str(v)) for i, v in enumerate(violations))
         raise InvalidAlgebra(rep)
-    return (A, *alg.standardize(A))
+    return (A, *alg.standardize(A, rad))
 
 
 def _lift_input(args):
@@ -195,7 +200,7 @@ def cmd_forms(args) -> tuple[str, int]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     for name, value in vars(args).items():
         if isinstance(value, list):  # "--name=--": argparse drops the "--"

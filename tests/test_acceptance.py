@@ -16,7 +16,6 @@ from localalg.algebra import (
     radical_basis,
     radical_filtration,
     socle_basis,
-    standardize,
     validate_algebra,
 )
 from localalg.expr import CORPUS, CORPUS_VARS, parse
@@ -47,6 +46,7 @@ from util import (
     mult_matrix,
     radical_negation_map,
     socle_embedding_vector,
+    standardize,
     unit_safe_point,
 )
 
@@ -99,10 +99,10 @@ def test_criterion_1_algebra_structure():
     ok = True
     for name in PRESETS:
         A = preset(name)
-        ok &= validate_algebra(A) == []
+        ok &= validate_algebra(A)[0] == []
         rad = radical_basis(A)
         ok &= rad.shape[0] == A.n - 1
-        chain, nu = radical_filtration(A)
+        chain, nu = radical_filtration(A, rad)
         ok &= nu == NU_EXPECTED[name]
         soc = socle_basis(A, radical_basis(A))
         # brute-force annihilator kernel: x * e_l = 0 for every non-unit l,

@@ -13,7 +13,7 @@ import sympy
 from numpy.testing import assert_allclose
 
 from localalg.algebra import preset
-from localalg.cli import build_parser, main
+from localalg.cli import _parser, build_parser, main
 from localalg.expr import CORPUS, CORPUS_VARS
 from localalg.lift import format_element, parse_element
 
@@ -585,13 +585,16 @@ def test_invalid_algebra_report_from_every_command(tmp_path, capsys, command, ex
     assert out.read_text(encoding="utf-8") == SPLIT_REPORT
 
 
-@pytest.mark.parametrize("argv,calls", [
-    (["algebra", "--preset", "trunc:6"], 2),
-    (["lift", "--preset", "trunc:6", "--expr", "sin(x1)", "--at", "0.5 + 1 e1"], 2),
+@pytest.mark.parametrize("argv", [
+    ["algebra", "--preset", "trunc:6"],
+    ["lift", "--preset", "trunc:6", "--expr", "sin(x1)", "--at", "0.5 + 1 e1"],
+    ["check", "--preset", "square:2", "--expr", "x1*x1", "--at", "1 + 1 e1"],
+    ["verify", "--preset", "dual"],
+    ["forms", "--preset", "dual"],
 ])
-def test_trace_form_radical_count(monkeypatch, capsys, argv, calls):
-    # one for the locality check of validate_algebra, one for standard_basis;
-    # algebra prints the rows standard_basis keeps instead of a third
+def test_trace_form_radical_count(monkeypatch, capsys, argv):
+    # the locality check of validate_algebra takes it and hands it to
+    # standard_basis; algebra prints the rows standard_basis keeps
     from localalg import algebra
 
     count = []
@@ -603,4 +606,36 @@ def test_trace_form_radical_count(monkeypatch, capsys, argv, calls):
 
     monkeypatch.setattr(algebra, "radical_basis", counting_radical_basis)
     assert main(argv) == 0
-    assert len(count) == calls
+    assert len(count) == 1
+
+
+def _in_process(capsys, argv):
+    """(stdout, exit code) of ``main`` in this process; argparse's rejections
+    leave by SystemExit, as they end a shell run."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    return capsys.readouterr().out, code
+
+
+@pytest.mark.parametrize("sequence,codes,defaults", [
+    ([["verify", "--preset", "dual", "--m", "2", "--tol", "1e-3"],
+      ["verify", "--preset", "dual"]], [0, 0], {"m": 1, "tol": 1e-8}),
+    ([["lift", "--preset", "dual", "--m", "2", "--expr", "x1*x2", "--at", "1 + 1 e1; 2"],
+      ["lift", "--preset", "dual", "--expr", "x1", "--at", "1 + 1 e1"]], [0, 0], {"m": None}),
+    ([["forms", "--preset", "dual", "--degree", "abc"],
+      ["forms", "--preset", "dual"]], [2, 0], {"degree": 1}),
+])
+def test_reused_parser_leaks_nothing_between_calls(capsys, sequence, codes, defaults):
+    # one parser serves every call of main in a process; each call still
+    # reads as a fresh shell run, and the options a call leaves out take their
+    # defaults. build_parser itself returns a new parser each time
+    assert _parser() is _parser()
+    assert build_parser() is not build_parser()
+    for argv, code in zip(sequence, codes):
+        proc = run(*argv)
+        assert proc.returncode == code, argv
+        assert _in_process(capsys, argv) == (proc.stdout, code), argv
+    args = vars(_parser().parse_args(sequence[-1]))
+    assert {key: args[key] for key in defaults} == defaults

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from localalg.algebra import from_spec, preset, standard_basis
+from localalg.algebra import from_spec, preset
 from localalg.errors import IndexNotBreve, SizeCapExceeded
 from localalg.forms import (
     assemble_form_constraints,
@@ -32,6 +32,7 @@ from util import (
     dense_form_constraints,
     exterior_derivative,
     make_torus,
+    standard_basis,
 )
 
 # R[x]/(x^3) in the basis a = x + x^2, b = x - x^2/3, so x^2 = 3/4 (a - b)

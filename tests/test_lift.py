@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from localalg import expr
-from localalg.algebra import graded_multiindices, mul, preset, standardize
+from localalg.algebra import graded_multiindices, mul, preset
 from localalg.errors import AlgebraFormatError, DomainError, NonUnitError
 from localalg.expr import CORPUS, CORPUS_VARS, eval_real, parse
 from localalg.lift import (
@@ -29,6 +29,7 @@ from util import (
     reference_adiff_defect,
     real_part,
     reference_taylor_lift,
+    standardize,
     unit_safe_point,
 )
 

@@ -6,13 +6,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from localalg import algebra
-from localalg.algebra import preset, standard_basis, standardize
+from localalg.algebra import preset
 
 from util import (
     changed_radical_basis,
     reference_standard_basis,
     reference_standardize_tensor,
     staircase_quotients,
+    standard_basis,
+    standardize,
 )
 
 ORACLE_PRESETS = [f"trunc:{k}" for k in range(2, 10)] + [f"square:{r}" for r in range(2, 5)]

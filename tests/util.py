@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from localalg import algebra
 from localalg import expr as ex
 from localalg import linalg
 from localalg.algebra import (
@@ -14,7 +15,6 @@ from localalg.algebra import (
     mul,
     radical_basis,
     radical_part,
-    standardize,
 )
 from localalg.errors import DomainError, NonUnitError, SpanFailure
 from localalg.lift import UNIT_THRESHOLD
@@ -26,6 +26,16 @@ PRESETS = ("dual", "trunc:3", "trunc:4", "square:2")
 FORMS_LADDER = [(name, m, d) for name in ("dual", "trunc:2", "trunc:3", "trunc:4",
                                           "square:2", "square:3")
                 for m in (1, 2, 3) for d in (0, 1, 2, 3)]
+
+
+def standard_basis(A: StructureConstants) -> StandardBasisInfo:
+    """``algebra.standard_basis`` with the radical it takes."""
+    return algebra.standard_basis(A, algebra.radical_basis(A))
+
+
+def standardize(A: StructureConstants) -> tuple[StructureConstants, StandardBasisInfo]:
+    """``algebra.standardize`` with the radical it takes."""
+    return algebra.standardize(A, algebra.radical_basis(A))
 
 
 def make_torus(A: StructureConstants, m: int) -> TorusConfig:
