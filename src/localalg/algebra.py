@@ -228,8 +228,8 @@ def validate_algebra(A: StructureConstants) -> tuple[list[Violation], np.ndarray
     Returns one entry per violated axiom with a worst-offender witness, and
     the ``radical_basis`` the locality check took (None when an axiom fails
     first); no entry means the tensor describes a valid local algebra. Raises
-    AlgebraFormatError when the associativity products or the trace form
-    overflow, since no deviation can then be measured.
+    AlgebraFormatError when the associativity products overflow, since no
+    deviation can then be measured, or when ``radical_basis`` does.
     Associativity takes two GEMMs of (n^2, n) by (n, n^2) unfoldings of C:
     (e_i e_j) e_k at [i, j, k, m], minus e_i (e_j e_k) made at [j, k, i, m].
     """
@@ -239,7 +239,6 @@ def validate_algebra(A: StructureConstants) -> tuple[list[Violation], np.ndarray
         right = C.reshape(n * n, n) @ np.swapaxes(C, 0, 1).reshape(n, n * n)
         np.subtract(assoc, right.reshape((n,) * 4).transpose(2, 0, 1, 3), out=assoc)
         del right  # in place: no third n^4 array
-        gram = trace_gram_matrix(A)
     if not np.all(np.isfinite(assoc)):
         raise AlgebraFormatError("products of the structure constants leave the float range")
     out: list[Violation] = []
@@ -252,8 +251,6 @@ def validate_algebra(A: StructureConstants) -> tuple[list[Violation], np.ndarray
             out.append(Violation(axiom, head + tuple(int(w) for w in where),
                                  float(worst.max())))
 
-    if not out and not np.all(np.isfinite(gram)):
-        raise AlgebraFormatError("the trace form of the algebra leaves the float range")
     rad = None if out else radical_basis(A)
     if rad is not None and rad.shape[0] != n - 1:
         out.append(Violation("locality", (rad.shape[0],), float(n - 1 - rad.shape[0])))
@@ -280,19 +277,17 @@ def radical_part(a: Element) -> Element:
 # -- radical, filtration, standard basis ---------------------------------------
 
 
-def trace_gram_matrix(A: StructureConstants) -> np.ndarray:
-    """T[i, j] = trace of multiplication by e_i * e_j."""
-    traces = np.einsum("kjj->k", A.C)
-    return np.einsum("ijk,k->ij", A.C, traces)
-
-
 def radical_basis(A: StructureConstants) -> np.ndarray:
     """Orthonormal basis (rows) of the radical, via the trace-form kernel.
 
     Over the reals the kernel of T[i,j] = tr(L_{e_i e_j}) is exactly the set
-    of nilpotent elements.
+    of nilpotent elements. Raises AlgebraFormatError when T overflows.
     """
-    return linalg.nullspace_rows(trace_gram_matrix(A))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.einsum("ijk,k->ij", A.C, np.einsum("kjj->k", A.C))
+    if not np.all(np.isfinite(gram)):
+        raise AlgebraFormatError("the trace form of the algebra leaves the float range")
+    return linalg.nullspace_rows(gram)
 
 
 def radical_filtration(A: StructureConstants,

@@ -183,7 +183,6 @@ def cmd_verify(args) -> tuple[str, int]:
     rep = Report()
     rep.merge(tr.verify_constancy(solutions, cfg, system.trig, args.tol))
     rep.merge(tr.verify_socle_decomposition(solutions, cfg, system.trig, args.tol))
-    # ahead of the min-leaf pass, after which its arrays fault in fresh pages
     residual = system.residual_inf(solutions)
     rep.merge(tr.verify_min_leaf_all(solutions, cfg, system.trig, args.grid, args.tol))
     rep.add("adiff_constraints", residual <= args.tol, residual)

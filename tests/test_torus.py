@@ -3,6 +3,7 @@
 import collections
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from util import (
     make_torus,
     reference_constancy,
     reference_min_leaf,
+    reference_residual_inf,
     reference_socle_decomposition,
     socle_embedding_vector,
     torus_value_map,
@@ -217,6 +219,69 @@ def test_dense_matrix_agrees_with_block_residuals():
     for _ in range(10):
         u = rng.standard_normal(system.ncols)
         assert abs(system.residual_inf(u) - np.abs(M @ u).max()) <= 1e-12
+
+
+@functools.cache
+def _residual_system(kind):
+    """A function system on the identity frame, or a forms system on the
+    commutant frame (9 unknowns, 3 symbol columns), with its solutions."""
+    assemble = {"function": assemble_function_constraints,
+                "form": assemble_form_constraints}[kind]
+    system = assemble(make_torus(preset("trunc:3"), 1), 2)
+    return system, solve_nullspace(system)
+
+
+@pytest.mark.parametrize("kind", ["function", "form"])
+def test_residual_inf_of_empty_stack_is_zero(kind):
+    system, _ = _residual_system(kind)
+    assert system.residual_inf(np.zeros((0, system.ncols))) == 0.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["function", "form"]), seed=st.integers(0, 2**32 - 1),
+       rows=st.lists(st.sampled_from(["solution", "one_index", "dense", "zero"]), max_size=6),
+       specials=st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3))
+def test_residual_inf_matches_dense_reference(kind, seed, rows, specials):
+    # only the support is read; the reference multiplies every mode's symbol
+    # by every column, so zero columns must add nothing and NaN must survive
+    system, solutions = _residual_system(kind)
+    rng = np.random.default_rng(seed)
+    stack = np.zeros((len(rows), system.frame.shape[0], system.trig.size))
+    for row, what in zip(stack, rows):
+        if what == "solution":
+            row[:] = solutions[rng.integers(len(solutions))].reshape(row.shape)
+        elif what == "one_index":
+            row[:, rng.integers(row.shape[1])] = rng.standard_normal(len(row))
+        elif what == "dense":
+            row[:] = rng.standard_normal(row.shape)
+    stack = stack.reshape(len(rows), system.ncols)
+    for value in specials if len(rows) else ():
+        stack[rng.integers(len(rows)), rng.integers(system.ncols)] = value
+    with np.errstate(invalid="ignore"):  # inf times a zero frame entry
+        got, want = system.residual_inf(stack), reference_residual_inf(system, stack)
+    # a few ulps; NaN where the reference is NaN, and only there
+    assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0)
+
+
+@pytest.mark.parametrize("name,m,d", [
+    ("dual", 2, 2), ("trunc:3", 2, 1), ("square:2", 2, 1), ("trunc:3", 1, 2),
+])
+def test_residual_inf_allocates_a_fraction_of_the_stack(name, m, d):
+    # the verify_leaf benchmark configs: the dense product over every mode
+    # took 10 to 26 times the solution stack's bytes. The gathered symbols,
+    # one (rows, symbol columns) block per solution, and a few array headers
+    # read 0.29 times the 21 kB stack of trunc:3 m=1 d=2, 0.08 on the others
+    system = assemble_function_constraints(make_torus(preset(name), m), d)
+    solutions = solve_nullspace(system)
+    system.residual_inf(solutions)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        system.residual_inf(solutions)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= solutions.nbytes / 2
 
 
 def test_solve_nullspace_zero_system_is_full_space():

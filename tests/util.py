@@ -352,6 +352,21 @@ def dense_form_constraints(cfg, trig, closedness=True):
     return _dense(N * n, trig, local_rows)
 
 
+def reference_residual_inf(system, u):
+    """``ConstraintSystem.residual_inf`` on every column: every mode's symbol
+    times every solution's (cos, sin) pair, and two full copies of the stack
+    for the part off the frame."""
+    modes, _, nsym = system.symbols.shape
+    U = np.atleast_2d(np.asarray(u, dtype=float))
+    U = U.reshape(len(U), system.frame.shape[0], system.trig.size)
+    X = system.frame.T @ U
+    off = np.abs(U - system.frame @ X).max(initial=0.0)
+    # a leading zero column pairs up (0, constant), then (cos, sin) per pair
+    modal = np.pad(X, ((0, 0), (0, 0), (1, 0))).reshape(len(U), nsym, modes, 2)
+    modal = modal.transpose(2, 1, 0, 3).reshape(modes, nsym, 2 * len(U))
+    return float(np.maximum(np.abs(system.symbols @ modal).max(initial=0.0), off))
+
+
 def component_form(solution, j0, cfg, trig):
     """The real 1-form carried by standard component j0, flat (N*B,)."""
     table = np.asarray(solution, dtype=float).reshape(cfg.ncoords, cfg.n, trig.size)
