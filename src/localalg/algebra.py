@@ -15,6 +15,7 @@ pass of batched products, and the socle (annihilator of the radical).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -294,24 +295,22 @@ def radical_filtration(A: StructureConstants,
                        rad: np.ndarray) -> tuple[list[np.ndarray], int | None]:
     """Descending chain rad >= rad^2 >= ... >= 0 and the nilpotency index.
 
-    Each chain entry is an orthonormal row basis; the chain ends with the
-    first zero subspace. ``nu`` is the first power that vanishes, or None if
-    the chain stalls (non-nilpotent radical, i.e. invalid input). ``rad`` is
-    ``radical_basis(A)``. Each power takes one contraction with the radical's
-    multiplication maps. Ranks are measured against the norm of the structure
-    constants, so a power whose products are only round-off is zero.
+    Each chain entry is an orthonormal row basis, signed as the SVD gives it;
+    the chain ends with the first zero subspace. ``nu`` is the first power
+    that vanishes, or None if the chain stalls (a non-nilpotent radical).
+    ``rad`` is ``radical_basis(A)``. Each power takes one contraction with the
+    radical's multiplication maps; ranks are measured against the norm of the
+    structure constants, so a power of round-off products is zero.
     """
-    scale = float(np.linalg.norm(A.C))
+    scale = float(linalg.norm(A.C))
     rad_maps = np.einsum("vj,ijk->ivk", rad, A.C)  # x -> x * rad[v], stacked
     chain = [rad]
-    current = rad
-    while current.shape[0] > 0:  # ranks fall every step, or it returns
-        products = np.tensordot(current, rad_maps, axes=1)  # (u, v, k)
-        nxt = linalg.orthonormal_rows(products.reshape(-1, A.n), scale=scale)
-        if nxt.shape[0] >= current.shape[0]:
+    while chain[-1].shape[0] > 0:  # ranks fall every step, or it returns
+        products = np.tensordot(chain[-1], rad_maps, axes=1)  # (u, v, k)
+        rank, vh = linalg._svd_rank(products.reshape(-1, A.n), linalg.RANK_TOL, scale)
+        if rank >= chain[-1].shape[0]:
             return chain, None
-        chain.append(nxt)
-        current = nxt
+        chain.append(vh[:rank])
     return chain, len(chain)
 
 
@@ -372,28 +371,30 @@ def standard_basis(A: StructureConstants, rad: np.ndarray) -> StandardBasisInfo:
     d-1 times each g_t from u's last generator on, visited higher exponent
     first: a monomial order, so the kept words form an order ideal (Faugere,
     Gianni, Lazard & Mora 1993). Each u * g_t is orthogonalized against the
-    kept span and judged by ``linalg._svd_rank`` on the size of its terms,
-    ``|| |u| . |L_{g_t}| ||``. A kept u is in the socle when the next batch,
-    u * g_t for every t, vanishes. SpanFailure signals a radical that is not
-    nilpotent or not n-1 dimensional, monomials that never span it, or socle
-    monomials not as many as ``socle_basis`` finds: monomials in generic
-    generators need not be adapted to the socle. ``rad`` is
-    ``radical_basis(A)``, as ``validate_algebra`` returns it; it feeds the
-    filtration, that socle guard and the info.
+    kept span and kept when the residual's norm exceeds RANK_TOL times the
+    larger of that norm and its term size ``|| |u| . |L_{g_t}| ||``: the only
+    singular value of one row is its norm, so this is ``linalg._svd_rank``'s
+    rule with the term size as scale, and no candidate needs an SVD. A kept u
+    is in the socle when the next batch, u * g_t for every t, vanishes.
+    SpanFailure signals a radical that is not nilpotent or not n-1
+    dimensional, monomials that never span it, or socle monomials not as many
+    as ``socle_basis`` finds: monomials in generic generators need not be
+    adapted to the socle. AlgebraFormatError signals products that leave the
+    float range. ``rad`` is ``radical_basis(A)``, as ``validate_algebra``
+    returns it; it feeds the filtration, that socle guard and the info.
     """
     chain, nu = radical_filtration(A, rad)
     if nu is None:
         raise SpanFailure("radical is not nilpotent; input is not a local algebra")
     rad2 = chain[1] if len(chain) > 1 else np.zeros((0, A.n))
     if rad.shape[0] != A.n - 1:
-        raise SpanFailure(
-            f"radical dimension {rad.shape[0]} != n-1; input is not local"
-        )
+        raise SpanFailure(f"radical dimension {rad.shape[0]} != n-1; input is not local")
 
     # minimal generators: complement of rad^2 inside rad
     pseudo = linalg.orthonormal_rows(rad - (rad @ rad2.T) @ rad2)
     r = pseudo.shape[0]
     maps = np.einsum("ti,ijk->tjk", pseudo, A.C)  # u @ maps[t] = u * g_t
+    abs_maps = np.abs(maps)
     span = np.zeros((A.n - 1, A.n))  # orthonormal rows of the kept monomials
     selected: list[Element] = []
     exponents: list[tuple[int, ...]] = []
@@ -401,12 +402,16 @@ def standard_basis(A: StructureConstants, rad: np.ndarray) -> StandardBasisInfo:
     layer, words, top = A.unit()[None, :], [(0,) * r], max(nu - 1, 1)
     for degree in range(1, top + 2):
         products = np.einsum("uj,tjk->utk", layer, maps)
+        if not np.isfinite(products).all():
+            raise AlgebraFormatError("pseudobasis monomials leave the float range")
         if degree > 1:
             worst = np.abs(products).max(axis=(1, 2), initial=0.0)
-            flags = worst <= linalg.RANK_TOL * (1.0 + np.linalg.norm(layer, axis=1))
+            sizes = np.array([math.hypot(*u) for u in layer.tolist()])
+            flags = worst <= linalg.RANK_TOL * (1.0 + sizes)
             socle += [len(selected) - len(layer) + 1 + int(u) for u in np.flatnonzero(flags)]
         if degree > top or len(selected) == A.n - 1:
             break
+        terms = np.einsum("uj,tjk->utk", np.abs(layer), abs_maps)
         start = len(selected)
         candidates = sorted(
             ((w[:t] + (w[t] + 1,) + w[t + 1:], u, t) for u, w in enumerate(words)
@@ -416,10 +421,9 @@ def standard_basis(A: StructureConstants, rad: np.ndarray) -> StandardBasisInfo:
             vec, k = products[u, t], len(selected)
             rest = vec - (span[:k] @ vec) @ span[:k]
             rest -= (span[:k] @ rest) @ span[:k]  # twice is enough
-            scale = float(np.linalg.norm(np.abs(layer[u]) @ np.abs(maps[t])))
-            rank, vh = linalg._svd_rank(rest, linalg.RANK_TOL, scale)
-            if rank:
-                span[k] = vh[0]
+            size, term = math.hypot(*rest.tolist()), math.hypot(*terms[u, t].tolist())
+            if size > linalg.RANK_TOL * max(size, term):  # _svd_rank's rule on one row
+                span[k] = rest / size
                 selected.append(vec)
                 exponents.append(word)
                 if len(selected) == A.n - 1:
@@ -469,7 +473,7 @@ def socle_basis(A: StructureConstants, rad: np.ndarray) -> np.ndarray:
     # (rad_a * rad_b)_k at [a, b, k], of the values and of their term sizes
     products, terms = (R @ (R @ C.reshape(n, -1)).reshape(r, n, n)
                        for R, C in ((rad, A.C), (abs(rad), abs(A.C))))
-    size = np.linalg.norm(terms.reshape(r, -1), axis=1)
+    size = linalg.norm(terms.reshape(r, -1), axis=1)
     size[size == 0.0] = 1.0  # a column without terms is exactly zero
     rank, vh = linalg._svd_rank(products.reshape(r, -1).T / size, linalg.RANK_TOL, 1.0)
     return linalg.canonical_signs(np.linalg.qr(((vh[rank:] / size) @ rad).T)[0].T)

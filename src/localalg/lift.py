@@ -309,12 +309,8 @@ def format_element(a: Element, A: StructureConstants) -> str:
     parts = [f"{float(a[0]):.17g}"]
     for i in range(1, A.n):
         v = float(a[i])
-        if v == 0.0:
-            continue
-        if v < 0:
-            parts.append(f"- {-v:.17g} {A.labels[i]}")
-        else:
-            parts.append(f"+ {v:.17g} {A.labels[i]}")
+        if v != 0.0:
+            parts.append(f"{'-' if v < 0 else '+'} {abs(v):.17g} {A.labels[i]}")
     return " ".join(parts)
 
 

@@ -9,10 +9,11 @@ counts when it exceeds ``tol * ref``, where ``ref`` is the larger of the
 largest singular value of the matrix (of the whole stack, for a stack of
 matrices) and a ``scale`` the caller works out from its inputs. Without a
 scale the rule is relative, so a matrix of pure round-off keeps full rank; a
-scale such as the norm of the structure constants sends it to rank 0. A zero
-matrix, empty ones included, has rank 0 and the identity as its right
-singular vectors. ``rank`` drops all-zero columns first: they change no
-singular value, and the solution stacks it ranks are zero off a few columns.
+scale such as the norm of the structure constants sends it to rank 0. One
+row's only singular value is its norm, which a caller may judge directly.
+A zero matrix, empty ones included, has rank 0 and the identity as its
+right singular vectors. ``rank`` drops all-zero columns first: they change
+no singular value, and the solution stacks it ranks are zero off a few columns.
 """
 
 from __future__ import annotations
@@ -37,6 +38,12 @@ def _svd_rank(matrix: np.ndarray, tol: float, scale: float = 0.0,
         s, vh = np.linalg.svd(matrix, compute_uv=False), None
     ref = max(float(s.max(initial=0.0)), scale)
     return np.sum(s > tol * ref, axis=-1), vh
+
+
+def norm(x: np.ndarray, axis: int | None = None):
+    """``np.linalg.norm`` without overflow or underflow of its squares; same bits otherwise."""
+    scale = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=axis, keepdims=True, initial=0.0))[1] - 1)
+    return np.linalg.norm(x / scale, axis=axis) * np.squeeze(scale, axis)
 
 
 def canonical_signs(rows: np.ndarray) -> np.ndarray:

@@ -53,8 +53,6 @@ class Report:
         return all(c.passed for c in self.checks)
 
     def render(self) -> str:
-        lines = [c.line() for c in self.checks]
-        lines.append("---")
-        for key, value in self.data.items():
-            lines.append(f"{key}={fmt(value)}")
+        lines = [c.line() for c in self.checks] + ["---"]
+        lines += [f"{key}={fmt(value)}" for key, value in self.data.items()]
         return "\n".join(lines) + "\n"

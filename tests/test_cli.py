@@ -4,6 +4,7 @@ import itertools
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from localalg.cli import _parser, build_parser, main
 from localalg.expr import CORPUS, CORPUS_VARS
 from localalg.lift import format_element, parse_element
 
-from util import FORMS_LADDER, unit_safe_point
+from util import FORMS_LADDER, scaled_trunc_spec, unit_safe_point
 
 CMD = [sys.executable, "-m", "localalg"]
 
@@ -422,6 +423,46 @@ def test_overflowing_table_exits_with_float_range(tmp_path, command, code, lines
     assert proc.returncode == code
     assert proc.stdout == f"ERROR {message}\n"
     assert proc.stderr == ""
+
+
+def _strict_run(capsys, argv):
+    """(exit code, stdout, stderr) of an in-process run, warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("command,extra,lines", [
+    ("algebra", (), ("FILTRATION_DIMS=4,3,2,1,0", "NU=5", "SOCLE=e4")),
+    ("check", ("--expr", "sin(x1)", "--at", "0.5 + 1 e1"), ()),
+    ("verify", ("--m", "1", "--degree", "1"), ("NULLSPACE_DIM=7",)),
+    ("forms", ("--m", "1", "--degree", "1"), ("FORM_NULLSPACE_DIM=7",)),
+])
+def test_large_structure_constants_pass_every_command(tmp_path, capsys, command, extra,
+                                                      lines):
+    # R[a]/(a^5) with every product scaled by 1e100, so a^4 = 1e300 a4: the
+    # term sizes squared their entries, overflowed and refused every candidate
+    spec = tmp_path / "big.alg"
+    spec.write_text(scaled_trunc_spec(5, "1e100"))
+    code, out, err = _strict_run(capsys, [command, "--spec", str(spec), *extra])
+    assert (code, err) == (0, ""), out
+    for line in lines:
+        assert line in out.splitlines()
+
+
+@pytest.mark.parametrize("command,extra,code", [
+    ("algebra", (), 2),
+    ("check", ("--expr", "x1", "--at", "1"), 3),
+    ("verify", (), 3),
+    ("forms", (), 3),
+])
+def test_monomial_outside_the_float_range_is_named(tmp_path, capsys, command, extra, code):
+    # R[a]/(a^6) at 1e100 is a valid table, but a^5 = 1e400 a5
+    spec = tmp_path / "big.alg"
+    spec.write_text(scaled_trunc_spec(6, "1e100"))
+    assert _strict_run(capsys, [command, "--spec", str(spec), *extra]) == (
+        code, "ERROR pseudobasis monomials leave the float range\n", "")
 
 
 ALGEBRA_GOLDEN = Path(__file__).parent / "golden" / "algebra_presets.txt"

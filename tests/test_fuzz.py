@@ -4,11 +4,14 @@ literals: every run ends in a documented exit code and repeats its bytes."""
 import contextlib
 import io
 import math
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localalg.cli import main
+
+from util import scaled_trunc_spec
 
 # positive --tol values near 1 count every symbol direction as null and make
 # the solution stack dense (gigabytes on square:2 m=2 d=1), so the finite
@@ -118,3 +121,28 @@ LITERAL_PIECES = ("0.5", "-1", " + 1 e1", " - 0.5 e2", "e1", "1e400", "1e-320", 
 def test_expressions_and_literals_end_in_a_documented_exit_code(command, name, expr, at):
     assert_documented_and_repeatable([command, "--preset", name, f"--expr={expr}",
                                       f"--at={at}"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(k=st.integers(2, 10), exponent=st.integers(0, 320))
+def test_scaled_truncations_match_trunc_or_leave_the_float_range(tmp_path_factory, k,
+                                                                 exponent):
+    # R[a]/(a^k) with every product scaled by 10^e: it is trunc:k whenever its
+    # monomials, up to a1^(k-1) = 10^(e(k-2)) a(k-1), stay finite. Scales
+    # below 1 are left out: the socle flag ignores term sizes and refuses
+    # R[a]/(a^4) from 1e-5 on (test_socle_of_tiny_square_is_refused pins it)
+    spec = tmp_path_factory.getbasetemp() / "scaled.alg"
+    spec.write_text(scaled_trunc_spec(k, f"1e{exponent}"), encoding="utf-8")
+    finite = math.isfinite(float(f"1e{exponent * (k - 2)}"))
+    for argv in (["algebra"], ["check", "--expr", "sin(x1)", "--at", "0.5 + 1 e1"]):
+        with warnings.catch_warnings():  # nothing may reach stderr
+            warnings.simplefilter("error")
+            code, text = run_main([argv[0], "--spec", str(spec), *argv[1:]])
+        if not finite:
+            assert code in {2, 3}, text
+            continue
+        assert code == 0, text
+        if argv == ["algebra"]:
+            dims = ",".join(str(d) for d in range(k - 1, -1, -1))
+            assert {f"FILTRATION_DIMS={dims}", f"NU={k}", f"SOCLE=e{k - 1}"} <= set(
+                text.splitlines())

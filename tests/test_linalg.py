@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from localalg.linalg import (
     _svd_rank,
     canonical_signs,
+    norm,
     nullspace_rows,
     orthonormal_rows,
     rank,
@@ -119,3 +120,16 @@ def test_canonical_signs_match_the_row_loop():
     rows = -np.eye(2)
     canonical_signs(rows)
     assert np.array_equal(rows, -np.eye(2))  # the input is not changed
+
+
+def test_norm_is_numpys_without_overflow():
+    rng = np.random.default_rng(7)
+    for x in (rng.standard_normal((5, 7)), rng.standard_normal((3, 4, 4)) * 1e-150,
+              np.zeros((2, 3)), np.array([[0.0, 1e-100], [3.0, -4.0]])):
+        assert np.array_equal(norm(x), np.linalg.norm(x))  # bit for bit
+        assert np.array_equal(norm(x, axis=-1), np.linalg.norm(x, axis=-1))
+    assert norm(np.array([1e-320, 0.0])) == 1e-320  # numpy's squares underflow to 0
+    big = np.array([[3e200, 4e200], [1.7e308, 0.0]])
+    with np.errstate(over="raise"):
+        assert norm(big) == pytest.approx(1.7e308, rel=1e-15)  # 5e200 is below its ulp
+        assert_allclose(norm(big, axis=1), [5e200, 1.7e308], rtol=1e-15)

@@ -1,12 +1,15 @@
 """The graded standard basis against the scan it replaced: one SVD of the kept
 span plus each candidate monomial in turn, every product by ``mul``."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from localalg import algebra
 from localalg.algebra import preset
+from localalg.errors import SpanFailure
 
 from util import (
     changed_radical_basis,
@@ -48,6 +51,28 @@ def test_graded_pass_matches_reference_scan_changed_basis(name, seed):
     assert_allclose(info.P, ref.P, rtol=1e-12, atol=1e-12)
 
 
+# R[x, y]/(x^2, xy, y^3) at seed 0: the first generator lies in the socle and
+# its round-off square is kept as a monomial, P numerically singular (ROADMAP
+# item 2); the reference scan keeps y^2
+G0_IN_SOCLE = pytest.mark.xfail(strict=True, reason="round-off monomial kept")
+
+
+@pytest.mark.parametrize("i,seed", [
+    pytest.param(i, seed, marks=[G0_IN_SOCLE] if STAIRCASES[i].n == 4 and seed == 0 else [])
+    for i in range(len(STAIRCASES)) for seed in range(2)])
+def test_graded_pass_matches_reference_scan_changed_staircases(i, seed):
+    A = changed_radical_basis(STAIRCASES[i], seed)
+    try:
+        ref = reference_standard_basis(A)
+    except SpanFailure as e:
+        with pytest.raises(SpanFailure, match=f"^{re.escape(str(e))}$"):
+            standard_basis(A)
+        return
+    info = standard_basis(A)
+    _same_scan(info, ref)
+    assert_allclose(info.P, ref.P, rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("name", ["dual"] + ORACLE_PRESETS)
 def test_standardize_matches_naive_contraction_bitwise(name):
     A = preset(name)
@@ -82,6 +107,26 @@ def test_standard_basis_takes_one_trace_form_radical(monkeypatch):
         calls.clear()
         standard_basis(A)
         assert len(calls) == 1
+
+
+def test_standard_basis_takes_one_svd_per_power_and_none_per_candidate(monkeypatch):
+    # nu - 1 powers of the radical, the pseudobasis and socle_basis; every
+    # candidate is judged by its norm, so no one-row matrix reaches LAPACK
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def spying_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    for A in [preset("trunc:8"), preset("square:3")] + STAIRCASES:
+        rad = algebra.radical_basis(A)
+        shapes.clear()
+        monkeypatch.setattr(np.linalg, "svd", spying_svd)
+        info = algebra.standard_basis(A, rad)
+        monkeypatch.setattr(np.linalg, "svd", real_svd)
+        assert len(shapes) == info.nu + 1
+        assert all(shape[-2] > 1 for shape in shapes), shapes
 
 
 def test_staircases_cover_several_shapes():

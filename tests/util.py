@@ -125,6 +125,15 @@ def changed_radical_basis(A, seed):
     return StructureConstants(A.n, A.labels, C)
 
 
+def scaled_trunc_spec(k, coef):
+    """Spec text of R[a]/(a^k) on the basis 1, a1..a(k-1) with every product
+    scaled, a_i a_j = coef a_(i+j), so that a1^p = coef^(p-1) a_p."""
+    names = ["1"] + [f"a{i}" for i in range(1, k)]
+    lines = [f"algebra n={k}", "basis " + " ".join(names)]
+    lines += [f"mul a{i} a{j} = {coef}*a{i + j}" for i in range(1, k) for j in range(i, k - i)]
+    return "\n".join(lines) + "\n"
+
+
 def staircase_quotients(seed=20):
     """Two seeded monomial quotients of each size 4, 6, 9, 12, 16 and 20."""
     rng = np.random.default_rng(seed)
