@@ -20,14 +20,13 @@ A-differentiable exactly when its differential is A-linear. The 1-forms of
 ``forms`` solve on a frame of the kernel of C, with only closedness rows.
 
 The minimizing-leaf check builds no design matrix: it sums each trig
-polynomial's frequency box onto a lattice one axis at a time, in chunks of
-solutions holding at most LATTICE_BUDGET values. Leaf averages within TIE_RTOL
-times their l1 bound of the minimum tie; the smallest row-major index wins. A
-real part with no nonzero (cos, sin) coefficient (NaN and inf count) is flat:
-it skips both lattices, as const + Re sum 0 E is const bit for bit. Every
-actual solution has a flat real part, so on solutions GRAD_MAX and
+polynomial's frequency box onto a lattice one axis at a time, in chunks
+holding at most LATTICE_BUDGET values. Every lattice row belongs to a live
+solution: a real part with no nonzero (cos, sin) coefficient (NaN and inf
+count) is flat, and const + Re sum 0 E is const bit for bit. Every actual
+solution is flat, so on solutions no lattice is evaluated and GRAD_MAX and
 G_VARIATION are exactly 0 by construction; the check has content only on
-injected non-solutions, as in the tests.
+injected non-solutions.
 """
 
 from __future__ import annotations
@@ -342,8 +341,8 @@ def verify_socle_decomposition(solutions: np.ndarray, cfg: TorusConfig,
 
 
 def lattice_chunks(cfg: TorusConfig, grid: int) -> list[int]:
-    """Solutions per chunk of ``_min_leaf``'s transversal and leaf passes, which
-    put 2 rows on the grid^m lattice and N+1 rows on the LEAF_GRID^(N-m) one;
+    """Live solutions per chunk of ``_min_leaf``'s transversal and leaf passes:
+    2 rows each on the grid^m lattice, N+1 on the LEAF_GRID^(N-m) one;
     SizeCapExceeded when one solution's values exceed LATTICE_BUDGET."""
     per = _sizes([(2, grid, cfg.m), (cfg.ncoords + 1, LEAF_GRID, cfg.ncoords - cfg.m)],
                  LATTICE_BUDGET,
@@ -368,43 +367,42 @@ def _lattice_values(const, z, freqs, degree, size):
     return const[:, None] + box.real.reshape(rows, -1)
 
 
-def _min_leaf(solutions: np.ndarray, cfg: TorusConfig, trig: TrigSpace, grid: int):
-    """Minimizing-leaf quantities of a (S, ncols) stack of solutions.
+def _leaf_positions(U: np.ndarray, trig: TrigSpace, m: int, grid: int):
+    """qmin and average of the minimizing leaf of each solution in a (S, n, B)
+    stack: the first row-major grid^m index whose e1 basic-part value is within
+    TIE_RTOL * (its l1 norm, which bounds every average) of the minimum."""
+    G1 = U[:, 1 if U.shape[1] > 1 else 0] * trig.transversal_mask(m)
+    averages = _lattice_values(G1[:, 0], G1[:, 1::2] - 1j * G1[:, 2::2],
+                               trig.freqs[:, :m], max(trig.degree, 0), grid)
+    tie = averages.min(axis=1) + TIE_RTOL * np.abs(G1).sum(axis=1)
+    qmin = np.argmax(averages <= tie[:, None], axis=1)
+    return qmin, averages[np.arange(len(U)), qmin]
 
-    Returns per-solution arrays: qmin, the minimum leaf average, the largest
-    gradient entry on that leaf and the real part's variation, the leaf
-    sampled on the LEAF_GRID^(N-m) lattice. A pair (a, b) is z = a - i b
-    on e^{i k . theta}; chunks of solutions go through ``_lattice_values``
-    twice. On the grid^m lattice: the e1-component's basic part (its leaf
-    average) and the real part at (x, 0); qmin is the smallest row-major index
-    whose average is within TIE_RTOL * (l1 norm of that basic part, which
-    bounds every average and its round-off) of the minimum. On the
-    leaf through x = x_qmin, the base leaf with z rotated by e^{i k[:m] . x}:
-    the real part and its N derivatives (z times i k_axis). Flat real parts
-    (z == 0) go through neither pass: their values are the constant, so their
-    variation and gradient are exactly 0.
-    """
-    n, m, N = cfg.n, cfg.m, cfg.ncoords
-    trans_chunk, leaf_chunk = lattice_chunks(cfg, grid)
-    U = np.asarray(solutions, dtype=float).reshape(-1, n, trig.size)
-    G, G1 = U[:, 0], U[:, 1 if n > 1 else 0] * trig.transversal_mask(m)
-    z, z1 = G[:, 1::2] - 1j * G[:, 2::2], G1[:, 1::2] - 1j * G1[:, 2::2]
-    d, S, live = max(trig.degree, 0), len(U), z.any(axis=1)
-    qmin, avg, grad = np.empty(S, dtype=np.int64), np.empty(S), np.zeros(S)
+
+def _min_leaf(solutions: np.ndarray, cfg: TorusConfig, trig: TrigSpace, grid: int):
+    """Per solution of a (S, ncols) stack: qmin and avg of ``_leaf_positions``,
+    the largest gradient on that leaf and the real part's variation. Live rows
+    go through ``_lattice_values`` in chunks, a pair (a, b) as z = a - i b on
+    e^{i k . theta}: on the grid^m lattice the leaf position and the real part
+    at (x, 0); on the LEAF_GRID^(N-m) lattice of the leaf through x = x_qmin
+    (z rotated by e^{i k[:m] . x}) the real part and its N derivatives (z
+    times i k_axis). A flat row gets no leaf (qmin -1, avg NaN)."""
+    m, (trans_chunk, leaf_chunk) = cfg.m, lattice_chunks(cfg, grid)
+    U = np.asarray(solutions, dtype=float).reshape(-1, cfg.n, trig.size)
+    G, d = U[:, 0], max(trig.degree, 0)
+    rows = np.flatnonzero(G[:, 1:].any(axis=1))
+    z = G[rows, 1::2] - 1j * G[rows, 2::2]
+    qmin, avg, grad = np.full(len(U), -1), np.full(len(U), np.nan), np.zeros(len(U))
     g_hi, g_lo = G[:, 0].copy(), G[:, 0].copy()
-    for c in (slice(s, s + trans_chunk) for s in range(0, S, trans_chunk)):
-        averages, g_trans = np.split(_lattice_values(
-            np.concatenate([G1[c, 0], G[c, 0][live[c]]]), np.vstack([z1[c], z[c][live[c]]]),
-            trig.freqs[:, :m], d, grid), [len(G1[c])])
-        tie = averages.min(axis=1) + TIE_RTOL * np.abs(G1[c]).sum(axis=1)
-        qmin[c] = np.argmax(averages <= tie[:, None], axis=1)
-        avg[c] = averages[np.arange(len(averages)), qmin[c]]
-        g_hi[c][live[c]], g_lo[c][live[c]] = g_trans.max(axis=1), g_trans.min(axis=1)
-    rows = np.flatnonzero(live)
+    for c in (slice(s, s + trans_chunk) for s in range(0, len(rows), trans_chunk)):
+        r = rows[c]
+        qmin[r], avg[r] = _leaf_positions(U[r], trig, m, grid)
+        g_trans = _lattice_values(G[r, 0], z[c], trig.freqs[:, :m], d, grid)
+        g_hi[r], g_lo[r] = g_trans.max(axis=1), g_trans.min(axis=1)
     x = np.stack(np.unravel_index(qmin[rows], (grid,) * m), axis=1)
-    z = z[rows] * np.exp(2j * np.pi * (x @ trig.freqs[:, :m].T % grid) / grid)
+    z = z * np.exp(2j * np.pi * (x @ trig.freqs[:, :m].T % grid) / grid)
     z = np.concatenate([z[:, None], 1j * trig.freqs.T * z[:, None]], axis=1)
-    const = np.pad(G[rows, :1], ((0, 0), (0, N)))
+    const = np.concatenate([G[rows, :1], np.zeros((len(rows), cfg.ncoords))], axis=1)
     for c in (slice(s, s + leaf_chunk) for s in range(0, len(rows), leaf_chunk)):
         leaf = _lattice_values(const[c].ravel(), z[c].reshape(const[c].size, -1),
                                trig.freqs[:, m:], d, LEAF_GRID).reshape(*const[c].shape, -1)
@@ -425,9 +423,11 @@ def _min_leaf_report(grad: float, variation: float, tol: float, **leaf) -> Repor
 
 def verify_min_leaf(solution: np.ndarray, cfg: TorusConfig, trig: TrigSpace,
                     grid: int = 32, tol: float = 1e-8) -> Report:
-    """Locate the leaf minimizing the leaf-average of the e1-component and
-    check the real part is critical there (and in fact constant)."""
-    qmin, avg, grad, var = _min_leaf(solution, cfg, trig, grid)
+    """Locate the leaf minimizing the e1 leaf-average (flat solutions too) and
+    check the real part is critical there (and in fact constant). Kept, with
+    ``TrigSpace.values``, only because benchmark metrics name them."""
+    _, _, grad, var = _min_leaf(solution, cfg, trig, grid)
+    qmin, avg = _leaf_positions(np.reshape(solution, (1, cfg.n, -1)), trig, cfg.m, grid)
     return _min_leaf_report(float(grad[0]), float(var[0]), tol,
                             MIN_LEAF_INDEX=int(qmin[0]), MIN_LEAF_AVG=float(avg[0]))
 

@@ -4,6 +4,7 @@ import collections
 import functools
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,6 +425,26 @@ def _mixed_stack(system, seed=11):
 MIN_LEAF_KEYS = ("MIN_LEAF_AVG", "GRAD_MAX", "G_VARIATION")
 
 
+def _assert_min_leaf_matches(got, stack, cfg, trig, grid, refs, atol):
+    """``_min_leaf``'s arrays against the per-solution references: qmin and
+    avg on live rows, which alone get a leaf (-1 and NaN on flat ones), grad
+    and variation on every row. ``_leaf_positions``, the leaf search both
+    min-leaf checks share, gives every row's leaf, flat ones included."""
+    qmin, avg, grad, variation = got
+    U = stack.reshape(len(stack), cfg.n, trig.size)
+    live = U[:, 0, 1:].any(axis=1)
+    ref = {key: np.array([r[key] for r in refs]) for key in ("MIN_LEAF_INDEX", *MIN_LEAF_KEYS)}
+    leaf_q, leaf_avg = torus._leaf_positions(U, trig, cfg.m, grid)
+    assert list(leaf_q) == list(ref["MIN_LEAF_INDEX"])
+    assert list(qmin[live]) == list(ref["MIN_LEAF_INDEX"][live])
+    assert np.all(qmin[~live] == -1) and np.isnan(avg[~live]).all()
+    close = functools.partial(assert_allclose, rtol=1e-12, atol=atol)
+    close(leaf_avg, ref["MIN_LEAF_AVG"])
+    close(avg[live], ref["MIN_LEAF_AVG"][live])
+    close(grad, ref["GRAD_MAX"])
+    close(variation, ref["G_VARIATION"])
+
+
 @pytest.mark.parametrize("name,m,d", CONFIGS)
 def test_min_leaf_matches_reference(name, m, d):
     # solutions and seeded sparse and dense non-solutions, checked one by one
@@ -440,11 +461,8 @@ def test_min_leaf_matches_reference(name, m, d):
         for key in MIN_LEAF_KEYS:
             assert_allclose(got[key], ref[key], rtol=1e-12, atol=1e-15)
 
-    qmin, avg, grad, variation = torus._min_leaf(stack, cfg, trig, 32)
-    assert list(qmin) == [ref["MIN_LEAF_INDEX"] for ref in refs]
-    for got, key in ((avg, "MIN_LEAF_AVG"), (grad, "GRAD_MAX"),
-                     (variation, "G_VARIATION")):
-        assert_allclose(got, [ref[key] for ref in refs], rtol=1e-12, atol=1e-15)
+    _assert_min_leaf_matches(torus._min_leaf(stack, cfg, trig, 32), stack, cfg, trig, 32,
+                             refs, 1e-15)
     # the residual of the stack, as the CLI reports it, is the worst row's
     assert_allclose(system.residual_inf(stack), max(map(system.residual_inf, stack)),
                     rtol=1e-12, atol=1e-15)
@@ -527,11 +545,8 @@ def test_min_leaf_aliased_lattices_match_reference(name, m, d, monkeypatch):
     for grid, leaf_grid in itertools.product((1, 2, 3, 5), (1, 2)):
         refs = [reference_min_leaf(u, cfg, trig, grid, leaf_grid).data for u in stack]
         monkeypatch.setattr(torus, "LEAF_GRID", leaf_grid)
-        qmin, avg, grad, variation = torus._min_leaf(stack, cfg, trig, grid)
-        assert list(qmin) == [ref["MIN_LEAF_INDEX"] for ref in refs]
-        for got, key in ((avg, "MIN_LEAF_AVG"), (grad, "GRAD_MAX"),
-                         (variation, "G_VARIATION")):
-            assert_allclose(got, [ref[key] for ref in refs], rtol=1e-12, atol=1e-13)
+        _assert_min_leaf_matches(torus._min_leaf(stack, cfg, trig, grid), stack, cfg, trig,
+                                 grid, refs, 1e-13)
 
 
 def test_min_leaf_chunks_do_not_change_results(monkeypatch):
@@ -539,12 +554,14 @@ def test_min_leaf_chunks_do_not_change_results(monkeypatch):
     system = assemble_function_constraints(cfg, 1)
     stack = _mixed_stack(system)
     whole = torus._min_leaf(stack, cfg, system.trig, 128)
-    # two solutions per chunk: 2 * 128^2 transversal and 7 * 8^4 leaf values each
+    # two live solutions per chunk: 2 * 128^2 transversal and 7 * 8^4 leaf
+    # values each; the five live rows take three chunks
     monkeypatch.setattr(torus, "LATTICE_BUDGET", 4 * 128**2)
     assert torus.lattice_chunks(cfg, 128) == [2, 2]
+    assert np.count_nonzero(whole[0] >= 0) == 5
     chunked = torus._min_leaf(stack, cfg, system.trig, 128)
     for a, b in zip(whole, chunked):
-        assert np.array_equal(a, b)
+        assert np.array_equal(a, b, equal_nan=True)  # flat rows' avg is NaN
 
 
 def _count_lattice_rows(monkeypatch):
@@ -567,14 +584,15 @@ def _count_lattice_rows(monkeypatch):
 
 
 def _expected_lattice_rows(stacks):
-    """Every e1 row and every real part with a nonzero non-constant
-    coefficient on the transversal lattice, N + 1 rows of each such real
-    part on the leaf lattice."""
+    """For every live solution, whose real part has a nonzero non-constant
+    coefficient: its e1 row and its real part on the transversal lattice, and
+    N + 1 rows of its real part on the leaf lattice. Flat solutions send
+    nothing."""
     expected = collections.Counter()
     for solutions, cfg, trig, grid in stacks:
         U = solutions.reshape(-1, cfg.n, trig.size)
         live = int(np.count_nonzero(U[:, 0, 1:].any(axis=1)))
-        expected[grid] += len(U) + live
+        expected[grid] += 2 * live
         expected[torus.LEAF_GRID] += (cfg.ncoords + 1) * live
     return +expected
 
@@ -603,7 +621,36 @@ def test_flat_real_parts_never_reach_the_lattice(monkeypatch, capsys):
     sent.clear()
     assert main(["verify", "--preset", "trunc:3", "--m", "2", "--degree", "1"]) == 0
     assert len(stacks) == 1 and len(stacks[0][0]) > 0
-    assert sent == _expected_lattice_rows(stacks) == {32: len(stacks[0][0])}
+    assert sent == _expected_lattice_rows(stacks) == {}
+
+
+def test_verify_sends_no_row_to_the_lattice(monkeypatch, capsys):
+    # every solution is flat, so neither the verify golden ladder nor dual
+    # m=4 d=1 (82 solutions) evaluates a lattice row; exit codes as before
+    sent = []
+    values = torus._lattice_values
+
+    def counted(const, z, freqs, degree, size):
+        sent.append(len(z))
+        return values(const, z, freqs, degree, size)
+
+    monkeypatch.setattr(torus, "_lattice_values", counted)
+    golden = Path(__file__).parent / "golden" / "verify_presets.txt"
+    lines = golden.read_text(encoding="utf-8").splitlines()
+    runs = [(a[2:].split(), int(b.split()[-1])) for a, b in
+            zip([x for x in lines if x.startswith("# verify ")],
+                [x for x in lines if x.startswith("# exit ")])]
+    runs.append(("verify --preset dual --m 4 --degree 1".split(), 0))
+    assert len(runs) == 37
+    for argv, code in runs:
+        assert main(argv) == code, argv
+        capsys.readouterr()
+    assert sum(sent) == 0
+    # the spy sees the rows of a live stack
+    cfg = make_torus(preset("dual"), 1)
+    system = assemble_function_constraints(cfg, 1)
+    verify_min_leaf_all(_mixed_stack(system), cfg, system.trig)
+    assert sum(sent) > 0
 
 
 FLAT_CONFIGS = [("dual", 1, 1), ("trunc:3", 1, 2), ("square:2", 1, 1), ("dual", 2, 1)]
@@ -620,10 +667,12 @@ def _solved(name, m, d):
 @given(config=st.sampled_from(FLAT_CONFIGS), seed=st.integers(0, 2**32 - 1),
        consts=st.lists(st.sampled_from([0.0, -0.0, 1e300, -1e300]) | st.floats(-1e6, 1e6),
                        min_size=2, max_size=4),
-       nlive=st.integers(1, 3))
+       nlive=st.integers(1, 5))
 def test_flat_rows_skip_the_lattice_exactly(config, seed, consts, nlive):
     # solutions, constant-only real parts, dense rows and one NaN real-part
-    # coefficient, shuffled; chunks of three or four rows mix flat and live ones
+    # coefficient, shuffled; the live rows, the NaN one among them, go through
+    # chunks of three or four, and every live row's leaf, gradient and
+    # variation match the reference
     cfg, trig, solutions = _solved(*config)
     rng = np.random.default_rng(seed)
     picked = solutions[rng.choice(len(solutions), size=min(3, len(solutions)),
@@ -650,10 +699,7 @@ def test_flat_rows_skip_the_lattice_exactly(config, seed, consts, nlive):
         qmin, avg, grad, variation = torus._min_leaf(stack, cfg, trig, 32)
         assert verify_min_leaf_all(stack[is_flat], cfg, trig).passed
         rep = verify_min_leaf_all(stack[quiet], cfg, trig)
-    assert list(qmin) == [ref["MIN_LEAF_INDEX"] for ref in refs]
-    for got, key in ((avg, "MIN_LEAF_AVG"), (grad, "GRAD_MAX"),
-                     (variation, "G_VARIATION")):
-        assert_allclose(got, [ref[key] for ref in refs], rtol=1e-12, atol=1e-15)
+    _assert_min_leaf_matches((qmin, avg, grad, variation), stack, cfg, trig, 32, refs, 1e-15)
     assert np.isnan(grad[is_nan]).all() and np.isnan(variation[is_nan]).all()
     assert np.all(grad[is_flat] == 0.0) and np.all(variation[is_flat] == 0.0)
     assert {c.name for c in rep.checks if not c.passed} == {"min_leaf_gradient",
