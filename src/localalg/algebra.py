@@ -109,9 +109,7 @@ def square_zero_algebra(generators: int) -> StructureConstants:
         raise AlgebraFormatError("need at least one generator")
     n = generators + 1
     C = np.zeros((n, n, n))
-    C[0] = np.eye(n)
-    for j in range(1, n):
-        C[j, 0, j] = 1.0
+    C[0] = C[:, 0] = np.eye(n)  # 1 * e_j = e_j * 1 = e_j
     return StructureConstants(n, _default_labels(n), C)
 
 
@@ -159,9 +157,7 @@ def from_spec(text: str) -> StructureConstants:
         raise AlgebraFormatError("duplicate basis names")
 
     C = np.zeros((n, n, n))
-    C[0] = np.eye(n)
-    for j in range(1, n):
-        C[j, 0, j] = 1.0
+    C[0] = C[:, 0] = np.eye(n)  # 1 * e_j = e_j * 1 = e_j
 
     seen: set[frozenset[int]] = set()
     for ln in lines[2:]:

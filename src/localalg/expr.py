@@ -319,14 +319,9 @@ def diff(e: Expr, j: int, memo: dict | None = None) -> Expr:
     elif isinstance(e, Div):
         # (u' - (u/v) v') / v reuses u/v: derivative DAGs grow linearly, no v^(2^k)
         d = div(sub(diff(e.left, j, memo), mul(e, diff(e.right, j, memo))), e.right)
-    elif isinstance(e, IntPow):
-        if e.exponent == 0:
-            d = Const(0.0)
-        else:
-            d = mul(
-                mul(Const(float(e.exponent)), intpow(e.base, e.exponent - 1)),
-                diff(e.base, j, memo),
-            )
+    elif isinstance(e, IntPow):  # exponent >= 2: ``intpow`` folds 0 and 1
+        d = mul(mul(Const(float(e.exponent)), intpow(e.base, e.exponent - 1)),
+                diff(e.base, j, memo))
     elif isinstance(e, Sin):
         d = mul(Cos(e.arg), diff(e.arg, j, memo))
     elif isinstance(e, Cos):

@@ -95,19 +95,17 @@ def zero_mean_combinations(solutions: np.ndarray, cfg: TorusConfig,
     return combos @ solutions
 
 
-def verify_class_injectivity(form_solutions: np.ndarray,
-                             function_solutions: np.ndarray,
+def verify_class_injectivity(form_solutions: np.ndarray, differentials: np.ndarray,
                              cfg: TorusConfig, trig: TrigSpace) -> tuple[float, int]:
-    """Worst distance from a zero-mean closed solution to an exact
-    differential, plus the dimension of the zero-mean subspace.
+    """Worst distance from a zero-mean closed solution to the span of the dG
+    in ``differentials``, plus the dimension of the zero-mean subspace.
 
     The least-squares fit runs on the columns where either side is nonzero;
     the other columns add exactly 0 to every residual.
     """
     zm = zero_mean_combinations(form_solutions, cfg, trig)
-    basis = function_differential(function_solutions, cfg, trig)
-    support = basis.any(axis=0) | zm.any(axis=0)
-    basis, zm = basis[:, support], zm[:, support]
+    support = differentials.any(axis=0) | zm.any(axis=0)
+    basis, zm = differentials[:, support], zm[:, support]
     coef, *_ = np.linalg.lstsq(basis.T, zm.T, rcond=None)
     residual = np.linalg.norm(basis.T @ coef - zm.T, axis=0)
     return float(residual.max(initial=0.0)), zm.shape[0]
@@ -131,8 +129,9 @@ def cohomology_report(cfg: TorusConfig, degree: int,
     degree0_dims = {j0: linalg.rank(fn_sol[:, j0 * B:(j0 + 1) * B], null_tol)
                     for j0 in breve}
     # functions with vanishing differential inside the ansatz
-    h0 = fn_sol.shape[0] - linalg.rank(function_differential(fn_sol, cfg, trig), null_tol)
-    residual, zm_dim = verify_class_injectivity(form_sol, fn_sol, cfg, trig)
+    dG = function_differential(fn_sol, cfg, trig)
+    h0 = fn_sol.shape[0] - linalg.rank(dG, null_tol)
+    residual, zm_dim = verify_class_injectivity(form_sol, dG, cfg, trig)
 
     bound = cfg.n * cfg.ncoords
     rep = Report()

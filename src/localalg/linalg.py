@@ -14,6 +14,13 @@ row's only singular value is its norm, which a caller may judge directly.
 A zero matrix, empty ones included, has rank 0 and the identity as its
 right singular vectors. ``rank`` drops all-zero columns first: they change
 no singular value, and the solution stacks it ranks are zero off a few columns.
+
+``_full_rank_modes`` spares the SVD tall modes proved full rank: the float
+Gram G = S^T S has ``eigvalsh`` values within err = 4 (rows + cols) (eps
+trace G + (rows + cols) tiny) of sigma^2 (Higham 2002, 3.5; Weyl's
+inequality, Golub & Van Loan 8.1; underflow; as much again for the SVD). It
+spares lambda_min - err > (tol ref_hi)^2, ref_hi^2 = max(lambda_max + err),
+unless lambda_max + err >= max(lambda_max - err); a non-finite G spares none.
 """
 
 from __future__ import annotations
@@ -38,6 +45,18 @@ def _svd_rank(matrix: np.ndarray, tol: float, scale: float = 0.0,
         s, vh = np.linalg.svd(matrix, compute_uv=False), None
     ref = max(float(s.max(initial=0.0)), scale)
     return np.sum(s > tol * ref, axis=-1), vh
+
+
+def _full_rank_modes(stack: np.ndarray, tol: float) -> np.ndarray:
+    """The modes of a stack that the module's Gram screen spares the SVD."""
+    modes, r, c = stack.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # out of range certifies nothing
+        if r < c or not np.isfinite(G := np.swapaxes(stack, 1, 2) @ stack).all():
+            return np.zeros(modes, dtype=bool)  # a wide mode has null vectors
+        lam, eps, tiny = np.linalg.eigvalsh(G), np.finfo(float).eps, np.finfo(float).tiny
+        err = 4 * (r + c) * (eps * np.trace(G, axis1=1, axis2=2) + (r + c) * tiny)
+        hi, lo = lam[:, -1] + err, lam[:, -1] - err
+        return (lam[:, 0] - err > np.square(tol) * hi.max()) & (hi < lo.max())
 
 
 def norm(x: np.ndarray, axis: int | None = None):

@@ -91,10 +91,7 @@ class TrigSpace:
     def transversal_mask(self, m: int) -> np.ndarray:
         """True where a basis function only involves the first m coordinates."""
         mask = np.ones(self.size, dtype=bool)
-        if self.npairs:
-            basic = np.all(self.freqs[:, m:] == 0, axis=1)
-            mask[1::2] = basic
-            mask[2::2] = basic
+        mask[1::2] = mask[2::2] = np.all(self.freqs[:, m:] == 0, axis=1)
         return mask
 
     def values(self, points: np.ndarray) -> np.ndarray:
@@ -261,25 +258,26 @@ def assemble_function_constraints(cfg: TorusConfig, degree: int,
 
 def solve_nullspace(system: ConstraintSystem,
                     tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
-    """Orthonormal nullspace basis from one batched SVD of the symbols.
-
-    The right singular vectors of a mode that the rank rule of
-    ``linalg._svd_rank`` does not count over the whole stack are null, so a
-    symbol that vanishes is null in every direction. A null vector v gives
-    one row on the constant columns for mode 0, and two rows for a pair: v
-    (F v on the ``frame`` F) on its cos columns, then on its sin columns. So
-    every row is nonzero on exactly one trig index, and the cos and sin rows
-    of a pair carry the same vector. Rows are mode-major and, within a mode,
-    by ascending singular value; each row's largest entry is positive.
+    """Orthonormal nullspace basis from one batched SVD of the symbols that
+    ``linalg._full_rank_modes`` does not prove full rank. The right singular
+    vectors of a mode that the rank rule of ``linalg._svd_rank`` does not
+    count over the whole stack are null, so a vanishing symbol is null in
+    every direction. A null vector v gives one row on the constant columns
+    for mode 0, and two rows for a pair: v (F v on the ``frame`` F) on its
+    cos columns, then on its sin columns. So every row is nonzero on exactly
+    one trig index, and the cos and sin rows of a pair carry the same vector.
+    Rows are mode-major and, within a mode, by ascending singular value; each
+    row's largest entry is positive.
     """
     modes, nrows, nsym = system.symbols.shape
+    svd = np.flatnonzero(~linalg._full_rank_modes(system.symbols, tol))
     # vh must be square; u is needed in full only when a symbol is wide
-    rank, vh = linalg._svd_rank(system.symbols, tol, full_matrices=nrows < nsym)
+    rank, vh = linalg._svd_rank(system.symbols[svd], tol, full_matrices=nrows < nsym)
     # the null vectors, mode-major by ascending singular value
     null = np.arange(nsym) < (nsym - rank)[:, None]
     vecs = linalg.canonical_signs((vh @ system.frame.T)[:, ::-1][null])
     # cos and sin trig index of each vector's mode; mode 0 has no cos row
-    cos_sin = 2 * np.nonzero(null)[0][:, None] - np.array([1, 0])
+    cos_sin = 2 * svd[np.nonzero(null)[0]][:, None] - np.array([1, 0])
     vec, t = np.nonzero(cos_sin >= 0)
     out = np.zeros((len(vec), vecs.shape[1], system.trig.size))
     out[np.arange(len(vec)), :, cos_sin[vec, t]] = vecs[vec]
@@ -386,14 +384,17 @@ def _min_leaf(solutions: np.ndarray, cfg: TorusConfig, trig: TrigSpace, grid: in
     e^{i k . theta}: on the grid^m lattice the leaf position and the real part
     at (x, 0); on the LEAF_GRID^(N-m) lattice of the leaf through x = x_qmin
     (z rotated by e^{i k[:m] . x}) the real part and its N derivatives (z
-    times i k_axis). A flat row gets no leaf (qmin -1, avg NaN)."""
+    times i k_axis). A flat row gets no leaf (qmin -1, avg NaN); a stack
+    with no live row returns before any lattice work."""
     m, (trans_chunk, leaf_chunk) = cfg.m, lattice_chunks(cfg, grid)
     U = np.asarray(solutions, dtype=float).reshape(-1, cfg.n, trig.size)
     G, d = U[:, 0], max(trig.degree, 0)
     rows = np.flatnonzero(G[:, 1:].any(axis=1))
-    z = G[rows, 1::2] - 1j * G[rows, 2::2]
     qmin, avg, grad = np.full(len(U), -1), np.full(len(U), np.nan), np.zeros(len(U))
     g_hi, g_lo = G[:, 0].copy(), G[:, 0].copy()
+    if not len(rows):
+        return qmin, avg, grad, g_hi - g_lo
+    z = G[rows, 1::2] - 1j * G[rows, 2::2]
     for c in (slice(s, s + trans_chunk) for s in range(0, len(rows), trans_chunk)):
         r = rows[c]
         qmin[r], avg[r] = _leaf_positions(U[r], trig, m, grid)

@@ -218,9 +218,8 @@ def test_zero_mean_solutions_are_differentials():
         fn_sys = assemble_function_constraints(cfg, d)
         form_sol = solve_nullspace(form_sys)
         fn_sol = solve_nullspace(fn_sys)
-        residual, zm_dim = verify_class_injectivity(
-            form_sol, fn_sol, cfg, form_sys.trig
-        )
+        dG = function_differential(fn_sol, cfg, form_sys.trig)
+        residual, zm_dim = verify_class_injectivity(form_sol, dG, cfg, form_sys.trig)
         assert residual <= 1e-9, (name, d)
         assert zm_dim >= 1
 
@@ -268,7 +267,8 @@ def test_injectivity_without_function_solutions_is_the_zero_mean_norm():
     form_sys = assemble_form_constraints(cfg, 1)
     form_sol = solve_nullspace(form_sys)
     zm = zero_mean_combinations(form_sol, cfg, form_sys.trig)
-    none = np.zeros((0, cfg.n * form_sys.trig.size))
+    none = function_differential(np.zeros((0, cfg.n * form_sys.trig.size)), cfg, form_sys.trig)
+    assert none.shape == (0, form_sys.ncols)
     residual, zm_dim = verify_class_injectivity(form_sol, none, cfg, form_sys.trig)
     assert zm_dim == zm.shape[0] >= 1
     assert_allclose(residual, np.linalg.norm(zm, axis=1).max(), rtol=1e-14)

@@ -1,10 +1,13 @@
 """The one rank rule of ``linalg`` and its callers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from localalg.linalg import (
+    _full_rank_modes,
     _svd_rank,
     canonical_signs,
     norm,
@@ -133,3 +136,75 @@ def test_norm_is_numpys_without_overflow():
     with np.errstate(over="raise"):
         assert norm(big) == pytest.approx(1.7e308, rel=1e-15)  # 5e200 is below its ulp
         assert_allclose(norm(big, axis=1), [5e200, 1.7e308], rtol=1e-15)
+
+
+def _spared(stack, tol):
+    """The modes the Gram screen spares, checked against the full-stack SVD:
+    every spared mode has full rank there, and the SVD of the other modes
+    alone gives their ranks and right singular vectors bit for bit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spared = _full_rank_modes(stack, tol)
+    rank, vh = _svd_rank(stack, tol)
+    assert np.all(rank[spared] == stack.shape[2])
+    rank_rest, vh_rest = _svd_rank(stack[~spared], tol)
+    assert np.array_equal(rank_rest, rank[~spared])
+    assert vh_rest.tobytes() == vh[~spared].tobytes()
+    return list(spared)
+
+
+def _pad(*diagonals):
+    """Tall (modes, 3, 2) stack of the given diagonals."""
+    return np.stack([np.vstack([np.diag(d), np.zeros((1, 2))]) for d in diagonals])
+
+
+def test_gram_screen_spares_full_rank_modes_below_the_largest_value():
+    tol = 1e-3
+    # mode 0 holds the largest value 1 and is never spared; mode 1's smallest
+    # value lies just below tol * 1 but would count against its own 0.5;
+    # mode 2 is well above the cut; mode 3 is singular; mode 4 is zero
+    stack = _pad([1.0, 1.0], [0.5, tol * (1 - 1e-6)], [0.9, 0.2], [0.7, 0.0], [0.0, 0.0])
+    assert _spared(stack, tol) == [False, False, True, False, False]
+    assert list(_svd_rank(stack[1:2], tol)[0]) == [2]  # alone, mode 1 has full rank
+    above = _pad([1.0, 1.0], [0.5, tol * (1 + 1e-6)])
+    assert _spared(above, tol) == [False, True]
+
+
+def test_gram_screen_keeps_every_mode_that_may_hold_the_largest_value():
+    # modes whose largest values tie within err all stay in the SVD
+    stack = _pad([1.0, 0.5], [1.0, 0.6], [1.0 - 1e-15, 0.7], [0.99, 0.8])
+    assert _spared(stack, 1e-8) == [False, False, False, True]
+
+
+@pytest.mark.parametrize("tol", [1.0, 2.0, 1e300])
+def test_gram_screen_spares_nothing_at_a_cut_above_the_largest_value(tol):
+    stack = _pad([1.0, 1.0], [0.5, 0.5], [0.9, 0.9])
+    assert _spared(stack, tol) == [False] * 3
+
+
+def test_gram_screen_at_tol_zero_spares_only_nonsingular_modes():
+    stack = _pad([1.0, 1.0], [0.5, 1e-3], [0.5, 0.0], [0.0, 0.0])
+    assert _spared(stack, 0.0) == [False, True, False, False]
+
+
+def test_gram_screen_spares_no_wide_mode():
+    stack = np.random.default_rng(8).standard_normal((4, 2, 3))
+    stack[0] *= 10.0
+    assert _spared(stack, 1e-8) == [False] * 4
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300])
+def test_gram_screen_out_of_the_float_range_spares_nothing(scale):
+    # 1e160 overflows the Gram (not finite); at 1e-160 its entries underflow
+    # and the tiny term of err is larger than every eigenvalue
+    stack = _pad([1.0, 1.0], [0.5, 0.5], [0.9, 0.2], [0.7, 0.0]) * scale
+    assert _spared(stack, 1e-8) == [False] * 4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gram_screen_of_a_non_finite_stack_spares_nothing(bad):
+    stack = _pad([1.0, 1.0], [0.5, 0.5], [0.9, 0.9])
+    stack[1, 0, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not _full_rank_modes(stack, 1e-8).any()

@@ -16,6 +16,7 @@ from localalg.algebra import preset, radical_basis, socle_basis
 from localalg.cli import main
 from localalg.errors import SizeCapExceeded
 from localalg.lift import adiff_defect
+from localalg import linalg
 from localalg.linalg import nullspace_rows
 from localalg.forms import assemble_form_constraints
 from localalg import torus
@@ -41,6 +42,7 @@ from util import (
     reference_min_leaf,
     reference_residual_inf,
     reference_socle_decomposition,
+    reference_solve_nullspace,
     socle_embedding_vector,
     torus_value_map,
 )
@@ -806,6 +808,97 @@ def test_solver_is_deterministic():
     a = solve_nullspace(assemble_function_constraints(cfg, 1))
     b = solve_nullspace(assemble_function_constraints(cfg, 1))
     assert np.array_equal(a, b)
+
+
+def _null_rows(system, tol):
+    """Rows of the solution stack, from the full-stack rank decisions."""
+    rank, _ = linalg._svd_rank(system.symbols, tol, compute_uv=False)
+    return int(((system.symbols.shape[2] - rank) * np.where(np.arange(len(rank)), 2, 1)).sum())
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-8, 1e-3, 1.0])
+def test_solve_nullspace_is_bitwise_the_full_stack_svd(tol):
+    # the Gram screen keeps every mode that may hold the largest value, so
+    # ref, the rank decisions and vh are the full-stack SVD's bit for bit.
+    # Stacks of more than 32 MB (every direction null at tol 1) are not
+    # formed; there the screen must spare no mode, so the SVD sees them all.
+    compared = 0
+    for system in ladder_systems():
+        if _null_rows(system, tol) * system.ncols * 8 > 32e6:
+            assert tol == 1.0 and not linalg._full_rank_modes(system.symbols, tol).any()
+            continue
+        _assert_bitwise(solve_nullspace(system, tol), reference_solve_nullspace(system, tol))
+        compared += 1
+    assert compared == (106 if tol < 1 else 86)
+
+
+MODE_KINDS = ["zero", "full", "deficient", "above_cut", "below_cut"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kinds=st.lists(st.sampled_from(MODE_KINDS), min_size=1, max_size=8),
+       shape=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+       tol=st.sampled_from([0.0, 1e-8, 1e-3, 0.3, 1.0]),
+       scale=st.sampled_from([1.0, 1e-160, 1e160]), seed=st.integers(0, 2**32 - 1))
+def test_solve_nullspace_on_mixed_stacks_is_the_full_stack_svd(kinds, shape, tol, scale, seed):
+    # mode 0 is well conditioned and holds the largest value 1; a "cut" mode
+    # puts its smallest value at tol * 1 * (1 +- 1e-6), so it counts only
+    # against the stack's largest value and not against a smaller one
+    rng = np.random.default_rng(seed)
+    rows, cols = shape
+    k = min(rows, cols)
+    symbols = np.empty((len(kinds) + 1, rows, cols))
+    for p, kind in enumerate(["ref"] + kinds):
+        if kind == "ref":
+            sigma = np.r_[1.0, rng.uniform(0.5, 1.0, k - 1)]
+        else:
+            sigma = 10 ** rng.uniform(-3, -0.1, k) * (kind != "zero")
+        if kind == "deficient":
+            sigma[-1] = 0.0
+        elif kind.endswith("_cut"):
+            sigma[-1] = tol * (1 + 1e-6 if kind == "above_cut" else 1 - 1e-6)
+        u = np.linalg.qr(rng.standard_normal((rows, k)))[0]
+        v = np.linalg.qr(rng.standard_normal((cols, k)))[0]
+        symbols[p] = (u * sigma) @ v.T
+    # one trig coordinate of degree len(kinds) has len(kinds) + 1 modes
+    system = ConstraintSystem(TrigSpace.build(1, len(kinds)), symbols * scale, np.eye(cols))
+    _assert_bitwise(solve_nullspace(system, tol), reference_solve_nullspace(system, tol))
+
+
+def _svd_modes(monkeypatch, system):
+    """Modes that ``solve_nullspace`` passes to ``np.linalg.svd``."""
+    modes, real_svd = [], np.linalg.svd
+
+    def spying_svd(a, *args, **kwargs):
+        modes.append(len(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spying_svd)
+    got = solve_nullspace(system)
+    monkeypatch.setattr(np.linalg, "svd", real_svd)
+    _assert_bitwise(got, reference_solve_nullspace(system))
+    return sum(modes)
+
+
+def test_gram_screen_spares_the_svd_most_modes(monkeypatch):
+    # trunc:3 at m=2, d=1 has 365 modes; 5 are singular, and the rest of the
+    # modes that reach the SVD may hold the stack's largest value
+    cfg = make_torus(preset("trunc:3"), 2)
+    assert 5 <= _svd_modes(monkeypatch, assemble_function_constraints(cfg, 1)) <= 9
+    assert 5 <= _svd_modes(monkeypatch, assemble_form_constraints(cfg, 1)) <= 37
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_gram_out_of_range_sends_the_whole_stack_to_the_svd(monkeypatch, scale):
+    # 1e160 overflows the Gram, which is then not finite; at 1e-160 its
+    # entries underflow, and the tiny term of err outweighs every eigenvalue
+    system = assemble_function_constraints(make_torus(preset("trunc:3"), 2), 1)
+    system.symbols = system.symbols * scale
+    assert _svd_modes(monkeypatch, system) == len(system.symbols)
 
 
 def test_size_cap():

@@ -361,6 +361,20 @@ def dense_form_constraints(cfg, trig, closedness=True):
     return _dense(N * n, trig, local_rows)
 
 
+def reference_solve_nullspace(system, tol=1e-8):
+    """``torus.solve_nullspace`` with one SVD of the whole symbol stack: no
+    mode is spared by the Gram screen."""
+    _, nrows, nsym = system.symbols.shape
+    rank, vh = linalg._svd_rank(system.symbols, tol, full_matrices=nrows < nsym)
+    null = np.arange(nsym) < (nsym - rank)[:, None]
+    vecs = linalg.canonical_signs((vh @ system.frame.T)[:, ::-1][null])
+    cos_sin = 2 * np.nonzero(null)[0][:, None] - np.array([1, 0])
+    vec, t = np.nonzero(cos_sin >= 0)
+    out = np.zeros((len(vec), vecs.shape[1], system.trig.size))
+    out[np.arange(len(vec)), :, cos_sin[vec, t]] = vecs[vec]
+    return out.reshape(len(vec), system.ncols)
+
+
 def reference_residual_inf(system, u):
     """``ConstraintSystem.residual_inf`` on every column: every mode's symbol
     times every solution's (cos, sin) pair, and two full copies of the stack
