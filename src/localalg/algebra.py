@@ -338,8 +338,9 @@ class StandardBasisInfo:
     radical generators inside the standard basis, ``monomial`` maps every
     standard radical index to its exponent word in those generators,
     ``socle`` lists the indices annihilating the radical, ``nu`` is the
-    radical nilpotency index and ``radical`` the orthonormal rows of
-    ``radical_basis`` (input coordinates).
+    radical nilpotency index, ``radical`` the orthonormal rows of
+    ``radical_basis`` (input coordinates) and ``socle_dim`` the row count of
+    ``socle_basis``, which the socle guard of ``standard_basis`` computes.
     """
 
     P: np.ndarray
@@ -348,6 +349,7 @@ class StandardBasisInfo:
     socle: tuple[int, ...]
     nu: int
     radical: np.ndarray
+    socle_dim: int
     filtration_dims: tuple[int, ...] = field(default=())
 
     @property
@@ -429,7 +431,8 @@ def standard_basis(A: StructureConstants, rad: np.ndarray) -> StandardBasisInfo:
             break
     if len(selected) != A.n - 1:
         raise SpanFailure("pseudobasis monomials do not span the radical")
-    if len(socle) != socle_basis(A, rad).shape[0]:
+    socle_dim = socle_basis(A, rad).shape[0]
+    if len(socle) != socle_dim:
         raise SpanFailure("standard basis monomials do not span the socle")
 
     return StandardBasisInfo(
@@ -439,6 +442,7 @@ def standard_basis(A: StructureConstants, rad: np.ndarray) -> StandardBasisInfo:
         socle=tuple(socle),
         nu=nu,
         radical=rad,
+        socle_dim=socle_dim,
         filtration_dims=tuple(c.shape[0] for c in chain),
     )
 

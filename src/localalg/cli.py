@@ -186,8 +186,11 @@ def cmd_verify(args) -> tuple[str, int]:
     residual = system.residual_inf(solutions)
     rep.merge(tr.verify_min_leaf_all(solutions, cfg, system.trig, args.grid, args.tol))
     rep.add("adiff_constraints", residual <= args.tol, residual)
+    expected = cfg.n + cfg.basic_socle_dim(args.degree)
+    rep.add("nullspace_dim_theorem", len(solutions) == expected, len(solutions))
     rep.data.update(ADIFF_RESIDUAL=residual, M=args.m, DEGREE=args.degree,
-                    NROWS=system.nrows, NCOLS=system.ncols)
+                    NROWS=system.nrows, NCOLS=system.ncols,
+                    EXPECTED_NULLSPACE_DIM=expected)
     return rep.render(), 0 if rep.passed else 4
 
 

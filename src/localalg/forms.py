@@ -133,7 +133,8 @@ def cohomology_report(cfg: TorusConfig, degree: int,
     h0 = fn_sol.shape[0] - linalg.rank(dG, null_tol)
     residual, zm_dim = verify_class_injectivity(form_sol, dG, cfg, trig)
 
-    bound = cfg.n * cfg.ncoords
+    bound, zm_expected = cfg.n * cfg.ncoords, cfg.basic_socle_dim(degree)
+    form_expected = zm_expected + cfg.n * cfg.m
     rep = Report()
     if component_dims:
         worst = max(component_dims.values())
@@ -145,9 +146,13 @@ def cohomology_report(cfg: TorusConfig, degree: int,
         rep.put("NOTE", "no non-socle radical components; component check is vacuous")
     rep.add("class_map_injective", residual <= INJECTIVITY_TOL, residual)
     rep.add("h0_constants_only", h0 == cfg.n, h0)
+    rep.add("form_dims_theorem", (len(form_sol), zm_dim) == (form_expected, zm_expected),
+            f"{len(form_sol)},{zm_dim}")
     rep.put("FORM_NULLSPACE_DIM", len(form_sol))
+    rep.put("EXPECTED_FORM_NULLSPACE_DIM", form_expected)
     rep.data.update((f"DIM_ZBREVE[{labels[j0]}]", d) for j0, d in component_dims.items())
     rep.put("BOUND", bound)
     rep.data.update((f"DEGREE0_DIM[{labels[j0]}]", d) for j0, d in degree0_dims.items())
-    rep.data.update(H0_DIM=h0, ZERO_MEAN_DIM=zm_dim, INJECTIVITY_RESIDUAL=residual)
+    rep.data.update(H0_DIM=h0, ZERO_MEAN_DIM=zm_dim, EXPECTED_ZERO_MEAN_DIM=zm_expected,
+                    INJECTIVITY_RESIDUAL=residual)
     return rep

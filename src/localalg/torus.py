@@ -144,6 +144,12 @@ class TorusConfig:
     def trig_space(self, degree: int) -> TrigSpace:
         return TrigSpace.build(self.ncoords, degree)
 
+    def basic_socle_dim(self, degree: int) -> int:
+        """s ((2d+1)^m - 1), d = max(degree, 0): the socle elements times the
+        non-constant trig functions of the m transversal coordinates, the part
+        of the theorem's solution counts beyond the constants."""
+        return self.info.socle_dim * ((2 * max(degree, 0) + 1) ** self.m - 1)
+
 
 # -- constraint systems -----------------------------------------------------------
 

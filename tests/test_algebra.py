@@ -362,7 +362,7 @@ def test_changed_radical_basis_keeps_invariants(name, dims, nu, socle, seed):
     assert radical_basis(A).shape[0] == A.n - 1
     info = standard_basis(A)
     assert (info.filtration_dims, info.nu, len(info.socle)) == (dims, nu, socle)
-    assert socle_basis(A, radical_basis(A)).shape[0] == socle
+    assert socle_basis(A, radical_basis(A)).shape[0] == info.socle_dim == socle
 
 
 def test_changed_monomial_quotient_socle_is_a_span_failure():

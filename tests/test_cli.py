@@ -120,6 +120,32 @@ def test_forms_size_cap_exit5():
     assert proc.returncode == 5
 
 
+def test_theorem_counts_fail_when_every_direction_is_null(capsys):
+    # --tol 1 counts every symbol direction of dual m=1 d=1 as null: all
+    # 2 * 9 coefficients solve, against n + s((2d+1)^m - 1) = 4 functions,
+    # 4 closed forms and 2 zero-mean ones
+    assert main(["verify", "--preset", "dual", "--degree", "1", "--tol", "1"]) == 4
+    out = capsys.readouterr().out
+    assert "CHECK nullspace_dim_theorem FAIL detail=18\n" in out
+    assert "EXPECTED_NULLSPACE_DIM=4\n" in out
+    assert main(["forms", "--preset", "dual", "--degree", "1", "--tol", "1"]) == 4
+    out = capsys.readouterr().out
+    assert "CHECK form_dims_theorem FAIL detail=18,16\n" in out
+    assert "EXPECTED_FORM_NULLSPACE_DIM=4\n" in out and "EXPECTED_ZERO_MEAN_DIM=2\n" in out
+
+
+@pytest.mark.parametrize("command", ["verify", "forms"])
+def test_theorem_count_takes_no_extra_socle_basis(monkeypatch, capsys, command):
+    # s is the socle_basis row count the standard-basis guard already took
+    from localalg import algebra
+    calls = []
+    original = algebra.socle_basis
+    monkeypatch.setattr(algebra, "socle_basis", lambda *a: calls.append(1) or original(*a))
+    assert main([command, "--preset", "square:2", "--m", "2", "--degree", "1"]) == 0
+    assert "theorem PASS" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_verify_lattice_over_budget_exit5():
     # 10^10 transversal lattice points: refused before anything is allocated
     proc = run("verify", "--preset", "dual", "--m", "2", "--degree", "1",
