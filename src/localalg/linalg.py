@@ -12,8 +12,8 @@ scale the rule is relative, so a matrix of pure round-off keeps full rank; a
 scale such as the norm of the structure constants sends it to rank 0. One
 row's only singular value is its norm, which a caller may judge directly.
 A zero matrix, empty ones included, has rank 0 and the identity as its
-right singular vectors. ``rank`` drops all-zero columns first: they change
-no singular value, and the solution stacks it ranks are zero off a few columns.
+right singular vectors. ``rank`` drops all-zero columns first, which change
+no singular value, and ranks a stack as the block-diagonal matrix of its blocks.
 
 ``_full_rank_modes`` spares the SVD tall modes proved full rank: the float
 Gram G = S^T S has ``eigvalsh`` values within err = 4 (rows + cols) (eps
@@ -82,9 +82,12 @@ def orthonormal_rows(vectors: np.ndarray, tol: float = RANK_TOL,
 
 
 def rank(matrix: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Numerical rank by the rule of ``_svd_rank``, on the nonzero columns."""
+    """Numerical rank by the rule of ``_svd_rank``, on the nonzero columns. A
+    (blocks, rows, cols) stack is ranked as the block-diagonal matrix of its
+    blocks: the sum of their ranks under one ``ref``."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    return int(_svd_rank(matrix[:, matrix.any(axis=0)], tol, compute_uv=False)[0])
+    keep = matrix.any(axis=tuple(range(matrix.ndim - 1)))
+    return int(np.sum(_svd_rank(matrix[..., keep], tol, compute_uv=False)[0]))
 
 
 def nullspace_rows(matrix: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:

@@ -31,7 +31,6 @@ injected non-solutions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -64,11 +63,11 @@ class TrigSpace:
 
     @classmethod
     def build(cls, ncoords: int, degree: int) -> "TrigSpace":
-        zero = (0,) * ncoords  # k > zero: the first nonzero entry of k is positive
-        box = itertools.product(range(-degree, degree + 1), repeat=ncoords)
-        reps = [k for k in box if k > zero]
-        freqs = np.array(reps, dtype=np.int64).reshape(len(reps), ncoords)
-        return cls(ncoords, degree, freqs)
+        # the box is lexicographic and symmetric about its zero vector, so the
+        # entries after it are the ones whose first nonzero entry is positive
+        K = max(2 * degree + 1, 0)
+        box = np.indices((K,) * ncoords, dtype=np.int64).reshape(ncoords, K**ncoords).T
+        return cls(ncoords, degree, np.ascontiguousarray(box[(K**ncoords + 1) // 2:] - degree))
 
     @property
     def npairs(self) -> int:
@@ -271,9 +270,10 @@ def solve_nullspace(system: ConstraintSystem,
     every direction. A null vector v gives one row on the constant columns
     for mode 0, and two rows for a pair: v (F v on the ``frame`` F) on its
     cos columns, then on its sin columns. So every row is nonzero on exactly
-    one trig index, and the cos and sin rows of a pair carry the same vector.
-    Rows are mode-major and, within a mode, by ascending singular value; each
-    row's largest entry is positive.
+    one trig index, and the cos and sin rows of a pair carry the same vector;
+    the cohomology of ``forms`` reads each row as that index and vector, and
+    ranks and fits one index at a time. Rows are mode-major and, within a
+    mode, by ascending singular value; each row's largest entry is positive.
     """
     modes, nrows, nsym = system.symbols.shape
     svd = np.flatnonzero(~linalg._full_rank_modes(system.symbols, tol))

@@ -37,6 +37,7 @@ from localalg.forms import (
     assemble_form_constraints,
     component_space_dim,
     function_differential,
+    index_rows,
     verify_class_injectivity,
 )
 
@@ -203,7 +204,7 @@ def test_criterion_7_dimension_bounds(solved_forms):
     trunc3_dims = []
     for d in (1, 2, 3):
         cfg, form_sys, form_sol, fn_sol = solved_forms[("trunc:3", 1, d)]
-        dim = component_space_dim(form_sol, 1, cfg, form_sys.trig)
+        dim = component_space_dim(index_rows(form_sol, form_sys.trig.size), 1, cfg)
         trunc3_dims.append(dim)
         ok &= dim <= cfg.n * cfg.ncoords == 9
         for j0 in cfg.info.breve_indices():
@@ -214,7 +215,7 @@ def test_criterion_7_dimension_bounds(solved_forms):
 
     cfg4, form_sys4, form_sol4, fn_sol4 = solved_forms[("trunc:4", 1, 1)]
     for j0 in cfg4.info.breve_indices():
-        dim = component_space_dim(form_sol4, j0, cfg4, form_sys4.trig)
+        dim = component_space_dim(index_rows(form_sol4, form_sys4.trig.size), j0, cfg4)
         ok &= dim <= cfg4.n * cfg4.ncoords == 16
     _report(7, ok, f"component dims {trunc3_dims} stable and bounded")
 
@@ -223,8 +224,9 @@ def test_criterion_8_class_injectivity(solved_forms):
     ok = True
     worst = 0.0
     for (name, m, d), (cfg, form_sys, form_sol, fn_sol) in solved_forms.items():
-        dG = function_differential(fn_sol, cfg, form_sys.trig)
-        residual, zm_dim = verify_class_injectivity(form_sol, dG, cfg, form_sys.trig)
+        B = form_sys.trig.size
+        dG = function_differential(index_rows(fn_sol, B), form_sys.trig)
+        residual, zm_dim = verify_class_injectivity(index_rows(form_sol, B), dG)
         worst = max(worst, residual)
         ok &= residual <= 1e-9
     _report(8, ok, f"zero-mean solutions are differentials, worst {worst:.2e}")

@@ -42,6 +42,23 @@ def test_rank_ignores_inserted_zero_columns():
         assert rank(matrix) == rank(padded) == r
 
 
+def test_rank_of_a_stack_is_the_block_diagonal_rank_under_one_ref():
+    # the blocks' singular values are the block-diagonal matrix's, so the
+    # stack is ranked by the largest of them all: 1e-6 is null next to 1e3 at
+    # tol 1e-8, though it would count against its own block
+    rng = np.random.default_rng(6)
+    stack = np.zeros((3, 4, 5))
+    stack[0, :3] = 1e3 * rng.standard_normal((3, 5))
+    stack[1, :2] = 1e-6 * rng.standard_normal((2, 5))
+    stack[2, :4] = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 5))
+    dense = np.zeros((12, 15))
+    for b in range(3):
+        dense[4 * b:4 * b + 4, 5 * b:5 * b + 5] = stack[b]
+    assert rank(stack, 1e-8) == rank(dense, 1e-8) == 3 + 0 + 2
+    assert rank(stack[1:], 1e-8) == rank(dense[4:, 5:], 1e-8) == 2 + 2
+    assert rank(np.zeros((0, 0, 5))) == rank(np.zeros((2, 3, 0))) == 0
+
+
 def test_zero_matrix_right_singular_vectors_are_the_identity():
     stack = np.zeros((3, 2, 4))
     stack[1, 0, 0] = 1.0

@@ -43,6 +43,7 @@ from util import (
     reference_residual_inf,
     reference_socle_decomposition,
     reference_solve_nullspace,
+    reference_trig_freqs,
     socle_embedding_vector,
     torus_value_map,
 )
@@ -75,6 +76,16 @@ def test_trig_space_counts():
     assert trig.freq_of(0) == (0, 0)
     trig0 = TrigSpace.build(3, 0)
     assert trig0.size == 1 and trig0.npairs == 0
+
+
+# every box of at most 10^6 frequencies, all but N=8 d=3
+@pytest.mark.parametrize("ncoords,degree", [
+    (N, d) for N in range(1, 9) for d in range(-1, 4) if (2 * d + 1) ** N <= 10**6])
+def test_trig_space_frequencies_match_enumeration(ncoords, degree):
+    freqs = TrigSpace.build(ncoords, degree).freqs
+    want = reference_trig_freqs(ncoords, degree)
+    assert freqs.dtype == want.dtype and freqs.flags.c_contiguous
+    assert freqs.shape == want.shape and np.array_equal(freqs, want)
 
 
 def test_trig_derivatives_are_exact():

@@ -1,5 +1,6 @@
 """Shared helpers and independent oracles for the test suite."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,9 +18,17 @@ from localalg.algebra import (
     radical_part,
 )
 from localalg.errors import DomainError, NonUnitError, SpanFailure
+from localalg.forms import INJECTIVITY_TOL, assemble_form_constraints
 from localalg.lift import UNIT_THRESHOLD
 from localalg.report import Report
-from localalg.torus import TIE_RTOL, TorusConfig
+from localalg.torus import (
+    DEFAULT_CAP,
+    DEFAULT_NULL_TOL,
+    TIE_RTOL,
+    TorusConfig,
+    assemble_function_constraints,
+    solve_nullspace,
+)
 
 PRESETS = ("dual", "trunc:3", "trunc:4", "square:2")
 # the ``forms`` ladder: every run of tests/golden/forms_presets.txt
@@ -388,6 +397,84 @@ def reference_residual_inf(system, u):
     modal = np.pad(X, ((0, 0), (0, 0), (1, 0))).reshape(len(U), nsym, modes, 2)
     modal = modal.transpose(2, 1, 0, 3).reshape(modes, nsym, 2 * len(U))
     return float(np.maximum(np.abs(system.symbols @ modal).max(initial=0.0), off))
+
+
+def reference_trig_freqs(ncoords, degree):
+    """``TrigSpace`` frequencies by enumeration: the entries of the box
+    -degree..degree in lexicographic order whose first nonzero entry is
+    positive."""
+    zero = (0,) * ncoords
+    reps = [k for k in itertools.product(range(-degree, degree + 1), repeat=ncoords)
+            if k > zero]
+    return np.array(reps, dtype=np.int64).reshape(len(reps), ncoords)
+
+
+def scatter_index_rows(rows, size):
+    """The dense (S, unknowns * size) stack of ``forms.index_rows`` rows."""
+    index, vecs = rows
+    out = np.zeros((len(vecs), vecs.shape[1], size))
+    out[np.arange(len(vecs)), :, index] = vecs
+    return out.reshape(len(vecs), -1)
+
+
+def dense_function_differential(u, cfg, trig):
+    """Coefficients of dG, flat (N*n*B,), for a function coefficient vector
+    (n*B,), or one row per function for an (S, n*B) stack: ``trig.derivative``
+    along every axis."""
+    u = np.asarray(u, dtype=float)
+    U = u.reshape(-1, cfg.n, trig.size)
+    dG = np.stack([trig.derivative(U, axis) for axis in range(cfg.ncoords)], axis=1)
+    return dG.reshape(u.shape[:-1] + (cfg.ncoords * u.shape[-1],))
+
+
+def reference_cohomology(cfg, degree, tol=DEFAULT_NULL_TOL, cap=DEFAULT_CAP):
+    """``forms.cohomology_report`` on the dense solution stacks: ``linalg.rank``
+    of each (S, N*B) component stack and of the (S, B) function components,
+    the dG of the whole function stack, zero-mean combinations from the
+    nullspace of every row's constant coefficients, and one least-squares fit
+    of them on the dG. The theorem's counts take s from ``reference_socle_basis``."""
+    form_sys = assemble_form_constraints(cfg, degree, cap)
+    trig = form_sys.trig
+    B, N, n = trig.size, cfg.ncoords, cfg.n
+    form_sol = solve_nullspace(form_sys, tol)
+    fn_sol = solve_nullspace(assemble_function_constraints(cfg, degree, cap), tol)
+    breve = cfg.info.breve_indices()
+    component_dims = {
+        j0: linalg.rank(form_sol.reshape(len(form_sol), N, n, B)[:, :, j0].reshape(
+            len(form_sol), N * B), tol) for j0 in breve}
+    degree0_dims = {j0: linalg.rank(fn_sol[:, j0 * B:(j0 + 1) * B], tol) for j0 in breve}
+    dG = dense_function_differential(fn_sol, cfg, trig)
+    h0 = len(fn_sol) - linalg.rank(dG, tol)
+    combos = linalg.nullspace_rows(form_sol[:, ::B].T, DEFAULT_NULL_TOL)
+    zm = combos @ form_sol
+    coef, *_ = np.linalg.lstsq(dG.T, zm.T, rcond=None)
+    residual = float(np.linalg.norm(dG.T @ coef - zm.T, axis=0).max(initial=0.0))
+
+    zm_expected = reference_socle_basis(cfg.algebra).shape[0] * ((2 * max(degree, 0) + 1)
+                                                                 ** cfg.m - 1)
+    form_expected = zm_expected + n * cfg.m
+    labels, bound = cfg.algebra.labels, n * N
+    rep = Report()
+    if component_dims:
+        worst = max(component_dims.values())
+        rep.add("component_dim_bound", worst <= bound, worst)
+        rep.add("degree0_components_constant",
+                all(d == 1 for d in degree0_dims.values()), max(degree0_dims.values()))
+    else:
+        rep.add("component_dim_bound", True, "vacuous")
+        rep.put("NOTE", "no non-socle radical components; component check is vacuous")
+    rep.add("class_map_injective", residual <= INJECTIVITY_TOL, residual)
+    rep.add("h0_constants_only", h0 == n, h0)
+    rep.add("form_dims_theorem", (len(form_sol), len(zm)) == (form_expected, zm_expected),
+            f"{len(form_sol)},{len(zm)}")
+    rep.put("FORM_NULLSPACE_DIM", len(form_sol))
+    rep.put("EXPECTED_FORM_NULLSPACE_DIM", form_expected)
+    rep.data.update((f"DIM_ZBREVE[{labels[j0]}]", d) for j0, d in component_dims.items())
+    rep.put("BOUND", bound)
+    rep.data.update((f"DEGREE0_DIM[{labels[j0]}]", d) for j0, d in degree0_dims.items())
+    rep.data.update(H0_DIM=h0, ZERO_MEAN_DIM=len(zm), EXPECTED_ZERO_MEAN_DIM=zm_expected,
+                    INJECTIVITY_RESIDUAL=residual)
+    return rep
 
 
 def component_form(solution, j0, cfg, trig):
