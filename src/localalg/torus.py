@@ -19,14 +19,15 @@ holds the A-linearity rows on (coordinate, component) values: a function is
 A-differentiable exactly when its differential is A-linear. The 1-forms of
 ``forms`` solve on a frame of the kernel of C, with only closedness rows.
 
-The minimizing-leaf check builds no design matrix: it sums each trig
-polynomial's frequency box onto a lattice one axis at a time, in chunks
-holding at most LATTICE_BUDGET values. Every lattice row belongs to a live
-solution: a real part with no nonzero (cos, sin) coefficient (NaN and inf
-count) is flat, and const + Re sum 0 E is const bit for bit. Every actual
-solution is flat, so on solutions no lattice is evaluated and GRAD_MAX and
-G_VARIATION are exactly 0 by construction; the check has content only on
-injected non-solutions.
+The real part is critical on the leaf minimizing the e1 leaf-average
+(Molino, Riemannian foliations, 1988). The check places that leaf on the
+grid^m transversal lattice, in chunks of at most LATTICE_BUDGET values, and
+bounds the real part's gradient there and its variation in closed form from
+its Fourier coefficients (``_min_leaf``). Only a live solution reaches the
+lattice: a real part with no nonzero (cos, sin) coefficient (NaN and inf
+count) is flat, and both bounds are exactly 0 on it. Every actual solution
+is flat, so GRAD_MAX and G_VARIATION are 0 by construction; the check has
+content only on injected non-solutions.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .report import Report
 
 DEFAULT_CAP = 20000
 DEFAULT_NULL_TOL = 1e-8
-LEAF_GRID = 8
 LATTICE_BUDGET = 2**22  # complex lattice values per chunk of the min-leaf check
 TIE_RTOL = 1e-12  # relative to the l1 norm of the averaged coefficients
 
@@ -102,18 +102,6 @@ class TrigSpace:
             phases = points @ self.freqs.T.astype(float)
             np.cos(phases, out=out[:, 1::2])
             np.sin(phases, out=out[:, 2::2])
-        return out
-
-    def derivative(self, coeffs: np.ndarray, axis: int) -> np.ndarray:
-        """Coefficients of d/d(theta_axis); the trig index is the last axis.
-
-        On pair p with k = freqs[p, axis], cos -> -k sin and sin -> k cos.
-        """
-        coeffs = np.asarray(coeffs, dtype=float)
-        k = self.freqs[:, axis]
-        out = np.zeros_like(coeffs)
-        out[..., 1::2] = k * coeffs[..., 2::2]
-        out[..., 2::2] = -k * coeffs[..., 1::2]
         return out
 
 
@@ -197,21 +185,19 @@ class ConstraintSystem:
         return float(np.maximum(sym, off))
 
 
-def _sizes(terms, limit: int, what: str) -> list[int]:
-    """The counts factor * base**exp of the (factor, base, exp) ``terms``, or
-    SizeCapExceeded naming the largest in ``what`` when one exceeds ``limit``.
-    A count whose logarithm is more than 64 bits past the limit, or that is
-    too long to print, is named "more than 2^bits": no huge integer is built
-    or formatted."""
+def _size(factor: int, base: int, exp: int, limit: int, what: str) -> int:
+    """The count factor * base**exp, or SizeCapExceeded naming it in ``what``
+    when it exceeds ``limit``. A count whose logarithm is more than 64 bits
+    past the limit, or that is too long to print, is named "more than 2^bits":
+    no huge integer is built or formatted."""
     bound = max(limit, 1).bit_length() + 64
-    if any(math.log2(f) > bound or b > 1 and e > bound / math.log2(b) for f, b, e in terms):
+    if math.log2(factor) > bound or base > 1 and exp > bound / math.log2(base):
         raise SizeCapExceeded(what.format(f"more than 2^{bound}"))
-    counts = [f * b**e for f, b, e in terms]
-    worst = max(counts)
-    if worst > limit:  # an int under 14000 bits prints in under 4300 digits
-        bits = worst.bit_length()
-        raise SizeCapExceeded(what.format(worst if bits < 14000 else f"more than 2^{bits - 1}"))
-    return counts
+    count = factor * base**exp
+    if count > limit:  # an int under 14000 bits prints in under 4300 digits
+        bits = count.bit_length()
+        raise SizeCapExceeded(what.format(count if bits < 14000 else f"more than 2^{bits - 1}"))
+    return count
 
 
 def capped_trig_space(cfg: TorusConfig, degree: int, unknowns: int,
@@ -223,8 +209,8 @@ def capped_trig_space(cfg: TorusConfig, degree: int, unknowns: int,
     SizeCapExceeded before any frequency is enumerated. A negative degree
     leaves only the constant, as in ``TrigSpace.build``.
     """
-    _sizes([(unknowns, 2 * max(degree, 0) + 1, cfg.ncoords)], cap,
-           f"{{}} columns exceed the cap {cap}")
+    _size(unknowns, 2 * max(degree, 0) + 1, cfg.ncoords, cap,
+          f"{{}} columns exceed the cap {cap}")
     return cfg.trig_space(degree)
 
 
@@ -344,14 +330,19 @@ def verify_socle_decomposition(solutions: np.ndarray, cfg: TorusConfig,
     return rep
 
 
-def lattice_chunks(cfg: TorusConfig, grid: int) -> list[int]:
-    """Live solutions per chunk of ``_min_leaf``'s transversal and leaf passes:
-    2 rows each on the grid^m lattice, N+1 on the LEAF_GRID^(N-m) one;
-    SizeCapExceeded when one solution's values exceed LATTICE_BUDGET."""
-    per = _sizes([(2, grid, cfg.m), (cfg.ncoords + 1, LEAF_GRID, cfg.ncoords - cfg.m)],
-                 LATTICE_BUDGET,
-                 f"{{}} lattice values per solution exceed the budget {LATTICE_BUDGET}")
-    return [LATTICE_BUDGET // p for p in per]
+def lattice_chunks(cfg: TorusConfig, grid: int) -> int:
+    """Live solutions per chunk of ``_min_leaf``'s leaf search, one grid^m
+    lattice row each; SizeCapExceeded when a row exceeds LATTICE_BUDGET."""
+    what = f"{{}} lattice values per solution exceed the budget {LATTICE_BUDGET}"
+    return LATTICE_BUDGET // _size(1, grid, cfg.m, LATTICE_BUDGET, what)
+
+
+def _binned(z, cell, ncells):
+    """(rows, ncells) sums of the entries of each row of z by their ``cell``."""
+    flat = (np.arange(len(z))[:, None] * ncells + cell).ravel()
+    size = len(z) * ncells
+    return (np.bincount(flat, z.real.ravel(), size)
+            + 1j * np.bincount(flat, z.imag.ravel(), size)).reshape(len(z), ncells)
 
 
 def _lattice_values(const, z, freqs, degree, size):
@@ -360,10 +351,7 @@ def _lattice_values(const, z, freqs, degree, size):
     summed into the box of frequencies -degree..degree, which is then summed
     one axis at a time against E[j, k] = e^{2 pi i j k / size}."""
     K, D, rows = 2 * degree + 1, freqs.shape[1], len(z)
-    cell = (freqs + degree) @ K ** np.arange(D)[::-1]
-    flat = (np.arange(rows)[:, None] * K**D + cell).ravel()
-    box = (np.bincount(flat, z.real.ravel(), rows * K**D)
-           + 1j * np.bincount(flat, z.imag.ravel(), rows * K**D)).reshape(rows, *(K,) * D)
+    box = _binned(z, (freqs + degree) @ K ** np.arange(D)[::-1], K**D).reshape(rows, *(K,) * D)
     jk = np.outer(np.arange(size), np.arange(-degree, degree + 1)) % size
     E = np.exp(2j * np.pi * jk / size)
     for _ in range(D):
@@ -384,40 +372,36 @@ def _leaf_positions(U: np.ndarray, trig: TrigSpace, m: int, grid: int):
 
 
 def _min_leaf(solutions: np.ndarray, cfg: TorusConfig, trig: TrigSpace, grid: int):
-    """Per solution of a (S, ncols) stack: qmin and avg of ``_leaf_positions``,
-    the largest gradient on that leaf and the real part's variation. Live rows
-    go through ``_lattice_values`` in chunks, a pair (a, b) as z = a - i b on
-    e^{i k . theta}: on the grid^m lattice the leaf position and the real part
-    at (x, 0); on the LEAF_GRID^(N-m) lattice of the leaf through x = x_qmin
-    (z rotated by e^{i k[:m] . x}) the real part and its N derivatives (z
-    times i k_axis). A flat row gets no leaf (qmin -1, avg NaN); a stack
-    with no live row returns before any lattice work."""
-    m, (trans_chunk, leaf_chunk) = cfg.m, lattice_chunks(cfg, grid)
+    """Per solution of a (S, ncols) stack: qmin and avg of ``_leaf_positions``
+    (live rows, in chunks), and bounds on the real part's gradient on that
+    leaf and on its variation. With G = c + sum_p Re(z_p e^{i k_p . theta}),
+    z = a - i b for a pair (a, b), k = (k', k'') and x = x_qmin, dG/d(theta_a)
+    on the leaf is Re sum_p w_p e^{i k'' . y}, w_p = i k_{p,a} z_p e^{i k' . x}
+    (conj(w_p) on -k'' when k'' is negative). Summed by k'' up to sign into
+    W_{k''}, the gradient is at most |Re W_0| + sum_{k'' != 0} |W_{k''}|, with
+    equality on the k'' = 0 group; the variation is at most 2 sum_p |z_p|. A
+    flat row gets no leaf (qmin -1, avg NaN) and both bounds exactly 0; a
+    stack with no live row returns before any lattice work."""
+    m, chunk = cfg.m, lattice_chunks(cfg, grid)
     U = np.asarray(solutions, dtype=float).reshape(-1, cfg.n, trig.size)
-    G, d = U[:, 0], max(trig.degree, 0)
-    rows = np.flatnonzero(G[:, 1:].any(axis=1))
-    qmin, avg, grad = np.full(len(U), -1), np.full(len(U), np.nan), np.zeros(len(U))
-    g_hi, g_lo = G[:, 0].copy(), G[:, 0].copy()
+    rows = np.flatnonzero(U[:, 0, 1:].any(axis=1))
+    qmin, avg = np.full(len(U), -1), np.full(len(U), np.nan)
+    grad, variation = np.zeros(len(U)), np.zeros(len(U))
     if not len(rows):
-        return qmin, avg, grad, g_hi - g_lo
-    z = G[rows, 1::2] - 1j * G[rows, 2::2]
-    for c in (slice(s, s + trans_chunk) for s in range(0, len(rows), trans_chunk)):
-        r = rows[c]
+        return qmin, avg, grad, variation
+    z = U[rows, 0, 1::2] - 1j * U[rows, 0, 2::2]
+    variation[rows] = 2 * np.abs(z).sum(axis=1)
+    for r in (rows[s:s + chunk] for s in range(0, len(rows), chunk)):
         qmin[r], avg[r] = _leaf_positions(U[r], trig, m, grid)
-        g_trans = _lattice_values(G[r, 0], z[c], trig.freqs[:, :m], d, grid)
-        g_hi[r], g_lo[r] = g_trans.max(axis=1), g_trans.min(axis=1)
     x = np.stack(np.unravel_index(qmin[rows], (grid,) * m), axis=1)
-    z = z * np.exp(2j * np.pi * (x @ trig.freqs[:, :m].T % grid) / grid)
-    z = np.concatenate([z[:, None], 1j * trig.freqs.T * z[:, None]], axis=1)
-    const = np.concatenate([G[rows, :1], np.zeros((len(rows), cfg.ncoords))], axis=1)
-    for c in (slice(s, s + leaf_chunk) for s in range(0, len(rows), leaf_chunk)):
-        leaf = _lattice_values(const[c].ravel(), z[c].reshape(const[c].size, -1),
-                               trig.freqs[:, m:], d, LEAF_GRID).reshape(*const[c].shape, -1)
-        r = rows[c]
-        grad[r] = np.abs(leaf[:, 1:]).max(axis=(1, 2))
-        g_hi[r] = np.maximum(g_hi[r], leaf[:, 0].max(axis=1))
-        g_lo[r] = np.minimum(g_lo[r], leaf[:, 0].min(axis=1))
-    return qmin, avg, grad, g_hi - g_lo
+    w = 1j * z * np.exp(2j * np.pi * (x @ trig.freqs[:, :m].T % grid) / grid)
+    # the signed lexicographic rank of k'': 0 for k'' = 0, < 0 when k'' is negative
+    rank = trig.freqs[:, m:] @ (2 * trig.degree + 1) ** np.arange(cfg.ncoords - m)[::-1]
+    w[:, rank < 0] = w[:, rank < 0].conj()
+    W = _binned((w[:, None] * trig.freqs.T).reshape(-1, trig.npairs), np.abs(rank),
+                np.abs(rank).max() + 1).reshape(len(rows), cfg.ncoords, -1)
+    grad[rows] = (np.abs(W[..., 0].real) + np.abs(W[..., 1:]).sum(axis=2)).max(axis=1)
+    return qmin, avg, grad, variation
 
 
 def _min_leaf_report(grad: float, variation: float, tol: float, **leaf) -> Report:
@@ -431,8 +415,9 @@ def _min_leaf_report(grad: float, variation: float, tol: float, **leaf) -> Repor
 def verify_min_leaf(solution: np.ndarray, cfg: TorusConfig, trig: TrigSpace,
                     grid: int = 32, tol: float = 1e-8) -> Report:
     """Locate the leaf minimizing the e1 leaf-average (flat solutions too) and
-    check the real part is critical there (and in fact constant). Kept, with
-    ``TrigSpace.values``, only because benchmark metrics name them."""
+    check the real part is critical there (and in fact constant) by the
+    bounds of ``_min_leaf``. Kept, with ``TrigSpace.values``, only because
+    benchmark metrics name them."""
     _, _, grad, var = _min_leaf(solution, cfg, trig, grid)
     qmin, avg = _leaf_positions(np.reshape(solution, (1, cfg.n, -1)), trig, cfg.m, grid)
     return _min_leaf_report(float(grad[0]), float(var[0]), tol,

@@ -156,10 +156,21 @@ def test_verify_lattice_over_budget_exit5():
 
 
 def test_verify_dual_m4_fits_the_lattice_budget():
-    # 32^4 transversal points, 8^4 leaf points and 82 solutions, in chunks
+    # 32^4 transversal points per live solution fit the budget; the 82
+    # solutions are all flat, so none reaches the lattice
     proc = run("verify", "--preset", "dual", "--m", "4", "--degree", "1")
     assert proc.returncode == 0
     assert "NULLSPACE_DIM=82" in proc.stdout
+    assert "FAIL" not in proc.stdout
+
+
+def test_verify_dual_m8_has_no_leaf_lattice_to_refuse():
+    # 2^8 transversal points per solution fit the budget; the leaf is bounded,
+    # not sampled, so its 17 * 8^8 lattice values are no longer counted
+    proc = run("verify", "--preset", "dual", "--m", "8", "--degree", "0", "--grid", "2")
+    assert proc.returncode == 0, proc.stdout
+    assert "\nNULLSPACE_DIM=2\n" in proc.stdout
+    assert "\nEXPECTED_NULLSPACE_DIM=2\n" in proc.stdout
     assert "FAIL" not in proc.stdout
 
 
@@ -601,7 +612,7 @@ def test_lift_preset_reports_match_golden(capsys):
     ["forms", "--preset", "dual", "--m", "100000000"],
 ], ids=("verify-lattice", "forms-columns", "forms-huge"))
 def test_huge_m_exits_5_at_once(capsys, argv):
-    # the counts 2 * 32^100000 and 4 * 3^(2*10^8) are refused by their
+    # the counts 32^100000 and 4 * 3^(2*10^8) are refused by their
     # logarithms: building them took seconds and printing them raised
     start = time.perf_counter()
     code = main(argv)

@@ -259,7 +259,7 @@ def test_nonzero_mean_constant_form_is_not_exact():
 
 
 def test_function_differential_of_a_stack_is_row_by_row():
-    # per index against trig.derivative on the dense stack, bit for bit, on
+    # per index against trig_derivative on the dense stack, bit for bit, on
     # rows on index 0, on cos and on sin indices
     cfg = make_torus(preset("trunc:3"), 1)
     trig = cfg.trig_space(1)

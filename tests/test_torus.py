@@ -46,6 +46,7 @@ from util import (
     reference_trig_freqs,
     socle_embedding_vector,
     torus_value_map,
+    trig_derivative,
 )
 
 # analytic dimension count: constants (n of them) plus one copy of the
@@ -96,7 +97,7 @@ def test_trig_derivatives_are_exact():
     U = rng.standard_normal((3, 2, trig.size))
     h = 1e-6
     for axis in range(2):
-        du = trig.derivative(u, axis)
+        du = trig_derivative(trig, u, axis)
         step = np.zeros(2)
         step[axis] = h
         fd = (trig.values(pts + step) @ u - trig.values(pts - step) @ u) / (2 * h)
@@ -107,7 +108,7 @@ def test_trig_derivatives_are_exact():
             k = float(trig.freqs[p, axis])
             D[2 + 2 * p, 1 + 2 * p] = -k
             D[1 + 2 * p, 2 + 2 * p] = k
-        assert np.array_equal(trig.derivative(U, axis), U @ D.T)
+        assert np.array_equal(trig_derivative(trig, U, axis), U @ D.T)
 
 
 def test_trig_values_are_the_cos_sin_formula_bitwise():
@@ -418,9 +419,11 @@ def test_min_leaf_flags_injected_nondifferentiable():
     rep = verify_min_leaf(bad, cfg, trig, grid=32)
     assert not rep.passed
     failed = {c.name for c in rep.checks if not c.passed}
-    # gradient vanishes on the critical leaf but g is not constant and the
-    # constraint rows reject the function
-    assert "real_part_variation" in failed
+    # gradient vanishes on the critical leaf theta_1 = 0, exactly in the bound
+    # (its one frequency is constant along the leaf), but g is not constant
+    # and the constraint rows reject the function
+    assert failed == {"real_part_variation"}
+    assert rep.data["GRAD_MAX"] == 0.0 and rep.data["G_VARIATION"] == 2.0
     assert system.residual_inf(bad) > 1e-8
 
 
@@ -438,11 +441,30 @@ def _mixed_stack(system, seed=11):
 MIN_LEAF_KEYS = ("MIN_LEAF_AVG", "GRAD_MAX", "G_VARIATION")
 
 
-def _assert_min_leaf_matches(got, stack, cfg, trig, grid, refs, atol):
+def _assert_bounds(bound, sample, atol, same_verdict=True, tol=1e-8):
+    """A closed-form bound against the reference's values sampled on the
+    lattices, which are lower bounds of the true maximum: NaN where they are,
+    never below them beyond round-off, and, unless the lattices are too
+    coarse to see the function, the same pass or fail at tol."""
+    bound, sample = np.asarray(bound), np.asarray(sample)
+    assert np.array_equal(np.isnan(bound), np.isnan(sample))
+    assert not np.any(bound < sample * (1 - 1e-12) - atol), (bound, sample)
+    assert not same_verdict or np.array_equal(bound <= tol, sample <= tol), (bound, sample)
+
+
+def _basic_real_parts(U, cfg, trig):
+    """Rows of a (S, n, B) stack whose real part has only frequencies with
+    k'' = 0, constant along every leaf."""
+    return ~U[:, 0, ~trig.transversal_mask(cfg.m)].any(axis=1)
+
+
+def _assert_min_leaf_matches(got, stack, cfg, trig, grid, refs, atol, same_verdict=True):
     """``_min_leaf``'s arrays against the per-solution references: qmin and
-    avg on live rows, which alone get a leaf (-1 and NaN on flat ones), grad
-    and variation on every row. ``_leaf_positions``, the leaf search both
-    min-leaf checks share, gives every row's leaf, flat ones included."""
+    avg on live rows, which alone get a leaf (-1 and NaN on flat ones); grad
+    and variation on every row as bounds of the sampled values, and grad
+    equal to them where the real part is constant along the leaf's
+    directions. ``_leaf_positions``, the leaf search both min-leaf checks
+    share, gives every row's leaf, flat ones included."""
     qmin, avg, grad, variation = got
     U = stack.reshape(len(stack), cfg.n, trig.size)
     live = U[:, 0, 1:].any(axis=1)
@@ -454,28 +476,39 @@ def _assert_min_leaf_matches(got, stack, cfg, trig, grid, refs, atol):
     close = functools.partial(assert_allclose, rtol=1e-12, atol=atol)
     close(leaf_avg, ref["MIN_LEAF_AVG"])
     close(avg[live], ref["MIN_LEAF_AVG"][live])
-    close(grad, ref["GRAD_MAX"])
-    close(variation, ref["G_VARIATION"])
+    _assert_bounds(grad, ref["GRAD_MAX"], atol, same_verdict)
+    _assert_bounds(variation, ref["G_VARIATION"], atol, same_verdict)
+    basic = _basic_real_parts(U, cfg, trig)
+    close(grad[basic], ref["GRAD_MAX"][basic])
 
 
 @pytest.mark.parametrize("name,m,d", CONFIGS)
 def test_min_leaf_matches_reference(name, m, d):
     # solutions and seeded sparse and dense non-solutions, checked one by one
     # and as one stack against the per-solution check evaluated on each leaf
-    # directly; dense real parts mix cos and sin in every pair
+    # directly; dense real parts mix cos and sin in every pair. The leaf is
+    # the reference's, and the gradient and variation bound its samples. The
+    # same rows follow with every real-part frequency k'' != 0 dropped: their
+    # gradient is constant along the leaf, and its bound is its value there
     cfg = make_torus(preset(name), m)
     system = assemble_function_constraints(cfg, d)
     trig = system.trig
-    stack = _mixed_stack(system)
+    U = np.tile(_mixed_stack(system).reshape(-1, cfg.n, trig.size), (2, 1, 1))
+    U[len(U) // 2:, 0, ~trig.transversal_mask(m)] = 0.0
+    stack = U.reshape(len(U), -1)
     refs = [reference_min_leaf(u, cfg, trig).data for u in stack]
     for u, ref in zip(stack, refs):
         got = verify_min_leaf(u, cfg, trig).data
         assert got["MIN_LEAF_INDEX"] == ref["MIN_LEAF_INDEX"]
-        for key in MIN_LEAF_KEYS:
-            assert_allclose(got[key], ref[key], rtol=1e-12, atol=1e-15)
+        assert_allclose(got["MIN_LEAF_AVG"], ref["MIN_LEAF_AVG"], rtol=1e-12, atol=1e-15)
+        for key in ("GRAD_MAX", "G_VARIATION"):
+            _assert_bounds(got[key], ref[key], 1e-15)
 
-    _assert_min_leaf_matches(torus._min_leaf(stack, cfg, trig, 32), stack, cfg, trig, 32,
-                             refs, 1e-15)
+    result = torus._min_leaf(stack, cfg, trig, 32)
+    _assert_min_leaf_matches(result, stack, cfg, trig, 32, refs, 1e-15)
+    basic = _basic_real_parts(U, cfg, trig)
+    assert basic[len(U) // 2:].all()
+    assert np.count_nonzero(result[2][basic] > 1e-8) >= (2 if d > 0 else 0)
     # the residual of the stack, as the CLI reports it, is the worst row's
     assert_allclose(system.residual_inf(stack), max(map(system.residual_inf, stack)),
                     rtol=1e-12, atol=1e-15)
@@ -507,6 +540,7 @@ def test_min_leaf_all_flags_injected_among_solutions():
     rep = verify_min_leaf_all(stack, cfg, trig)
     failed = {c.name for c in rep.checks if not c.passed}
     assert failed == {"real_part_variation"}
+    assert rep.data["GRAD_MAX"] == 0.0 and rep.data["G_VARIATION"] == 2.0
     assert verify_min_leaf_all(solutions, cfg, trig).passed
     assert system.residual_inf(stack) > 1e-8 >= system.residual_inf(solutions)
 
@@ -548,18 +582,19 @@ def test_min_leaf_tie_tolerance():
 
 @pytest.mark.parametrize("name,m,d", [("dual", 1, 3), ("trunc:3", 1, 2),
                                       ("square:2", 1, 1), ("dual", 2, 1)])
-def test_min_leaf_aliased_lattices_match_reference(name, m, d, monkeypatch):
+def test_min_leaf_aliased_lattices_match_reference(name, m, d):
     # grids with fewer points than the 2d+1 frequencies per axis fold
-    # frequencies onto each other; the values must still be exact
+    # frequencies onto each other; the leaf must still be exact, and the
+    # bounds hold against references sampling 1 to 5 transversal and 1 or 2
+    # leaf points, too few to share the verdict (one point has no variation)
     cfg = make_torus(preset(name), m)
     system = assemble_function_constraints(cfg, d)
     trig = system.trig
     stack = _mixed_stack(system)
     for grid, leaf_grid in itertools.product((1, 2, 3, 5), (1, 2)):
         refs = [reference_min_leaf(u, cfg, trig, grid, leaf_grid).data for u in stack]
-        monkeypatch.setattr(torus, "LEAF_GRID", leaf_grid)
         _assert_min_leaf_matches(torus._min_leaf(stack, cfg, trig, grid), stack, cfg, trig,
-                                 grid, refs, 1e-13)
+                                 grid, refs, 1e-13, same_verdict=False)
 
 
 def test_min_leaf_chunks_do_not_change_results(monkeypatch):
@@ -567,10 +602,10 @@ def test_min_leaf_chunks_do_not_change_results(monkeypatch):
     system = assemble_function_constraints(cfg, 1)
     stack = _mixed_stack(system)
     whole = torus._min_leaf(stack, cfg, system.trig, 128)
-    # two live solutions per chunk: 2 * 128^2 transversal and 7 * 8^4 leaf
-    # values each; the five live rows take three chunks
-    monkeypatch.setattr(torus, "LATTICE_BUDGET", 4 * 128**2)
-    assert torus.lattice_chunks(cfg, 128) == [2, 2]
+    # two live solutions per chunk of 128^2 transversal values each; the five
+    # live rows take three chunks
+    monkeypatch.setattr(torus, "LATTICE_BUDGET", 2 * 128**2)
+    assert torus.lattice_chunks(cfg, 128) == 2
     assert np.count_nonzero(whole[0] >= 0) == 5
     chunked = torus._min_leaf(stack, cfg, system.trig, 128)
     for a, b in zip(whole, chunked):
@@ -598,15 +633,12 @@ def _count_lattice_rows(monkeypatch):
 
 def _expected_lattice_rows(stacks):
     """For every live solution, whose real part has a nonzero non-constant
-    coefficient: its e1 row and its real part on the transversal lattice, and
-    N + 1 rows of its real part on the leaf lattice. Flat solutions send
-    nothing."""
+    coefficient: its e1 row on the transversal lattice. Flat solutions send
+    nothing, and no solution sends a leaf lattice."""
     expected = collections.Counter()
     for solutions, cfg, trig, grid in stacks:
         U = solutions.reshape(-1, cfg.n, trig.size)
-        live = int(np.count_nonzero(U[:, 0, 1:].any(axis=1)))
-        expected[grid] += 2 * live
-        expected[torus.LEAF_GRID] += (cfg.ncoords + 1) * live
+        expected[grid] += int(np.count_nonzero(U[:, 0, 1:].any(axis=1)))
     return +expected
 
 
@@ -628,7 +660,7 @@ def test_flat_real_parts_never_reach_the_lattice(monkeypatch, capsys):
         runs += 1
     assert len(stacks) == 2 * runs > 0
     assert sent == _expected_lattice_rows(stacks)
-    assert sent[torus.LEAF_GRID] > 0
+    assert sent[32] > 0 and sent[7] > 0
 
     stacks.clear()
     sent.clear()
@@ -684,8 +716,8 @@ def _solved(name, m, d):
 def test_flat_rows_skip_the_lattice_exactly(config, seed, consts, nlive):
     # solutions, constant-only real parts, dense rows and one NaN real-part
     # coefficient, shuffled; the live rows, the NaN one among them, go through
-    # chunks of three or four, and every live row's leaf, gradient and
-    # variation match the reference
+    # chunks of three, every live row's leaf matches the reference, and its
+    # gradient and variation bound the reference's
     cfg, trig, solutions = _solved(*config)
     rng = np.random.default_rng(seed)
     picked = solutions[rng.choice(len(solutions), size=min(3, len(solutions)),
@@ -705,10 +737,9 @@ def test_flat_rows_skip_the_lattice_exactly(config, seed, consts, nlive):
     quiet = is_flat | is_nan  # all but the dense rows, which fail on their own
 
     refs = [reference_min_leaf(u, cfg, trig).data for u in stack]
-    per = (2 * 32**cfg.m, (cfg.ncoords + 1) * torus.LEAF_GRID ** (cfg.ncoords - cfg.m))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(torus, "LATTICE_BUDGET", max(3 * per[0], per[1]))
-        assert 3 <= torus.lattice_chunks(cfg, 32)[0] < len(stack)
+        mp.setattr(torus, "LATTICE_BUDGET", 3 * 32**cfg.m)
+        assert torus.lattice_chunks(cfg, 32) == 3 < len(stack)
         qmin, avg, grad, variation = torus._min_leaf(stack, cfg, trig, 32)
         assert verify_min_leaf_all(stack[is_flat], cfg, trig).passed
         rep = verify_min_leaf_all(stack[quiet], cfg, trig)
@@ -721,11 +752,12 @@ def test_flat_rows_skip_the_lattice_exactly(config, seed, consts, nlive):
 
 def test_lattice_budget_refuses_oversized_lattices():
     cfg = make_torus(preset("dual"), 2)
-    assert torus.lattice_chunks(cfg, 32) == [2**22 // (2 * 32**2), 2**22 // (5 * 8**2)]
+    assert torus.lattice_chunks(cfg, 32) == 2**22 // 32**2
+    assert torus.lattice_chunks(cfg, 2**11) == 1  # 2^22 values for one solution fit
     with pytest.raises(SizeCapExceeded):
-        torus.lattice_chunks(cfg, 2**11)  # 2 * 2^22 values for one solution
-    with pytest.raises(SizeCapExceeded):
-        torus.lattice_chunks(make_torus(preset("trunc:3"), 4), 2)  # 13 * 8^8 leaf values
+        torus.lattice_chunks(cfg, 2**11 + 1)
+    # no leaf lattice: dual m=8 at grid 2 is 2^8 values per solution
+    assert torus.lattice_chunks(make_torus(preset("dual"), 8), 2) == 2**14
     trig = assemble_function_constraints(cfg, 1).trig
     with pytest.raises(SizeCapExceeded):
         verify_min_leaf_all(np.zeros((1, cfg.n * trig.size)), cfg, trig, grid=10**5)

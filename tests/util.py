@@ -417,13 +417,25 @@ def scatter_index_rows(rows, size):
     return out.reshape(len(vecs), -1)
 
 
+def trig_derivative(trig, coeffs, axis):
+    """Coefficients of d/d(theta_axis) of polynomials of the ``TrigSpace``
+    trig; the trig index is the last axis. On pair p with
+    k = freqs[p, axis], cos -> -k sin and sin -> k cos."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    k = trig.freqs[:, axis]
+    out = np.zeros_like(coeffs)
+    out[..., 1::2] = k * coeffs[..., 2::2]
+    out[..., 2::2] = -k * coeffs[..., 1::2]
+    return out
+
+
 def dense_function_differential(u, cfg, trig):
     """Coefficients of dG, flat (N*n*B,), for a function coefficient vector
-    (n*B,), or one row per function for an (S, n*B) stack: ``trig.derivative``
+    (n*B,), or one row per function for an (S, n*B) stack: ``trig_derivative``
     along every axis."""
     u = np.asarray(u, dtype=float)
     U = u.reshape(-1, cfg.n, trig.size)
-    dG = np.stack([trig.derivative(U, axis) for axis in range(cfg.ncoords)], axis=1)
+    dG = np.stack([trig_derivative(trig, U, axis) for axis in range(cfg.ncoords)], axis=1)
     return dG.reshape(u.shape[:-1] + (cfg.ncoords * u.shape[-1],))
 
 
@@ -492,8 +504,8 @@ def exterior_derivative(omega, trig):
     omega = np.asarray(omega, dtype=float)
     N = omega.shape[0]
     return {
-        (alpha, beta): trig.derivative(omega[beta], alpha)
-        - trig.derivative(omega[alpha], beta)
+        (alpha, beta): trig_derivative(trig, omega[beta], alpha)
+        - trig_derivative(trig, omega[alpha], beta)
         for alpha in range(N) for beta in range(alpha + 1, N)
     }
 
@@ -584,7 +596,7 @@ def reference_min_leaf(solution, cfg, trig, grid=32, leaf_grid=8, tol=1e-8):
     leaf_vals = trig.values(leaf_pts)
     grad_max = 0.0
     for axis in range(N):
-        d_g = trig.derivative(g, axis)
+        d_g = trig_derivative(trig, g, axis)
         # np.maximum, unlike Python's max, keeps a NaN
         grad_max = float(np.maximum(grad_max, np.abs(leaf_vals @ d_g).max()))
 
