@@ -20,19 +20,19 @@ class map to constant coefficients is injective within the ansatz).
 ``cohomology_report`` runs all of it and returns the Report of CHECK lines
 and machine keys, as the suites of ``torus`` do.
 
-All of it runs one trig index at a time. ``solve_nullspace`` puts every row
-on exactly one trig index, so ``index_rows`` reads each row once as (trig
-index, vector of length unknowns) and refuses a row on two indices. A matrix
-of such rows is block diagonal up to a permutation of rows and columns, one
-block per index, and its singular values are the union of its blocks'. So
-``linalg.rank`` of the zero-padded (indices, rows, cols) stack of blocks,
-which takes ``ref`` over the whole stack, makes the dense matrix's rank
-decision by the same rule. d/d(theta) keeps a function row in its pair:
-v on the cos index maps to -k (x) v on the sin index, v on the sin index to
-k (x) v on the cos index, and index 0 to 0. A row off index 0 has zero
-mean, so only the index-0 rows, which are all constant, enter the zero-mean
-nullspace; and the span of the dG is the orthogonal sum of its parts on each
-index, so the injectivity fit is one small least-squares per index.
+All of it runs one trig index at a time, on the ``solution_rows`` of
+``solve_nullspace``: each row is one trig index and one vector of length
+unknowns. A matrix of such rows is block diagonal up to a permutation of
+rows and columns, one block per index, and its singular values are the union
+of its blocks'. So ``linalg.rank`` of the zero-padded (indices, rows, cols)
+stack of blocks, which takes ``ref`` over the whole stack, makes the dense
+matrix's rank decision by the same rule. d/d(theta) keeps a function row in
+its pair: v on the cos index maps to -k (x) v on the sin index, v on the sin
+index to k (x) v on the cos index, and index 0 to 0. A row off index 0 has
+zero mean, so only the index-0 rows, which are all constant, enter the
+zero-mean nullspace; and the span of the dG is the orthogonal sum of its
+parts on each index, so the injectivity fit is one small least-squares per
+index.
 """
 
 from __future__ import annotations
@@ -50,11 +50,11 @@ from .torus import (
     TrigSpace,
     assemble_function_constraints,
     capped_trig_space,
+    solution_rows,
     solve_nullspace,
 )
 
 INJECTIVITY_TOL = 1e-9  # largest residual of a zero-mean solution off the differentials
-Rows = tuple[np.ndarray, np.ndarray]  # trig index and vector of each row, as index_rows gives
 
 
 def commutant_frame(cfg: TorusConfig) -> np.ndarray:
@@ -80,19 +80,6 @@ def assemble_form_constraints(cfg: TorusConfig, degree: int,
     return ConstraintSystem(trig, symbols, frame)
 
 
-def index_rows(solutions: np.ndarray, size: int) -> Rows:
-    """The rows of an (S, unknowns * size) stack with (unknown, trig index)
-    columns as (trig index, vector of length unknowns): each row's one trig
-    index with a value (NaN and inf count; 0 for a zero row) and its values
-    there. ValueError for a row with values on two trig indices."""
-    U = solutions.reshape(len(solutions), solutions.shape[1] // size, size)
-    support = U.any(axis=1)
-    if (support.sum(axis=1) > 1).any():
-        raise ValueError("a solution row has values on more than one trig index")
-    index = support.argmax(axis=1)
-    return index, U[np.arange(len(U)), :, index]
-
-
 def _blocks(index: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """The matrix with row r vecs[r] on trig index index[r] as the
     (indices, rows, cols) stack of its blocks, the rows of each index
@@ -104,56 +91,52 @@ def _blocks(index: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return stack
 
 
-def function_differential(rows: Rows, trig: TrigSpace) -> Rows:
-    """dG of each function in ``index_rows`` form, (trig index, (coordinate,
-    component) vector of length N*n): v on the cos index of a pair of
+def function_differential(rows: np.ndarray, trig: TrigSpace) -> np.ndarray:
+    """``solution_rows`` of the dG of function rows, with (coordinate,
+    component) vectors of length N*n: v on the cos index of a pair of
     frequency k maps to -k (x) v on its sin index, v on the sin index to
     k (x) v on the cos index, and v on index 0 to the zero vector there."""
-    index, vecs = rows
+    index = rows["index"]
     cos = index % 2 == 1
     k = trig.mode_freqs()[(index + 1) // 2] * np.where(cos, -1.0, 1.0)[:, None]
-    dG = k[:, :, None] * vecs[:, None, :]
+    dG = k[:, :, None] * rows["vec"][:, None, :]
     partner = np.where(cos, index + 1, np.maximum(index - 1, 0))
-    return partner, dG.reshape(len(dG), dG.shape[1] * dG.shape[2])
+    return solution_rows(partner, dG.reshape(len(dG), dG.shape[1] * dG.shape[2]))
 
 
-def component_space_dim(rows: Rows, j0: int, cfg: TorusConfig,
+def component_space_dim(rows: np.ndarray, j0: int, cfg: TorusConfig,
                         tol: float = DEFAULT_NULL_TOL) -> int:
-    """Dimension of the space of j0-components over the closed solutions, in
-    ``index_rows`` form.
+    """Dimension of the space of j0-components over the closed solutions,
+    given as ``solution_rows``.
 
     ``j0`` must index a non-socle radical element of the standard basis.
     """
     if j0 <= 0 or j0 >= cfg.n or j0 in cfg.info.socle:
         raise IndexNotBreve(f"index {j0} is not a non-socle radical index")
-    index, vecs = rows
-    components = vecs.reshape(len(vecs), cfg.ncoords, cfg.n)[:, :, j0]
-    return linalg.rank(_blocks(index, components), tol)
+    components = rows["vec"].reshape(len(rows), cfg.ncoords, cfg.n)[:, :, j0]
+    return linalg.rank(_blocks(rows["index"], components), tol)
 
 
-def zero_mean_combinations(rows: Rows) -> Rows:
-    """``index_rows`` of a basis of the solutions whose constant Fourier
+def zero_mean_combinations(rows: np.ndarray) -> np.ndarray:
+    """``solution_rows`` of a basis of the solutions whose constant Fourier
     coefficients vanish: every row off index 0, then the combinations of the
     index-0 rows, which are all constant, that the nullspace of their
     values gives."""
-    index, vecs = rows
-    off = index != 0
-    const = vecs[~off]
+    off = rows["index"] != 0
+    const = rows["vec"][~off]
     combos = linalg.nullspace_rows(const.T, DEFAULT_NULL_TOL)
-    return (np.concatenate([index[off], np.zeros(len(combos), dtype=index.dtype)]),
-            np.concatenate([vecs[off], combos @ const]))
+    return np.concatenate([rows[off], solution_rows(np.zeros(len(combos), int), combos @ const)])
 
 
-def verify_class_injectivity(form_rows: Rows, differentials: Rows) -> tuple[float, int]:
-    """Worst distance from a zero-mean closed solution to the span of the dG
-    in ``differentials``, plus the dimension of the zero-mean subspace; both
-    in ``index_rows`` form. The span is the orthogonal sum of its parts on
+def verify_class_injectivity(form_rows: np.ndarray, dG: np.ndarray) -> tuple[float, int]:
+    """Worst distance from a zero-mean closed solution to the span of the
+    differentials ``dG``, plus the dimension of the zero-mean subspace; both
+    as ``solution_rows``. The span is the orthogonal sum of its parts on
     each trig index, so the fit is one least-squares per index."""
-    index, zm = zero_mean_combinations(form_rows)
-    dG_index, dG = differentials
+    zm = zero_mean_combinations(form_rows)
     residuals = [0.0]
-    for b in np.unique(index):
-        basis, target = dG[dG_index == b].T, zm[index == b].T
+    for b in np.unique(zm["index"]):
+        basis, target = dG["vec"][dG["index"] == b].T, zm["vec"][zm["index"] == b].T
         coef, *_ = np.linalg.lstsq(basis, target, rcond=None)
         residuals.extend(np.linalg.norm(basis @ coef - target, axis=0))
     return float(max(residuals)), len(zm)
@@ -166,18 +149,17 @@ def cohomology_report(cfg: TorusConfig, degree: int,
     report them as CHECK lines plus machine keys."""
     form_sys = assemble_form_constraints(cfg, degree, cap)
     trig = form_sys.trig
-    form = index_rows(solve_nullspace(form_sys, null_tol), trig.size)
-    fn_sys = assemble_function_constraints(cfg, degree, cap)
-    fn_index, fn_vecs = fn = index_rows(solve_nullspace(fn_sys, null_tol), trig.size)
+    form = solve_nullspace(form_sys, null_tol)
+    fn = solve_nullspace(assemble_function_constraints(cfg, degree, cap), null_tol)
     labels, breve = cfg.algebra.labels, cfg.info.breve_indices()
 
     component_dims = {j0: component_space_dim(form, j0, cfg, null_tol) for j0 in breve}
     # degree-0 counterpart: non-socle components of functions are constants
-    degree0_dims = {j0: linalg.rank(_blocks(fn_index, fn_vecs[:, j0:j0 + 1]), null_tol)
+    degree0_dims = {j0: linalg.rank(_blocks(fn["index"], fn["vec"][:, j0:j0 + 1]), null_tol)
                     for j0 in breve}
     # functions with vanishing differential inside the ansatz
     dG = function_differential(fn, trig)
-    h0 = len(fn_vecs) - linalg.rank(_blocks(*dG), null_tol)
+    h0 = len(fn) - linalg.rank(_blocks(dG["index"], dG["vec"]), null_tol)
     residual, zm_dim = verify_class_injectivity(form, dG)
 
     bound, zm_expected = cfg.n * cfg.ncoords, cfg.basic_socle_dim(degree)
@@ -193,9 +175,9 @@ def cohomology_report(cfg: TorusConfig, degree: int,
         rep.put("NOTE", "no non-socle radical components; component check is vacuous")
     rep.add("class_map_injective", residual <= INJECTIVITY_TOL, residual)
     rep.add("h0_constants_only", h0 == cfg.n, h0)
-    rep.add("form_dims_theorem", (len(form[0]), zm_dim) == (form_expected, zm_expected),
-            f"{len(form[0])},{zm_dim}")
-    rep.put("FORM_NULLSPACE_DIM", len(form[0]))
+    rep.add("form_dims_theorem", (len(form), zm_dim) == (form_expected, zm_expected),
+            f"{len(form)},{zm_dim}")
+    rep.put("FORM_NULLSPACE_DIM", len(form))
     rep.put("EXPECTED_FORM_NULLSPACE_DIM", form_expected)
     rep.data.update((f"DIM_ZBREVE[{labels[j0]}]", d) for j0, d in component_dims.items())
     rep.put("BOUND", bound)

@@ -12,7 +12,9 @@ coefficients in the angles, so the Fourier modes decouple. On the mode of
 frequency k, d/d(theta_a) multiplies by k_a and rotates the (cos, sin)
 coefficient pair, and the constraints reduce to a small real matrix S(k),
 the symbol: a coefficient vector solves the system exactly when S(k)
-annihilates its cos coefficients and its sin coefficients on every mode.
+annihilates its cos coefficients and its sin coefficients on every mode. So
+the nullspace has a basis of vectors on one trig index each, and a solution
+is kept as that index and its vector (``solution_rows``), not as a dense row.
 
 For a function the symbol is C (k tensor I_n), where C (``commutator_rows``)
 holds the A-linearity rows on (coordinate, component) values: a function is
@@ -153,7 +155,8 @@ class ConstraintSystem:
     block of a pair applies S(k) to the cos and to the sin coefficients, so it
     has the singular values of S(k), each taken twice. Unknowns take values
     only on the orthonormal ``frame`` F (the identity for functions): the
-    symbols act on x = F^T u.
+    symbols act on x = F^T u. Solutions are ``solution_rows``, one trig index
+    and one vector of length unknowns per row.
     """
 
     trig: TrigSpace
@@ -168,21 +171,23 @@ class ConstraintSystem:
     def ncols(self) -> int:
         return self.frame.shape[0] * self.trig.size
 
-    def residual_inf(self, u: np.ndarray) -> float:
-        """Largest constraint violation of a coefficient vector or (S, ncols)
-        stack: the symbols on x = F^T u, and the part u - F x off the frame.
-        Only the (solution, trig index) columns where u holds a value (NaN and
-        inf count) are read, each with its mode's symbol (trig index b is in
-        mode (b + 1) // 2). A zero column adds exactly 0 to both parts, so
-        this is exact for any u; an empty stack gives 0."""
-        U = np.atleast_2d(np.asarray(u, dtype=float))
-        U = U.reshape(len(U), self.frame.shape[0], self.trig.size)
-        s, b = np.nonzero(U.any(axis=1))
-        Ug = U[s, :, b]  # (columns, unknowns)
-        X = Ug @ self.frame
-        off = np.abs(Ug - X @ self.frame.T).max(initial=0.0)
-        sym = np.abs(np.take(self.symbols, (b + 1) // 2, axis=0) @ X[:, :, None]).max(initial=0.0)
-        return float(np.maximum(sym, off))
+    def residual_inf(self, rows: np.ndarray) -> float:
+        """Largest constraint violation of ``solution_rows``: the symbol of
+        each row's mode (trig index b is in mode (b + 1) // 2) on X = vec F,
+        and the part vec - X F^T off the frame. The system is block diagonal
+        by trig index, so this is exact for any rows; no rows give 0."""
+        X = rows["vec"] @ self.frame
+        off = np.abs(rows["vec"] - X @ self.frame.T).max(initial=0.0)
+        modes = np.take(self.symbols, (rows["index"] + 1) // 2, axis=0)
+        return float(np.maximum(np.abs(modes @ X[:, :, None]).max(initial=0.0), off))
+
+
+def solution_rows(index: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """One structured row per vector: field ``index`` holds its trig index and
+    field ``vec`` its coefficients there, one per unknown."""
+    rows = np.empty(len(vecs), [("index", np.intp), ("vec", float, vecs.shape[1:])])
+    rows["index"], rows["vec"] = index, vecs
+    return rows
 
 
 def _size(factor: int, base: int, exp: int, limit: int, what: str) -> int:
@@ -249,17 +254,15 @@ def assemble_function_constraints(cfg: TorusConfig, degree: int,
 
 def solve_nullspace(system: ConstraintSystem,
                     tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
-    """Orthonormal nullspace basis from one batched SVD of the symbols that
-    ``linalg._full_rank_modes`` does not prove full rank. The right singular
-    vectors of a mode that the rank rule of ``linalg._svd_rank`` does not
-    count over the whole stack are null, so a vanishing symbol is null in
-    every direction. A null vector v gives one row on the constant columns
-    for mode 0, and two rows for a pair: v (F v on the ``frame`` F) on its
-    cos columns, then on its sin columns. So every row is nonzero on exactly
-    one trig index, and the cos and sin rows of a pair carry the same vector;
-    the cohomology of ``forms`` reads each row as that index and vector, and
-    ranks and fits one index at a time. Rows are mode-major and, within a
-    mode, by ascending singular value; each row's largest entry is positive.
+    """Orthonormal nullspace basis, as ``solution_rows``, from one batched SVD
+    of the symbols that ``linalg._full_rank_modes`` does not prove full rank.
+    The right singular vectors of a mode that the rank rule of
+    ``linalg._svd_rank`` does not count over the whole stack are null, so a
+    vanishing symbol is null in every direction. A null vector v (F v on the
+    ``frame`` F) gives one row on trig index 0 for mode 0, and two rows for a
+    pair, on its cos index and then on its sin index, which carry the same
+    vector. Rows are mode-major and, within a mode, by ascending singular
+    value; each vector's largest entry is positive.
     """
     modes, nrows, nsym = system.symbols.shape
     svd = np.flatnonzero(~linalg._full_rank_modes(system.symbols, tol))
@@ -271,9 +274,7 @@ def solve_nullspace(system: ConstraintSystem,
     # cos and sin trig index of each vector's mode; mode 0 has no cos row
     cos_sin = 2 * svd[np.nonzero(null)[0]][:, None] - np.array([1, 0])
     vec, t = np.nonzero(cos_sin >= 0)
-    out = np.zeros((len(vec), vecs.shape[1], system.trig.size))
-    out[np.arange(len(vec)), :, cos_sin[vec, t]] = vecs[vec]
-    return out.reshape(len(vec), system.ncols)
+    return solution_rows(cos_sin[vec, t], vecs[vec])
 
 
 # -- verification suites -----------------------------------------------------------
@@ -285,44 +286,43 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(X[:, None, :] @ X[:, :, None])[:, 0, 0]
 
 
-def verify_constancy(solutions: np.ndarray, cfg: TorusConfig,
+def verify_constancy(rows: np.ndarray, cfg: TorusConfig,
                      trig: TrigSpace, tol: float = 1e-8) -> Report:
-    """Check that real parts are constant and e1-components are basic.
+    """Check that real parts are constant and e1-components are basic, on
+    ``solution_rows``.
 
     (a) the real-part component of every solution has zero coefficient on
-    every non-constant basis function; (b) the e1-component is supported on
-    transversal-only frequencies (hence constant on every leaf).
+    every non-constant basis function: |vec[0]| off trig index 0; (b) the
+    e1-component is supported on transversal-only frequencies (hence
+    constant on every leaf): |vec[1]| where the index is not transversal.
     """
-    U = np.atleast_2d(solutions).reshape(-1, cfg.n, trig.size)
-    nonconst = np.abs(U[:, 0, 1:])
-    mass = _row_norms(nonconst)
-    e1 = U[:, 1, ~trig.transversal_mask(cfg.m)] if cfg.n > 1 else np.zeros((len(U), 0))
+    index, vec = rows["index"], rows["vec"]
+    mass = np.abs(np.where(index != 0, vec[:, 0], 0.0))
     worst_real = float(mass.max(initial=0.0))
-    worst_e1 = float(_row_norms(e1).max(initial=0.0))
+    worst_e1 = float(np.abs(vec[~trig.transversal_mask(cfg.m)[index], 1:2]).max(initial=0.0))
     rep = Report()
     rep.add("real_part_constant", worst_real <= tol, worst_real)
     rep.add("e1_component_basic", worst_e1 <= tol, worst_e1)
-    rep.put("NULLSPACE_DIM", len(U))
+    rep.put("NULLSPACE_DIM", len(rows))
     rep.put("REAL_PART_NONCONST_MASS", worst_real)
     rep.put("E1_NONBASIC_MASS", worst_e1)
     for v, q in enumerate(np.flatnonzero(mass > tol)[:8]):
-        freq = trig.freq_of(1 + int(np.argmax(nonconst[q])))
-        rep.put(f"REAL_PART_VIOLATION[{v}]", f"solution={q} freq={freq}")
+        rep.put(f"REAL_PART_VIOLATION[{v}]", f"solution={q} freq={trig.freq_of(index[q])}")
     return rep
 
 
-def verify_socle_decomposition(solutions: np.ndarray, cfg: TorusConfig,
+def verify_socle_decomposition(rows: np.ndarray, cfg: TorusConfig,
                                trig: TrigSpace,
                                tol: float = 1e-8) -> Report:
-    """Check each solution is a constant plus socle components times basic
-    functions: all non-constant coefficient mass must sit in socle
-    components with transversal-only frequencies."""
+    """Check each solution of ``solution_rows`` is a constant plus socle
+    components times basic functions: all non-constant coefficient mass must
+    sit in socle components with transversal-only frequencies."""
     socle = list(cfg.info.socle)
     allowed = np.zeros((cfg.n, trig.size), dtype=bool)
     allowed[:, 0] = True
     allowed[socle] = trig.transversal_mask(cfg.m)
-    U = np.atleast_2d(solutions).reshape(-1, cfg.n, trig.size)[:, ~allowed]
-    worst = float(_row_norms(U).max(initial=0.0))
+    off = np.where(allowed[:, rows["index"]].T, 0.0, rows["vec"])
+    worst = float(_row_norms(off).max(initial=0.0))
     rep = Report()
     rep.add("socle_decomposition", worst <= tol, worst)
     rep.put("SOCLE_DIM", len(socle))
@@ -424,8 +424,14 @@ def verify_min_leaf(solution: np.ndarray, cfg: TorusConfig, trig: TrigSpace,
                             MIN_LEAF_INDEX=int(qmin[0]), MIN_LEAF_AVG=float(avg[0]))
 
 
-def verify_min_leaf_all(solutions: np.ndarray, cfg: TorusConfig, trig: TrigSpace,
+def verify_min_leaf_all(rows: np.ndarray, cfg: TorusConfig, trig: TrigSpace,
                         grid: int = 32, tol: float = 1e-8) -> Report:
-    """The minimizing-leaf check over every solution, worst case reported."""
-    _, _, grad, var = _min_leaf(solutions, cfg, trig, grid)
+    """The minimizing-leaf check over every row of ``solution_rows``, worst
+    case reported. Only the live rows, whose real part is off trig index 0
+    and not 0 (NaN counts), are scattered into the table ``_min_leaf``
+    takes: both bounds are exactly 0 on every other row."""
+    live = rows[(rows["index"] != 0) & (rows["vec"][:, 0] != 0)]
+    U = np.zeros((len(live), cfg.n, trig.size))
+    U[np.arange(len(live)), :, live["index"]] = live["vec"]
+    _, _, grad, var = _min_leaf(U, cfg, trig, grid)
     return _min_leaf_report(float(grad.max(initial=0.0)), float(var.max(initial=0.0)), tol)

@@ -37,7 +37,6 @@ from localalg.forms import (
     assemble_form_constraints,
     component_space_dim,
     function_differential,
-    index_rows,
     verify_class_injectivity,
 )
 
@@ -47,7 +46,9 @@ from util import (
     make_torus,
     mult_matrix,
     radical_negation_map,
+    scatter_rows,
     socle_embedding_vector,
+    split_rows,
     standardize,
     unit_safe_point,
 )
@@ -184,7 +185,8 @@ def test_criterion_5_socle_decomposition(solved_functions):
         for s in socle_basis(cfg.algebra, radical_basis(cfg.algebra)):
             f = rng.standard_normal(system.trig.size) * tmask
             vec = socle_embedding_vector(cfg, system.trig, s, f)
-            ok &= system.residual_inf(vec) <= 1e-9 * (1 + float(np.abs(vec).max()))
+            residual = system.residual_inf(split_rows(vec, system.trig.size))
+            ok &= residual <= 1e-9 * (1 + float(np.abs(vec).max()))
     _report(5, ok, "solutions decompose over the socle; embedding holds")
 
 
@@ -204,18 +206,18 @@ def test_criterion_7_dimension_bounds(solved_forms):
     trunc3_dims = []
     for d in (1, 2, 3):
         cfg, form_sys, form_sol, fn_sol = solved_forms[("trunc:3", 1, d)]
-        dim = component_space_dim(index_rows(form_sol, form_sys.trig.size), 1, cfg)
+        dim = component_space_dim(form_sol, 1, cfg)
         trunc3_dims.append(dim)
         ok &= dim <= cfg.n * cfg.ncoords == 9
         for j0 in cfg.info.breve_indices():
             B = form_sys.trig.size
-            comps = np.atleast_2d(fn_sol)[:, j0 * B:(j0 + 1) * B]
+            comps = scatter_rows(fn_sol, B)[:, j0 * B:(j0 + 1) * B]
             ok &= np.linalg.matrix_rank(comps, tol=1e-8) == 1
     ok &= len(set(trunc3_dims)) == 1
 
     cfg4, form_sys4, form_sol4, fn_sol4 = solved_forms[("trunc:4", 1, 1)]
     for j0 in cfg4.info.breve_indices():
-        dim = component_space_dim(index_rows(form_sol4, form_sys4.trig.size), j0, cfg4)
+        dim = component_space_dim(form_sol4, j0, cfg4)
         ok &= dim <= cfg4.n * cfg4.ncoords == 16
     _report(7, ok, f"component dims {trunc3_dims} stable and bounded")
 
@@ -224,9 +226,8 @@ def test_criterion_8_class_injectivity(solved_forms):
     ok = True
     worst = 0.0
     for (name, m, d), (cfg, form_sys, form_sol, fn_sol) in solved_forms.items():
-        B = form_sys.trig.size
-        dG = function_differential(index_rows(fn_sol, B), form_sys.trig)
-        residual, zm_dim = verify_class_injectivity(index_rows(form_sol, B), dG)
+        dG = function_differential(fn_sol, form_sys.trig)
+        residual, zm_dim = verify_class_injectivity(form_sol, dG)
         worst = max(worst, residual)
         ok &= residual <= 1e-9
     _report(8, ok, f"zero-mean solutions are differentials, worst {worst:.2e}")

@@ -1,10 +1,13 @@
 """Closed A-linear 1-forms: exterior derivative, dimensions, injectivity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from localalg.algebra import from_spec, preset
+from localalg.cli import main
 from localalg.errors import IndexNotBreve, SizeCapExceeded
 from localalg.forms import (
     assemble_form_constraints,
@@ -12,7 +15,6 @@ from localalg.forms import (
     commutant_frame,
     component_space_dim,
     function_differential,
-    index_rows,
     verify_class_injectivity,
     zero_mean_combinations,
 )
@@ -24,6 +26,7 @@ from localalg.torus import (
     TrigSpace,
     assemble_function_constraints,
     commutator_rows,
+    solution_rows,
     solve_nullspace,
 )
 
@@ -36,7 +39,8 @@ from util import (
     exterior_derivative,
     make_torus,
     reference_cohomology,
-    scatter_index_rows,
+    scatter_rows,
+    split_rows,
     standard_basis,
 )
 
@@ -123,7 +127,7 @@ def test_constant_forms_dual():
 def test_form_nullspace_dims(name, d, expected, dense_oracle):
     cfg = make_torus(preset(name), 1)
     system = assemble_form_constraints(cfg, d)
-    solutions = solve_nullspace(system)
+    solutions = scatter_rows(solve_nullspace(system), system.trig.size)
     assert solutions.shape[0] == expected
     if dense_oracle:
         dense = nullspace_rows(dense_form_constraints(cfg, system.trig), 1e-8)
@@ -136,7 +140,7 @@ def test_trunc3_breve_components_are_constant():
     cfg = make_torus(preset("trunc:3"), 1)
     system = assemble_form_constraints(cfg, 1)
     trig = system.trig
-    for u in solve_nullspace(system):
+    for u in scatter_rows(solve_nullspace(system), trig.size):
         comp = component_form(u, 1, cfg, trig).reshape(cfg.ncoords, trig.size)
         assert np.abs(comp[:, 1:]).max() <= 1e-12  # no non-constant support
 
@@ -151,12 +155,12 @@ def test_injected_form_violates_a_linearity():
     pair = next(p for p in range(trig.npairs) if tuple(trig.freqs[p]) == (0, 1))
     bad = np.zeros(system.ncols)
     bad[0 * cfg.n * trig.size + 0 * trig.size + 1 + 2 * pair] = 1.0
-    assert_allclose(system.residual_inf(bad), 0.5, rtol=1e-12)
+    assert_allclose(system.residual_inf(split_rows(bad, trig.size)), 0.5, rtol=1e-12)
     # the dense oracle's A-linearity rows agree
     linear = dense_form_constraints(cfg, trig, closedness=False)
     assert np.abs(linear @ bad).max() >= 0.5
     # and no closed A-linear solution comes near it
-    sol = solve_nullspace(system)
+    sol = scatter_rows(solve_nullspace(system), trig.size)
     assert np.linalg.norm(bad - (bad @ sol.T) @ sol) >= 0.5
 
 
@@ -164,14 +168,13 @@ def test_injected_form_violates_a_linearity():
 def test_component_dim_trunc3_stable_in_degree(d):
     cfg = make_torus(preset("trunc:3"), 1)
     system = assemble_form_constraints(cfg, d)
-    solutions = solve_nullspace(system)
-    assert component_space_dim(index_rows(solutions, system.trig.size), 1, cfg) == 2
+    assert component_space_dim(solve_nullspace(system), 1, cfg) == 2
 
 
 def test_component_dim_rejects_non_breve_indices():
     cfg = make_torus(preset("dual"), 1)
     system = assemble_form_constraints(cfg, 1)
-    rows = index_rows(solve_nullspace(system), system.trig.size)
+    rows = solve_nullspace(system)
     with pytest.raises(IndexNotBreve):
         component_space_dim(rows, 1, cfg)  # socle index
     with pytest.raises(IndexNotBreve):
@@ -181,8 +184,8 @@ def test_component_dim_rejects_non_breve_indices():
 def test_component_dim_empty_solutions():
     cfg = make_torus(preset("trunc:3"), 1)
     trig = cfg.trig_space(1)
-    empty = np.zeros((0, cfg.ncoords * cfg.n * trig.size))
-    assert component_space_dim(index_rows(empty, trig.size), 1, cfg) == 0
+    empty = solution_rows(np.zeros(0, int), np.zeros((0, cfg.ncoords * cfg.n)))
+    assert component_space_dim(empty, 1, cfg) == 0
 
 
 def keyed(rep, key):
@@ -221,9 +224,7 @@ def test_zero_mean_solutions_are_differentials():
         cfg = make_torus(preset(name), 1)
         form_sys = assemble_form_constraints(cfg, d)
         fn_sys = assemble_function_constraints(cfg, d)
-        B = form_sys.trig.size
-        form = index_rows(solve_nullspace(form_sys), B)
-        fn = index_rows(solve_nullspace(fn_sys), B)
+        form, fn = solve_nullspace(form_sys), solve_nullspace(fn_sys)
         dG = function_differential(fn, form_sys.trig)
         residual, zm_dim = verify_class_injectivity(form, dG)
         assert residual <= 1e-9, (name, d)
@@ -236,7 +237,7 @@ def test_zero_mean_structure_dual():
     system = assemble_form_constraints(cfg, 2)
     trig = system.trig
     B = trig.size
-    zm = scatter_index_rows(zero_mean_combinations(index_rows(solve_nullspace(system), B)), B)
+    zm = scatter_rows(zero_mean_combinations(solve_nullspace(system)), B)
     assert zm.shape[0] == 4  # d/dx of a degree-2 trig polynomial, zero mean
     for vec in zm:
         table = vec.reshape(cfg.ncoords, cfg.n, B)
@@ -249,8 +250,8 @@ def test_nonzero_mean_constant_form_is_not_exact():
     cfg = make_torus(preset("dual"), 1)
     trig = cfg.trig_space(1)
     fn_sys = assemble_function_constraints(cfg, 1)
-    fn_sol = solve_nullspace(fn_sys)
     B = trig.size
+    fn_sol = scatter_rows(solve_nullspace(fn_sys), B)
     omega = np.zeros(cfg.ncoords * cfg.n * B)
     omega[0] = 1.0  # constant dX-coefficient 1: nonzero class
     basis = np.vstack([dense_function_differential(u, cfg, trig) for u in fn_sol])
@@ -265,24 +266,25 @@ def test_function_differential_of_a_stack_is_row_by_row():
     trig = cfg.trig_space(1)
     rng = np.random.default_rng(3)
     index = np.concatenate([[0], rng.integers(1, trig.size, 7)])
-    rows = (index, rng.standard_normal((8, cfg.n)))
-    dense = dense_function_differential(scatter_index_rows(rows, trig.size), cfg, trig)
+    rows = solution_rows(index, rng.standard_normal((8, cfg.n)))
+    dense = dense_function_differential(scatter_rows(rows, trig.size), cfg, trig)
     dG = function_differential(rows, trig)
-    assert dG[1].shape == (8, cfg.ncoords * cfg.n)
-    assert np.array_equal(scatter_index_rows(dG, trig.size), dense)
-    assert np.array_equal(index_rows(dense, trig.size)[0], dG[0])
-    empty = function_differential((index[:0], rows[1][:0]), trig)
-    assert empty[0].shape == (0,) and empty[1].shape == (0, dG[1].shape[1])
+    assert dG["vec"].shape == (8, cfg.ncoords * cfg.n)
+    assert np.array_equal(scatter_rows(dG, trig.size), dense)
+    # a row on index 0 maps to zero there, which the dense stack cannot show
+    assert np.array_equal(split_rows(dense, trig.size)["index"], dG["index"][1:])
+    empty = function_differential(rows[:0], trig)
+    assert empty.shape == (0,) and empty["vec"].shape == (0, dG["vec"].shape[1])
 
 
 def test_injectivity_without_function_solutions_is_the_zero_mean_norm():
     cfg = make_torus(preset("dual"), 1)
     form_sys = assemble_form_constraints(cfg, 1)
-    B = form_sys.trig.size
-    form = index_rows(solve_nullspace(form_sys), B)
-    zm = zero_mean_combinations(form)[1]
-    none = function_differential(index_rows(np.zeros((0, cfg.n * B)), B), form_sys.trig)
-    assert none[1].shape == (0, form_sys.frame.shape[0])
+    form = solve_nullspace(form_sys)
+    zm = zero_mean_combinations(form)["vec"]
+    none = function_differential(solve_nullspace(assemble_function_constraints(cfg, 1))[:0],
+                                 form_sys.trig)
+    assert none["vec"].shape == (0, form_sys.frame.shape[0])
     residual, zm_dim = verify_class_injectivity(form, none)
     assert zm_dim == zm.shape[0] >= 1
     assert_allclose(residual, np.linalg.norm(zm, axis=1).max(), rtol=1e-14)
@@ -292,10 +294,10 @@ def test_function_differentials_satisfy_form_constraints():
     for name, d in [("dual", 2), ("trunc:3", 1), ("square:2", 1)]:
         cfg = make_torus(preset(name), 1)
         form_sys = assemble_form_constraints(cfg, d)
-        B = form_sys.trig.size
-        fn = index_rows(solve_nullspace(assemble_function_constraints(cfg, d)), B)
-        for u in scatter_index_rows(function_differential(fn, form_sys.trig), B):
-            assert form_sys.residual_inf(u) <= 1e-9
+        fn = solve_nullspace(assemble_function_constraints(cfg, d))
+        dG = function_differential(fn, form_sys.trig)
+        for q in range(len(dG)):
+            assert form_sys.residual_inf(dG[q:q + 1]) <= 1e-9
 
 
 def test_cohomologous_forms_share_breve_components():
@@ -303,8 +305,8 @@ def test_cohomologous_forms_share_breve_components():
     d = 1
     form_sys = assemble_form_constraints(cfg, d)
     trig = form_sys.trig
-    form_sol = solve_nullspace(form_sys)
-    fn_sol = solve_nullspace(assemble_function_constraints(cfg, d))
+    form_sol = scatter_rows(solve_nullspace(form_sys), trig.size)
+    fn_sol = scatter_rows(solve_nullspace(assemble_function_constraints(cfg, d)), trig.size)
     rng = np.random.default_rng(3)
     for _ in range(5):
         omega = rng.standard_normal(form_sol.shape[0]) @ form_sol
@@ -320,8 +322,7 @@ def test_component_dims_stabilize():
     cfg = make_torus(preset("trunc:3"), 1)
     dims = []
     for d in (1, 2, 3):
-        sol = solve_nullspace(assemble_form_constraints(cfg, d))
-        dims.append(component_space_dim(index_rows(sol, cfg.trig_space(d).size), 1, cfg))
+        dims.append(component_space_dim(solve_nullspace(assemble_form_constraints(cfg, d)), 1, cfg))
     assert dims[0] <= dims[1] <= dims[2]
     assert dims[1] == dims[2]
     assert all(dim <= cfg.n * cfg.ncoords for dim in dims)
@@ -359,18 +360,42 @@ def test_form_solve_rank_margins():
     assert solved == 44
 
 
-def test_index_rows_refuses_a_row_on_two_trig_indices():
+def test_split_rows_gives_a_row_on_two_trig_indices_two_rows():
     cfg = make_torus(preset("trunc:3"), 1)
     system = assemble_form_constraints(cfg, 1)
     B = system.trig.size
     sol = solve_nullspace(system)
-    index, vecs = index_rows(sol, B)
-    assert np.array_equal(scatter_index_rows((index, vecs), B), sol)
+    assert split_rows(scatter_rows(sol, B), B).tobytes() == sol.tobytes()
+    index = int(sol["index"][3])
+    other = (index + 1) % B
     for value in (1e-300, np.nan):
-        spread = sol.reshape(len(sol), -1, B).copy()
-        spread[3, 0, (index[3] + 1) % B] = value
-        with pytest.raises(ValueError, match="more than one trig index"):
-            index_rows(spread.reshape(len(sol), -1), B)
+        spread = scatter_rows(sol, B).reshape(len(sol), -1, B)
+        spread[3, 0, other] = value
+        rows = split_rows(spread.reshape(len(sol), -1), B)
+        assert len(rows) == len(sol) + 1
+        kept = np.concatenate([rows[:3], rows[5:]])
+        assert kept.tobytes() == np.concatenate([sol[:3], sol[4:]]).tobytes()
+        on = {int(b): vec for b, vec in zip(rows["index"][3:5], rows["vec"][3:5])}
+        want = np.zeros(system.frame.shape[0])
+        want[0] = value
+        assert set(on) == {index, other}
+        assert np.array_equal(on[index], sol["vec"][3])
+        assert np.array_equal(on[other], want, equal_nan=True)
+
+
+def test_forms_at_tol_1_keeps_the_solutions_compact(capsys):
+    # at tol 1 every symbol direction is null: 4374 solution rows on 13122
+    # columns, whose dense stack alone would take 459 MB
+    tracemalloc.start()
+    try:
+        code = main(["forms", "--preset", "square:2", "--m", "2", "--degree", "1",
+                     "--tol", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert "\nFORM_NULLSPACE_DIM=4374\n" in capsys.readouterr().out
+    assert peak <= 32 * 2**20
 
 
 def test_component_rank_takes_one_ref_across_indices():
@@ -379,8 +404,8 @@ def test_component_rank_takes_one_ref_across_indices():
     cfg = make_torus(preset("trunc:3"), 1)
     index, vecs = np.array([1, 3]), np.zeros((2, cfg.ncoords * cfg.n))
     vecs[:, 1] = (1.0, 1e-12)  # coordinate 0, component e1
-    assert component_space_dim((index, vecs), 1, cfg) == 1
-    assert component_space_dim((index, vecs * [[1.0], [1e12]]), 1, cfg) == 2
+    assert component_space_dim(solution_rows(index, vecs), 1, cfg) == 1
+    assert component_space_dim(solution_rows(index, vecs * [[1.0], [1e12]]), 1, cfg) == 2
 
 
 # every ladder config under the column cap (the benchmark's six forms jobs

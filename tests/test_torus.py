@@ -25,6 +25,7 @@ from localalg.torus import (
     TrigSpace,
     assemble_function_constraints,
     commutator_rows,
+    solution_rows,
     solve_nullspace,
     verify_constancy,
     verify_min_leaf,
@@ -44,7 +45,9 @@ from util import (
     reference_socle_decomposition,
     reference_solve_nullspace,
     reference_trig_freqs,
+    scatter_rows,
     socle_embedding_vector,
+    split_rows,
     torus_value_map,
     trig_derivative,
 )
@@ -137,9 +140,10 @@ def test_nullspace_dimension_matches_analytic_count(name, m, d):
     want = expected_dim(cfg.n, len(cfg.info.socle), m, d)
     assert solutions.shape[0] == want
     # solutions are orthonormal and satisfy the constraints
-    assert_allclose(solutions @ solutions.T, np.eye(want), atol=1e-12)
-    for u in solutions:
-        assert system.residual_inf(u) <= 1e-12
+    dense = scatter_rows(solutions, system.trig.size)
+    assert_allclose(dense @ dense.T, np.eye(want), atol=1e-12)
+    for q in range(want):
+        assert system.residual_inf(solutions[q:q + 1]) <= 1e-12
 
 
 ASSEMBLERS = {
@@ -169,7 +173,7 @@ def test_symbol_matches_dense_oracle(kind, name, m, d):
     # the symbol nullspace spans the full oracle's nullspace (every M is tall)
     _, s, vh = np.linalg.svd(M, full_matrices=False)
     dense = vh[s <= 1e-8 * s[0]]
-    sol = solve_nullspace(system)
+    sol = scatter_rows(solve_nullspace(system), B)
     assert sol.shape[0] == dense.shape[0]
     assert np.abs((dense @ sol.T) @ sol - dense).max(initial=0.0) <= 1e-9
 
@@ -191,10 +195,10 @@ def test_symbol_matches_dense_oracle(kind, name, m, d):
     rng = np.random.default_rng(7)
     for _ in range(5):
         u = lift @ rng.standard_normal(nsym * B)
-        assert abs(system.residual_inf(u) - np.abs(M @ u).max()) <= 1e-12
-    # a (S, ncols) stack gives the largest violation of any of its rows
+        assert abs(system.residual_inf(split_rows(u, B)) - np.abs(M @ u).max()) <= 1e-12
+    # the rows of an (S, ncols) stack give the largest violation of any of them
     stack = rng.standard_normal((4, nsym * B)) @ lift.T
-    res = system.residual_inf(stack)
+    res = system.residual_inf(split_rows(stack, B))
     assert isinstance(res, float)
     assert abs(res - np.abs(M @ stack.T).max()) <= 1e-12
 
@@ -218,7 +222,7 @@ def test_cap_checked_before_enumeration(monkeypatch):
 def test_block_solver_matches_dense_oracle(name, m, d):
     cfg = make_torus(preset(name), m)
     system = assemble_function_constraints(cfg, d)
-    block_sol = solve_nullspace(system)
+    block_sol = scatter_rows(solve_nullspace(system), system.trig.size)
     dense = nullspace_rows(dense_function_constraints(cfg, system.trig), 1e-8)
     assert dense.shape[0] == block_sol.shape[0]
     # identical spans: dense vectors project fully onto the block solutions
@@ -233,7 +237,8 @@ def test_dense_matrix_agrees_with_block_residuals():
     rng = np.random.default_rng(1)
     for _ in range(10):
         u = rng.standard_normal(system.ncols)
-        assert abs(system.residual_inf(u) - np.abs(M @ u).max()) <= 1e-12
+        assert abs(system.residual_inf(split_rows(u, system.trig.size))
+                   - np.abs(M @ u).max()) <= 1e-12
 
 
 @functools.cache
@@ -248,8 +253,8 @@ def _residual_system(kind):
 
 @pytest.mark.parametrize("kind", ["function", "form"])
 def test_residual_inf_of_empty_stack_is_zero(kind):
-    system, _ = _residual_system(kind)
-    assert system.residual_inf(np.zeros((0, system.ncols))) == 0.0
+    system, solutions = _residual_system(kind)
+    assert system.residual_inf(solutions[:0]) == 0.0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -257,11 +262,14 @@ def test_residual_inf_of_empty_stack_is_zero(kind):
        rows=st.lists(st.sampled_from(["solution", "one_index", "dense", "zero"]), max_size=6),
        specials=st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3))
 def test_residual_inf_matches_dense_reference(kind, seed, rows, specials):
-    # only the support is read; the reference multiplies every mode's symbol
-    # by every column, so zero columns must add nothing and NaN must survive
+    # dense rows split into one row per trig index they touch; the reference
+    # multiplies every mode's symbol by every column, so zero columns must add
+    # nothing and NaN must survive
     system, solutions = _residual_system(kind)
+    B = system.trig.size
+    solutions = scatter_rows(solutions, B)
     rng = np.random.default_rng(seed)
-    stack = np.zeros((len(rows), system.frame.shape[0], system.trig.size))
+    stack = np.zeros((len(rows), system.frame.shape[0], B))
     for row, what in zip(stack, rows):
         if what == "solution":
             row[:] = solutions[rng.integers(len(solutions))].reshape(row.shape)
@@ -273,7 +281,8 @@ def test_residual_inf_matches_dense_reference(kind, seed, rows, specials):
     for value in specials if len(rows) else ():
         stack[rng.integers(len(rows)), rng.integers(system.ncols)] = value
     with np.errstate(invalid="ignore"):  # inf times a zero frame entry
-        got, want = system.residual_inf(stack), reference_residual_inf(system, stack)
+        got = system.residual_inf(split_rows(stack, B))
+        want = reference_residual_inf(system, stack)
     # a few ulps; NaN where the reference is NaN, and only there
     assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0)
 
@@ -283,9 +292,10 @@ def test_residual_inf_matches_dense_reference(kind, seed, rows, specials):
 ])
 def test_residual_inf_allocates_a_fraction_of_the_stack(name, m, d):
     # the verify_leaf benchmark configs: the dense product over every mode
-    # took 10 to 26 times the solution stack's bytes. The gathered symbols,
-    # one (rows, symbol columns) block per solution, and a few array headers
-    # read 0.29 times the 21 kB stack of trunc:3 m=1 d=2, 0.08 on the others
+    # took 10 to 26 times the dense solution stack's bytes. The gathered
+    # symbols, one (rows, symbol columns) block per solution, and a few array
+    # headers read 0.29 times the 21 kB dense stack of trunc:3 m=1 d=2, 0.08
+    # on the others. The bound is half the dense stack's bytes, S * ncols * 8 / 2
     system = assemble_function_constraints(make_torus(preset(name), m), d)
     solutions = solve_nullspace(system)
     system.residual_inf(solutions)
@@ -296,7 +306,7 @@ def test_residual_inf_allocates_a_fraction_of_the_stack(name, m, d):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= solutions.nbytes / 2
+    assert peak <= len(solutions) * system.ncols * 8 / 2
 
 
 def test_solve_nullspace_zero_system_is_full_space():
@@ -318,7 +328,7 @@ def test_constants_embed():
         cfg = make_torus(preset(name), m)
         system = assemble_function_constraints(cfg, d)
         for vec in constant_function_vectors(cfg, system.trig):
-            assert system.residual_inf(vec) <= 1e-10
+            assert system.residual_inf(split_rows(vec, system.trig.size)) <= 1e-10
 
 
 def test_socle_embedding_is_in_nullspace():
@@ -333,7 +343,8 @@ def test_socle_embedding_is_in_nullspace():
         for s in socle_basis(cfg.algebra, radical_basis(cfg.algebra)):
             f = rng.standard_normal(trig.size) * tmask
             vec = socle_embedding_vector(cfg, trig, s, f)
-            assert system.residual_inf(vec) <= 1e-9 * (1 + np.abs(vec).max())
+            residual = system.residual_inf(split_rows(vec, trig.size))
+            assert residual <= 1e-9 * (1 + np.abs(vec).max())
 
 
 def test_verify_constancy_passes_on_solutions():
@@ -355,7 +366,7 @@ def test_verify_constancy_flags_injected_counterexample():
     pair = next(p for p in range(trig.npairs)
                 if tuple(trig.freqs[p]) == (1, 0))
     bad[2 + 2 * pair] = 1.0
-    rep = verify_constancy(bad, cfg, trig)
+    rep = verify_constancy(split_rows(bad, trig.size), cfg, trig)
     assert not rep.passed
     failed = {c.name for c in rep.checks if not c.passed}
     assert "real_part_constant" in failed
@@ -363,7 +374,7 @@ def test_verify_constancy_flags_injected_counterexample():
                if k.startswith("REAL_PART_VIOLATION"))
     # a constant passes trivially
     const = constant_function_vectors(cfg, trig)[0]
-    assert verify_constancy(const, cfg, trig).passed
+    assert verify_constancy(split_rows(const, trig.size), cfg, trig).passed
 
 
 def test_verify_socle_decomposition():
@@ -406,7 +417,7 @@ def test_min_leaf_constant_solution_exact():
     assert rep.passed
     assert rep.data["GRAD_MAX"] == 0.0
     assert rep.data["G_VARIATION"] == 0.0
-    assert system.residual_inf(const) == 0.0
+    assert system.residual_inf(split_rows(const, system.trig.size)) == 0.0
 
 
 def test_min_leaf_flags_injected_nondifferentiable():
@@ -424,18 +435,18 @@ def test_min_leaf_flags_injected_nondifferentiable():
     # and the constraint rows reject the function
     assert failed == {"real_part_variation"}
     assert rep.data["GRAD_MAX"] == 0.0 and rep.data["G_VARIATION"] == 2.0
-    assert system.residual_inf(bad) > 1e-8
+    assert system.residual_inf(split_rows(bad, trig.size)) > 1e-8
 
 
 def _mixed_stack(system, seed=11):
-    """Solutions, then seeded sparse and dense non-solutions."""
+    """Solutions, then seeded sparse and dense non-solutions, as a dense stack."""
     rng = np.random.default_rng(seed)
     noise = np.zeros((4, system.ncols))
     for row in noise:
         picked = rng.choice(system.ncols, size=min(6, system.ncols), replace=False)
         row[picked] = rng.standard_normal(len(picked))
     dense = rng.standard_normal((2, system.ncols))
-    return np.vstack([solve_nullspace(system), noise, dense])
+    return np.vstack([scatter_rows(solve_nullspace(system), system.trig.size), noise, dense])
 
 
 MIN_LEAF_KEYS = ("MIN_LEAF_AVG", "GRAD_MAX", "G_VARIATION")
@@ -510,7 +521,9 @@ def test_min_leaf_matches_reference(name, m, d):
     assert basic[len(U) // 2:].all()
     assert np.count_nonzero(result[2][basic] > 1e-8) >= (2 if d > 0 else 0)
     # the residual of the stack, as the CLI reports it, is the worst row's
-    assert_allclose(system.residual_inf(stack), max(map(system.residual_inf, stack)),
+    B = trig.size
+    assert_allclose(system.residual_inf(split_rows(stack, B)),
+                    max(system.residual_inf(split_rows(u, B)) for u in stack),
                     rtol=1e-12, atol=1e-15)
 
 
@@ -536,7 +549,7 @@ def test_min_leaf_all_flags_injected_among_solutions():
     bad = np.zeros(system.ncols)
     pair = next(p for p in range(trig.npairs) if tuple(trig.freqs[p]) == (1, 0))
     bad[1 + 2 * pair] = 1.0  # g = cos(x^{1,0})
-    stack = np.vstack([solutions[:3], bad, solutions[3:]])
+    stack = np.concatenate([solutions[:3], split_rows(bad, trig.size), solutions[3:]])
     rep = verify_min_leaf_all(stack, cfg, trig)
     failed = {c.name for c in rep.checks if not c.passed}
     assert failed == {"real_part_variation"}
@@ -558,7 +571,7 @@ def test_min_leaf_all_builds_no_design_matrix(monkeypatch):
     system = assemble_function_constraints(cfg, 2)
     solutions = solve_nullspace(system)
     assert len(solutions) == 7
-    for stack in (solutions[:1], solutions, np.vstack([solutions] * 3)):
+    for stack in (solutions[:1], solutions, np.concatenate([solutions] * 3)):
         assert verify_min_leaf_all(stack, cfg, system.trig).passed
     assert calls == []
 
@@ -656,7 +669,8 @@ def test_flat_real_parts_never_reach_the_lattice(monkeypatch, capsys):
             continue
         cfg = make_torus(preset(name), m)
         system = assemble_function_constraints(cfg, d)
-        verify_min_leaf_all(_mixed_stack(system), cfg, system.trig, grid)
+        rows = split_rows(_mixed_stack(system), system.trig.size)
+        verify_min_leaf_all(rows, cfg, system.trig, grid)
         runs += 1
     assert len(stacks) == 2 * runs > 0
     assert sent == _expected_lattice_rows(stacks)
@@ -665,7 +679,7 @@ def test_flat_real_parts_never_reach_the_lattice(monkeypatch, capsys):
     stacks.clear()
     sent.clear()
     assert main(["verify", "--preset", "trunc:3", "--m", "2", "--degree", "1"]) == 0
-    assert len(stacks) == 1 and len(stacks[0][0]) > 0
+    assert len(stacks) == 1 and len(stacks[0][0]) == 0  # no live row to scatter
     assert sent == _expected_lattice_rows(stacks) == {}
 
 
@@ -694,7 +708,7 @@ def test_verify_sends_no_row_to_the_lattice(monkeypatch, capsys):
     # the spy sees the rows of a live stack
     cfg = make_torus(preset("dual"), 1)
     system = assemble_function_constraints(cfg, 1)
-    verify_min_leaf_all(_mixed_stack(system), cfg, system.trig)
+    verify_min_leaf_all(split_rows(_mixed_stack(system), system.trig.size), cfg, system.trig)
     assert sum(sent) > 0
 
 
@@ -720,8 +734,8 @@ def test_flat_rows_skip_the_lattice_exactly(config, seed, consts, nlive):
     # gradient and variation bound the reference's
     cfg, trig, solutions = _solved(*config)
     rng = np.random.default_rng(seed)
-    picked = solutions[rng.choice(len(solutions), size=min(3, len(solutions)),
-                                  replace=False)]
+    picked = scatter_rows(solutions[rng.choice(len(solutions), size=min(3, len(solutions)),
+                                               replace=False)], trig.size)
     flat = rng.standard_normal((len(consts), cfg.n, trig.size))
     flat[:, 0] = 0.0
     flat[:, 0, 0] = consts
@@ -741,8 +755,8 @@ def test_flat_rows_skip_the_lattice_exactly(config, seed, consts, nlive):
         mp.setattr(torus, "LATTICE_BUDGET", 3 * 32**cfg.m)
         assert torus.lattice_chunks(cfg, 32) == 3 < len(stack)
         qmin, avg, grad, variation = torus._min_leaf(stack, cfg, trig, 32)
-        assert verify_min_leaf_all(stack[is_flat], cfg, trig).passed
-        rep = verify_min_leaf_all(stack[quiet], cfg, trig)
+        assert verify_min_leaf_all(split_rows(stack[is_flat], trig.size), cfg, trig).passed
+        rep = verify_min_leaf_all(split_rows(stack[quiet], trig.size), cfg, trig)
     _assert_min_leaf_matches((qmin, avg, grad, variation), stack, cfg, trig, 32, refs, 1e-15)
     assert np.isnan(grad[is_nan]).all() and np.isnan(variation[is_nan]).all()
     assert np.all(grad[is_flat] == 0.0) and np.all(variation[is_flat] == 0.0)
@@ -760,7 +774,7 @@ def test_lattice_budget_refuses_oversized_lattices():
     assert torus.lattice_chunks(make_torus(preset("dual"), 8), 2) == 2**14
     trig = assemble_function_constraints(cfg, 1).trig
     with pytest.raises(SizeCapExceeded):
-        verify_min_leaf_all(np.zeros((1, cfg.n * trig.size)), cfg, trig, grid=10**5)
+        verify_min_leaf_all(solution_rows([0], np.zeros((1, cfg.n))), cfg, trig, grid=10**5)
 
 
 def test_size_checks_never_build_or_print_huge_counts():
@@ -786,20 +800,42 @@ def test_size_checks_never_build_or_print_huge_counts():
     assert str(exc.value) == "18 columns exceed the cap 17"
 
 
+def _mixed_rows(system, cfg, seed):
+    """Solutions, then seeded compact non-solutions: vectors on random trig
+    indices, a real part alone on a non-constant index, an e1 part alone on
+    a non-transversal index, that real part again as NaN, and two of the
+    random rows again with an inf and a -inf entry."""
+    rng = np.random.default_rng(seed)
+    B, n = system.trig.size, cfg.n
+    index, vecs = rng.integers(B, size=9), rng.standard_normal((9, n))
+    index[4] = rng.integers(1, B) if B > 1 else 0
+    vecs[4, 1:] = 0.0
+    nonbasic = np.flatnonzero(~system.trig.transversal_mask(cfg.m))
+    index[5] = rng.choice(nonbasic) if len(nonbasic) else 0
+    vecs[5, :1] = vecs[5, 2:] = 0.0
+    index[6:], vecs[6:] = index[[4, 0, 1]], vecs[[4, 0, 1]]
+    vecs[6, 0] = np.nan
+    vecs[[7, 8], rng.integers(n, size=2)] = (np.inf, -np.inf)
+    return np.concatenate([solve_nullspace(system), solution_rows(index, vecs)])
+
+
 @pytest.mark.parametrize("name,m,d", CONFIGS)
 def test_vectorized_checks_match_per_solution_loop(name, m, d):
-    # reports bitwise, violation texts included, on stacks with more than
-    # eight violating rows once there are non-constant functions (d > 0)
+    # compact rows against the per-solution loops on their dense scatter:
+    # reports bitwise, violation texts and NaN included, on stacks with more
+    # than eight violating rows once there are non-constant functions (d > 0)
     cfg = make_torus(preset(name), m)
     system = assemble_function_constraints(cfg, d)
-    stack = np.vstack([_mixed_stack(system, seed) for seed in range(1, 6)])
+    B = system.trig.size
+    stack = np.concatenate([_mixed_rows(system, cfg, seed) for seed in range(1, 6)])
     data = verify_constancy(stack, cfg, system.trig).data
     assert ("REAL_PART_VIOLATION[7]" in data) == (d > 0)
+    assert np.isnan(data["REAL_PART_NONCONST_MASS"]) == (d > 0)
     for got, ref in ((verify_constancy, reference_constancy),
                      (verify_socle_decomposition, reference_socle_decomposition)):
         for rows in (stack, stack[:1], solve_nullspace(system)):
             assert (got(rows, cfg, system.trig).render()
-                    == ref(rows, cfg, system.trig).render())
+                    == ref(scatter_rows(rows, B), cfg, system.trig).render())
 
 
 def test_solutions_pass_pointwise_defect():
@@ -808,8 +844,7 @@ def test_solutions_pass_pointwise_defect():
     for name, m, d in [("dual", 1, 2), ("trunc:3", 1, 1)]:
         cfg = make_torus(preset(name), m)
         system = assemble_function_constraints(cfg, d)
-        solutions = solve_nullspace(system)
-        for u in solutions:
+        for u in scatter_rows(solve_nullspace(system), system.trig.size):
             F = torus_value_map(u, cfg, system.trig)
             for _ in range(10):
                 X = rng.uniform(0, 2 * np.pi, size=(m, cfg.n))
@@ -834,11 +869,9 @@ def test_solve_nullspace_rows_sit_on_one_trig_index():
     # rows, v on cos (2p - 1) then v on sin (2p); rows mode-major, lead positive
     for system in ladder_systems():
         sol = solve_nullspace(system)
-        U = sol.reshape(len(sol), system.frame.shape[0], system.trig.size)
-        support = U.any(axis=1)
-        assert np.all(support.sum(axis=1) == 1)
-        t = support.argmax(axis=1)
-        vecs = U[np.arange(len(U)), :, t]
+        t, vecs = sol["index"], sol["vec"]
+        assert vecs.shape == (len(sol), system.frame.shape[0]) and np.all(vecs.any(axis=1))
+        assert np.all((0 <= t) & (t < system.trig.size))
         assert np.all(np.diff((t + 1) // 2) >= 0)
         cos, sin = np.flatnonzero(t % 2 == 1), np.flatnonzero((t > 0) & (t % 2 == 0))
         assert np.array_equal(sin, cos + 1) and np.array_equal(t[sin], t[cos] + 1)
@@ -859,7 +892,9 @@ def _null_rows(system, tol):
     return int(((system.symbols.shape[2] - rank) * np.where(np.arange(len(rank)), 2, 1)).sum())
 
 
-def _assert_bitwise(got, want):
+def _assert_bitwise(rows, want, size):
+    """``solution_rows`` scattered to a dense stack, against one, bit for bit."""
+    got = scatter_rows(rows, size)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -874,7 +909,8 @@ def test_solve_nullspace_is_bitwise_the_full_stack_svd(tol):
         if _null_rows(system, tol) * system.ncols * 8 > 32e6:
             assert tol == 1.0 and not linalg._full_rank_modes(system.symbols, tol).any()
             continue
-        _assert_bitwise(solve_nullspace(system, tol), reference_solve_nullspace(system, tol))
+        _assert_bitwise(solve_nullspace(system, tol), reference_solve_nullspace(system, tol),
+                        system.trig.size)
         compared += 1
     assert compared == (106 if tol < 1 else 86)
 
@@ -909,7 +945,8 @@ def test_solve_nullspace_on_mixed_stacks_is_the_full_stack_svd(kinds, shape, tol
         symbols[p] = (u * sigma) @ v.T
     # one trig coordinate of degree len(kinds) has len(kinds) + 1 modes
     system = ConstraintSystem(TrigSpace.build(1, len(kinds)), symbols * scale, np.eye(cols))
-    _assert_bitwise(solve_nullspace(system, tol), reference_solve_nullspace(system, tol))
+    _assert_bitwise(solve_nullspace(system, tol), reference_solve_nullspace(system, tol),
+                    system.trig.size)
 
 
 def _svd_modes(monkeypatch, system):
@@ -923,7 +960,7 @@ def _svd_modes(monkeypatch, system):
     monkeypatch.setattr(np.linalg, "svd", spying_svd)
     got = solve_nullspace(system)
     monkeypatch.setattr(np.linalg, "svd", real_svd)
-    _assert_bitwise(got, reference_solve_nullspace(system))
+    _assert_bitwise(got, reference_solve_nullspace(system), system.trig.size)
     return sum(modes)
 
 

@@ -27,6 +27,7 @@ from localalg.torus import (
     TIE_RTOL,
     TorusConfig,
     assemble_function_constraints,
+    solution_rows,
     solve_nullspace,
 )
 
@@ -409,12 +410,24 @@ def reference_trig_freqs(ncoords, degree):
     return np.array(reps, dtype=np.int64).reshape(len(reps), ncoords)
 
 
-def scatter_index_rows(rows, size):
-    """The dense (S, unknowns * size) stack of ``forms.index_rows`` rows."""
-    index, vecs = rows
-    out = np.zeros((len(vecs), vecs.shape[1], size))
-    out[np.arange(len(vecs)), :, index] = vecs
-    return out.reshape(len(vecs), -1)
+def scatter_rows(rows, size):
+    """The dense (S, unknowns * size) stack of ``torus.solution_rows``, with
+    (unknown, trig index) columns."""
+    unknowns = rows["vec"].shape[1]
+    out = np.zeros((len(rows), unknowns, size))
+    out[np.arange(len(rows)), :, rows["index"]] = rows["vec"]
+    return out.reshape(len(rows), unknowns * size)
+
+
+def split_rows(dense, size):
+    """``torus.solution_rows`` of a coefficient vector or (S, unknowns * size)
+    stack: one row per (row, trig index) with a value (NaN and inf count),
+    row-major; a zero row gives none. The constraint systems are block
+    diagonal by trig index, so the split rows violate them exactly as much."""
+    dense = np.asarray(dense, dtype=float)
+    U = dense.reshape(-1, dense.shape[-1] // size, size)
+    s, b = np.nonzero(U.any(axis=1))
+    return solution_rows(b, U[s, :, b])
 
 
 def trig_derivative(trig, coeffs, axis):
@@ -448,8 +461,8 @@ def reference_cohomology(cfg, degree, tol=DEFAULT_NULL_TOL, cap=DEFAULT_CAP):
     form_sys = assemble_form_constraints(cfg, degree, cap)
     trig = form_sys.trig
     B, N, n = trig.size, cfg.ncoords, cfg.n
-    form_sol = solve_nullspace(form_sys, tol)
-    fn_sol = solve_nullspace(assemble_function_constraints(cfg, degree, cap), tol)
+    form_sol = scatter_rows(solve_nullspace(form_sys, tol), B)
+    fn_sol = scatter_rows(solve_nullspace(assemble_function_constraints(cfg, degree, cap), tol), B)
     breve = cfg.info.breve_indices()
     component_dims = {
         j0: linalg.rank(form_sol.reshape(len(form_sol), N, n, B)[:, :, j0].reshape(
@@ -514,7 +527,8 @@ def exterior_derivative(omega, trig):
 
 
 def reference_constancy(solutions, cfg, trig, tol=1e-8):
-    """``verify_constancy`` as a loop over solutions, one norm per solution."""
+    """``verify_constancy`` as a loop over solutions, one norm per solution.
+    np.maximum, unlike Python's max, keeps a NaN."""
     B = trig.size
     tmask = trig.transversal_mask(cfg.m)
     rep = Report()
@@ -525,12 +539,12 @@ def reference_constancy(solutions, cfg, trig, tol=1e-8):
         U = u.reshape(cfg.n, B)
         nonconst = np.abs(U[0, 1:])
         mass = float(np.linalg.norm(nonconst))
-        worst_real = max(worst_real, mass)
+        worst_real = float(np.maximum(worst_real, mass))
         if mass > tol and len(violations) < 8:
             t_bad = 1 + int(np.argmax(nonconst))
             violations.append(f"solution={q} freq={trig.freq_of(t_bad)}")
         e1_bad = float(np.linalg.norm(U[1, ~tmask])) if cfg.n > 1 else 0.0
-        worst_e1 = max(worst_e1, e1_bad)
+        worst_e1 = float(np.maximum(worst_e1, e1_bad))
     rep.add("real_part_constant", worst_real <= tol, worst_real)
     rep.add("e1_component_basic", worst_e1 <= tol, worst_e1)
     rep.put("NULLSPACE_DIM", int(np.atleast_2d(solutions).shape[0]))
@@ -542,7 +556,8 @@ def reference_constancy(solutions, cfg, trig, tol=1e-8):
 
 
 def reference_socle_decomposition(solutions, cfg, trig, tol=1e-8):
-    """``verify_socle_decomposition`` as a loop over solutions and components."""
+    """``verify_socle_decomposition`` as a loop over solutions and components;
+    np.maximum keeps a NaN."""
     B = trig.size
     tmask = trig.transversal_mask(cfg.m)
     allowed = np.zeros((cfg.n, B), dtype=bool)
@@ -551,7 +566,7 @@ def reference_socle_decomposition(solutions, cfg, trig, tol=1e-8):
         allowed[comp] = tmask
     worst = 0.0
     for u in np.atleast_2d(solutions):
-        worst = max(worst, float(np.linalg.norm(u.reshape(cfg.n, B)[~allowed])))
+        worst = float(np.maximum(worst, np.linalg.norm(u.reshape(cfg.n, B)[~allowed])))
     rep = Report()
     rep.add("socle_decomposition", worst <= tol, worst)
     rep.put("SOCLE_DIM", len(cfg.info.socle))
