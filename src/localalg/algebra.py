@@ -294,15 +294,15 @@ def radical_filtration(A: StructureConstants,
     Each chain entry is an orthonormal row basis, signed as the SVD gives it;
     the chain ends with the first zero subspace. ``nu`` is the first power
     that vanishes, or None if the chain stalls (a non-nilpotent radical).
-    ``rad`` is ``radical_basis(A)``. Each power takes one contraction with the
-    radical's multiplication maps; ranks are measured against the norm of the
-    structure constants, so a power of round-off products is zero.
+    ``rad`` is ``radical_basis(A)``. Each power is one matrix product with the
+    radical's multiplication maps side by side, (n, r n); ranks are measured
+    against the norm of the structure constants: round-off powers are zero.
     """
     scale = float(linalg.norm(A.C))
-    rad_maps = np.einsum("vj,ijk->ivk", rad, A.C)  # x -> x * rad[v], stacked
+    rad_maps = np.einsum("vj,ijk->ivk", rad, A.C).reshape(A.n, -1)  # x -> x * rad[v]
     chain = [rad]
     while chain[-1].shape[0] > 0:  # ranks fall every step, or it returns
-        products = np.tensordot(chain[-1], rad_maps, axes=1)  # (u, v, k)
+        products = chain[-1] @ rad_maps  # (u, v * n + k)
         rank, vh = linalg._svd_rank(products.reshape(-1, A.n), linalg.RANK_TOL, scale)
         if rank >= chain[-1].shape[0]:
             return chain, None

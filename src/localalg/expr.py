@@ -110,6 +110,7 @@ class Log(Expr):
 
 
 FUNCTIONS = {"sin": Sin, "cos": Cos, "exp": Exp, "log": Log}
+ZERO, ONE = Const(0.0), Const(1.0)  # held here: folds and diff return these nodes
 
 # ten stock expressions in x1, x2 used by the lift equivalence suite
 CORPUS_VARS = 2
@@ -153,12 +154,12 @@ def mul(a: Expr, b: Expr) -> Expr:
         return Const(a.value * b.value)
     if isinstance(a, Const):
         if a.value == 0.0:
-            return Const(0.0)
+            return ZERO
         if a.value == 1.0:
             return b
     if isinstance(b, Const):
         if b.value == 0.0:
-            return Const(0.0)
+            return ZERO
         if b.value == 1.0:
             return a
     return Mul(a, b)
@@ -175,7 +176,7 @@ def div(a: Expr, b: Expr) -> Expr:
 
 def intpow(base: Expr, k: int) -> Expr:
     if k == 0:
-        return Const(1.0)
+        return ONE
     if k == 1:
         return base
     if isinstance(base, Const):
@@ -225,7 +226,7 @@ class _Parser:
 
     def expr(self) -> Expr:
         if self.accept("-"):
-            node = sub(Const(0.0), self.term())
+            node = sub(ZERO, self.term())
         else:
             node = self.term()
         while True:
@@ -307,9 +308,9 @@ def diff(e: Expr, j: int, memo: dict | None = None) -> Expr:
     if (e, j) in memo:
         return memo[e, j]
     if isinstance(e, Const):
-        d = Const(0.0)
+        d = ZERO
     elif isinstance(e, Var):
-        d = Const(1.0 if e.index == j else 0.0)
+        d = ONE if e.index == j else ZERO
     elif isinstance(e, Add):
         d = add(diff(e.left, j, memo), diff(e.right, j, memo))
     elif isinstance(e, Sub):

@@ -40,7 +40,8 @@ def _svd_rank(matrix: np.ndarray, tol: float, scale: float = 0.0,
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     if compute_uv:
         _, s, vh = np.linalg.svd(matrix, full_matrices=full_matrices)
-        vh[~matrix.any(axis=(-2, -1))] = np.eye(*vh.shape[-2:])
+        if (zero := ~matrix.any(axis=(-2, -1))).any():
+            vh[zero] = np.eye(*vh.shape[-2:])
     else:
         s, vh = np.linalg.svd(matrix, compute_uv=False), None
     ref = max(float(s.max(initial=0.0)), scale)

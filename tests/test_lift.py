@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from localalg import expr
+from localalg import algebra, expr, lift
 from localalg.algebra import graded_multiindices, mul, preset
 from localalg.errors import AlgebraFormatError, DomainError, NonUnitError
 from localalg.expr import CORPUS, CORPUS_VARS, eval_real, parse
@@ -29,11 +29,13 @@ from util import (
     reference_adiff_defect,
     real_part,
     reference_taylor_lift,
+    staircase_quotients,
     standardize,
     unit_safe_point,
 )
 
 STD = {name: standardize(preset(name)) for name in PRESETS}
+STAIRCASES = staircase_quotients()
 
 
 # -- frozen examples ---------------------------------------------------------------
@@ -242,20 +244,62 @@ def test_adiff_defect_is_the_column_loop_reference():
 
 
 TRUNC = {k: standardize(preset(f"trunc:{k}")) for k in range(3, 10)}
+BITWISE_TAYLOR = {**{str(k): TRUNC[k] for k in range(3, 10)},  # trunc:k under the id k
+                  "square:3": standardize(preset("square:3")),
+                  **{f"staircase{i}": standardize(STAIRCASES[i]) for i in (3, 5)}}
 
 
-@pytest.mark.parametrize("k", range(3, 8))
-def test_taylor_lift_is_bitwise_the_reference(k):
-    # the reference re-differentiates and re-walks every tree: same floats, slower
-    A, info = TRUNC[k]
-    rng = np.random.default_rng(100 + k)
-    points = [unit_safe_point(rng, 2, A.n) for _ in range(2)]
-    for text in CORPUS:
-        e = parse(text, 2)
-        for X in points:
-            a = taylor_lift(e, X, A, info)
-            b = reference_taylor_lift(e, X, A, info)
-            assert np.array_equal(a.view(np.int64), b.view(np.int64)), (k, text)
+def corpus_in(m):
+    """The corpus over m slots (x2 read as x1 for one slot), a term in x3 for
+    three, and x1^3, whose lift at x1 = -0.0 is -0.0 when no term survives."""
+    texts = [t.replace("x2", "x1") for t in CORPUS] if m == 1 else list(CORPUS)
+    return texts + ["x1^3"] + ["exp(x1 * x3) / (2 + x2 * x3)"] * (m == 3)
+
+
+@pytest.mark.parametrize("name", list(BITWISE_TAYLOR))
+def test_taylor_lift_is_bitwise_the_reference(name):
+    # the reference builds and walks each derivative with no memo shared
+    # between them and adds its terms one by one: same floats, signed zeros
+    # included, at 1, 2 and 3 slots
+    A, info = BITWISE_TAYLOR[name]
+    for m in (1, 2, 3):
+        rng = np.random.default_rng(100 + A.n + 10 * m)
+        points = [unit_safe_point(rng, m, A.n) for _ in range(2)]
+        points.append(np.where(rng.random((m, A.n)) < 0.5, -0.0, points[0]))
+        points[-1][:, 0] = -0.0
+        for text in corpus_in(m):
+            e = parse(text, m)
+            for X in points:
+                a = taylor_lift(e, X, A, info)
+                b = reference_taylor_lift(e, X, A, info)
+                assert np.array_equal(a.view(np.int64), b.view(np.int64)), (name, m, text)
+
+
+def test_taylor_lift_makes_no_mul_calls_and_one_product_per_power_and_slot(monkeypatch):
+    # nu - 1 stacked radical powers, then one stacked product per slot that
+    # some kept term raises to a positive power
+    calls = {"mul": 0, "products": 0}
+
+    def counting(key, real):
+        def spy(*args):
+            calls[key] += 1
+            return real(*args)
+        return spy
+
+    monkeypatch.setattr(algebra, "mul", counting("mul", algebra.mul))
+    # lift binds ``mul`` by name at import, so a call would go through that name
+    monkeypatch.setattr(lift, "mul", counting("mul", algebra.mul), raising=False)
+    monkeypatch.setattr(lift, "_products", counting("products", lift._products))
+    rng = np.random.default_rng(31)
+    for name in ("8", "square:3", "staircase5"):
+        A, info = BITWISE_TAYLOR[name]
+        for m in (1, 2, 3):
+            X = unit_safe_point(rng, m, A.n)
+            for text in corpus_in(m):
+                calls.update(mul=0, products=0)
+                taylor_lift(parse(text, m), X, A, info)
+                assert calls["mul"] == 0, (name, m, text)
+                assert 0 < calls["products"] <= info.nu - 1 + m, (name, m, text)
 
 
 def test_taylor_lift_matches_sympy_series():

@@ -18,6 +18,7 @@ from util import (
     staircase_quotients,
     standard_basis,
     standardize,
+    tensordot_radical_filtration,
 )
 
 ORACLE_PRESETS = [f"trunc:{k}" for k in range(2, 10)] + [f"square:{r}" for r in range(2, 5)]
@@ -71,6 +72,23 @@ def test_graded_pass_matches_reference_scan_changed_staircases(i, seed):
     info = standard_basis(A)
     _same_scan(info, ref)
     assert_allclose(info.P, ref.P, rtol=1e-12, atol=1e-12)
+
+
+FILTRATION_CASES = {**{name: preset(name) for name in ORACLE_PRESETS},
+                    **{f"staircase{i}": A for i, A in enumerate(STAIRCASES)}}
+FILTRATION_CASES.update({f"{name}-changed{seed}": changed_radical_basis(A, seed)
+                         for name, A in list(FILTRATION_CASES.items()) for seed in range(2)})
+
+
+@pytest.mark.parametrize("name", list(FILTRATION_CASES))
+def test_radical_filtration_is_bitwise_the_tensordot_chain(name):
+    A = FILTRATION_CASES[name]
+    rad = algebra.radical_basis(A)
+    chain, nu = algebra.radical_filtration(A, rad)
+    ref, ref_nu = tensordot_radical_filtration(A, rad)
+    assert nu == ref_nu and len(chain) == len(ref)
+    for got, want in zip(chain, ref):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("name", ["dual"] + ORACLE_PRESETS)

@@ -628,70 +628,91 @@ def reference_min_leaf(solution, cfg, trig, grid=32, leaf_grid=8, tol=1e-8):
     return rep
 
 
-# -- reference Taylor lift: derivatives re-built and trees re-walked, no memo ------
+# -- reference Taylor lift: each derivative re-built and each tree re-walked ------
 
 
-def reference_diff(e, j):
-    """Exact symbolic partial derivative with respect to x<j>."""
+def reference_diff(e, j, seen=None):
+    """Exact symbolic partial derivative with respect to x<j>. ``seen`` serves
+    one call: a subtree shared inside the tree is differentiated once."""
+    seen = {} if seen is None else seen
+    if e not in seen:
+        seen[e] = _reference_diff(e, j, seen)
+    return seen[e]
+
+
+def _reference_diff(e, j, seen):
     if isinstance(e, ex.Const):
         return ex.Const(0.0)
     if isinstance(e, ex.Var):
         return ex.Const(1.0 if e.index == j else 0.0)
     if isinstance(e, ex.Add):
-        return ex.add(reference_diff(e.left, j), reference_diff(e.right, j))
+        return ex.add(reference_diff(e.left, j, seen),
+                      reference_diff(e.right, j, seen))
     if isinstance(e, ex.Sub):
-        return ex.sub(reference_diff(e.left, j), reference_diff(e.right, j))
+        return ex.sub(reference_diff(e.left, j, seen),
+                      reference_diff(e.right, j, seen))
     if isinstance(e, ex.Mul):
-        return ex.add(ex.mul(reference_diff(e.left, j), e.right),
-                      ex.mul(e.left, reference_diff(e.right, j)))
+        return ex.add(ex.mul(reference_diff(e.left, j, seen), e.right),
+                      ex.mul(e.left, reference_diff(e.right, j, seen)))
     if isinstance(e, ex.Div):
-        return ex.div(ex.sub(reference_diff(e.left, j), ex.mul(e, reference_diff(e.right, j))),
-                      e.right)
+        return ex.div(ex.sub(reference_diff(e.left, j, seen),
+                             ex.mul(e, reference_diff(e.right, j, seen))), e.right)
     if isinstance(e, ex.IntPow):
         if e.exponent == 0:
             return ex.Const(0.0)
         return ex.mul(
             ex.mul(ex.Const(float(e.exponent)), ex.intpow(e.base, e.exponent - 1)),
-            reference_diff(e.base, j),
+            reference_diff(e.base, j, seen),
         )
     if isinstance(e, ex.Sin):
-        return ex.mul(ex.Cos(e.arg), reference_diff(e.arg, j))
+        return ex.mul(ex.Cos(e.arg), reference_diff(e.arg, j, seen))
     if isinstance(e, ex.Cos):
-        return ex.mul(ex.Const(-1.0), ex.mul(ex.Sin(e.arg), reference_diff(e.arg, j)))
+        return ex.mul(ex.Const(-1.0), ex.mul(ex.Sin(e.arg), reference_diff(e.arg, j, seen)))
     if isinstance(e, ex.Exp):
-        return ex.mul(e, reference_diff(e.arg, j))
+        return ex.mul(e, reference_diff(e.arg, j, seen))
     if isinstance(e, ex.Log):
-        return ex.div(reference_diff(e.arg, j), e.arg)
+        return ex.div(reference_diff(e.arg, j, seen), e.arg)
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def reference_eval_real(e, point):
-    """Evaluate at a real point (sequence of length >= max variable index)."""
+def reference_eval_real(e, point, seen=None):
+    """Evaluate at a real point (sequence of length >= max variable index).
+    ``seen`` serves one call: a subtree shared inside the tree is walked once."""
+    seen = {} if seen is None else seen
+    if e not in seen:
+        seen[e] = _reference_eval_real(e, point, seen)
+    return seen[e]
+
+
+def _reference_eval_real(e, point, seen):
     if isinstance(e, ex.Const):
         return e.value
     if isinstance(e, ex.Var):
         return float(point[e.index - 1])
     if isinstance(e, ex.Add):
-        return reference_eval_real(e.left, point) + reference_eval_real(e.right, point)
+        return (reference_eval_real(e.left, point, seen)
+                + reference_eval_real(e.right, point, seen))
     if isinstance(e, ex.Sub):
-        return reference_eval_real(e.left, point) - reference_eval_real(e.right, point)
+        return (reference_eval_real(e.left, point, seen)
+                - reference_eval_real(e.right, point, seen))
     if isinstance(e, ex.Mul):
-        return reference_eval_real(e.left, point) * reference_eval_real(e.right, point)
+        return (reference_eval_real(e.left, point, seen)
+                * reference_eval_real(e.right, point, seen))
     if isinstance(e, ex.Div):
-        denom = reference_eval_real(e.right, point)
+        denom = reference_eval_real(e.right, point, seen)
         if denom == 0.0:
             raise DomainError("division by zero")
-        return reference_eval_real(e.left, point) / denom
+        return reference_eval_real(e.left, point, seen) / denom
     if isinstance(e, ex.IntPow):
-        return reference_eval_real(e.base, point) ** e.exponent
+        return reference_eval_real(e.base, point, seen) ** e.exponent
     if isinstance(e, ex.Sin):
-        return math.sin(reference_eval_real(e.arg, point))
+        return math.sin(reference_eval_real(e.arg, point, seen))
     if isinstance(e, ex.Cos):
-        return math.cos(reference_eval_real(e.arg, point))
+        return math.cos(reference_eval_real(e.arg, point, seen))
     if isinstance(e, ex.Exp):
-        return math.exp(reference_eval_real(e.arg, point))
+        return math.exp(reference_eval_real(e.arg, point, seen))
     if isinstance(e, ex.Log):
-        v = reference_eval_real(e.arg, point)
+        v = reference_eval_real(e.arg, point, seen)
         if v <= 0.0:
             raise DomainError(f"log of non-positive value {v}")
         return math.log(v)
@@ -707,8 +728,10 @@ def _radical_powers(A, r, kmax):
 
 def reference_taylor_lift(e, X, A, info):
     """Taylor-sum lift with exact symbolic derivatives, each derivative
-    differentiated from its unsimplified parent and evaluated by a full tree
-    walk. Terms of total order >= nu vanish, so the sum stops at nu - 1."""
+    differentiated from its unsimplified parent and evaluated by its own tree
+    walk, with no memo shared between derivatives; the terms are multiplied
+    by ``mul`` and added one by one. Terms of total order >= nu vanish, so the
+    sum stops at nu - 1."""
     m = len(X)
     nu = info.nu
     x = X[:, 0]
@@ -759,6 +782,21 @@ def reference_radical_filtration(A):
             return chain, None
         chain.append(nxt)
         current = nxt
+    return chain, len(chain)
+
+
+def tensordot_radical_filtration(A, rad):
+    """``algebra.radical_filtration`` with each power taken by ``np.tensordot``
+    of the previous power and the stacked maps x -> x * rad[v], (n, r, n)."""
+    scale = float(linalg.norm(A.C))
+    rad_maps = np.einsum("vj,ijk->ivk", rad, A.C)
+    chain = [rad]
+    while chain[-1].shape[0] > 0:
+        products = np.tensordot(chain[-1], rad_maps, axes=1)  # (u, v, k)
+        rank, vh = linalg._svd_rank(products.reshape(-1, A.n), linalg.RANK_TOL, scale)
+        if rank >= chain[-1].shape[0]:
+            return chain, None
+        chain.append(vh[:rank])
     return chain, len(chain)
 
 
