@@ -10,7 +10,7 @@ The module computes the structural invariants needed downstream: the
 radical (nilpotent ideal) via the trace-form kernel, the descending power
 filtration of the radical, a standard basis (the unit plus monomials in a
 minimal generating set, or pseudobasis, of the radical) found in one graded
-pass of batched products, and the socle (annihilator of the radical).
+pass of batched products, and the socle (annihilator of the radical) as a rank.
 """
 
 from __future__ import annotations
@@ -227,26 +227,31 @@ def validate_algebra(A: StructureConstants) -> tuple[list[Violation], np.ndarray
     first); no entry means the tensor describes a valid local algebra. Raises
     AlgebraFormatError when the associativity products overflow, since no
     deviation can then be measured, or when ``radical_basis`` does.
-    Associativity takes two GEMMs of (n^2, n) by (n, n^2) unfoldings of C:
-    (e_i e_j) e_k at [i, j, k, m], minus e_i (e_j e_k) made at [j, k, i, m].
+    Associativity takes GEMMs of (n^2, n) by (n, n^2) unfoldings of C:
+    (e_i e_j) e_k at [i, j, k, m], minus e_i (e_j e_k) made at [j, k, i, m],
+    which for a commutative C is the first product, bit for bit; the
+    deviation is then reduced slab by slab.
     """
     C, n = A.C, A.n
+    commutator, unit = np.abs(C - np.swapaxes(C, 0, 1)), np.abs(C[0] - np.eye(n))
     with np.errstate(over="ignore", invalid="ignore"):
-        assoc = (C.reshape(n * n, n) @ C.reshape(n, n * n)).reshape((n,) * 4)
-        right = C.reshape(n * n, n) @ np.swapaxes(C, 0, 1).reshape(n, n * n)
-        np.subtract(assoc, right.reshape((n,) * 4).transpose(2, 0, 1, 3), out=assoc)
-        del right  # in place: no third n^4 array
-    if not np.all(np.isfinite(assoc)):
+        left = (C.reshape(n * n, n) @ C.reshape(n, n * n)).reshape((n,) * 4)
+        # for C symmetric in i, j (every tensor the CLI loads) the same GEMM
+        right = (left if not commutator.any() else (C.reshape(n * n, n) @ np.swapaxes(
+            C, 0, 1).reshape(n, n * n)).reshape((n,) * 4)).transpose(2, 0, 1, 3)
+        # |deviation| by slabs of rows i, at most 2^15 entries, so no second n^4
+        # array: each slab's max (NaN or inf if any entry is) and flat argmax
+        step = max(1, 2**15 // n**3)
+        slabs = [(d.max(), i * n**3 + int(np.argmax(d))) for i, d in (
+            (i, np.abs(left[i:i + step] - right[i:i + step])) for i in range(0, n, step))]
+    if not all(math.isfinite(top) for top, _ in slabs):
         raise AlgebraFormatError("products of the structure constants leave the float range")
-    out: list[Violation] = []
-    for axiom, deviation, head in (("commutativity", C - np.swapaxes(C, 0, 1), ()),
-                                   ("associativity", assoc, ()),
-                                   ("unit", C[0] - np.eye(n), (0,))):
-        worst = np.abs(deviation)
-        if worst.max() > linalg.RANK_TOL:
-            where = np.unravel_index(np.argmax(worst), worst.shape)
-            out.append(Violation(axiom, head + tuple(int(w) for w in where),
-                                 float(worst.max())))
+    out = [Violation(axiom, head + tuple(map(int, np.unravel_index(flat, shape))), float(worst))
+           for axiom, (worst, flat), shape, head in (
+               ("commutativity", (commutator.max(), np.argmax(commutator)), C.shape, ()),
+               ("associativity", max(slabs, key=lambda slab: slab[0]), (n,) * 4, ()),
+               ("unit", (unit.max(), np.argmax(unit)), unit.shape, (0,)))
+           if worst > linalg.RANK_TOL]
 
     rad = None if out else radical_basis(A)
     if rad is not None and rad.shape[0] != n - 1:
@@ -262,13 +267,6 @@ def mul(A: StructureConstants, a: Element, b: Element) -> Element:
     a = A.element(a)
     b = A.element(b)
     return np.einsum("i,j,ijk->k", a, b, A.C)
-
-
-def radical_part(a: Element) -> Element:
-    """a minus its real part times the unit (standard basis coordinates)."""
-    out = np.array(a, dtype=float)
-    out[0] = 0.0
-    return out
 
 
 # -- radical, filtration, standard basis ---------------------------------------
@@ -339,8 +337,8 @@ class StandardBasisInfo:
     standard radical index to its exponent word in those generators,
     ``socle`` lists the indices annihilating the radical, ``nu`` is the
     radical nilpotency index, ``radical`` the orthonormal rows of
-    ``radical_basis`` (input coordinates) and ``socle_dim`` the row count of
-    ``socle_basis``, which the socle guard of ``standard_basis`` computes.
+    ``radical_basis`` (input coordinates) and ``socle_dim`` the dimension
+    of the socle, the rank that the socle guard of ``standard_basis`` takes.
     """
 
     P: np.ndarray
@@ -376,7 +374,7 @@ def standard_basis(A: StructureConstants, rad: np.ndarray) -> StandardBasisInfo:
     is in the socle when the next batch, u * g_t for every t, vanishes.
     SpanFailure signals a radical that is not nilpotent or not n-1
     dimensional, monomials that never span it, or socle monomials not as many
-    as ``socle_basis`` finds: monomials in generic generators need not be
+    as ``socle_dim`` counts: monomials in generic generators need not be
     adapted to the socle. AlgebraFormatError signals products that leave the
     float range. ``rad`` is ``radical_basis(A)``, as ``validate_algebra``
     returns it; it feeds the filtration, that socle guard and the info.
@@ -431,8 +429,7 @@ def standard_basis(A: StructureConstants, rad: np.ndarray) -> StandardBasisInfo:
             break
     if len(selected) != A.n - 1:
         raise SpanFailure("pseudobasis monomials do not span the radical")
-    socle_dim = socle_basis(A, rad).shape[0]
-    if len(socle) != socle_dim:
+    if len(socle) != (dim := socle_dim(A, rad)):
         raise SpanFailure("standard basis monomials do not span the socle")
 
     return StandardBasisInfo(
@@ -442,7 +439,7 @@ def standard_basis(A: StructureConstants, rad: np.ndarray) -> StandardBasisInfo:
         socle=tuple(socle),
         nu=nu,
         radical=rad,
-        socle_dim=socle_dim,
+        socle_dim=dim,
         filtration_dims=tuple(c.shape[0] for c in chain),
     )
 
@@ -451,29 +448,30 @@ def standardize(A: StructureConstants,
                 rad: np.ndarray) -> tuple[StructureConstants, StandardBasisInfo]:
     """Rewrite the algebra in its standard basis (labels 1, e1, ...); ``rad`` as there."""
     info = standard_basis(A, rad)
-    Pinv = np.linalg.inv(info.P)
-    # pairwise in a fixed order, O(n^4); a path search costs more than it saves
-    C = np.einsum("si,tj,stu,ku->ijk", info.P, info.P, A.C, Pinv,
-                  optimize=["einsum_path", (0, 2), (0, 2), (0, 1)])
-    return StructureConstants(A.n, _default_labels(A.n), C), info
+    n, P = A.n, info.P
+    # einsum("si,tj,stu,ku->ijk", P, P, C, P^-1)'s three GEMMs on its path, in
+    # its operand order and layouts, so the same bits: over s, then t, then u
+    C = (A.C.reshape(n, n * n).T @ P).reshape(n, n, n)  # [t, u, i]
+    C = (C.transpose(2, 1, 0).reshape(n * n, n) @ P).reshape(n, n, n)  # [i, u, j]
+    C = C.transpose(0, 2, 1).reshape(n * n, n) @ np.linalg.inv(P).T
+    return StructureConstants(n, _default_labels(n), C.reshape(n, n, n)), info
 
 
-def socle_basis(A: StructureConstants, rad: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (rows) of {x in rad : x * rad = 0}.
+def socle_dim(A: StructureConstants, rad: np.ndarray) -> int:
+    """Dimension of the socle {x in rad : x * rad = 0}; ``rad`` is ``radical_basis(A)``.
 
-    Solved in radical coordinates, x = y @ rad with y in the kernel of the
-    stacked maps y -> (y @ rad) * e over the radical basis vectors e, each
-    column divided by its term size ``|| |rad_a| |C| |rad| ||``, which bounds
-    its round-off: small products count next to large ones, round-off not.
-    ``rad`` is ``radical_basis(A)``.
+    In radical coordinates, x = y @ rad with y in the kernel of the stacked
+    maps y -> (y @ rad) * e over the radical basis vectors e, each column
+    divided by its term size ``|| |rad_a| |C| |rad| ||``, which bounds its
+    round-off: small products count next to large ones, round-off not. That
+    kernel has dimension r minus the rank, so no basis of it is built.
     """
-    if rad.shape[0] == 0:
-        return np.zeros((0, A.n))
     r, n = rad.shape
     # (rad_a * rad_b)_k at [a, b, k], of the values and of their term sizes
     products, terms = (R @ (R @ C.reshape(n, -1)).reshape(r, n, n)
                        for R, C in ((rad, A.C), (abs(rad), abs(A.C))))
-    size = linalg.norm(terms.reshape(r, -1), axis=1)
+    size = linalg.norm(terms.reshape(r, r * n), axis=1)
     size[size == 0.0] = 1.0  # a column without terms is exactly zero
-    rank, vh = linalg._svd_rank(products.reshape(r, -1).T / size, linalg.RANK_TOL, 1.0)
-    return linalg.canonical_signs(np.linalg.qr(((vh[rank:] / size) @ rad).T)[0].T)
+    rank, _ = linalg._svd_rank(products.reshape(r, r * n).T / size, linalg.RANK_TOL, 1.0,
+                               compute_uv=False)
+    return r - int(rank)

@@ -12,8 +12,9 @@ scale the rule is relative, so a matrix of pure round-off keeps full rank; a
 scale such as the norm of the structure constants sends it to rank 0. One
 row's only singular value is its norm, which a caller may judge directly.
 A zero matrix, empty ones included, has rank 0 and the identity as its
-right singular vectors. ``rank`` drops all-zero columns first, which change
-no singular value, and ranks a stack as the block-diagonal matrix of its blocks.
+right singular vectors; the socle guard of ``algebra.standard_basis`` takes
+the rank alone (``compute_uv``). ``rank`` drops all-zero columns first, which
+change no singular value, and ranks a stack as the block-diagonal matrix of its blocks.
 
 ``_full_rank_modes`` spares the SVD tall modes proved full rank: the float
 Gram G = S^T S has ``eigvalsh`` values within err = 4 (rows + cols) (eps
@@ -40,12 +41,13 @@ def _svd_rank(matrix: np.ndarray, tol: float, scale: float = 0.0,
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     if compute_uv:
         _, s, vh = np.linalg.svd(matrix, full_matrices=full_matrices)
-        if (zero := ~matrix.any(axis=(-2, -1))).any():
-            vh[zero] = np.eye(*vh.shape[-2:])
     else:
         s, vh = np.linalg.svd(matrix, compute_uv=False), None
-    ref = max(float(s.max(initial=0.0)), scale)
-    return np.sum(s > tol * ref, axis=-1), vh
+    rank = (s > tol * max(float(s.max(initial=0.0)), scale)).sum(-1)
+    # a zero mode has rank 0, so only then is the matrix searched for one
+    if vh is not None and not rank.all() and (zero := ~matrix.any(axis=(-2, -1))).any():
+        vh[zero] = np.eye(*vh.shape[-2:])
+    return rank, vh
 
 
 def _full_rank_modes(stack: np.ndarray, tol: float) -> np.ndarray:

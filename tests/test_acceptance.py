@@ -15,7 +15,6 @@ from localalg.algebra import (
     preset,
     radical_basis,
     radical_filtration,
-    socle_basis,
     validate_algebra,
 )
 from localalg.expr import CORPUS, CORPUS_VARS, parse
@@ -43,10 +42,12 @@ from localalg.forms import (
 from util import (
     PRESETS,
     basis_element,
+    localalg_env,
     make_torus,
     mult_matrix,
     radical_negation_map,
     scatter_rows,
+    socle_basis,
     socle_embedding_vector,
     split_rows,
     standardize,
@@ -239,8 +240,8 @@ def test_criterion_9_determinism():
     forms_args = ["forms", "--preset", "trunc:3", "--m", "1", "--degree", "2"]
     ok = True
     for args in (verify_args, forms_args):
-        first = subprocess.run(cmd + args, capture_output=True)
-        second = subprocess.run(cmd + args, capture_output=True)
+        first = subprocess.run(cmd + args, capture_output=True, env=localalg_env())
+        second = subprocess.run(cmd + args, capture_output=True, env=localalg_env())
         ok &= first.returncode == second.returncode == 0
         ok &= first.stdout == second.stdout
     _report(9, ok, "verify and forms reports are byte-identical across runs")

@@ -17,8 +17,7 @@ from localalg.algebra import (
     preset,
     radical_basis,
     radical_filtration,
-    radical_part,
-    socle_basis,
+    socle_dim,
     validate_algebra,
 )
 from localalg.errors import AlgebraFormatError, NonUnitError, SpanFailure
@@ -33,12 +32,16 @@ from util import (
     nilpotency_index,
     poly_mul_trunc,
     r_plus_r,
+    radical_part,
     real_part,
     reference_associativity,
     reference_violations,
+    socle_basis,
     staircase_quotients,
     standard_basis,
     standardize,
+    standardize_corpus,
+    two_gemm_validate,
 )
 
 
@@ -120,6 +123,26 @@ def test_associativity_by_gemm_matches_the_einsum_oracle(A):
                 assert v.where == w.where
         # in dimension 2, with the unit row intact, every table is associative
         assert B is A or B.n < 3 or "associativity" in {v.axiom for v in got}
+
+
+VALIDATE_CASES = standardize_corpus()
+VALIDATE_CASES.update({f"{name}-perturbed{seed}-{'sym' if commutative else 'asym'}":
+                       _perturbed(VALIDATE_CASES[name], seed, commutative)
+                       for name in ALL_PRESETS + [f"staircase{i}" for i in range(12)]
+                       if VALIDATE_CASES[name].n > 1
+                       for seed in range(2) for commutative in (False, True)})
+
+
+@pytest.mark.parametrize("name", list(VALIDATE_CASES))
+def test_validate_is_bitwise_the_two_gemm_version(name):
+    # one GEMM for a table symmetric in its first two indices, as every
+    # --spec file gives, two otherwise: the same witnesses, deviations, radical
+    A = VALIDATE_CASES[name]
+    if "/" in name:
+        assert np.array_equal(A.C, np.swapaxes(A.C, 0, 1))
+    (got, rad), (want, want_rad) = validate_algebra(A), two_gemm_validate(A)
+    assert got == want
+    assert (rad is None and want_rad is None) or rad.tobytes() == want_rad.tobytes()
 
 
 # -- multiplication ----------------------------------------------------------------
@@ -421,6 +444,14 @@ def test_socle_judges_each_radical_column_on_its_term_size():
     assert_allclose(np.abs(socle_basis(A, radical_basis(A))), [[0, 0, 0, 1.0]])
 
 
+@pytest.mark.parametrize("coef", ["1e-10", "1", "1e10"])
+def test_socle_dim_is_the_exact_annihilator_dimension_at_any_scale(coef):
+    # a^2 = coef c next to b^2 = c: the socle is span{c}; at 1e-10 the
+    # relative rule of reference_socle_basis reads 2, at 1e10 it reads 3
+    A = from_spec(f"algebra n=4\nbasis 1 a b c\nmul a a = {coef}*c\nmul b b = 1*c\n")
+    assert socle_dim(A, radical_basis(A)) == _socle_oracle(A).shape[0] == 1
+
+
 def test_socle_annihilates_radical():
     for name in PRESETS:
         A = preset(name)
@@ -503,6 +534,18 @@ def test_validate_overflowing_products_is_an_error(rhs):
         warnings.simplefilter("error")
         with pytest.raises(AlgebraFormatError, match="float range"):
             validate_algebra(A)
+
+
+def test_validate_overflow_past_the_first_slab_is_an_error():
+    # at n = 20 the deviation is reduced in slabs of four rows i; the infinite
+    # products (e5 e6) e7 and (e6 e5) e7, in both places, all lie past the first
+    A = preset("trunc:20")
+    C = A.C.copy()
+    C[5, 6, 10] = C[6, 5, 10] = C[10, 7, 17] = C[7, 10, 17] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AlgebraFormatError, match="float range"):
+            validate_algebra(StructureConstants(A.n, A.labels, C))
 
 
 def test_validate_overflowing_trace_form_is_an_error():

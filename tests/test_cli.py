@@ -18,13 +18,13 @@ from localalg.cli import _parser, build_parser, main
 from localalg.expr import CORPUS, CORPUS_VARS
 from localalg.lift import format_element, parse_element
 
-from util import FORMS_LADDER, scaled_trunc_spec, unit_safe_point
+from util import FORMS_LADDER, localalg_env, scaled_trunc_spec, unit_safe_point
 
 CMD = [sys.executable, "-m", "localalg"]
 
 
 def run(*args):
-    return subprocess.run(CMD + list(args), capture_output=True, text=True)
+    return subprocess.run(CMD + list(args), capture_output=True, text=True, env=localalg_env())
 
 
 def test_algebra_trunc3():
@@ -136,14 +136,16 @@ def test_theorem_counts_fail_when_every_direction_is_null(capsys):
 
 @pytest.mark.parametrize("command", ["verify", "forms"])
 def test_theorem_count_takes_no_extra_socle_basis(monkeypatch, capsys, command):
-    # s is the socle_basis row count the standard-basis guard already took
+    # s is the socle rank the standard-basis guard already took; no socle
+    # basis is built, and src has no function that builds one
     from localalg import algebra
     calls = []
-    original = algebra.socle_basis
-    monkeypatch.setattr(algebra, "socle_basis", lambda *a: calls.append(1) or original(*a))
+    original = algebra.socle_dim
+    monkeypatch.setattr(algebra, "socle_dim", lambda *a: calls.append(1) or original(*a))
     assert main([command, "--preset", "square:2", "--m", "2", "--degree", "1"]) == 0
     assert "theorem PASS" in capsys.readouterr().out
     assert len(calls) == 1
+    assert not hasattr(algebra, "socle_basis")
 
 
 def test_verify_lattice_over_budget_exit5():
@@ -456,7 +458,8 @@ def test_overflowing_table_exits_with_float_range(tmp_path, command, code, lines
     extra = ("--expr", "x1", "--at", "1") if command != "algebra" else ()
     # warnings as errors: no inf - inf may reach a comparison
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "localalg", command,
-                           "--spec", str(spec), *extra], capture_output=True, text=True)
+                           "--spec", str(spec), *extra], capture_output=True, text=True,
+                          env=localalg_env())
     assert proc.returncode == code
     assert proc.stdout == f"ERROR {message}\n"
     assert proc.stderr == ""

@@ -68,6 +68,19 @@ def test_zero_matrix_right_singular_vectors_are_the_identity():
     assert_allclose(vh[2], np.eye(4))
 
 
+def test_rank_zero_matrix_that_is_not_zero_keeps_its_right_singular_vectors():
+    # round-off under a scale has rank 0 but is no zero matrix: the identity
+    # goes only where every entry is zero
+    roundoff = 1e-16 * np.random.default_rng(3).standard_normal((2, 4, 3))
+    stack = np.concatenate([roundoff, np.zeros((1, 4, 3))])
+    ranks, vh = _svd_rank(stack, 1e-9, scale=1.0)
+    assert list(ranks) == [0, 0, 0]
+    assert np.array_equal(vh[:2], np.linalg.svd(roundoff, full_matrices=False)[2])
+    assert np.array_equal(vh[2], np.eye(3))
+    rank, vh = _svd_rank(roundoff[0], 1e-9, scale=1.0)
+    assert rank == 0 and np.array_equal(vh, np.linalg.svd(roundoff[0])[2])
+
+
 def test_tall_matrix():
     rng = np.random.default_rng(0)
     M = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 3))

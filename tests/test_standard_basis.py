@@ -1,6 +1,7 @@
 """The graded standard basis against the scan it replaced: one SVD of the kept
 span plus each candidate monomial in turn, every product by ``mul``."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -13,11 +14,14 @@ from localalg.errors import SpanFailure
 
 from util import (
     changed_radical_basis,
+    einsum_standardize,
+    reference_socle_basis,
     reference_standard_basis,
     reference_standardize_tensor,
     staircase_quotients,
     standard_basis,
     standardize,
+    standardize_corpus,
     tensordot_radical_filtration,
 )
 
@@ -98,6 +102,36 @@ def test_standardize_matches_naive_contraction_bitwise(name):
     assert np.array_equal(A_std.C, reference_standardize_tensor(A, info))
 
 
+CORPUS = standardize_corpus()
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_standardize_is_bitwise_the_einsum_path(name):
+    # the change of basis as three GEMMs against the einsum whose path ran
+    # them; summed over u first instead, 53 of these tensors round otherwise
+    A = CORPUS[name]
+    rad = algebra.radical_basis(A)
+    try:
+        want, want_info = einsum_standardize(A, rad)
+    except SpanFailure as e:
+        with pytest.raises(SpanFailure, match=f"^{re.escape(str(e))}$"):
+            algebra.standardize(A, rad)
+        return
+    got, info = algebra.standardize(A, rad)
+    assert (got.n, got.labels, got.C.shape) == (want.n, want.labels, want.C.shape)
+    assert got.C.tobytes() == want.C.tobytes()
+    for f in dataclasses.fields(info):
+        a, b = getattr(info, f.name), getattr(want_info, f.name)
+        assert a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b, f.name
+
+
+@pytest.mark.parametrize("name", [name for name, A in CORPUS.items()
+                                  if not algebra.validate_algebra(A)[0]])
+def test_socle_dim_is_the_reference_socle_row_count(name):
+    A = CORPUS[name]
+    assert algebra.socle_dim(A, algebra.radical_basis(A)) == reference_socle_basis(A).shape[0]
+
+
 def test_standardize_makes_no_mul_calls(monkeypatch):
     calls = []
     real_mul = algebra.mul
@@ -128,23 +162,27 @@ def test_standard_basis_takes_one_trace_form_radical(monkeypatch):
 
 
 def test_standard_basis_takes_one_svd_per_power_and_none_per_candidate(monkeypatch):
-    # nu - 1 powers of the radical, the pseudobasis and socle_basis; every
-    # candidate is judged by its norm, so no one-row matrix reaches LAPACK
-    shapes = []
+    # nu - 1 powers of the radical, the pseudobasis and the socle rank; every
+    # candidate is judged by its norm, so no one-row matrix reaches LAPACK;
+    # the socle guard takes singular values only
+    shapes, uvs = [], []
     real_svd = np.linalg.svd
 
     def spying_svd(a, *args, **kwargs):
         shapes.append(np.shape(a))
+        uvs.append(kwargs.get("compute_uv", True))
         return real_svd(a, *args, **kwargs)
 
     for A in [preset("trunc:8"), preset("square:3")] + STAIRCASES:
         rad = algebra.radical_basis(A)
         shapes.clear()
+        uvs.clear()
         monkeypatch.setattr(np.linalg, "svd", spying_svd)
         info = algebra.standard_basis(A, rad)
         monkeypatch.setattr(np.linalg, "svd", real_svd)
         assert len(shapes) == info.nu + 1
         assert all(shape[-2] > 1 for shape in shapes), shapes
+        assert uvs == [True] * info.nu + [False]
 
 
 def test_staircases_cover_several_shapes():

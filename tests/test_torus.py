@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from localalg.algebra import preset, radical_basis, socle_basis
+from localalg.algebra import preset, radical_basis
 from localalg.cli import main
 from localalg.errors import SizeCapExceeded
 from localalg.lift import adiff_defect
@@ -46,6 +46,7 @@ from util import (
     reference_solve_nullspace,
     reference_trig_freqs,
     scatter_rows,
+    socle_basis,
     socle_embedding_vector,
     split_rows,
     torus_value_map,

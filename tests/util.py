@@ -1,7 +1,11 @@
 """Shared helpers and independent oracles for the test suite."""
 
+import importlib.util
 import itertools
 import math
+import os
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -15,9 +19,8 @@ from localalg.algebra import (
     graded_multiindices,
     mul,
     radical_basis,
-    radical_part,
 )
-from localalg.errors import DomainError, NonUnitError, SpanFailure
+from localalg.errors import AlgebraFormatError, DomainError, NonUnitError, SpanFailure
 from localalg.forms import INJECTIVITY_TOL, assemble_form_constraints
 from localalg.lift import UNIT_THRESHOLD
 from localalg.report import Report
@@ -30,6 +33,8 @@ from localalg.torus import (
     solution_rows,
     solve_nullspace,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PRESETS = ("dual", "trunc:3", "trunc:4", "square:2")
 # the ``forms`` ladder: every run of tests/golden/forms_presets.txt
@@ -46,6 +51,13 @@ def standard_basis(A: StructureConstants) -> StandardBasisInfo:
 def standardize(A: StructureConstants) -> tuple[StructureConstants, StandardBasisInfo]:
     """``algebra.standardize`` with the radical it takes."""
     return algebra.standardize(A, algebra.radical_basis(A))
+
+
+def localalg_env() -> dict[str, str]:
+    """The environment with ``src`` first on PYTHONPATH, for ``python -m
+    localalg`` subprocesses, which do not see pytest's ``pythonpath``."""
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
 def make_torus(A: StructureConstants, m: int) -> TorusConfig:
@@ -72,6 +84,38 @@ def basis_element(A: StructureConstants, i: int) -> np.ndarray:
 def real_part(a) -> float:
     """Coefficient of the unit (standard basis coordinates)."""
     return float(a[0])
+
+
+def radical_part(a):
+    """a minus its real part times the unit (standard basis coordinates)."""
+    out = np.array(a, dtype=float)
+    out[0] = 0.0
+    return out
+
+
+def two_gemm_validate(A: StructureConstants) -> tuple[list[Violation], np.ndarray | None]:
+    """``algebra.validate_algebra`` with associativity by two GEMMs whatever C:
+    (e_i e_j) e_k at [i, j, k, m], minus e_i (e_j e_k) made at [j, k, i, m]."""
+    C, n = A.C, A.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        assoc = (C.reshape(n * n, n) @ C.reshape(n, n * n)).reshape((n,) * 4)
+        right = C.reshape(n * n, n) @ np.swapaxes(C, 0, 1).reshape(n, n * n)
+        np.subtract(assoc, right.reshape((n,) * 4).transpose(2, 0, 1, 3), out=assoc)
+    if not np.all(np.isfinite(assoc)):
+        raise AlgebraFormatError("products of the structure constants leave the float range")
+    out = []
+    for axiom, deviation, head in (("commutativity", C - np.swapaxes(C, 0, 1), ()),
+                                   ("associativity", assoc, ()),
+                                   ("unit", C[0] - np.eye(n), (0,))):
+        worst = np.abs(deviation)
+        if worst.max() > linalg.RANK_TOL:
+            where = np.unravel_index(np.argmax(worst), worst.shape)
+            out.append(Violation(axiom, head + tuple(int(w) for w in where),
+                                 float(worst.max())))
+    rad = None if out else radical_basis(A)
+    if rad is not None and rad.shape[0] != n - 1:
+        out.append(Violation("locality", (rad.shape[0],), float(n - 1 - rad.shape[0])))
+    return out, rad
 
 
 def reference_associativity(C: np.ndarray) -> np.ndarray:
@@ -131,6 +175,15 @@ def changed_radical_basis(A, seed):
     vector is a random combination of the radical basis vectors."""
     P = np.eye(A.n)
     P[1:, 1:] = np.random.default_rng(seed).standard_normal((A.n - 1, A.n - 1))
+    C = np.einsum("si,tj,stu,ku->ijk", P, P, A.C, np.linalg.inv(P))
+    return StructureConstants(A.n, A.labels, C)
+
+
+def shifted_unit_basis(A, seed):
+    """A in the basis 1, e_i + c_i 1 with seeded random c_i: the radical
+    vectors pick up a unit part, so their products come out as round-off."""
+    P = np.eye(A.n)
+    P[0, 1:] = np.random.default_rng(seed).standard_normal(A.n - 1)
     C = np.einsum("si,tj,stu,ku->ijk", P, P, A.C, np.linalg.inv(P))
     return StructureConstants(A.n, A.labels, C)
 
@@ -883,6 +936,58 @@ def reference_standardize_tensor(A, info):
     """The standard-basis structure tensor by the naive four-operand einsum."""
     Pinv = np.linalg.inv(info.P)
     return np.einsum("si,tj,stu,ku->ijk", info.P, info.P, A.C, Pinv)
+
+
+def einsum_standardize(A, rad):
+    """``algebra.standardize`` with the change of basis as one four-operand
+    einsum on the fixed path: over s, then t, then u."""
+    info = algebra.standard_basis(A, rad)
+    C = np.einsum("si,tj,stu,ku->ijk", info.P, info.P, A.C, np.linalg.inv(info.P),
+                  optimize=["einsum_path", (0, 2), (0, 2), (0, 1)])
+    return StructureConstants(A.n, algebra._default_labels(A.n), C), info
+
+
+def socle_basis(A, rad):
+    """Orthonormal basis (rows) of {x in rad : x * rad = 0}, by the rule of
+    ``algebra.socle_dim``: the kernel of the stacked maps y -> (y @ rad) * e
+    in radical coordinates, each column divided by its term size."""
+    if rad.shape[0] == 0:
+        return np.zeros((0, A.n))
+    r, n = rad.shape
+    products, terms = (R @ (R @ C.reshape(n, -1)).reshape(r, n, n)
+                       for R, C in ((rad, A.C), (abs(rad), abs(A.C))))
+    size = linalg.norm(terms.reshape(r, -1), axis=1)
+    size[size == 0.0] = 1.0
+    rank, vh = linalg._svd_rank(products.reshape(r, -1).T / size, linalg.RANK_TOL, 1.0)
+    return linalg.canonical_signs(np.linalg.qr(((vh[rank:] / size) @ rad).T)[0].T)
+
+
+def standardize_corpus():
+    """Algebras the standardize step is pinned on, by name: the presets and
+    the staircases, each also in two random bases of either kind; the
+    ``--spec`` files of the benchmark's spec_algebras and known_failures
+    passes, seeds 1-5; and R[x, y]/(x^2, xy, y^3) in 20 random bases (q4)."""
+    out = {name: algebra.preset(name) for name in ["dual"]
+           + [f"trunc:{k}" for k in range(1, 10)] + [f"square:{r}" for r in range(1, 5)]}
+    out.update({f"staircase{i}": A for i, A in enumerate(staircase_quotients())})
+    out.update({f"{name}-{kind}{seed}": change(A, seed)
+                for name, A in list(out.items()) if A.n > 1 for seed in range(2)
+                for kind, change in (("changed", changed_radical_basis),
+                                     ("shifted", shifted_unit_basis))})
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)  # a dataclass module must be in sys.modules
+    for workload in ("spec_algebras", "known_failures"):
+        for seed in range(1, 6):
+            for name, text in workloads.generate(workload, seed, Path("."))[1].items():
+                try:
+                    out[f"{workload}{seed}/{name}"] = algebra.from_spec(text)
+                except AlgebraFormatError:
+                    pass  # the malformed-input files
+    q4 = monomial_quotient([(0, 0), (1, 0), (0, 1), (0, 2)])
+    out.update({f"q4-{seed}": changed_radical_basis(q4, seed) for seed in range(20)})
+    return out
 
 
 def to_text(e: ex.Expr) -> str:
