@@ -177,7 +177,6 @@ def cmd_check(args) -> tuple[str, int]:
 
 def cmd_verify(args) -> tuple[str, int]:
     cfg = tr.TorusConfig(*_standardized(args)[1:], args.m)
-    tr.lattice_chunks(cfg, args.grid)
     system = tr.assemble_function_constraints(cfg, args.degree, args.cap)
     solutions = tr.solve_nullspace(system, args.tol)
     rep = Report()

@@ -16,20 +16,20 @@ annihilates its cos coefficients and its sin coefficients on every mode. So
 the nullspace has a basis of vectors on one trig index each, and a solution
 is kept as that index and its vector (``solution_rows``), not as a dense row.
 
-For a function the symbol is C (k tensor I_n), where C (``commutator_rows``)
-holds the A-linearity rows on (coordinate, component) values: a function is
-A-differentiable exactly when its differential is A-linear. The 1-forms of
-``forms`` solve on a frame of the kernel of C, with only closedness rows.
+For a function the symbol is C (k tensor I_n), where C holds the A-linearity
+rows on (coordinate, component) values: a function is A-differentiable
+exactly when its differential is A-linear. The 1-forms of ``forms`` solve
+on a frame of the kernel of C, with only closedness rows.
 
 The real part is critical on the leaf minimizing the e1 leaf-average
-(Molino, Riemannian foliations, 1988). The check places that leaf on the
-grid^m transversal lattice, in chunks of at most LATTICE_BUDGET values, and
-bounds the real part's gradient there and its variation in closed form from
-its Fourier coefficients (``_min_leaf``). Only a live solution reaches the
-lattice: a real part with no nonzero (cos, sin) coefficient (NaN and inf
-count) is flat, and both bounds are exactly 0 on it. Every actual solution
-is flat, so GRAD_MAX and G_VARIATION are 0 by construction; the check has
-content only on injected non-solutions.
+(Molino, Riemannian foliations, 1988). Every solution row sits on one trig
+index, so that leaf on the grid^m transversal lattice, the real part's
+gradient there and its variation all have a closed form (``_leaf_bounds``),
+whose cost per class of rows follows the few points that can tie for the
+minimum, not grid^m. Only a live row reaches it: a real part off trig
+index 0 that is not 0 (NaN and inf count).
+Every actual solution is flat, so GRAD_MAX and G_VARIATION are 0 by
+construction; the check has content only on injected non-solutions.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .report import Report
 
 DEFAULT_CAP = 20000
 DEFAULT_NULL_TOL = 1e-8
-LATTICE_BUDGET = 2**22  # complex lattice values per chunk of the min-leaf check
 TIE_RTOL = 1e-12  # relative to the l1 norm of the averaged coefficients
 
 
@@ -67,7 +66,9 @@ class TrigSpace:
     def build(cls, ncoords: int, degree: int) -> "TrigSpace":
         # the box is lexicographic and symmetric about its zero vector, so the
         # entries after it are the ones whose first nonzero entry is positive
-        K = max(2 * degree + 1, 0)
+        if degree <= 0:  # only the constant; np.indices takes at most 64 axes
+            return cls(ncoords, degree, np.zeros((0, ncoords), dtype=np.int64))
+        K = 2 * degree + 1
         box = np.indices((K,) * ncoords, dtype=np.int64).reshape(ncoords, K**ncoords).T
         return cls(ncoords, degree, np.ascontiguousarray(box[(K**ncoords + 1) // 2:] - degree))
 
@@ -219,37 +220,25 @@ def capped_trig_space(cfg: TorusConfig, degree: int, unknowns: int,
     return cfg.trig_space(degree)
 
 
-def commutator_rows(cfg: TorusConfig) -> np.ndarray:
-    """A-linearity rows on (coordinate, component) values, (m*(n-1)*n*n, N*n).
-
-    For slot j and radical basis element e_a, the n x n matrix W with
-    W[i, c] the value at (coordinate coord(j, c), component i) must commute
-    with L_a. On W flattened row-major, W L_a - L_a W is
-    kron(I, L_a^T) - kron(L_a, I). Rows are ordered (j, a, i, b) and the
-    column of (coordinate, component) is coordinate * n + component.
-    """
-    n, m = cfg.n, cfg.m
-    eye = np.eye(n)
-    comm = np.stack([np.kron(eye, L.T) - np.kron(L, eye) for L in cfg.mults[1:]])
-    comp = np.arange(n)
-    rows = np.zeros((m, n - 1, n * n, cfg.ncoords * n))
-    for j in range(m):
-        cols = (cfg.coord(j, comp)[None, :] * n + comp[:, None]).reshape(-1)
-        rows[j][..., cols] = comm
-    return rows.reshape(-1, cfg.ncoords * n)
-
-
 def assemble_function_constraints(cfg: TorusConfig, degree: int,
                                   cap: int = DEFAULT_CAP) -> ConstraintSystem:
     """Linear system whose kernel is the space of A-differentiable functions.
 
     Unknowns: the n components of one A-valued function. The symbol is
     C (k tensor I_n): the differential of mode k, k_a g^i at (coordinate a,
-    component i), fed to the A-linearity rows C of ``commutator_rows``.
+    component i), fed to the A-linearity rows C. For slot j and radical basis
+    element e_a, the n x n matrix W with W[i, c] the value at (coordinate
+    coord(j, c), component i) must commute with L_a; on W flattened
+    row-major, W L_a - L_a W is kron(I, L_a^T) - kron(L_a, I). The
+    differential of mode k on slot j is W = I (x) k_j, k_j[c] = k at
+    coord(j, c), so the symbol is assembled slot by slot, rows (j, a, i, b).
     """
     trig = capped_trig_space(cfg, degree, cfg.n, cap)
-    k_tensor_id = np.kron(trig.mode_freqs()[:, :, None], np.eye(cfg.n))
-    return ConstraintSystem(trig, commutator_rows(cfg) @ k_tensor_id, np.eye(cfg.n))
+    n, eye = cfg.n, np.eye(cfg.n)
+    comm = np.concatenate([np.kron(eye, L.T) - np.kron(L, eye) for L in cfg.mults[1:]])
+    k = trig.mode_freqs().reshape(-1, n, cfg.m).transpose(0, 2, 1)
+    symbols = (comm @ np.kron(eye, k[..., None])).reshape(len(k), -1, n)
+    return ConstraintSystem(trig, symbols, eye)
 
 
 def solve_nullspace(system: ConstraintSystem,
@@ -330,78 +319,60 @@ def verify_socle_decomposition(rows: np.ndarray, cfg: TorusConfig,
     return rep
 
 
-def lattice_chunks(cfg: TorusConfig, grid: int) -> int:
-    """Live solutions per chunk of ``_min_leaf``'s leaf search, one grid^m
-    lattice row each; SizeCapExceeded when a row exceeds LATTICE_BUDGET."""
-    what = f"{{}} lattice values per solution exceed the budget {LATTICE_BUDGET}"
-    return LATTICE_BUDGET // _size(1, grid, cfg.m, LATTICE_BUDGET, what)
+def _first_leaf(k: np.ndarray, sin: bool, sign: int, grid: int) -> list[int]:
+    """Digits of the first row-major j on the grid^m lattice at which
+    sign * cos (sin if ``sin``) of 2 pi t / grid, t = k . j mod grid, is
+    within TIE_RTOL of its minimum; j = 0 when sign is 0. Of the multiples t
+    of g = gcd(k, grid) only those within 0.8 g + grid sqrt(TIE_RTOL) / 2 of
+    the minimiser over the circle can tie, and only they are searched. Digit
+    j_i is the least solution of k_i j_i = t mod gcd(k_{i+1..}, grid) over
+    the tied t, by a modular inverse; the later digits then reach t."""
+    if sign == 0:
+        return [0] * len(k)
+    reach = [int(r) for r in np.gcd.accumulate(np.append(k, grid)[::-1])[::-1]]
+    size, r = grid // reach[0], 2 + int(grid * TIE_RTOL**0.5 / reach[0])
+    turn = ((3 if sign > 0 else 1) / 4) if sin else (0.5 if sign > 0 else 0.0)
+    u = np.arange(-r, r + 1) + round(turn * size) if 2 * r + 1 < size else np.arange(size)
+    t = u % size * reach[0]
+    v = sign * (np.sin if sin else np.cos)(2 * np.pi * t / grid)
+    t, j = t[v <= v.min() + TIE_RTOL * abs(sign)].tolist(), []
+    for ki, g, step in zip(k.tolist(), reach, reach[1:]):
+        inv = pow(ki // g, -1, step // g)
+        j.append(min(u % step // g * inv % (step // g) for u in t))
+        t = [u - ki * j[-1] for u in t if (u - ki * j[-1]) % step == 0]
+    return j
 
 
-def _binned(z, cell, ncells):
-    """(rows, ncells) sums of the entries of each row of z by their ``cell``."""
-    flat = (np.arange(len(z))[:, None] * ncells + cell).ravel()
-    size = len(z) * ncells
-    return (np.bincount(flat, z.real.ravel(), size)
-            + 1j * np.bincount(flat, z.imag.ravel(), size)).reshape(len(z), ncells)
-
-
-def _lattice_values(const, z, freqs, degree, size):
-    """(rows, size^D) values of const + Re sum_p z[:, p] e^{i freqs[p] . theta}
-    on the row-major lattice theta = 2 pi j / size, exact for any size: z is
-    summed into the box of frequencies -degree..degree, which is then summed
-    one axis at a time against E[j, k] = e^{2 pi i j k / size}."""
-    K, D, rows = 2 * degree + 1, freqs.shape[1], len(z)
-    box = _binned(z, (freqs + degree) @ K ** np.arange(D)[::-1], K**D).reshape(rows, *(K,) * D)
-    jk = np.outer(np.arange(size), np.arange(-degree, degree + 1)) % size
-    E = np.exp(2j * np.pi * jk / size)
-    for _ in range(D):
-        box = np.tensordot(box, E, axes=([1], [1]))
-    return const[:, None] + box.real.reshape(rows, -1)
-
-
-def _leaf_positions(U: np.ndarray, trig: TrigSpace, m: int, grid: int):
-    """qmin and average of the minimizing leaf of each solution in a (S, n, B)
-    stack: the first row-major grid^m index whose e1 basic-part value is within
-    TIE_RTOL * (its l1 norm, which bounds every average) of the minimum."""
-    G1 = U[:, 1 if U.shape[1] > 1 else 0] * trig.transversal_mask(m)
-    averages = _lattice_values(G1[:, 0], G1[:, 1::2] - 1j * G1[:, 2::2],
-                               trig.freqs[:, :m], max(trig.degree, 0), grid)
-    tie = averages.min(axis=1) + TIE_RTOL * np.abs(G1).sum(axis=1)
-    qmin = np.argmax(averages <= tie[:, None], axis=1)
-    return qmin, averages[np.arange(len(U)), qmin]
-
-
-def _min_leaf(solutions: np.ndarray, cfg: TorusConfig, trig: TrigSpace, grid: int):
-    """Per solution of a (S, ncols) stack: qmin and avg of ``_leaf_positions``
-    (live rows, in chunks), and bounds on the real part's gradient on that
-    leaf and on its variation. With G = c + sum_p Re(z_p e^{i k_p . theta}),
-    z = a - i b for a pair (a, b), k = (k', k'') and x = x_qmin, dG/d(theta_a)
-    on the leaf is Re sum_p w_p e^{i k'' . y}, w_p = i k_{p,a} z_p e^{i k' . x}
-    (conj(w_p) on -k'' when k'' is negative). Summed by k'' up to sign into
-    W_{k''}, the gradient is at most |Re W_0| + sum_{k'' != 0} |W_{k''}|, with
-    equality on the k'' = 0 group; the variation is at most 2 sum_p |z_p|. A
-    flat row gets no leaf (qmin -1, avg NaN) and both bounds exactly 0; a
-    stack with no live row returns before any lattice work."""
-    m, chunk = cfg.m, lattice_chunks(cfg, grid)
-    U = np.asarray(solutions, dtype=float).reshape(-1, cfg.n, trig.size)
-    rows = np.flatnonzero(U[:, 0, 1:].any(axis=1))
-    qmin, avg = np.full(len(U), -1), np.full(len(U), np.nan)
-    grad, variation = np.zeros(len(U)), np.zeros(len(U))
-    if not len(rows):
-        return qmin, avg, grad, variation
-    z = U[rows, 0, 1::2] - 1j * U[rows, 0, 2::2]
-    variation[rows] = 2 * np.abs(z).sum(axis=1)
-    for r in (rows[s:s + chunk] for s in range(0, len(rows), chunk)):
-        qmin[r], avg[r] = _leaf_positions(U[r], trig, m, grid)
-    x = np.stack(np.unravel_index(qmin[rows], (grid,) * m), axis=1)
-    w = 1j * z * np.exp(2j * np.pi * (x @ trig.freqs[:, :m].T % grid) / grid)
-    # the signed lexicographic rank of k'': 0 for k'' = 0, < 0 when k'' is negative
-    rank = trig.freqs[:, m:] @ (2 * trig.degree + 1) ** np.arange(cfg.ncoords - m)[::-1]
-    w[:, rank < 0] = w[:, rank < 0].conj()
-    W = _binned((w[:, None] * trig.freqs.T).reshape(-1, trig.npairs), np.abs(rank),
-                np.abs(rank).max() + 1).reshape(len(rows), cfg.ncoords, -1)
-    grad[rows] = (np.abs(W[..., 0].real) + np.abs(W[..., 1:]).sum(axis=2)).max(axis=1)
-    return qmin, avg, grad, variation
+def _leaf_bounds(rows: np.ndarray, cfg: TorusConfig, trig: TrigSpace, grid: int):
+    """Per row of ``solution_rows``: the digits x of its minimizing leaf, the
+    e1 average there, and bounds on the real part's gradient on that leaf and
+    on its variation, all in closed form. A row on one trig index has real
+    part c cos(k . theta) or c sin(k . theta), and e1 average e cos(k' . x)
+    or e sin(k' . x) with e its e1 coefficient if k'' = 0 and 0 otherwise,
+    where k = (k', k''). So the leaf depends only on (k', cos or sin, sign of
+    e), and ``_first_leaf`` finds it once per such group; a non-finite e gives
+    x = 0 and average NaN. With z = c (cos) or -i c (sin), dG/d(theta_a) on
+    the leaf is Re(w k_a e^{i k'' . y}), w = i z e^{i k' . x}: the gradient is
+    max_a |Re(w k_a)| if k'' = 0 and max_a |w k_a| otherwise, and the
+    variation is 2 |z|. Both are exact: y runs over the whole leaf, so
+    |Re(w k_a e^{i k'' . y})| reaches |w k_a| when k'' != 0."""
+    m, index = cfg.m, rows["index"]
+    k = trig.mode_freqs()[(index + 1) // 2]
+    sin = (index > 0) & (index % 2 == 0)
+    c = np.where(index != 0, rows["vec"][:, 0], 0.0)
+    e = rows["vec"][:, min(1, cfg.n - 1)] * trig.transversal_mask(m)[index]
+    finite = np.isfinite(e)
+    sign = np.where(finite, np.sign(e), 0).astype(np.int64)
+    # on a transversal index the trig index is (k', cos or sin); elsewhere e is 0
+    _, first, inverse = np.unique(index * sign, return_index=True, return_inverse=True)
+    leaves = [_first_leaf(k[r, :m], sin[r], sign[r], grid) for r in first]
+    x = np.reshape(leaves, (-1, m))[inverse]
+    rot = np.exp(2j * np.pi * ((x * k[:, :m]).sum(axis=1) % grid) / grid)
+    avg = np.where(finite, e * np.where(sin, rot.imag, rot.real), np.nan)
+    z = np.where(sin, 0.0, c) - 1j * np.where(sin, c, 0.0)
+    W = (1j * z * rot)[:, None] * k
+    grad = np.where(k[:, m:].any(axis=1)[:, None], np.abs(W), np.abs(W.real)).max(axis=1)
+    return x, avg, grad, 2 * np.abs(z)
 
 
 def _min_leaf_report(grad: float, variation: float, tol: float, **leaf) -> Report:
@@ -412,26 +383,25 @@ def _min_leaf_report(grad: float, variation: float, tol: float, **leaf) -> Repor
     return rep
 
 
-def verify_min_leaf(solution: np.ndarray, cfg: TorusConfig, trig: TrigSpace,
+def verify_min_leaf(row: np.ndarray, cfg: TorusConfig, trig: TrigSpace,
                     grid: int = 32, tol: float = 1e-8) -> Report:
-    """Locate the leaf minimizing the e1 leaf-average (flat solutions too) and
-    check the real part is critical there (and in fact constant) by the
-    bounds of ``_min_leaf``. Kept, with ``TrigSpace.values``, only because
-    benchmark metrics name them."""
-    _, _, grad, var = _min_leaf(solution, cfg, trig, grid)
-    qmin, avg = _leaf_positions(np.reshape(solution, (1, cfg.n, -1)), trig, cfg.m, grid)
+    """The check of ``verify_min_leaf_all`` on one row of ``solution_rows``,
+    flat or live, with its leaf's row-major index and e1 average. Kept only
+    because ``bench/`` names it, until ROADMAP item 9 restates that metric."""
+    x, avg, grad, var = _leaf_bounds(np.reshape(row, 1), cfg, trig, grid)
+    qmin = sum(int(j) * grid**p for p, j in enumerate(x[0, ::-1]))
     return _min_leaf_report(float(grad[0]), float(var[0]), tol,
-                            MIN_LEAF_INDEX=int(qmin[0]), MIN_LEAF_AVG=float(avg[0]))
+                            MIN_LEAF_INDEX=qmin, MIN_LEAF_AVG=float(avg[0]))
 
 
 def verify_min_leaf_all(rows: np.ndarray, cfg: TorusConfig, trig: TrigSpace,
                         grid: int = 32, tol: float = 1e-8) -> Report:
     """The minimizing-leaf check over every row of ``solution_rows``, worst
     case reported. Only the live rows, whose real part is off trig index 0
-    and not 0 (NaN counts), are scattered into the table ``_min_leaf``
-    takes: both bounds are exactly 0 on every other row."""
+    and not 0 (NaN counts), go to ``_leaf_bounds``: both bounds are exactly
+    0 on every other row."""
     live = rows[(rows["index"] != 0) & (rows["vec"][:, 0] != 0)]
-    U = np.zeros((len(live), cfg.n, trig.size))
-    U[np.arange(len(live)), :, live["index"]] = live["vec"]
-    _, _, grad, var = _min_leaf(U, cfg, trig, grid)
-    return _min_leaf_report(float(grad.max(initial=0.0)), float(var.max(initial=0.0)), tol)
+    if not len(live):  # as for every actual solution
+        return _min_leaf_report(0.0, 0.0, tol)
+    _, _, grad, var = _leaf_bounds(live, cfg, trig, grid)
+    return _min_leaf_report(float(grad.max()), float(var.max()), tol)

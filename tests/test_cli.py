@@ -4,6 +4,7 @@ import itertools
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -148,18 +149,47 @@ def test_theorem_count_takes_no_extra_socle_basis(monkeypatch, capsys, command):
     assert not hasattr(algebra, "socle_basis")
 
 
-def test_verify_lattice_over_budget_exit5():
-    # 10^10 transversal lattice points: refused before anything is allocated
-    proc = run("verify", "--preset", "dual", "--m", "2", "--degree", "1",
-               "--grid", "100000")
-    assert proc.returncode == 5
-    assert proc.stdout.startswith("ERROR size cap exceeded")
-    assert proc.stderr == ""
+def test_verify_huge_grid_prints_what_grid_32_prints(capsys):
+    # no solution reaches the min-leaf check, and the report has no grid key
+    assert main(["verify", "--preset", "dual", "--m", "2", "--degree", "1", "--grid", "32"]) == 0
+    want = capsys.readouterr()
+    assert main(["verify", "--preset", "dual", "--m", "2", "--degree", "1",
+                 "--grid", "100000"]) == 0
+    assert capsys.readouterr() == want
+
+
+@pytest.mark.parametrize("argv,code", [
+    ("verify --preset dual --m 2 --degree 1 --tol 1 --grid 1000000000", 4),
+    ("verify --preset dual --m 100000 --degree 0", 0),
+    ("verify --preset trunc:8 --m 200 --degree 0", 0),
+    ("verify --preset dual --m 32 --degree 0 --grid 1", 0),
+    ("forms --preset dual --m 33 --degree 0", 0),
+])
+def test_large_runs_complete_without_traceback(argv, code):
+    # live rows on a 10^18-point leaf lattice, degree-0 trig spaces past
+    # numpy's 64 axes, and symbols whose dense A-linearity block would be
+    # O(m^2): each run completes with an exit code and no traceback
+    proc = run(*argv.split())
+    assert (proc.returncode, proc.stderr) == (code, ""), proc.stderr
+    assert "NULLSPACE_DIM=" in proc.stdout
+
+
+def test_verify_dual_m4_tol1_fits_in_memory(capsys):
+    # 11200 live rows at tol 1 need only O(live rows) memory
+    tracemalloc.start()
+    try:
+        code = main("verify --preset dual --m 4 --degree 1 --tol 1".split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    out = capsys.readouterr().out
+    assert "\nGRAD_MAX=1\nG_VARIATION=2\n" in out and "real_part_variation FAIL" in out
+    assert peak <= 32 * 2**20
 
 
 def test_verify_dual_m4_fits_the_lattice_budget():
-    # 32^4 transversal points per live solution fit the budget; the 82
-    # solutions are all flat, so none reaches the lattice
+    # the 82 solutions are all flat, so none reaches the min-leaf check
     proc = run("verify", "--preset", "dual", "--m", "4", "--degree", "1")
     assert proc.returncode == 0
     assert "NULLSPACE_DIM=82" in proc.stdout
@@ -167,8 +197,7 @@ def test_verify_dual_m4_fits_the_lattice_budget():
 
 
 def test_verify_dual_m8_has_no_leaf_lattice_to_refuse():
-    # 2^8 transversal points per solution fit the budget; the leaf is bounded,
-    # not sampled, so its 17 * 8^8 lattice values are no longer counted
+    # the leaf is bounded, not sampled: no 17 * 8^8 leaf lattice values
     proc = run("verify", "--preset", "dual", "--m", "8", "--degree", "0", "--grid", "2")
     assert proc.returncode == 0, proc.stdout
     assert "\nNULLSPACE_DIM=2\n" in proc.stdout
@@ -613,7 +642,7 @@ def test_lift_preset_reports_match_golden(capsys):
     ["verify", "--preset", "dual", "--m", "100000"],
     ["forms", "--preset", "dual", "--m", "100000"],
     ["forms", "--preset", "dual", "--m", "100000000"],
-], ids=("verify-lattice", "forms-columns", "forms-huge"))
+], ids=("verify-columns", "forms-columns", "forms-huge"))
 def test_huge_m_exits_5_at_once(capsys, argv):
     # the counts 32^100000 and 4 * 3^(2*10^8) are refused by their
     # logarithms: building them took seconds and printing them raised

@@ -25,7 +25,6 @@ from localalg.torus import (
     TorusConfig,
     TrigSpace,
     assemble_function_constraints,
-    commutator_rows,
     solution_rows,
     solve_nullspace,
 )
@@ -33,6 +32,7 @@ from localalg.torus import (
 from util import (
     FORMS_LADDER,
     PRESETS,
+    commutator_rows,
     component_form,
     dense_form_constraints,
     dense_function_differential,

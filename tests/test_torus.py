@@ -1,6 +1,5 @@
 """Spectral constraint systems on tori: assembly, nullspaces, suite checks."""
 
-import collections
 import functools
 import itertools
 import tracemalloc
@@ -24,7 +23,6 @@ from localalg.torus import (
     ConstraintSystem,
     TrigSpace,
     assemble_function_constraints,
-    commutator_rows,
     solution_rows,
     solve_nullspace,
     verify_constancy,
@@ -35,9 +33,11 @@ from localalg.torus import (
 
 from util import (
     FORMS_LADDER,
+    commutator_rows,
     constant_function_vectors,
     dense_form_constraints,
     dense_function_constraints,
+    dense_min_leaf,
     make_torus,
     reference_constancy,
     reference_min_leaf,
@@ -145,6 +145,16 @@ def test_nullspace_dimension_matches_analytic_count(name, m, d):
     assert_allclose(dense @ dense.T, np.eye(want), atol=1e-12)
     for q in range(want):
         assert system.residual_inf(solutions[q:q + 1]) <= 1e-12
+
+
+@pytest.mark.parametrize("name,m,d", CONFIGS)
+def test_function_symbols_are_commutator_rows_times_frequencies(name, m, d):
+    # assembled slot by slot, the symbols are the dense A-linearity rows
+    # times k tensor I_n bit for bit
+    cfg = make_torus(preset(name), m)
+    system = assemble_function_constraints(cfg, d)
+    k_tensor_id = np.kron(system.trig.mode_freqs()[:, :, None], np.eye(cfg.n))
+    assert np.array_equal(system.symbols, commutator_rows(cfg) @ k_tensor_id)
 
 
 ASSEMBLERS = {
@@ -410,11 +420,23 @@ def test_min_leaf_on_solutions():
         assert system.residual_inf(solutions) <= 1e-8
 
 
+def _one_row(u, trig):
+    """The ``solution_rows`` row of a coefficient vector on one trig index."""
+    rows = split_rows(u, trig.size)
+    assert len(rows) == 1
+    return rows[0]
+
+
+def _leaf_index(x, grid):
+    """Row-major index on the grid^m lattice of each row of leaf digits."""
+    return np.ravel_multi_index(tuple(x.T), (grid,) * x.shape[1])
+
+
 def test_min_leaf_constant_solution_exact():
     cfg = make_torus(preset("trunc:3"), 1)
     system = assemble_function_constraints(cfg, 1)
     const = constant_function_vectors(cfg, system.trig)[0]
-    rep = verify_min_leaf(const, cfg, system.trig, grid=8)
+    rep = verify_min_leaf(_one_row(const, system.trig), cfg, system.trig, grid=8)
     assert rep.passed
     assert rep.data["GRAD_MAX"] == 0.0
     assert rep.data["G_VARIATION"] == 0.0
@@ -428,7 +450,7 @@ def test_min_leaf_flags_injected_nondifferentiable():
     bad = np.zeros(system.ncols)
     pair = next(p for p in range(trig.npairs) if tuple(trig.freqs[p]) == (1, 0))
     bad[1 + 2 * pair] = 1.0  # g = cos(x^{1,0})
-    rep = verify_min_leaf(bad, cfg, trig, grid=32)
+    rep = verify_min_leaf(_one_row(bad, trig), cfg, trig, grid=32)
     assert not rep.passed
     failed = {c.name for c in rep.checks if not c.passed}
     # gradient vanishes on the critical leaf theta_1 = 0, exactly in the bound
@@ -464,68 +486,97 @@ def _assert_bounds(bound, sample, atol, same_verdict=True, tol=1e-8):
     assert not same_verdict or np.array_equal(bound <= tol, sample <= tol), (bound, sample)
 
 
-def _basic_real_parts(U, cfg, trig):
-    """Rows of a (S, n, B) stack whose real part has only frequencies with
-    k'' = 0, constant along every leaf."""
-    return ~U[:, 0, ~trig.transversal_mask(cfg.m)].any(axis=1)
-
-
-def _assert_min_leaf_matches(got, stack, cfg, trig, grid, refs, atol, same_verdict=True):
-    """``_min_leaf``'s arrays against the per-solution references: qmin and
-    avg on live rows, which alone get a leaf (-1 and NaN on flat ones); grad
-    and variation on every row as bounds of the sampled values, and grad
-    equal to them where the real part is constant along the leaf's
-    directions. ``_leaf_positions``, the leaf search both min-leaf checks
-    share, gives every row's leaf, flat ones included."""
-    qmin, avg, grad, variation = got
-    U = stack.reshape(len(stack), cfg.n, trig.size)
-    live = U[:, 0, 1:].any(axis=1)
+def _assert_min_leaf_matches(got, rows, cfg, trig, grid, refs, atol, same_verdict=True):
+    """``_leaf_bounds`` on ``solution_rows`` against the per-row references:
+    the leaf's index and average on every row, flat ones included; grad and
+    variation as bounds of the sampled values, and grad equal to them where
+    the real part has k'' = 0 and so is constant along the leaf's
+    directions."""
+    x, avg, grad, variation = got
     ref = {key: np.array([r[key] for r in refs]) for key in ("MIN_LEAF_INDEX", *MIN_LEAF_KEYS)}
-    leaf_q, leaf_avg = torus._leaf_positions(U, trig, cfg.m, grid)
-    assert list(leaf_q) == list(ref["MIN_LEAF_INDEX"])
-    assert list(qmin[live]) == list(ref["MIN_LEAF_INDEX"][live])
-    assert np.all(qmin[~live] == -1) and np.isnan(avg[~live]).all()
+    assert list(_leaf_index(x, grid)) == list(ref["MIN_LEAF_INDEX"])
     close = functools.partial(assert_allclose, rtol=1e-12, atol=atol)
-    close(leaf_avg, ref["MIN_LEAF_AVG"])
-    close(avg[live], ref["MIN_LEAF_AVG"][live])
+    close(avg, ref["MIN_LEAF_AVG"])
     _assert_bounds(grad, ref["GRAD_MAX"], atol, same_verdict)
     _assert_bounds(variation, ref["G_VARIATION"], atol, same_verdict)
-    basic = _basic_real_parts(U, cfg, trig)
+    basic = trig.transversal_mask(cfg.m)[rows["index"]]
     close(grad[basic], ref["GRAD_MAX"][basic])
 
 
 @pytest.mark.parametrize("name,m,d", CONFIGS)
 def test_min_leaf_matches_reference(name, m, d):
-    # solutions and seeded sparse and dense non-solutions, checked one by one
-    # and as one stack against the per-solution check evaluated on each leaf
-    # directly; dense real parts mix cos and sin in every pair. The leaf is
-    # the reference's, and the gradient and variation bound its samples. The
-    # same rows follow with every real-part frequency k'' != 0 dropped: their
-    # gradient is constant along the leaf, and its bound is its value there
+    # solutions and seeded sparse and dense non-solutions, split by trig
+    # index, against the per-solution check evaluated on each leaf directly:
+    # the leaf is the reference's, and the gradient and variation bound its
+    # samples; verify_min_leaf reports one row of the same arrays. The same
+    # rows follow with the e1 part dropped: they sit on leaf 0, where a real
+    # part on a sin index is not critical
     cfg = make_torus(preset(name), m)
     system = assemble_function_constraints(cfg, d)
     trig = system.trig
-    U = np.tile(_mixed_stack(system).reshape(-1, cfg.n, trig.size), (2, 1, 1))
-    U[len(U) // 2:, 0, ~trig.transversal_mask(m)] = 0.0
-    stack = U.reshape(len(U), -1)
-    refs = [reference_min_leaf(u, cfg, trig).data for u in stack]
-    for u, ref in zip(stack, refs):
-        got = verify_min_leaf(u, cfg, trig).data
-        assert got["MIN_LEAF_INDEX"] == ref["MIN_LEAF_INDEX"]
-        assert_allclose(got["MIN_LEAF_AVG"], ref["MIN_LEAF_AVG"], rtol=1e-12, atol=1e-15)
-        for key in ("GRAD_MAX", "G_VARIATION"):
-            _assert_bounds(got[key], ref[key], 1e-15)
-
-    result = torus._min_leaf(stack, cfg, trig, 32)
-    _assert_min_leaf_matches(result, stack, cfg, trig, 32, refs, 1e-15)
-    basic = _basic_real_parts(U, cfg, trig)
-    assert basic[len(U) // 2:].all()
-    assert np.count_nonzero(result[2][basic] > 1e-8) >= (2 if d > 0 else 0)
+    stack = _mixed_stack(system)
+    no_e1 = split_rows(stack, trig.size)
+    no_e1["vec"][:, 1] = 0.0
+    rows = np.concatenate([split_rows(stack, trig.size), no_e1])
+    refs = [reference_min_leaf(u, cfg, trig).data for u in scatter_rows(rows, trig.size)]
+    got = torus._leaf_bounds(rows, cfg, trig, 32)
+    _assert_min_leaf_matches(got, rows, cfg, trig, 32, refs, 1e-15)
+    # rows on a transversal index have k'' = 0, where grad must equal the
+    # reference; enough of them must be live for that equality to bite
+    basic = trig.transversal_mask(m)[rows["index"]] & (rows["index"] != 0)
+    assert np.count_nonzero(got[2][basic] > 1e-8) >= (2 if d > 0 else 0)
+    for i in range(0, len(rows), 7):
+        rep = verify_min_leaf(rows[i], cfg, trig).data
+        assert rep["MIN_LEAF_INDEX"] == _leaf_index(got[0][i:i + 1], 32)[0]
+        assert [rep[key] for key in MIN_LEAF_KEYS] == [got[1][i], got[2][i], got[3][i]]
     # the residual of the stack, as the CLI reports it, is the worst row's
     B = trig.size
     assert_allclose(system.residual_inf(split_rows(stack, B)),
                     max(system.residual_inf(split_rows(u, B)) for u in stack),
                     rtol=1e-12, atol=1e-15)
+
+
+def _injected_rows(rows, seed=5):
+    """Copies of the first row on trig index 0 and of two seeded rows off it,
+    with NaN, +-inf or +-1e300 put in the real part, the e1 component, or
+    both."""
+    off = rows[rows["index"] != 0]
+    picked = off[np.random.default_rng(seed).integers(len(off), size=min(2, len(off)))]
+    base = np.concatenate([rows[rows["index"] == 0][:1], picked])
+    out = []
+    for value, comps in itertools.product((np.nan, np.inf, -np.inf, 1e300, -1e300),
+                                          ([0], [1], [0, 1])):
+        out.append(base.copy())
+        out[-1]["vec"][:, comps] = value
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("name,m,d", CONFIGS)
+def test_closed_form_matches_dense_oracle(name, m, d):
+    # the dense lattice check of tests/util.py, on every row of the mixed
+    # stack split by trig index and on injected non-finite and huge rows, at
+    # grids that alias the 2d+1 frequencies per axis and grids that
+    # do not: the leaf, gradient and variation bit for bit, the average to
+    # round-off; a non-finite e1 coefficient gives leaf 0 and average NaN
+    cfg = make_torus(preset(name), m)
+    system = assemble_function_constraints(cfg, d)
+    trig = system.trig
+    rows = split_rows(_mixed_stack(system), trig.size)
+    rows = np.concatenate([rows, _injected_rows(rows)])
+    finite = np.isfinite(rows["vec"][:, 1])
+    with np.errstate(invalid="ignore"):
+        for grid in (1, 2, 3, 7, 32):
+            x, avg, grad, variation = torus._leaf_bounds(rows, cfg, trig, grid)
+            qmin, want_avg, want_grad, want_variation = dense_min_leaf(
+                scatter_rows(rows, trig.size), cfg, trig, grid)
+            assert np.array_equal(_leaf_index(x, grid), qmin)
+            assert np.array_equal(grad, want_grad, equal_nan=True)
+            assert np.array_equal(variation, want_variation, equal_nan=True)
+            assert_allclose(avg[finite], want_avg[finite], rtol=1e-12, atol=0)
+            assert np.all(qmin[~finite] == 0) and np.isnan(avg[~finite]).all()
+    nan_c = np.isnan(rows["vec"][:, 0]) & (rows["index"] != 0)
+    assert nan_c.any() == (d > 0)
+    assert np.isnan(variation[nan_c]).all() and np.isnan(grad[nan_c]).all()
 
 
 def test_min_leaf_tie_goes_to_smallest_row_major_index():
@@ -537,9 +588,10 @@ def test_min_leaf_tie_goes_to_smallest_row_major_index():
     pair = next(p for p in range(trig.npairs)
                 if tuple(trig.freqs[p]) == (1, 0, 0, 0))
     u[trig.size + 1 + 2 * pair] = 1.0
-    for rep in (verify_min_leaf(u, cfg, trig), reference_min_leaf(u, cfg, trig)):
+    for rep in (verify_min_leaf(_one_row(u, trig), cfg, trig), reference_min_leaf(u, cfg, trig)):
         assert rep.data["MIN_LEAF_INDEX"] == 512
         assert rep.data["MIN_LEAF_AVG"] == -1.0
+    assert dense_min_leaf(u, cfg, trig, 32)[0][0] == 512
 
 
 def test_min_leaf_all_flags_injected_among_solutions():
@@ -581,17 +633,31 @@ def test_min_leaf_tie_tolerance():
     # g1 = 0.037 cos 2x + 0.717 cos 3x is even, so the lattice points 5 and 27
     # of 32 have the same average in exact arithmetic; through cos and sin of
     # the lattice points the average at 27 is one ulp smaller, and the tie
-    # rule still picks 5
+    # rule of the dense check still picks 5. On one trig index, g1 = cos x
+    # on 7 points is smallest at 3 and 4 in exact arithmetic and one ulp
+    # smaller at 4, and the closed form's tie rule picks 3
     cfg = make_torus(preset("dual"), 1)
     trig = assemble_function_constraints(cfg, 3).trig
     u = np.zeros(cfg.n * trig.size)
     for k, c in (((2, 0), 0.037), ((3, 0), 0.717)):
         pair = next(p for p in range(trig.npairs) if tuple(trig.freqs[p]) == k)
         u[trig.size + 1 + 2 * pair] = c
-    for rep in (verify_min_leaf(u, cfg, trig), reference_min_leaf(u, cfg, trig)):
-        assert rep.data["MIN_LEAF_INDEX"] == 5
-        assert_allclose(rep.data["MIN_LEAF_AVG"], 0.037 * np.cos(5 * np.pi / 8)
-                        + 0.717 * np.cos(15 * np.pi / 16), rtol=1e-14)
+    assert dense_min_leaf(u, cfg, trig, 32)[0][0] == 5
+    rep = reference_min_leaf(u, cfg, trig)
+    assert rep.data["MIN_LEAF_INDEX"] == 5
+    assert_allclose(rep.data["MIN_LEAF_AVG"], 0.037 * np.cos(5 * np.pi / 8)
+                    + 0.717 * np.cos(15 * np.pi / 16), rtol=1e-14)
+
+    u = np.zeros(cfg.n * trig.size)
+    pair = next(p for p in range(trig.npairs) if tuple(trig.freqs[p]) == (1, 0))
+    u[trig.size + 1 + 2 * pair] = 1.0
+    values = np.cos(2 * np.pi * np.arange(7) / 7)
+    assert values[4] < values[3] == values[3:5].max()
+    assert dense_min_leaf(u, cfg, trig, 7)[0][0] == 3
+    for rep in (verify_min_leaf(_one_row(u, trig), cfg, trig, grid=7),
+                reference_min_leaf(u, cfg, trig, grid=7)):
+        assert rep.data["MIN_LEAF_INDEX"] == 3
+        assert_allclose(rep.data["MIN_LEAF_AVG"], np.cos(6 * np.pi / 7), rtol=1e-14)
 
 
 @pytest.mark.parametrize("name,m,d", [("dual", 1, 3), ("trunc:3", 1, 2),
@@ -604,63 +670,51 @@ def test_min_leaf_aliased_lattices_match_reference(name, m, d):
     cfg = make_torus(preset(name), m)
     system = assemble_function_constraints(cfg, d)
     trig = system.trig
-    stack = _mixed_stack(system)
+    rows = split_rows(_mixed_stack(system), trig.size)
+    dense = scatter_rows(rows, trig.size)
     for grid, leaf_grid in itertools.product((1, 2, 3, 5), (1, 2)):
-        refs = [reference_min_leaf(u, cfg, trig, grid, leaf_grid).data for u in stack]
-        _assert_min_leaf_matches(torus._min_leaf(stack, cfg, trig, grid), stack, cfg, trig,
+        refs = [reference_min_leaf(u, cfg, trig, grid, leaf_grid).data for u in dense]
+        _assert_min_leaf_matches(torus._leaf_bounds(rows, cfg, trig, grid), rows, cfg, trig,
                                  grid, refs, 1e-13, same_verdict=False)
 
 
-def test_min_leaf_chunks_do_not_change_results(monkeypatch):
+def test_min_leaf_groups_do_not_change_results():
+    # the leaf is searched once per (k', cos or sin, sign of e1) group of
+    # rows; each row on its own gives the same arrays
     cfg = make_torus(preset("trunc:3"), 2)
     system = assemble_function_constraints(cfg, 1)
-    stack = _mixed_stack(system)
-    whole = torus._min_leaf(stack, cfg, system.trig, 128)
-    # two live solutions per chunk of 128^2 transversal values each; the five
-    # live rows take three chunks
-    monkeypatch.setattr(torus, "LATTICE_BUDGET", 2 * 128**2)
-    assert torus.lattice_chunks(cfg, 128) == 2
-    assert np.count_nonzero(whole[0] >= 0) == 5
-    chunked = torus._min_leaf(stack, cfg, system.trig, 128)
-    for a, b in zip(whole, chunked):
-        assert np.array_equal(a, b, equal_nan=True)  # flat rows' avg is NaN
+    rows = split_rows(_mixed_stack(system), system.trig.size)
+    whole = torus._leaf_bounds(rows, cfg, system.trig, 128)
+    assert len(np.unique(whole[0], axis=0)) < len(rows)
+    for i in range(len(rows)):
+        one = torus._leaf_bounds(rows[i:i + 1], cfg, system.trig, 128)
+        for a, b in zip(whole, one):
+            assert np.array_equal(a[i:i + 1], b)
 
 
-def _count_lattice_rows(monkeypatch):
-    """Stacks checked by ``_min_leaf`` and rows sent to ``_lattice_values``,
-    counted by lattice size."""
-    stacks, sent = [], collections.Counter()
-    min_leaf, values = torus._min_leaf, torus._lattice_values
+def _spy_leaf_bounds(monkeypatch):
+    """(grid, rows) of every call of ``torus._leaf_bounds``."""
+    sent = []
+    leaf_bounds = torus._leaf_bounds
 
-    def spied(solutions, cfg, trig, grid):
-        stacks.append((np.asarray(solutions), cfg, trig, grid))
-        return min_leaf(solutions, cfg, trig, grid)
+    def spied(rows, cfg, trig, grid):
+        sent.append((grid, len(rows)))
+        return leaf_bounds(rows, cfg, trig, grid)
 
-    def counted(const, z, freqs, degree, size):
-        sent[size] += len(z)
-        return values(const, z, freqs, degree, size)
-
-    monkeypatch.setattr(torus, "_min_leaf", spied)
-    monkeypatch.setattr(torus, "_lattice_values", counted)
-    return stacks, sent
+    monkeypatch.setattr(torus, "_leaf_bounds", spied)
+    return sent
 
 
-def _expected_lattice_rows(stacks):
-    """For every live solution, whose real part has a nonzero non-constant
-    coefficient: its e1 row on the transversal lattice. Flat solutions send
-    nothing, and no solution sends a leaf lattice."""
-    expected = collections.Counter()
-    for solutions, cfg, trig, grid in stacks:
-        U = solutions.reshape(-1, cfg.n, trig.size)
-        expected[grid] += int(np.count_nonzero(U[:, 0, 1:].any(axis=1)))
-    return +expected
+def _live_count(rows):
+    return int(np.count_nonzero((rows["index"] != 0) & (rows["vec"][:, 0] != 0)))
 
 
-def test_flat_real_parts_never_reach_the_lattice(monkeypatch, capsys):
+def test_flat_real_parts_never_reach_the_leaf_check(monkeypatch, capsys):
     # the verify golden ladder through the CLI, whose solutions all have
-    # constant real parts, then seeded non-solutions on the same tori
-    stacks, sent = _count_lattice_rows(monkeypatch)
-    runs = 0
+    # constant real parts, then seeded non-solutions on the same tori, whose
+    # live rows alone reach the closed form
+    sent = _spy_leaf_bounds(monkeypatch)
+    expected = []
     for name, m, d, grid in itertools.product(("dual", "trunc:3", "square:2"),
                                               (1, 2), (0, 1, 2), (32, 7)):
         code = main(["verify", "--preset", name, "--m", str(m), "--degree", str(d),
@@ -668,33 +722,21 @@ def test_flat_real_parts_never_reach_the_lattice(monkeypatch, capsys):
         capsys.readouterr()
         if code == 5:  # over the column cap: no solutions to check
             continue
+        assert sent == expected
         cfg = make_torus(preset(name), m)
         system = assemble_function_constraints(cfg, d)
         rows = split_rows(_mixed_stack(system), system.trig.size)
         verify_min_leaf_all(rows, cfg, system.trig, grid)
-        runs += 1
-    assert len(stacks) == 2 * runs > 0
-    assert sent == _expected_lattice_rows(stacks)
-    assert sent[32] > 0 and sent[7] > 0
-
-    stacks.clear()
-    sent.clear()
-    assert main(["verify", "--preset", "trunc:3", "--m", "2", "--degree", "1"]) == 0
-    assert len(stacks) == 1 and len(stacks[0][0]) == 0  # no live row to scatter
-    assert sent == _expected_lattice_rows(stacks) == {}
+        expected += [(grid, _live_count(rows))] if _live_count(rows) else []
+    assert sent == expected
+    assert {grid for grid, _ in sent} == {32, 7}
 
 
-def test_verify_sends_no_row_to_the_lattice(monkeypatch, capsys):
+def test_verify_sends_no_row_to_the_leaf_check(monkeypatch, capsys):
     # every solution is flat, so neither the verify golden ladder nor dual
-    # m=4 d=1 (82 solutions) evaluates a lattice row; exit codes as before
-    sent = []
-    values = torus._lattice_values
-
-    def counted(const, z, freqs, degree, size):
-        sent.append(len(z))
-        return values(const, z, freqs, degree, size)
-
-    monkeypatch.setattr(torus, "_lattice_values", counted)
+    # m=4 d=1 (82 solutions) sends a row to the closed form; exit codes as
+    # before
+    sent = _spy_leaf_bounds(monkeypatch)
     golden = Path(__file__).parent / "golden" / "verify_presets.txt"
     lines = golden.read_text(encoding="utf-8").splitlines()
     runs = [(a[2:].split(), int(b.split()[-1])) for a, b in
@@ -705,12 +747,12 @@ def test_verify_sends_no_row_to_the_lattice(monkeypatch, capsys):
     for argv, code in runs:
         assert main(argv) == code, argv
         capsys.readouterr()
-    assert sum(sent) == 0
+    assert sent == []
     # the spy sees the rows of a live stack
     cfg = make_torus(preset("dual"), 1)
     system = assemble_function_constraints(cfg, 1)
     verify_min_leaf_all(split_rows(_mixed_stack(system), system.trig.size), cfg, system.trig)
-    assert sum(sent) > 0
+    assert sent and sent[0][1] > 0
 
 
 FLAT_CONFIGS = [("dual", 1, 1), ("trunc:3", 1, 2), ("square:2", 1, 1), ("dual", 2, 1)]
@@ -728,54 +770,72 @@ def _solved(name, m, d):
        consts=st.lists(st.sampled_from([0.0, -0.0, 1e300, -1e300]) | st.floats(-1e6, 1e6),
                        min_size=2, max_size=4),
        nlive=st.integers(1, 5))
-def test_flat_rows_skip_the_lattice_exactly(config, seed, consts, nlive):
-    # solutions, constant-only real parts, dense rows and one NaN real-part
-    # coefficient, shuffled; the live rows, the NaN one among them, go through
-    # chunks of three, every live row's leaf matches the reference, and its
-    # gradient and variation bound the reference's
+def test_flat_rows_skip_the_leaf_check_exactly(config, seed, consts, nlive):
+    # solutions, constant-only real parts, rows with a zero real part, the
+    # rows of dense non-solutions and one NaN real-part coefficient,
+    # shuffled; every row's leaf matches the dense oracle and the reference,
+    # its gradient and variation equal the oracle's and bound the
+    # reference's, and the flat rows' are exactly 0
     cfg, trig, solutions = _solved(*config)
     rng = np.random.default_rng(seed)
-    picked = scatter_rows(solutions[rng.choice(len(solutions), size=min(3, len(solutions)),
-                                               replace=False)], trig.size)
-    flat = rng.standard_normal((len(consts), cfg.n, trig.size))
-    flat[:, 0] = 0.0
-    flat[:, 0, 0] = consts
-    nan = rng.standard_normal((1, cfg.n, trig.size))
-    nan[0, 0, rng.integers(1, trig.size)] = np.nan
-    stack = np.vstack([picked, flat.reshape(len(consts), -1),
-                       rng.standard_normal((nlive, cfg.n * trig.size)),
-                       nan.reshape(1, -1)])
-    order = rng.permutation(len(stack))
-    stack = stack[order]
-    is_flat = ~stack.reshape(len(stack), cfg.n, trig.size)[:, 0, 1:].any(axis=1)
-    is_nan = order == len(stack) - 1
+    picked = solutions[rng.choice(len(solutions), size=min(3, len(solutions)), replace=False)]
+    vecs = rng.standard_normal((2 * len(consts) + 1, cfg.n))
+    vecs[:len(consts), 0] = consts
+    vecs[len(consts):-1, 0] = 0.0
+    vecs[-1, 0] = np.nan
+    index = np.concatenate([np.zeros(len(consts), int),
+                            rng.integers(1, trig.size, size=len(consts) + 1)])
+    dense = split_rows(rng.standard_normal((nlive, cfg.n * trig.size)), trig.size)
+    rows = np.concatenate([picked, solution_rows(index, vecs), dense])
+    order = rng.permutation(len(rows))
+    rows = rows[order]
+    is_flat = (rows["index"] == 0) | (rows["vec"][:, 0] == 0)
+    is_nan = order == len(picked) + len(vecs) - 1
     quiet = is_flat | is_nan  # all but the dense rows, which fail on their own
 
-    refs = [reference_min_leaf(u, cfg, trig).data for u in stack]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(torus, "LATTICE_BUDGET", 3 * 32**cfg.m)
-        assert torus.lattice_chunks(cfg, 32) == 3 < len(stack)
-        qmin, avg, grad, variation = torus._min_leaf(stack, cfg, trig, 32)
-        assert verify_min_leaf_all(split_rows(stack[is_flat], trig.size), cfg, trig).passed
-        rep = verify_min_leaf_all(split_rows(stack[quiet], trig.size), cfg, trig)
-    _assert_min_leaf_matches((qmin, avg, grad, variation), stack, cfg, trig, 32, refs, 1e-15)
-    assert np.isnan(grad[is_nan]).all() and np.isnan(variation[is_nan]).all()
-    assert np.all(grad[is_flat] == 0.0) and np.all(variation[is_flat] == 0.0)
+    got = torus._leaf_bounds(rows, cfg, trig, 32)
+    qmin, avg, grad, variation = dense_min_leaf(scatter_rows(rows, trig.size), cfg, trig, 32)
+    assert np.array_equal(_leaf_index(got[0], 32), qmin)
+    assert np.array_equal(got[2], grad, equal_nan=True)
+    assert np.array_equal(got[3], variation, equal_nan=True)
+    assert_allclose(got[1], avg, rtol=1e-12, atol=0)
+    refs = [reference_min_leaf(u, cfg, trig).data for u in scatter_rows(rows, trig.size)]
+    _assert_min_leaf_matches(got, rows, cfg, trig, 32, refs, 1e-15)
+    assert np.isnan(got[2][is_nan]).all() and np.isnan(got[3][is_nan]).all()
+    assert np.all(got[2][is_flat] == 0.0) and np.all(got[3][is_flat] == 0.0)
+    assert verify_min_leaf_all(rows[is_flat], cfg, trig).passed
+    rep = verify_min_leaf_all(rows[quiet], cfg, trig)
     assert {c.name for c in rep.checks if not c.passed} == {"min_leaf_gradient",
                                                              "real_part_variation"}
 
 
-def test_lattice_budget_refuses_oversized_lattices():
+def test_min_leaf_has_no_lattice_to_refuse():
+    # 10^18 transversal lattice points at m = 2: the closed form searches
+    # only the few multiples of gcd(k', grid) that can tie for the minimum.
+    # The leaf is the first t whose cos(2 pi t / grid) is within TIE_RTOL of
+    # -1, a few hundred points before the minimum, where the gradient is
+    # |sin(2 pi t / grid)|, not 0
     cfg = make_torus(preset("dual"), 2)
-    assert torus.lattice_chunks(cfg, 32) == 2**22 // 32**2
-    assert torus.lattice_chunks(cfg, 2**11) == 1  # 2^22 values for one solution fit
-    with pytest.raises(SizeCapExceeded):
-        torus.lattice_chunks(cfg, 2**11 + 1)
-    # no leaf lattice: dual m=8 at grid 2 is 2^8 values per solution
-    assert torus.lattice_chunks(make_torus(preset("dual"), 8), 2) == 2**14
     trig = assemble_function_constraints(cfg, 1).trig
-    with pytest.raises(SizeCapExceeded):
-        verify_min_leaf_all(solution_rows([0], np.zeros((1, cfg.n))), cfg, trig, grid=10**5)
+    u = np.zeros(cfg.n * trig.size)
+    pair = next(p for p in range(trig.npairs) if tuple(trig.freqs[p]) == (1, 0, 0, 0))
+    u[[1 + 2 * pair, trig.size + 1 + 2 * pair]] = 1.0  # g = g1 = cos(theta_1)
+    row = _one_row(u, trig)
+    tracemalloc.start()
+    try:
+        rep = verify_min_leaf(row, cfg, trig, grid=10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    t = np.arange(5 * 10**8 - 10**3, 5 * 10**8 + 1)
+    t = t[np.cos(2 * np.pi * t / 10**9) <= -1 + torus.TIE_RTOL][0]
+    assert 5 * 10**8 - t > 100 and rep.data["MIN_LEAF_INDEX"] == t * 10**9
+    assert abs(rep.data["MIN_LEAF_AVG"] + 1.0) <= torus.TIE_RTOL
+    assert_allclose(rep.data["GRAD_MAX"], np.sin(2 * np.pi * (5 * 10**8 - t) / 10**9), rtol=1e-9)
+    assert rep.data["G_VARIATION"] == 2.0
+    assert verify_min_leaf_all(np.reshape(row, 1), cfg, trig, grid=10**9).data == {
+        key: rep.data[key] for key in ("GRAD_MAX", "G_VARIATION")}
 
 
 def test_size_checks_never_build_or_print_huge_counts():
@@ -784,9 +844,6 @@ def test_size_checks_never_build_or_print_huge_counts():
     with pytest.raises(SizeCapExceeded) as exc:
         torus.capped_trig_space(cfg, 1, cfg.n, 20000)
     assert str(exc.value) == "more than 2^79 columns exceed the cap 20000"
-    with pytest.raises(SizeCapExceeded) as exc:
-        torus.lattice_chunks(cfg, 32)
-    assert str(exc.value) == "more than 2^87 lattice values per solution exceed the budget 4194304"
     # near a cap of 4296 digits: compared exactly, but 2 * 3^9002 has more
     # digits than Python prints, so it is named by its bit length
     cfg = make_torus(preset("dual"), 4501)

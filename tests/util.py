@@ -681,6 +681,83 @@ def reference_min_leaf(solution, cfg, trig, grid=32, leaf_grid=8, tol=1e-8):
     return rep
 
 
+def _binned(z, cell, ncells):
+    """(rows, ncells) sums of the entries of each row of z by their ``cell``."""
+    flat = (np.arange(len(z))[:, None] * ncells + cell).ravel()
+    size = len(z) * ncells
+    return (np.bincount(flat, z.real.ravel(), size)
+            + 1j * np.bincount(flat, z.imag.ravel(), size)).reshape(len(z), ncells)
+
+
+def _lattice_values(const, z, freqs, degree, size):
+    """(rows, size^D) values of const + Re sum_p z[:, p] e^{i freqs[p] . theta}
+    on the row-major lattice theta = 2 pi j / size, exact for any size: z is
+    summed into the box of frequencies -degree..degree, which is then summed
+    one axis at a time against E[j, k] = e^{2 pi i j k / size}."""
+    K, D, rows = 2 * degree + 1, freqs.shape[1], len(z)
+    box = _binned(z, (freqs + degree) @ K ** np.arange(D)[::-1], K**D).reshape(rows, *(K,) * D)
+    jk = np.outer(np.arange(size), np.arange(-degree, degree + 1)) % size
+    E = np.exp(2j * np.pi * jk / size)
+    for _ in range(D):
+        box = np.tensordot(box, E, axes=([1], [1]))
+    return const[:, None] + box.real.reshape(rows, -1)
+
+
+def dense_min_leaf(solutions, cfg, trig, grid):
+    """The min-leaf check on dense rows over the whole grid^m lattice, an
+    oracle for the closed form of ``torus._leaf_bounds``. Per row of an
+    (S, ncols) stack: qmin, the first row-major grid^m index whose e1 basic-part value
+    is within TIE_RTOL * (its l1 norm) of the minimum, evaluated on the whole
+    lattice; avg, that value; and bounds on the real part's gradient on that
+    leaf and on its variation. With G = c + sum_p Re(z_p e^{i k_p . theta}),
+    z = a - i b for a pair (a, b), k = (k', k'') and x = x_qmin, dG/d(theta_a)
+    on the leaf is Re sum_p w_p e^{i k'' . y}, w_p = i k_{p,a} z_p e^{i k' . x}
+    (conj(w_p) on -k'' when k'' is negative). Summed by k'' up to sign into
+    W_{k''}, the gradient is at most |Re W_0| + sum_{k'' != 0} |W_{k''}|; the
+    variation is at most 2 sum_p |z_p|. Any number of trig indices per row."""
+    m = cfg.m
+    U = np.asarray(solutions, dtype=float).reshape(-1, cfg.n, trig.size)
+    G1 = U[:, 1 if U.shape[1] > 1 else 0] * trig.transversal_mask(m)
+    averages = _lattice_values(G1[:, 0], G1[:, 1::2] - 1j * G1[:, 2::2],
+                               trig.freqs[:, :m], max(trig.degree, 0), grid)
+    tie = averages.min(axis=1) + TIE_RTOL * np.abs(G1).sum(axis=1)
+    qmin = np.argmax(averages <= tie[:, None], axis=1)
+    avg = averages[np.arange(len(U)), qmin]
+    z = U[:, 0, 1::2] - 1j * U[:, 0, 2::2]
+    variation = 2 * np.abs(z).sum(axis=1)
+    if not trig.npairs:
+        return qmin, avg, np.zeros(len(U)), variation
+    x = np.stack(np.unravel_index(qmin, (grid,) * m), axis=1)
+    w = 1j * z * np.exp(2j * np.pi * (x @ trig.freqs[:, :m].T % grid) / grid)
+    # the signed lexicographic rank of k'': 0 for k'' = 0, < 0 when k'' is negative
+    rank = trig.freqs[:, m:] @ (2 * trig.degree + 1) ** np.arange(cfg.ncoords - m)[::-1]
+    w[:, rank < 0] = w[:, rank < 0].conj()
+    W = _binned((w[:, None] * trig.freqs.T).reshape(-1, trig.npairs), np.abs(rank),
+                np.abs(rank).max() + 1).reshape(len(U), cfg.ncoords, -1)
+    grad = (np.abs(W[..., 0].real) + np.abs(W[..., 1:]).sum(axis=2)).max(axis=1)
+    return qmin, avg, grad, variation
+
+
+def commutator_rows(cfg):
+    """A-linearity rows on (coordinate, component) values, (m*(n-1)*n*n, N*n).
+
+    For slot j and radical basis element e_a, the n x n matrix W with
+    W[i, c] the value at (coordinate coord(j, c), component i) must commute
+    with L_a. On W flattened row-major, W L_a - L_a W is
+    kron(I, L_a^T) - kron(L_a, I). Rows are ordered (j, a, i, b) and the
+    column of (coordinate, component) is coordinate * n + component.
+    """
+    n, m = cfg.n, cfg.m
+    eye = np.eye(n)
+    comm = np.stack([np.kron(eye, L.T) - np.kron(L, eye) for L in cfg.mults[1:]])
+    comp = np.arange(n)
+    rows = np.zeros((m, n - 1, n * n, cfg.ncoords * n))
+    for j in range(m):
+        cols = (cfg.coord(j, comp)[None, :] * n + comp[:, None]).reshape(-1)
+        rows[j][..., cols] = comm
+    return rows.reshape(-1, cfg.ncoords * n)
+
+
 # -- reference Taylor lift: each derivative re-built and each tree re-walked ------
 
 
