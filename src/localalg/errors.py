@@ -49,7 +49,7 @@ class DomainError(LocalAlgError):
 
 
 class SizeCapExceeded(LocalAlgError):
-    """A constraint system would exceed the configured column cap."""
+    """A system would exceed the column cap, or int64 cannot index its trig basis."""
 
 
 class IndexNotBreve(LocalAlgError):

@@ -6,9 +6,10 @@ A form is A-linear when on every slot j its n x n value matrix commutes with
 every L_a. For commutative unital A those matrices are exactly the L_b (the
 A-module maps x -> x * b, b the image of 1), so the unknowns are coordinates
 on the orthonormal frame of ``commutant_frame`` (L_b on slot j, m*n
-columns), and the symbol S(k) on the mode of frequency k (see ``torus``)
-holds only the closedness rows of d(omega) = 0 on that frame,
-k_alpha omega_beta - k_beta omega_alpha for alpha < beta and every component.
+columns). The symbol S(k) on the mode of frequency k (see ``torus``) is
+(|k| I - k k^T / |k|) (x) I_n F, N*n rows: S^T S = F^T (Z^T Z (x) I_n) F for
+the closedness rows Z(k) of d(omega) = 0 (d*d + dd* = |k|^2 on 1-forms), so
+S has their singular values and nullspace, and S(0) = 0.
 
 On top of the solution space this module measures the dimensions of the
 non-socle component spaces (which stay bounded by n*N, the dimension of the
@@ -68,15 +69,14 @@ def commutant_frame(cfg: TorusConfig) -> np.ndarray:
 def assemble_form_constraints(cfg: TorusConfig, degree: int,
                               cap: int = DEFAULT_CAP) -> ConstraintSystem:
     """Closedness of 1-form coefficients, columns (coordinate, component,
-    trig index), with symbols (closedness tensor I_n) F on the frame F."""
+    trig index), with symbols (|k| I - k k^T / |k|) (x) I_n F on the frame F."""
     n, N = cfg.n, cfg.ncoords
     trig = capped_trig_space(cfg, degree, N * n, cap)
     K = trig.mode_freqs()
-    alpha, beta = np.triu_indices(N, 1)
-    eye = np.eye(N)
-    closed = K[:, alpha, None] * eye[beta] - K[:, beta, None] * eye[alpha]
+    norm = np.sqrt(np.einsum("pa,pa->p", K, K))[:, None, None]  # >= 1 unless k = 0
+    proj = norm * np.eye(N) - K[:, :, None] * K[:, None, :] / np.maximum(norm, 1.0)
     frame = commutant_frame(cfg)
-    symbols = (closed @ frame.reshape(N, -1)).reshape(len(K), len(alpha) * n, -1)
+    symbols = (proj @ frame.reshape(N, -1)).reshape(len(K), N * n, -1)
     return ConstraintSystem(trig, symbols, frame)
 
 

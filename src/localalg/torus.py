@@ -19,7 +19,7 @@ is kept as that index and its vector (``solution_rows``), not as a dense row.
 For a function the symbol is C (k tensor I_n), where C holds the A-linearity
 rows on (coordinate, component) values: a function is A-differentiable
 exactly when its differential is A-linear. The 1-forms of ``forms`` solve
-on a frame of the kernel of C, with only closedness rows.
+on a frame of the kernel of C, with a Hodge projector of closedness rows.
 
 The real part is critical on the leaf minimizing the e1 leaf-average
 (Molino, Riemannian foliations, 1988). Every solution row sits on one trig
@@ -211,12 +211,13 @@ def capped_trig_space(cfg: TorusConfig, degree: int, unknowns: int,
     """The degree-``degree`` trig space, unless the system would have more than
     ``cap`` columns (``unknowns`` times (2d+1)^N).
 
-    The count is arithmetic, so an oversized request fails with
-    SizeCapExceeded before any frequency is enumerated. A negative degree
-    leaves only the constant, as in ``TrigSpace.build``.
+    The counts are arithmetic: an oversized request, or a basis that int64
+    cannot index (N >= 40 at degree >= 1), fails with SizeCapExceeded before
+    any frequency is enumerated. A negative degree leaves only the constant.
     """
-    _size(unknowns, 2 * max(degree, 0) + 1, cfg.ncoords, cap,
-          f"{{}} columns exceed the cap {cap}")
+    base = 2 * max(degree, 0) + 1
+    _size(unknowns, base, cfg.ncoords, cap, f"{{}} columns exceed the cap {cap}")
+    _size(1, base, cfg.ncoords, 2**63 - 1, "{} trig basis functions cannot be indexed in int64")
     return cfg.trig_space(degree)
 
 
@@ -234,10 +235,13 @@ def assemble_function_constraints(cfg: TorusConfig, degree: int,
     coord(j, c), so the symbol is assembled slot by slot, rows (j, a, i, b).
     """
     trig = capped_trig_space(cfg, degree, cfg.n, cap)
-    n, eye = cfg.n, np.eye(cfg.n)
-    comm = np.concatenate([np.kron(eye, L.T) - np.kron(L, eye) for L in cfg.mults[1:]])
+    n, eye, L = cfg.n, np.eye(cfg.n), cfg.mults[1:]
+    comm = (eye[:, None, :, None] * L.transpose(0, 2, 1)[:, None, :, None, :]
+            - L[:, :, None, :, None] * eye[:, None, :]).reshape(-1, n * n)
     k = trig.mode_freqs().reshape(-1, n, cfg.m).transpose(0, 2, 1)
-    symbols = (comm @ np.kron(eye, k[..., None])).reshape(len(k), -1, n)
+    diff = np.zeros(k.shape[:2] + (n, n, n))  # I (x) k_j: [p, j, i, c, i] = k[p, j, c]
+    diff[:, :, np.arange(n), :, np.arange(n)] = k
+    symbols = (comm @ diff.reshape(len(k), cfg.m, n * n, n)).reshape(len(k), -1, n)
     return ConstraintSystem(trig, symbols, eye)
 
 

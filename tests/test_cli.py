@@ -571,8 +571,9 @@ ROUND_OFF_PREFIXES = ("INJECTIVITY_RESIDUAL=", "CHECK class_map_injective PASS d
 
 def test_forms_preset_reports_match_golden(capsys):
     # the golden file holds the reports of the solve with A-linearity rows
-    # that the commutant frame replaced; only the injectivity residual, which
-    # is round-off, may move, and it must stay at round-off
+    # and closedness rows, which the commutant frame and the Hodge projector
+    # symbol replaced; only the injectivity residual, which is round-off,
+    # may move, and it must stay at round-off
     got = ""
     for name, m, d in FORMS_LADDER:
         argv = ["forms", "--preset", name, "--m", str(m), "--degree", str(d)]
@@ -652,6 +653,17 @@ def test_huge_m_exits_5_at_once(capsys, argv):
     out = capsys.readouterr().out
     assert code == 5
     assert out.startswith("ERROR size cap exceeded: more than 2^")
+
+
+@pytest.mark.parametrize("command", ["verify", "forms"])
+def test_trig_space_past_int64_exits_5(command):
+    # 3^66 trig basis functions fit under a 10^40 column cap, but int64
+    # cannot index them: refused by count before np.indices, which takes
+    # at most 64 axes, is called
+    proc = run(command, "--preset", "dual", "--m", "33", "--degree", "1", "--cap", "1" + "0" * 40)
+    assert (proc.returncode, proc.stderr) == (5, "")
+    assert proc.stdout == (f"ERROR size cap exceeded: {3**66} trig basis functions"
+                           " cannot be indexed in int64\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -33,6 +33,7 @@ from localalg.torus import (
 
 from util import (
     FORMS_LADDER,
+    closedness_symbols,
     commutator_rows,
     constant_function_vectors,
     dense_form_constraints,
@@ -171,14 +172,17 @@ def test_symbol_matches_dense_oracle(kind, name, m, d):
     cfg = make_torus(preset(name), m)
     system = assemble(cfg, d)
     trig = system.trig
-    B = trig.size
+    B, N = trig.size, cfg.ncoords
     M = oracle(cfg, trig)
     modes, R, nsym = system.symbols.shape
     # the symbols act on frame coordinates (the identity frame for
-    # functions); the oracle keeps every row, A-linearity first in each mode
+    # functions); the oracle keeps every row, A-linearity first in each
+    # mode. For forms it has N(N-1)/2 closedness rows per component where
+    # the projector symbol has N
     lift = np.kron(system.frame, np.eye(B))
     dropped = 0 if kind == "functions" else len(commutator_rows(cfg))
-    assert M.shape == ((R + dropped) * B, system.ncols)
+    kept = R if kind == "functions" else N * (N - 1) // 2 * cfg.n
+    assert M.shape == ((kept + dropped) * B, system.ncols)
     assert system.nrows == R * B
 
     # the symbol nullspace spans the full oracle's nullspace (every M is tall)
@@ -188,30 +192,61 @@ def test_symbol_matches_dense_oracle(kind, name, m, d):
     assert sol.shape[0] == dense.shape[0]
     assert np.abs((dense @ sol.T) @ sol - dense).max(initial=0.0) <= 1e-9
 
-    # per mode, the oracle block on the frame columns has the symbol's
-    # singular values, each twice, and its A-linearity rows vanish there
+    # per mode, the oracle's A-linearity rows vanish on the frame columns,
+    # and its other rows there have the symbol's singular values, each twice
     MF, smax = M @ lift, s[0]
     sym_s = np.linalg.svd(system.symbols, compute_uv=False)
     assert abs(sym_s.max() - np.linalg.norm(MF, 2)) <= 1e-12 * smax
     for p in range(modes):
         ts = [0] if p == 0 else [2 * p - 1, 2 * p]
-        first = 0 if p == 0 else (R + dropped) * (2 * p - 1)
+        first = 0 if p == 0 else (kept + dropped) * (2 * p - 1)
         cols = [u * B + t for u in range(nsym) for t in ts]
-        block = MF[first:first + (R + dropped) * len(ts)][:, cols]
+        block = MF[first:first + (kept + dropped) * len(ts)][:, cols]
         assert np.abs(block[:dropped * len(ts)]).max(initial=0.0) <= 1e-12 * smax
         want = np.sort(np.repeat(sym_s[p], len(ts)))
-        got = np.sort(np.linalg.svd(block, compute_uv=False))
+        got = np.sort(np.linalg.svd(block[dropped * len(ts):], compute_uv=False))
         assert_allclose(got, want, rtol=0, atol=1e-12 * smax)
+
+    # on the frame the function residual is the oracle's; the form symbol is
+    # Z^T Z / |k| for the closedness rows Z of each mode, so the form
+    # residual is M^T M u over |k| on each trig index (0 on the constant)
+    if kind == "functions":
+        def oracle_residual(U):
+            return np.abs(M @ U.T).max()
+    else:
+        freq = np.linalg.norm(trig.mode_freqs()[(np.arange(B) + 1) // 2], axis=1)
+
+        def oracle_residual(U):
+            gram = (U @ M.T @ M).reshape(len(U), -1, B)
+            return np.abs(gram / np.maximum(freq, 1.0)).max()
 
     rng = np.random.default_rng(7)
     for _ in range(5):
         u = lift @ rng.standard_normal(nsym * B)
-        assert abs(system.residual_inf(split_rows(u, B)) - np.abs(M @ u).max()) <= 1e-12
+        assert abs(system.residual_inf(split_rows(u, B)) - oracle_residual(u[None])) <= 1e-12
     # the rows of an (S, ncols) stack give the largest violation of any of them
     stack = rng.standard_normal((4, nsym * B)) @ lift.T
     res = system.residual_inf(split_rows(stack, B))
     assert isinstance(res, float)
-    assert abs(res - np.abs(M @ stack.T).max()) <= 1e-12
+    assert abs(res - oracle_residual(stack)) <= 1e-12
+
+
+@pytest.mark.parametrize("name,m,d", CONFIGS + [("dual", 3, 1)])
+def test_form_symbol_is_the_hodge_projector_of_the_closedness_rows(name, m, d):
+    # S^T S = F^T (Z^T Z (x) I_n) F for the closedness rows Z(k) of each mode,
+    # Z^T Z = |k|^2 I - k k^T: the same Gram screen, ranks and nullities,
+    # also where S has more rows than Z (dual m=1, N = 2)
+    cfg = make_torus(preset(name), m)
+    system = assemble_form_constraints(cfg, d)
+    S, Z = system.symbols, closedness_symbols(cfg, system.trig, system.frame)
+    k2 = np.square(system.trig.mode_freqs()).sum(axis=1)
+    gram = np.swapaxes(S, 1, 2) @ S - np.swapaxes(Z, 1, 2) @ Z
+    assert np.all(np.abs(gram).max(axis=(1, 2)) <= 1e-14 * k2)
+    assert np.all(S[0] == 0)
+    tol = torus.DEFAULT_NULL_TOL
+    assert np.array_equal(linalg._full_rank_modes(S, tol), linalg._full_rank_modes(Z, tol))
+    nullity = [S.shape[2] - linalg._svd_rank(X, tol, compute_uv=False)[0] for X in (S, Z)]
+    assert np.array_equal(*nullity)
 
 
 def test_cap_checked_before_enumeration(monkeypatch):
@@ -1037,6 +1072,20 @@ def test_gram_out_of_range_sends_the_whole_stack_to_the_svd(monkeypatch, scale):
     system = assemble_function_constraints(make_torus(preset("trunc:3"), 2), 1)
     system.symbols = system.symbols * scale
     assert _svd_modes(monkeypatch, system) == len(system.symbols)
+
+
+def test_trig_space_past_int64_is_refused_before_enumeration(monkeypatch):
+    # (2d+1)^N indexes in int64 up to 3^39 at degree 1; 3^40 does not
+    built = []
+    monkeypatch.setattr(TrigSpace, "build", classmethod(lambda cls, N, d: built.append(N)))
+    cap = 10**40
+    torus.capped_trig_space(make_torus(preset("trunc:3"), 13), 1, 3, cap)
+    assert built == [39]
+    refused = f"^{3**40} trig basis functions cannot be indexed in int64$"
+    for assemble in (assemble_function_constraints, assemble_form_constraints):
+        with pytest.raises(SizeCapExceeded, match=refused):
+            assemble(make_torus(preset("dual"), 20), 1, cap)
+    assert built == [39]
 
 
 def test_size_cap():

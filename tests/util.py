@@ -738,6 +738,17 @@ def dense_min_leaf(solutions, cfg, trig, grid):
     return qmin, avg, grad, variation
 
 
+def closedness_symbols(cfg, trig, frame):
+    """Closedness rows of every mode on the frame, (modes, N(N-1)/2 * n, m*n):
+    k_alpha omega_beta - k_beta omega_alpha for alpha < beta and every
+    component, the form symbol before the Hodge projector replaced it."""
+    N, K = cfg.ncoords, trig.mode_freqs()
+    alpha, beta = np.triu_indices(N, 1)
+    eye = np.eye(N)
+    closed = K[:, alpha, None] * eye[beta] - K[:, beta, None] * eye[alpha]
+    return (closed @ frame.reshape(N, -1)).reshape(len(K), len(alpha) * cfg.n, -1)
+
+
 def commutator_rows(cfg):
     """A-linearity rows on (coordinate, component) values, (m*(n-1)*n*n, N*n).
 
