@@ -7,10 +7,11 @@ vectors of coefficients in that basis; the coefficient of the unit is the
 "real part".
 
 The module computes the structural invariants needed downstream: the
-radical (nilpotent ideal) via the trace-form kernel, the descending power
-filtration of the radical, a standard basis (the unit plus monomials in a
-minimal generating set, or pseudobasis, of the radical) found in one graded
-pass of batched products, and the socle (annihilator of the radical) as a rank.
+radical (nilpotent ideal) via the trace-form kernel, a standard basis (the
+unit plus monomials in a minimal generating set, or pseudobasis, of the
+radical) found in one graded pass of batched products, with the descending
+power filtration of the radical (past rad^2 on the pseudobasis maps), and
+the socle (annihilator of the radical) as a rank.
 """
 
 from __future__ import annotations
@@ -113,16 +114,26 @@ def square_zero_algebra(generators: int) -> StructureConstants:
     return StructureConstants(n, _default_labels(n), C)
 
 
+def _dimension(digits: str, units: int = 0) -> int:
+    """``int(digits) + units``, refused from 108 on, before any array is made:
+    ``validate_algebra``'s n^4 float64 associativity temporary passes 1 GiB."""
+    digits = digits.lstrip("0") or "0"  # and no int() of thousands of digits
+    if len(digits) > 3 or (n := int(digits) + units) > 107:
+        raise AlgebraFormatError("algebra dimension over 107: validating it would take "
+                                 "an n^4 float64 array of more than 1 GiB")
+    return n
+
+
 def preset(name: str) -> StructureConstants:
     """Resolve a named algebra: ``dual``, ``trunc:k``, ``square:r``."""
     if name == "dual":
         return truncated_poly_algebra(2)
     m = re.fullmatch(r"trunc:(\d+)", name)
     if m:
-        return truncated_poly_algebra(int(m.group(1)))
+        return truncated_poly_algebra(_dimension(m.group(1)))
     m = re.fullmatch(r"square:(\d+)", name)
     if m:
-        return square_zero_algebra(int(m.group(1)))
+        return square_zero_algebra(_dimension(m.group(1), 1) - 1)
     raise AlgebraFormatError(f"unknown preset {name!r}")
 
 
@@ -144,7 +155,7 @@ def from_spec(text: str) -> StructureConstants:
     m = re.fullmatch(r"algebra\s+n=(\d+)", lines[0])
     if not m:
         raise AlgebraFormatError(f"bad header line: {lines[0]!r}")
-    n = int(m.group(1))
+    n = _dimension(m.group(1))
     if len(lines) < 2 or not lines[1].startswith("basis"):
         raise AlgebraFormatError("second line must be 'basis <names...>'")
     labels = tuple(lines[1].split()[1:])
@@ -285,29 +296,6 @@ def radical_basis(A: StructureConstants) -> np.ndarray:
     return linalg.nullspace_rows(gram)
 
 
-def radical_filtration(A: StructureConstants,
-                       rad: np.ndarray) -> tuple[list[np.ndarray], int | None]:
-    """Descending chain rad >= rad^2 >= ... >= 0 and the nilpotency index.
-
-    Each chain entry is an orthonormal row basis, signed as the SVD gives it;
-    the chain ends with the first zero subspace. ``nu`` is the first power
-    that vanishes, or None if the chain stalls (a non-nilpotent radical).
-    ``rad`` is ``radical_basis(A)``. Each power is one matrix product with the
-    radical's multiplication maps side by side, (n, r n); ranks are measured
-    against the norm of the structure constants: round-off powers are zero.
-    """
-    scale = float(linalg.norm(A.C))
-    rad_maps = np.einsum("vj,ijk->ivk", rad, A.C).reshape(A.n, -1)  # x -> x * rad[v]
-    chain = [rad]
-    while chain[-1].shape[0] > 0:  # ranks fall every step, or it returns
-        products = chain[-1] @ rad_maps  # (u, v * n + k)
-        rank, vh = linalg._svd_rank(products.reshape(-1, A.n), linalg.RANK_TOL, scale)
-        if rank >= chain[-1].shape[0]:
-            return chain, None
-        chain.append(vh[:rank])
-    return chain, len(chain)
-
-
 def graded_multiindices(parts: int, max_degree: int) -> Iterator[tuple[int, ...]]:
     """Exponent tuples of total degree 1..max_degree, ordered by degree, then
     lexicographically (earlier positions dominate, higher exponent first)."""
@@ -362,34 +350,48 @@ class StandardBasisInfo:
 def standard_basis(A: StructureConstants, rad: np.ndarray) -> StandardBasisInfo:
     """Compute a standard basis: {1} plus monomials in a pseudobasis.
 
-    The pseudobasis g_1..g_r spans the complement of rad^2 in rad. In one
-    graded pass the candidates of degree d are the kept monomials u of degree
-    d-1 times each g_t from u's last generator on, visited higher exponent
-    first: a monomial order, so the kept words form an order ideal (Faugere,
-    Gianni, Lazard & Mora 1993). Each u * g_t is orthogonalized against the
-    kept span and kept when the residual's norm exceeds RANK_TOL times the
-    larger of that norm and its term size ``|| |u| . |L_{g_t}| ||``: the only
-    singular value of one row is its norm, so this is ``linalg._svd_rank``'s
-    rule with the term size as scale, and no candidate needs an SVD. A kept u
-    is in the socle when the next batch, u * g_t for every t, vanishes.
-    SpanFailure signals a radical that is not nilpotent or not n-1
-    dimensional, monomials that never span it, or socle monomials not as many
-    as ``socle_dim`` counts: monomials in generic generators need not be
-    adapted to the socle. AlgebraFormatError signals products that leave the
-    float range. ``rad`` is ``radical_basis(A)``, as ``validate_algebra``
-    returns it; it feeds the filtration, that socle guard and the info.
+    The pseudobasis g_1..g_r spans the complement of rad^2 in rad. rad^2 is
+    one product with the maps x -> x * e of the radical basis side by side,
+    each further power one with the maps x -> x * g_t alone, as rad^(k+1) =
+    rad^k g (Nakayama's lemma; k >= 1, C associative); their ranks are taken
+    against the norm of C. In one graded pass the candidates of degree d are
+    the kept monomials u of degree d-1 times each g_t from u's last generator
+    on, visited higher exponent first: a monomial order, so the kept words
+    form an order ideal (Faugere, Gianni, Lazard & Mora 1993). Each u * g_t
+    is orthogonalized against the kept span and kept when the residual's
+    norm exceeds RANK_TOL times the larger of that norm and its term size
+    ``|| |u| . |L_{g_t}| ||``: the only singular value of one row is its
+    norm, so this is ``linalg._svd_rank``'s rule with the term size as scale,
+    and no candidate needs an SVD. A kept u is in the socle when the next
+    batch, u * g_t for every t, vanishes. SpanFailure signals a radical that
+    is not nilpotent or not n-1 dimensional, monomials that never span it, or
+    socle monomials not as many as ``socle_dim`` counts: monomials in generic
+    generators need not be adapted to the socle. AlgebraFormatError signals
+    products that leave the float range. ``rad`` is ``radical_basis(A)``, as
+    ``validate_algebra`` returns it.
     """
-    chain, nu = radical_filtration(A, rad)
-    if nu is None:
-        raise SpanFailure("radical is not nilpotent; input is not a local algebra")
-    rad2 = chain[1] if len(chain) > 1 else np.zeros((0, A.n))
-    if rad.shape[0] != A.n - 1:
-        raise SpanFailure(f"radical dimension {rad.shape[0]} != n-1; input is not local")
+    scale = float(linalg.norm(A.C))
 
+    def power(prev: np.ndarray, by: np.ndarray) -> np.ndarray:  # prev times the maps by
+        rank, vh = linalg._svd_rank((prev @ by).reshape(-1, A.n), linalg.RANK_TOL, scale)
+        if rank >= prev.shape[0]:
+            raise SpanFailure("radical is not nilpotent; input is not a local algebra")
+        return vh[:rank]
+
+    chain = [rad]
+    if rad.shape[0]:  # rad^2 on the maps x -> x * rad[v]
+        chain.append(power(rad, np.einsum("vj,ijk->ivk", rad, A.C).reshape(A.n, -1)))
+    rad2 = chain[-1]  # the empty rad itself when n = 1
     # minimal generators: complement of rad^2 inside rad
     pseudo = linalg.orthonormal_rows(rad - (rad @ rad2.T) @ rad2)
     r = pseudo.shape[0]
     maps = np.einsum("ti,ijk->tjk", pseudo, A.C)  # u @ maps[t] = u * g_t
+    step = np.swapaxes(maps, 0, 1).reshape(A.n, r * A.n)  # x -> x * g_t side by side
+    while chain[-1].shape[0] > 0:  # rad^(k+1) = rad^k g (Nakayama); ranks fall, or it raises
+        chain.append(power(chain[-1], step))
+    nu = len(chain)
+    if rad.shape[0] != A.n - 1:
+        raise SpanFailure(f"radical dimension {rad.shape[0]} != n-1; input is not local")
     abs_maps = np.abs(maps)
     span = np.zeros((A.n - 1, A.n))  # orthonormal rows of the kept monomials
     selected: list[Element] = []

@@ -60,7 +60,7 @@ INJECTIVITY_TOL = 1e-9  # largest residual of a zero-mean solution off the diffe
 
 def commutant_frame(cfg: TorusConfig) -> np.ndarray:
     """Orthonormal frame (N*n, m*n) of the A-linear 1-form values: column
-    (j, b) is L_b[i, c] at (coordinate coord(j, c), component i), then QR."""
+    (j, b) is L_b[i, c] at (coordinate c*m + j, component i), then QR."""
     n, m = cfg.n, cfg.m
     blocks = np.einsum("bic,jk->cjikb", cfg.mults, np.eye(m))
     return np.linalg.qr(blocks.reshape(cfg.ncoords * n, m * n))[0]

@@ -127,10 +127,6 @@ class TorusConfig:
     def ncoords(self) -> int:
         return self.n * self.m
 
-    def coord(self, slot: int, comp: int) -> int:
-        """Torus coordinate index of component ``comp`` of slot ``slot``."""
-        return comp * self.m + slot
-
     def trig_space(self, degree: int) -> TrigSpace:
         return TrigSpace.build(self.ncoords, degree)
 
@@ -229,10 +225,10 @@ def assemble_function_constraints(cfg: TorusConfig, degree: int,
     C (k tensor I_n): the differential of mode k, k_a g^i at (coordinate a,
     component i), fed to the A-linearity rows C. For slot j and radical basis
     element e_a, the n x n matrix W with W[i, c] the value at (coordinate
-    coord(j, c), component i) must commute with L_a; on W flattened
-    row-major, W L_a - L_a W is kron(I, L_a^T) - kron(L_a, I). The
-    differential of mode k on slot j is W = I (x) k_j, k_j[c] = k at
-    coord(j, c), so the symbol is assembled slot by slot, rows (j, a, i, b).
+    c*m + j, component i) must commute with L_a; on W flattened row-major,
+    W L_a - L_a W is kron(I, L_a^T) - kron(L_a, I). The differential of mode
+    k on slot j is W = I (x) k_j, k_j[c] = k at coordinate c*m + j, so the
+    symbol is assembled slot by slot, rows (j, a, i, b).
     """
     trig = capped_trig_space(cfg, degree, cfg.n, cap)
     n, eye, L = cfg.n, np.eye(cfg.n), cfg.mults[1:]

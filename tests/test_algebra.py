@@ -16,7 +16,6 @@ from localalg.algebra import (
     mul,
     preset,
     radical_basis,
-    radical_filtration,
     socle_dim,
     validate_algebra,
 )
@@ -281,16 +280,16 @@ def test_filtration_dims_and_nu():
     nus = {"dual": 2, "trunc:3": 3, "trunc:4": 4, "square:2": 2}
     for name in PRESETS:
         A = preset(name)
-        chain, nu = radical_filtration(A, radical_basis(A))
-        assert [c.shape[0] for c in chain] == expected[name], name
-        assert nu == nus[name], name
+        info = standard_basis(A)
+        assert list(info.filtration_dims) == expected[name], name
+        assert info.nu == nus[name], name
 
 
 def test_radical_random_membership():
     for name in PRESETS:
         A = preset(name)
         rad = radical_basis(A)
-        _, nu = radical_filtration(A, rad)
+        nu = standard_basis(A).nu
         rng = np.random.default_rng(1)
         for _ in range(100):
             r = rng.standard_normal(rad.shape[0]) @ rad
@@ -370,6 +369,16 @@ def test_standard_basis_rejects_split_algebra():
         standard_basis(r_plus_r())
 
 
+def test_standard_basis_rejects_a_radical_square_that_does_not_shrink():
+    # a b = a, b b = -b: every multiplication by a or b is traceless, so the
+    # radical is span(a, b) and equals its square; validate_algebra reports
+    # the table as not associative first
+    A = from_spec("algebra n=3\nbasis 1 a b\nmul a b = 1*a\nmul b b = -1*b\n")
+    assert [v.axiom for v in validate_algebra(A)[0]] == ["associativity"]
+    with pytest.raises(SpanFailure, match="^radical is not nilpotent; input is not a local"):
+        standard_basis(A)
+
+
 @pytest.mark.parametrize("name,dims,nu,socle", [
     ("trunc:3", (2, 1, 0), 3, 1),
     ("trunc:4", (3, 2, 1, 0), 4, 1),
@@ -380,8 +389,6 @@ def test_changed_radical_basis_keeps_invariants(name, dims, nu, socle, seed):
     # in a changed basis the powers of the radical past nu are round-off,
     # which must not count as rank
     A = changed_radical_basis(preset(name), seed)
-    chain, got_nu = radical_filtration(A, radical_basis(A))
-    assert (tuple(c.shape[0] for c in chain), got_nu) == (dims, nu)
     assert radical_basis(A).shape[0] == A.n - 1
     info = standard_basis(A)
     assert (info.filtration_dims, info.nu, len(info.socle)) == (dims, nu, socle)

@@ -377,6 +377,33 @@ def test_one_dimensional_algebra_rejected(tmp_path, command, extra, code, source
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command,extra,code", [
+    ("algebra", (), 2),
+    ("lift", ("--expr", "x1", "--at", "1"), 3),
+])
+@pytest.mark.parametrize("source", [
+    "trunc:99999", "square:99999", "square:107", "trunc:" + "9" * 5000, "n=108", "n=" + "9" * 5000])
+def test_dimension_past_the_validation_budget_is_refused(tmp_path, capsys, command, extra, code,
+                                                         source):
+    # from n = 108 the n^4 float64 associativity temporary would pass 1 GiB;
+    # refused before even the n^3 table is allocated, thousands of digits too
+    if source.startswith("n="):
+        spec = tmp_path / "big.alg"
+        spec.write_text(f"algebra {source}\nbasis 1 " + " ".join(f"e{i}" for i in range(1, 108)))
+        algebra = ("--spec", str(spec))
+    else:
+        algebra = ("--preset", source)
+    tracemalloc.start()
+    try:
+        got = _strict_run(capsys, [command, *algebra, *extra])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (code, "ERROR algebra dimension over 107: validating it would take an n^4 "
+                   "float64 array of more than 1 GiB\n", "")
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("lines", [
     "mul a a = 1*b\nmul a a = 0\n",
     "mul a b = 0\nmul b a = 0\n",

@@ -3,6 +3,7 @@ span plus each candidate monomial in turn, every product by ``mul``."""
 
 import dataclasses
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from localalg.errors import SpanFailure
 from util import (
     changed_radical_basis,
     einsum_standardize,
+    monomial_quotient,
     reference_socle_basis,
     reference_standard_basis,
     reference_standardize_tensor,
+    scaled_trunc_spec,
     staircase_quotients,
     standard_basis,
     standardize,
@@ -78,21 +81,36 @@ def test_graded_pass_matches_reference_scan_changed_staircases(i, seed):
     assert_allclose(info.P, ref.P, rtol=1e-12, atol=1e-12)
 
 
-FILTRATION_CASES = {**{name: preset(name) for name in ORACLE_PRESETS},
-                    **{f"staircase{i}": A for i, A in enumerate(STAIRCASES)}}
-FILTRATION_CASES.update({f"{name}-changed{seed}": changed_radical_basis(A, seed)
-                         for name, A in list(FILTRATION_CASES.items()) for seed in range(2)})
+CORPUS = standardize_corpus()
+
+
+# the corpus, R[a]/(a^k) with every product scaled by c, and
+# R[x, y]/(x^2, xy, y^4) in random bases (q5)
+FILTRATION_CASES = {**CORPUS, **{
+    f"scaled-trunc:{k}-{c:g}": algebra.from_spec(scaled_trunc_spec(k, c))
+    for k in range(2, 7) for c in (1e-10, 1e-6, 1e6, 1e10, 1e14)}}
+Q5 = monomial_quotient([(0, 0), (1, 0), (0, 1), (0, 2), (0, 3)])
+FILTRATION_CASES.update({f"q5-{seed}": changed_radical_basis(Q5, seed) for seed in range(20)})
 
 
 @pytest.mark.parametrize("name", list(FILTRATION_CASES))
-def test_radical_filtration_is_bitwise_the_tensordot_chain(name):
+def test_filtration_is_the_tensordot_chains(name, monkeypatch):
+    # the powers on all n - 1 radical maps, against standard_basis's powers
+    # past rad^2 on the pseudobasis maps; the socle guard passes anything, so
+    # that the powers are an output wherever the graded pass gets through
     A = FILTRATION_CASES[name]
     rad = algebra.radical_basis(A)
-    chain, nu = algebra.radical_filtration(A, rad)
-    ref, ref_nu = tensordot_radical_filtration(A, rad)
-    assert nu == ref_nu and len(chain) == len(ref)
-    for got, want in zip(chain, ref):
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    chain, nu = tensordot_radical_filtration(A, rad)
+    message = ("radical is not nilpotent; input is not a local algebra" if nu is None else
+               f"radical dimension {rad.shape[0]} != n-1; input is not local"
+               if rad.shape[0] != A.n - 1 else None)
+    monkeypatch.setattr(algebra, "socle_dim", lambda A, rad: mock.ANY)
+    if message is not None:
+        with pytest.raises(SpanFailure, match=f"^{re.escape(message)}$"):
+            algebra.standard_basis(A, rad)
+        return
+    info = algebra.standard_basis(A, rad)
+    assert (info.filtration_dims, info.nu) == (tuple(c.shape[0] for c in chain), nu)
 
 
 @pytest.mark.parametrize("name", ["dual"] + ORACLE_PRESETS)
@@ -100,9 +118,6 @@ def test_standardize_matches_naive_contraction_bitwise(name):
     A = preset(name)
     A_std, info = standardize(A)
     assert np.array_equal(A_std.C, reference_standardize_tensor(A, info))
-
-
-CORPUS = standardize_corpus()
 
 
 @pytest.mark.parametrize("name", list(CORPUS))
@@ -162,9 +177,9 @@ def test_standard_basis_takes_one_trace_form_radical(monkeypatch):
 
 
 def test_standard_basis_takes_one_svd_per_power_and_none_per_candidate(monkeypatch):
-    # nu - 1 powers of the radical, the pseudobasis and the socle rank; every
-    # candidate is judged by its norm, so no one-row matrix reaches LAPACK;
-    # the socle guard takes singular values only
+    # rad^2 on the n - 1 radical maps, the pseudobasis, each further power on
+    # the r pseudobasis maps and the socle rank; every candidate is judged by
+    # its norm; the socle guard takes singular values only
     shapes, uvs = [], []
     real_svd = np.linalg.svd
 
@@ -180,8 +195,10 @@ def test_standard_basis_takes_one_svd_per_power_and_none_per_candidate(monkeypat
         monkeypatch.setattr(np.linalg, "svd", spying_svd)
         info = algebra.standard_basis(A, rad)
         monkeypatch.setattr(np.linalg, "svd", real_svd)
+        dims, r = info.filtration_dims, len(info.pseudobasis)
         assert len(shapes) == info.nu + 1
-        assert all(shape[-2] > 1 for shape in shapes), shapes
+        assert [shapes[0][0], shapes[1][0]] == [dims[0] * (A.n - 1), dims[0]], shapes
+        assert [shape[0] for shape in shapes[2:-1]] == [d * r for d in dims[1:-1]], shapes
         assert uvs == [True] * info.nu + [False]
 
 

@@ -74,6 +74,11 @@ def r_plus_r() -> StructureConstants:
     return StructureConstants(2, ("1", "u"), C)
 
 
+def torus_coord(cfg: TorusConfig, slot, comp):
+    """Torus coordinate index comp*m + slot of component ``comp`` of slot ``slot``."""
+    return comp * cfg.m + slot
+
+
 def basis_element(A: StructureConstants, i: int) -> np.ndarray:
     """The i-th basis vector of A as an element."""
     e = np.zeros(A.n)
@@ -373,7 +378,7 @@ def dense_function_constraints(cfg, trig):
 
     def local_rows(nb, D):
         for j in range(m):
-            Dslot = [D[cfg.coord(j, b)] for b in range(n)]
+            Dslot = [D[torus_coord(cfg, j, b)] for b in range(n)]
             for a in range(1, n):
                 for i in range(n):
                     for b in range(n):
@@ -407,9 +412,9 @@ def dense_form_constraints(cfg, trig, closedness=True):
                         R = np.zeros((nb, N * n * nb))
                         for c in range(n):
                             if L[a][c, b]:
-                                R[:, unk(cfg.coord(j, c), i)] += L[a][c, b] * eye
+                                R[:, unk(torus_coord(cfg, j, c), i)] += L[a][c, b] * eye
                             if L[a][i, c]:
-                                R[:, unk(cfg.coord(j, b), c)] -= L[a][i, c] * eye
+                                R[:, unk(torus_coord(cfg, j, b), c)] -= L[a][i, c] * eye
                         yield R
         if not closedness:
             return
@@ -753,7 +758,7 @@ def commutator_rows(cfg):
     """A-linearity rows on (coordinate, component) values, (m*(n-1)*n*n, N*n).
 
     For slot j and radical basis element e_a, the n x n matrix W with
-    W[i, c] the value at (coordinate coord(j, c), component i) must commute
+    W[i, c] the value at (coordinate c*m + j, component i) must commute
     with L_a. On W flattened row-major, W L_a - L_a W is
     kron(I, L_a^T) - kron(L_a, I). Rows are ordered (j, a, i, b) and the
     column of (coordinate, component) is coordinate * n + component.
@@ -764,7 +769,7 @@ def commutator_rows(cfg):
     comp = np.arange(n)
     rows = np.zeros((m, n - 1, n * n, cfg.ncoords * n))
     for j in range(m):
-        cols = (cfg.coord(j, comp)[None, :] * n + comp[:, None]).reshape(-1)
+        cols = (torus_coord(cfg, j, comp)[None, :] * n + comp[:, None]).reshape(-1)
         rows[j][..., cols] = comm
     return rows.reshape(-1, cfg.ncoords * n)
 
@@ -927,8 +932,10 @@ def reference_radical_filtration(A):
 
 
 def tensordot_radical_filtration(A, rad):
-    """``algebra.radical_filtration`` with each power taken by ``np.tensordot``
-    of the previous power and the stacked maps x -> x * rad[v], (n, r, n)."""
+    """Descending chain rad >= rad^2 >= ... >= 0 and the nilpotency index (None
+    for a chain that stalls), each power taken by ``np.tensordot`` of the
+    previous power and the stacked maps x -> x * rad[v] of the whole radical
+    basis, (n, r, n), ranked as ``algebra.standard_basis`` ranks its powers."""
     scale = float(linalg.norm(A.C))
     rad_maps = np.einsum("vj,ijk->ivk", rad, A.C)
     chain = [rad]
