@@ -112,21 +112,6 @@ class Log(Expr):
 FUNCTIONS = {"sin": Sin, "cos": Cos, "exp": Exp, "log": Log}
 ZERO, ONE = Const(0.0), Const(1.0)  # held here: folds and diff return these nodes
 
-# ten stock expressions in x1, x2 used by the lift equivalence suite
-CORPUS_VARS = 2
-CORPUS = (
-    "x1^2",
-    "sin(x1)",
-    "exp(x1) * sin(x2)",
-    "x1 * x2",
-    "1 / (2 + x1)",
-    "log(3 + x1)",
-    "x1^3 - 2*x1*x2 + x2^2",
-    "cos(x1 * x2)",
-    "sin(x1)^2 + cos(x1)^2",
-    "exp(x1 + x2) / (1 + x1^2)",
-)
-
 
 # -- folding constructors -------------------------------------------------------
 

@@ -24,16 +24,18 @@ on a frame of the kernel of C, with a Hodge projector of closedness rows.
 The real part is critical on the leaf minimizing the e1 leaf-average
 (Molino, Riemannian foliations, 1988). Every solution row sits on one trig
 index, so that leaf on the grid^m transversal lattice, the real part's
-gradient there and its variation all have a closed form (``_leaf_bounds``),
-whose cost per class of rows follows the few points that can tie for the
-minimum, not grid^m. Only a live row reaches it: a real part off trig
-index 0 that is not 0 (NaN and inf count).
+gradient there and its variation all have a closed form (``_leaf_bounds``):
+the leaf sits at the multiples of gcd(k', grid) nearest the minimiser, which
+exact integer arithmetic finds in O(m) per class of rows at any grid. Only a
+live row reaches it: a real part off trig index 0 that is not 0 (NaN and
+inf count).
 Every actual solution is flat, so GRAD_MAX and G_VARIATION are 0 by
 construction; the check has content only on injected non-solutions.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +48,6 @@ from .report import Report
 
 DEFAULT_CAP = 20000
 DEFAULT_NULL_TOL = 1e-8
-TIE_RTOL = 1e-12  # relative to the l1 norm of the averaged coefficients
 
 
 @dataclass(frozen=True)
@@ -319,40 +320,40 @@ def verify_socle_decomposition(rows: np.ndarray, cfg: TorusConfig,
     return rep
 
 
-def _first_leaf(k: np.ndarray, sin: bool, sign: int, grid: int) -> list[int]:
+def _first_leaf(k: list[int], sin: bool, sign: int, grid: int) -> tuple[list[int], int]:
     """Digits of the first row-major j on the grid^m lattice at which
     sign * cos (sin if ``sin``) of 2 pi t / grid, t = k . j mod grid, is
-    within TIE_RTOL of its minimum; j = 0 when sign is 0. Of the multiples t
-    of g = gcd(k, grid) only those within 0.8 g + grid sqrt(TIE_RTOL) / 2 of
-    the minimiser over the circle can tie, and only they are searched. Digit
-    j_i is the least solution of k_i j_i = t mod gcd(k_{i+1..}, grid) over
-    the tied t, by a modular inverse; the later digits then reach t."""
+    least, and that t; j = 0 and t = 0 when sign is 0. In exact integers:
+    t = u g with g = gcd(k, grid) and u mod size = grid / g, and the value
+    grows with the distance of u from the minimiser q / 4 on that circle,
+    q = size * (2, 0, 3 or 1) for +cos, -cos, +sin or -sin; the least sit at
+    the nearest u, (q + 1) // 4 and (q + 2) // 4 mod size. Digit j_i is the
+    least solution of k_i j_i = t mod gcd(k_{i+1..}, grid) over those t, by
+    a modular inverse; the later digits then reach t."""
     if sign == 0:
-        return [0] * len(k)
-    reach = [int(r) for r in np.gcd.accumulate(np.append(k, grid)[::-1])[::-1]]
-    size, r = grid // reach[0], 2 + int(grid * TIE_RTOL**0.5 / reach[0])
-    turn = ((3 if sign > 0 else 1) / 4) if sin else (0.5 if sign > 0 else 0.0)
-    u = np.arange(-r, r + 1) + round(turn * size) if 2 * r + 1 < size else np.arange(size)
-    t = u % size * reach[0]
-    v = sign * (np.sin if sin else np.cos)(2 * np.pi * t / grid)
-    t, j = t[v <= v.min() + TIE_RTOL * abs(sign)].tolist(), []
-    for ki, g, step in zip(k.tolist(), reach, reach[1:]):
+        return [0] * len(k), 0
+    reach = list(itertools.accumulate(reversed(k), math.gcd, initial=grid))[::-1]
+    size = grid // reach[0]
+    q = size * ((3 if sign > 0 else 1) if sin else (2 if sign > 0 else 0))
+    t, j = {(q + 1) // 4 % size * reach[0], (q + 2) // 4 % size * reach[0]}, []
+    for ki, g, step in zip(k, reach, reach[1:]):
         inv = pow(ki // g, -1, step // g)
         j.append(min(u % step // g * inv % (step // g) for u in t))
         t = [u - ki * j[-1] for u in t if (u - ki * j[-1]) % step == 0]
-    return j
+    return j, sum(ki * ji for ki, ji in zip(k, j)) % grid
 
 
 def _leaf_bounds(rows: np.ndarray, cfg: TorusConfig, trig: TrigSpace, grid: int):
-    """Per row of ``solution_rows``: the digits x of its minimizing leaf, the
-    e1 average there, and bounds on the real part's gradient on that leaf and
-    on its variation, all in closed form. A row on one trig index has real
-    part c cos(k . theta) or c sin(k . theta), and e1 average e cos(k' . x)
-    or e sin(k' . x) with e its e1 coefficient if k'' = 0 and 0 otherwise,
-    where k = (k', k''). So the leaf depends only on (k', cos or sin, sign of
-    e), and ``_first_leaf`` finds it once per such group; a non-finite e gives
-    x = 0 and average NaN. With z = c (cos) or -i c (sin), dG/d(theta_a) on
-    the leaf is Re(w k_a e^{i k'' . y}), w = i z e^{i k' . x}: the gradient is
+    """Per row of ``solution_rows``: the digits x of its minimizing leaf
+    (Python ints), the e1 average there, and bounds on the real part's
+    gradient on that leaf and on its variation, all in closed form. A row on
+    one trig index has real part c cos(k . theta) or c sin(k . theta), and e1
+    average e cos(k' . x) or e sin(k' . x) with e its e1 coefficient if
+    k'' = 0 and 0 otherwise, where k = (k', k''). So the leaf depends only on
+    (k', cos or sin, sign of e), and ``_first_leaf`` finds it and its phase
+    k' . x mod grid once per such group; a non-finite e gives x = 0 and
+    average NaN. With z = c (cos) or -i c (sin), dG/d(theta_a) on the leaf is
+    Re(w k_a e^{i k'' . y}), w = i z e^{i k' . x}: the gradient is
     max_a |Re(w k_a)| if k'' = 0 and max_a |w k_a| otherwise, and the
     variation is 2 |z|. Both are exact: y runs over the whole leaf, so
     |Re(w k_a e^{i k'' . y})| reaches |w k_a| when k'' != 0."""
@@ -365,9 +366,12 @@ def _leaf_bounds(rows: np.ndarray, cfg: TorusConfig, trig: TrigSpace, grid: int)
     sign = np.where(finite, np.sign(e), 0).astype(np.int64)
     # on a transversal index the trig index is (k', cos or sin); elsewhere e is 0
     _, first, inverse = np.unique(index * sign, return_index=True, return_inverse=True)
-    leaves = [_first_leaf(k[r, :m], sin[r], sign[r], grid) for r in first]
-    x = np.reshape(leaves, (-1, m))[inverse]
-    rot = np.exp(2j * np.pi * ((x * k[:, :m]).sum(axis=1) % grid) / grid)
+    leaves = [_first_leaf(*group, grid) for group in
+              zip(k[first, :m].tolist(), sin[first].tolist(), sign[first].tolist())]
+    x = np.array([j for j, _ in leaves], dtype=object).reshape(-1, m)[inverse]
+    shift = max(grid.bit_length() - 1000, 0)  # keeps t and grid inside float64
+    phase = np.array([t >> shift for _, t in leaves], dtype=float)[inverse]
+    rot = np.exp(2j * np.pi * phase / (grid >> shift))
     avg = np.where(finite, e * np.where(sin, rot.imag, rot.real), np.nan)
     z = np.where(sin, 0.0, c) - 1j * np.where(sin, c, 0.0)
     W = (1j * z * rot)[:, None] * k

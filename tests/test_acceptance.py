@@ -17,7 +17,7 @@ from localalg.algebra import (
     standard_basis,
     validate_algebra,
 )
-from localalg.expr import CORPUS, CORPUS_VARS, parse
+from localalg.expr import parse
 from localalg.lift import (
     adiff_defect,
     lift_eval,
@@ -40,6 +40,8 @@ from localalg.forms import (
 )
 
 from util import (
+    CORPUS,
+    CORPUS_VARS,
     PRESETS,
     basis_element,
     localalg_env,

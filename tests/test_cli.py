@@ -16,10 +16,16 @@ from numpy.testing import assert_allclose
 
 from localalg.algebra import preset
 from localalg.cli import _parser, build_parser, main
-from localalg.expr import CORPUS, CORPUS_VARS
 from localalg.lift import format_element, parse_element
 
-from util import FORMS_LADDER, localalg_env, scaled_trunc_spec, unit_safe_point
+from util import (
+    CORPUS,
+    CORPUS_VARS,
+    FORMS_LADDER,
+    localalg_env,
+    scaled_trunc_spec,
+    unit_safe_point,
+)
 
 CMD = [sys.executable, "-m", "localalg"]
 
@@ -160,14 +166,16 @@ def test_verify_huge_grid_prints_what_grid_32_prints(capsys):
 
 @pytest.mark.parametrize("argv,code", [
     ("verify --preset dual --m 2 --degree 1 --tol 1 --grid 1000000000", 4),
+    ("verify --preset dual --m 2 --degree 1 --tol 1 --grid 10000000000000000000", 4),
+    (f"verify --preset dual --m 2 --degree 1 --tol 1 --grid {10**30}", 4),
     ("verify --preset dual --m 100000 --degree 0", 0),
     ("verify --preset trunc:8 --m 200 --degree 0", 0),
     ("verify --preset dual --m 32 --degree 0 --grid 1", 0),
     ("forms --preset dual --m 33 --degree 0", 0),
 ])
 def test_large_runs_complete_without_traceback(argv, code):
-    # live rows on a 10^18-point leaf lattice, degree-0 trig spaces past
-    # numpy's 64 axes, and symbols whose dense A-linearity block would be
+    # live rows on 10^18- to 10^60-point leaf lattices, the larger past
+    # int64, degree-0 trig spaces past numpy's 64 axes, and symbols whose dense A-linearity block would be
     # O(m^2): each run completes with an exit code and no traceback
     proc = run(*argv.split())
     assert (proc.returncode, proc.stderr) == (code, ""), proc.stderr

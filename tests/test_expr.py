@@ -11,8 +11,6 @@ import pytest
 from localalg import expr
 from localalg.errors import DomainError, ExprSyntaxError, UnknownVariable
 from localalg.expr import (
-    CORPUS,
-    CORPUS_VARS,
     Add,
     Const,
     IntPow,
@@ -22,7 +20,7 @@ from localalg.expr import (
     eval_real,
     parse,
 )
-from util import to_text
+from util import CORPUS, CORPUS_VARS, to_text
 
 
 def test_parse_structure():

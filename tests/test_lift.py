@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from localalg import algebra, expr, lift
 from localalg.algebra import graded_multiindices, mul, preset
 from localalg.errors import AlgebraFormatError, DomainError, NonUnitError
-from localalg.expr import CORPUS, CORPUS_VARS, eval_real, parse
+from localalg.expr import eval_real, parse
 from localalg.lift import (
     adiff_defect,
     e1_component_residual,
@@ -23,6 +23,8 @@ from localalg.lift import (
 )
 
 from util import (
+    CORPUS,
+    CORPUS_VARS,
     PRESETS,
     invert,
     radical_negation_map,

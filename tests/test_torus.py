@@ -33,6 +33,7 @@ from localalg.torus import (
 
 from util import (
     FORMS_LADDER,
+    TIE_RTOL,
     closedness_symbols,
     commutator_rows,
     constant_function_vectors,
@@ -463,8 +464,9 @@ def _one_row(u, trig):
 
 
 def _leaf_index(x, grid):
-    """Row-major index on the grid^m lattice of each row of leaf digits."""
-    return np.ravel_multi_index(tuple(x.T), (grid,) * x.shape[1])
+    """Row-major index on the grid^m lattice of each row of leaf digits, in
+    Python ints like the digits themselves."""
+    return [functools.reduce(lambda q, j: q * grid + j, row, 0) for row in x.tolist()]
 
 
 def test_min_leaf_constant_solution_exact():
@@ -695,6 +697,39 @@ def test_min_leaf_tie_tolerance():
         assert_allclose(rep.data["MIN_LEAF_AVG"], np.cos(6 * np.pi / 7), rtol=1e-14)
 
 
+def _scanned_leaves(k, grid):
+    """The first row-major j on the whole grid^m lattice, and its phase
+    t = k . j mod grid, at which sign * cos (sin if ``sin``) of 2 pi t / grid
+    is within TIE_RTOL of its minimum, per (sin, sign): the float tie rule
+    that the exact nearest-multiple rule of ``torus._first_leaf`` replaced."""
+    j = np.indices((grid,) * len(k)).reshape(len(k), -1).T
+    t = j @ np.asarray(k) % grid
+    out = {}
+    for sin, sign in itertools.product((False, True), (1, -1)):
+        v = sign * (np.sin if sin else np.cos)(2 * np.pi * t / grid)
+        first = int(np.argmax(v <= v.min() + TIE_RTOL))
+        out[sin, sign] = (j[first].tolist(), int(t[first]))
+    return out
+
+
+def test_first_leaf_matches_the_tie_window_scan():
+    # the nearest multiples of gcd(k', grid) to the minimiser are exactly
+    # the points the TIE_RTOL window accepted while grid / gcd < pi 10^6,
+    # since the next multiple is at least pi^2 / (grid / gcd)^2 above the
+    # minimum: digits and phase agree with a whole-lattice scan for every
+    # k' with |k_i| <= 3 (2 at m = 3), cos and sin with either sign, at
+    # m <= 2 on grids 1-64 and m = 3 on grids 1-16, and on one axis over
+    # every multiple at grids 999983 (prime), 2^19 and 10^6
+    cases = [(k, grid) for m, kmax, gmax in ((1, 3, 64), (2, 3, 64), (3, 2, 16))
+             for k in itertools.product(range(-kmax, kmax + 1), repeat=m)
+             for grid in range(1, gmax + 1)]
+    cases += [((k,), grid) for k in (1, 2, 3, -4) for grid in (999983, 2**19, 10**6)]
+    for k, grid in cases:
+        for (sin, sign), want in _scanned_leaves(k, grid).items():
+            assert torus._first_leaf(list(k), sin, sign, grid) == want, (k, grid, sin, sign)
+    assert torus._first_leaf([1, 2], True, 0, 7) == ([0, 0], 0)
+
+
 @pytest.mark.parametrize("name,m,d", [("dual", 1, 3), ("trunc:3", 1, 2),
                                       ("square:2", 1, 1), ("dual", 2, 1)])
 def test_min_leaf_aliased_lattices_match_reference(name, m, d):
@@ -720,7 +755,7 @@ def test_min_leaf_groups_do_not_change_results():
     system = assemble_function_constraints(cfg, 1)
     rows = split_rows(_mixed_stack(system), system.trig.size)
     whole = torus._leaf_bounds(rows, cfg, system.trig, 128)
-    assert len(np.unique(whole[0], axis=0)) < len(rows)
+    assert len({tuple(leaf) for leaf in whole[0].tolist()}) < len(rows)
     for i in range(len(rows)):
         one = torus._leaf_bounds(rows[i:i + 1], cfg, system.trig, 128)
         for a, b in zip(whole, one):
@@ -844,12 +879,13 @@ def test_flat_rows_skip_the_leaf_check_exactly(config, seed, consts, nlive):
                                                              "real_part_variation"}
 
 
-def test_min_leaf_has_no_lattice_to_refuse():
-    # 10^18 transversal lattice points at m = 2: the closed form searches
-    # only the few multiples of gcd(k', grid) that can tie for the minimum.
-    # The leaf is the first t whose cos(2 pi t / grid) is within TIE_RTOL of
-    # -1, a few hundred points before the minimum, where the gradient is
-    # |sin(2 pi t / grid)|, not 0
+@pytest.mark.parametrize("grid", [10**9, 10**15, 10**18, 10**30, 10**400])
+def test_min_leaf_has_no_lattice_to_refuse(grid):
+    # grid^2 transversal lattice points at m = 2; the last two grids are past
+    # int64 and the last past float64. The leaf of g = g1 = cos(theta_1) is
+    # the exact minimum theta_1 = pi, row-major index (grid / 2) * grid,
+    # found in exact integers with memory that does not grow with the grid,
+    # so the gradient there is round-off
     cfg = make_torus(preset("dual"), 2)
     trig = assemble_function_constraints(cfg, 1).trig
     u = np.zeros(cfg.n * trig.size)
@@ -858,18 +894,16 @@ def test_min_leaf_has_no_lattice_to_refuse():
     row = _one_row(u, trig)
     tracemalloc.start()
     try:
-        rep = verify_min_leaf(row, cfg, trig, grid=10**9)
+        rep = verify_min_leaf(row, cfg, trig, grid=grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
-    t = np.arange(5 * 10**8 - 10**3, 5 * 10**8 + 1)
-    t = t[np.cos(2 * np.pi * t / 10**9) <= -1 + torus.TIE_RTOL][0]
-    assert 5 * 10**8 - t > 100 and rep.data["MIN_LEAF_INDEX"] == t * 10**9
-    assert abs(rep.data["MIN_LEAF_AVG"] + 1.0) <= torus.TIE_RTOL
-    assert_allclose(rep.data["GRAD_MAX"], np.sin(2 * np.pi * (5 * 10**8 - t) / 10**9), rtol=1e-9)
+    assert peak < 64 * 2**10
+    assert rep.data["MIN_LEAF_INDEX"] == grid // 2 * grid
+    assert rep.data["MIN_LEAF_AVG"] == -1.0
+    assert rep.data["GRAD_MAX"] <= 1e-15
     assert rep.data["G_VARIATION"] == 2.0
-    assert verify_min_leaf_all(np.reshape(row, 1), cfg, trig, grid=10**9).data == {
+    assert verify_min_leaf_all(np.reshape(row, 1), cfg, trig, grid=grid).data == {
         key: rep.data[key] for key in ("GRAD_MAX", "G_VARIATION")}
 
 

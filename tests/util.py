@@ -27,7 +27,6 @@ from localalg.report import Report
 from localalg.torus import (
     DEFAULT_CAP,
     DEFAULT_NULL_TOL,
-    TIE_RTOL,
     TorusConfig,
     assemble_function_constraints,
     solution_rows,
@@ -35,12 +34,27 @@ from localalg.torus import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+TIE_RTOL = 1e-12  # relative to the l1 norm of the averaged coefficients
 
 PRESETS = ("dual", "trunc:3", "trunc:4", "square:2")
 # the ``forms`` ladder: every run of tests/golden/forms_presets.txt
 FORMS_LADDER = [(name, m, d) for name in ("dual", "trunc:2", "trunc:3", "trunc:4",
                                           "square:2", "square:3")
                 for m in (1, 2, 3) for d in (0, 1, 2, 3)]
+# ten stock expressions in x1, x2 used by the lift equivalence suite
+CORPUS_VARS = 2
+CORPUS = (
+    "x1^2",
+    "sin(x1)",
+    "exp(x1) * sin(x2)",
+    "x1 * x2",
+    "1 / (2 + x1)",
+    "log(3 + x1)",
+    "x1^3 - 2*x1*x2 + x2^2",
+    "cos(x1 * x2)",
+    "sin(x1)^2 + cos(x1)^2",
+    "exp(x1 + x2) / (1 + x1^2)",
+)
 
 
 def standard_basis(A: StructureConstants) -> StandardBasisInfo:
