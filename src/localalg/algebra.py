@@ -16,6 +16,7 @@ the socle (annihilator of the radical) as a rank.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -299,20 +300,9 @@ def radical_basis(A: StructureConstants) -> np.ndarray:
 def graded_multiindices(parts: int, max_degree: int) -> Iterator[tuple[int, ...]]:
     """Exponent tuples of total degree 1..max_degree, ordered by degree, then
     lexicographically (earlier positions dominate, higher exponent first)."""
-
-    if parts < 1:
-        return
-
-    def compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
-        if k == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in compositions(total - first, k - 1):
-                yield (first,) + rest
-
     for degree in range(1, max_degree + 1):
-        yield from compositions(degree, parts)
+        for word in itertools.combinations_with_replacement(range(parts), degree):
+            yield tuple(word.count(i) for i in range(parts))
 
 
 @dataclass(frozen=True)
@@ -324,9 +314,8 @@ class StandardBasisInfo:
     radical generators inside the standard basis, ``monomial`` maps every
     standard radical index to its exponent word in those generators,
     ``socle`` lists the indices annihilating the radical, ``nu`` is the
-    radical nilpotency index, ``radical`` the orthonormal rows of
-    ``radical_basis`` (input coordinates) and ``socle_dim`` the dimension
-    of the socle, the rank that the socle guard of ``standard_basis`` takes.
+    radical nilpotency index and ``radical`` the orthonormal rows of
+    ``radical_basis`` (input coordinates).
     """
 
     P: np.ndarray
@@ -335,7 +324,6 @@ class StandardBasisInfo:
     socle: tuple[int, ...]
     nu: int
     radical: np.ndarray
-    socle_dim: int
     filtration_dims: tuple[int, ...] = field(default=())
 
     @property
@@ -365,7 +353,7 @@ def standard_basis(A: StructureConstants, rad: np.ndarray) -> StandardBasisInfo:
     and no candidate needs an SVD. A kept u is in the socle when the next
     batch, u * g_t for every t, vanishes. SpanFailure signals a radical that
     is not nilpotent or not n-1 dimensional, monomials that never span it, or
-    socle monomials not as many as ``socle_dim`` counts: monomials in generic
+    socle monomials not as many as ``socle_dim(A, rad)``: monomials in generic
     generators need not be adapted to the socle. AlgebraFormatError signals
     products that leave the float range. ``rad`` is ``radical_basis(A)``, as
     ``validate_algebra`` returns it.
@@ -431,7 +419,7 @@ def standard_basis(A: StructureConstants, rad: np.ndarray) -> StandardBasisInfo:
             break
     if len(selected) != A.n - 1:
         raise SpanFailure("pseudobasis monomials do not span the radical")
-    if len(socle) != (dim := socle_dim(A, rad)):
+    if len(socle) != socle_dim(A, rad):
         raise SpanFailure("standard basis monomials do not span the socle")
 
     return StandardBasisInfo(
@@ -441,7 +429,6 @@ def standard_basis(A: StructureConstants, rad: np.ndarray) -> StandardBasisInfo:
         socle=tuple(socle),
         nu=nu,
         radical=rad,
-        socle_dim=dim,
         filtration_dims=tuple(c.shape[0] for c in chain),
     )
 

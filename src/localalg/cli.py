@@ -10,8 +10,9 @@ process. Exit codes: 0 pass; 2 invalid algebra, which every command prints
 malformed spec for ``algebra``, or a command line argparse rejects,
 ``--name=--`` included; 3 parse or domain error, such as a spec for the
 other commands, an empty ``--at`` slot, an out-of-range
-``--m``/``--degree``/``--grid`` or ``--tol`` (negative, nan or inf) and an
-unwritable ``--out``; 4 failed checks; 5 size cap exceeded.
+``--m``/``--degree``/``--grid`` or ``--tol`` (negative, nan or inf), an
+expression nested past the recursion limit and an unwritable ``--out``; 4
+failed checks; 5 size cap exceeded.
 """
 
 from __future__ import annotations
@@ -219,6 +220,9 @@ def main(argv=None) -> int:
     except (AlgebraFormatError, SpanFailure) as e:
         print(f"ERROR {e}")
         return 2 if args.command == "algebra" else 3
+    except RecursionError:
+        print("ERROR expression is nested too deeply")
+        return 3
     sys.stdout.write(text)
     if args.out:
         try:

@@ -30,10 +30,10 @@ stack of blocks, which takes ``ref`` over the whole stack, makes the dense
 matrix's rank decision by the same rule. d/d(theta) keeps a function row in
 its pair: v on the cos index maps to -k (x) v on the sin index, v on the sin
 index to k (x) v on the cos index, and index 0 to 0. A row off index 0 has
-zero mean, so only the index-0 rows, which are all constant, enter the
-zero-mean nullspace; and the span of the dG is the orthogonal sum of its
-parts on each index, so the injectivity fit is one small least-squares per
-index.
+zero mean, and the index-0 rows are constants that are orthonormal, so no
+combination of them has zero mean: the zero-mean solutions are exactly the
+rows off index 0. The span of the dG is the orthogonal sum of its parts on
+each index, so the injectivity fit is one small least-squares per index.
 """
 
 from __future__ import annotations
@@ -117,23 +117,14 @@ def component_space_dim(rows: np.ndarray, j0: int, cfg: TorusConfig,
     return linalg.rank(_blocks(rows["index"], components), tol)
 
 
-def zero_mean_combinations(rows: np.ndarray) -> np.ndarray:
-    """``solution_rows`` of a basis of the solutions whose constant Fourier
-    coefficients vanish: every row off index 0, then the combinations of the
-    index-0 rows, which are all constant, that the nullspace of their
-    values gives."""
-    off = rows["index"] != 0
-    const = rows["vec"][~off]
-    combos = linalg.nullspace_rows(const.T, DEFAULT_NULL_TOL)
-    return np.concatenate([rows[off], solution_rows(np.zeros(len(combos), int), combos @ const)])
-
-
 def verify_class_injectivity(form_rows: np.ndarray, dG: np.ndarray) -> tuple[float, int]:
     """Worst distance from a zero-mean closed solution to the span of the
     differentials ``dG``, plus the dimension of the zero-mean subspace; both
-    as ``solution_rows``. The span is the orthogonal sum of its parts on
-    each trig index, so the fit is one least-squares per index."""
-    zm = zero_mean_combinations(form_rows)
+    as ``solution_rows``. The index-0 rows are orthonormal constants, so the
+    zero-mean solutions are the rows off index 0. The span is the orthogonal
+    sum of its parts on each trig index, so the fit is one least-squares per
+    index."""
+    zm = form_rows[form_rows["index"] != 0]
     residuals = [0.0]
     for b in np.unique(zm["index"]):
         basis, target = dG["vec"][dG["index"] == b].T, zm["vec"][zm["index"] == b].T

@@ -128,14 +128,11 @@ class TorusConfig:
     def ncoords(self) -> int:
         return self.n * self.m
 
-    def trig_space(self, degree: int) -> TrigSpace:
-        return TrigSpace.build(self.ncoords, degree)
-
     def basic_socle_dim(self, degree: int) -> int:
         """s ((2d+1)^m - 1), d = max(degree, 0): the socle elements times the
         non-constant trig functions of the m transversal coordinates, the part
         of the theorem's solution counts beyond the constants."""
-        return self.info.socle_dim * ((2 * max(degree, 0) + 1) ** self.m - 1)
+        return len(self.info.socle) * ((2 * max(degree, 0) + 1) ** self.m - 1)
 
 
 # -- constraint systems -----------------------------------------------------------
@@ -215,7 +212,7 @@ def capped_trig_space(cfg: TorusConfig, degree: int, unknowns: int,
     base = 2 * max(degree, 0) + 1
     _size(unknowns, base, cfg.ncoords, cap, f"{{}} columns exceed the cap {cap}")
     _size(1, base, cfg.ncoords, 2**63 - 1, "{} trig basis functions cannot be indexed in int64")
-    return cfg.trig_space(degree)
+    return TrigSpace.build(cfg.ncoords, degree)
 
 
 def assemble_function_constraints(cfg: TorusConfig, degree: int,

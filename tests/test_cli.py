@@ -364,6 +364,30 @@ def test_non_finite_lift_exit3(command, expr, at, message):
     assert proc.stderr == ""
 
 
+DEEP_EXPRESSIONS = {
+    "parens": "(" * 1200 + "x1" + ")" * 1200,  # overflows the parser
+    "sum": "+".join(["x1"] * 3000),  # overflows diff, eval_real and lift_eval
+    "product": "*".join(["x1"] * 2000),
+}
+
+
+@pytest.mark.parametrize("command", ["lift", "check"])
+@pytest.mark.parametrize("kind", sorted(DEEP_EXPRESSIONS))
+def test_too_deep_expression_exits_3(command, kind):
+    # each ended in a RecursionError traceback with exit 1
+    proc = run(command, "--preset", "dual", "--expr", DEEP_EXPRESSIONS[kind],
+               "--at", "0.5 + 0.1 e1")
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert proc.stdout == "ERROR expression is nested too deeply\n"
+
+
+@pytest.mark.parametrize("command", ["lift", "check"])
+def test_long_sum_below_the_recursion_limit_passes(command):
+    proc = run(command, "--preset", "dual", "--expr", "+".join(["x1"] * 600),
+               "--at", "0.5 + 0.1 e1")
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 @pytest.mark.parametrize("command,extra,code", [
     ("algebra", (), 2),
     ("lift", ("--expr", "x1", "--at", "1"), 3),

@@ -16,7 +16,6 @@ from localalg.forms import (
     component_space_dim,
     function_differential,
     verify_class_injectivity,
-    zero_mean_combinations,
 )
 from localalg.linalg import nullspace_rows
 from localalg.torus import (
@@ -96,7 +95,7 @@ def test_exterior_derivative_single_product_rule():
 
 def test_d_of_d_vanishes_exactly():
     cfg = make_torus(preset("trunc:3"), 1)
-    trig = cfg.trig_space(1)
+    trig = TrigSpace.build(cfg.ncoords, 1)
     rng = np.random.default_rng(0)
     for _ in range(10):
         u = rng.standard_normal(cfg.n * trig.size)
@@ -183,7 +182,7 @@ def test_component_dim_rejects_non_breve_indices():
 
 def test_component_dim_empty_solutions():
     cfg = make_torus(preset("trunc:3"), 1)
-    trig = cfg.trig_space(1)
+    trig = TrigSpace.build(cfg.ncoords, 1)
     empty = solution_rows(np.zeros(0, int), np.zeros((0, cfg.ncoords * cfg.n)))
     assert component_space_dim(empty, 1, cfg) == 0
 
@@ -237,7 +236,8 @@ def test_zero_mean_structure_dual():
     system = assemble_form_constraints(cfg, 2)
     trig = system.trig
     B = trig.size
-    zm = scatter_rows(zero_mean_combinations(solve_nullspace(system)), B)
+    form = solve_nullspace(system)
+    zm = scatter_rows(form[form["index"] != 0], B)
     assert zm.shape[0] == 4  # d/dx of a degree-2 trig polynomial, zero mean
     for vec in zm:
         table = vec.reshape(cfg.ncoords, cfg.n, B)
@@ -246,9 +246,31 @@ def test_zero_mean_structure_dual():
         assert np.abs(table[1]).max() <= 1e-12  # only the d x^{1,0} slot
 
 
+# the (preset, m, degree) of the runs of tests/golden/verify_presets.txt
+VERIFY_CONFIGS = [(name, m, d) for name in ("dual", "trunc:3", "square:2")
+                  for m in (1, 2) for d in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("name,m,d", list(dict.fromkeys(FORMS_LADDER + VERIFY_CONFIGS)))
+def test_index0_solutions_are_orthonormal_constants(name, m, d):
+    # so no combination of the index-0 rows has zero mean, and the zero-mean
+    # solutions are exactly the rows off index 0
+    cfg = make_torus(preset(name), m)
+    for assemble in (assemble_function_constraints, assemble_form_constraints):
+        try:
+            rows = solve_nullspace(assemble(cfg, d))
+        except SizeCapExceeded:
+            return
+        const = rows["vec"][rows["index"] == 0]
+        assert len(const) >= cfg.n
+        assert np.linalg.norm(const @ const.T - np.eye(len(const)), 2) <= 1e-12
+    rep = cohomology_report(cfg, d)
+    assert rep.data["ZERO_MEAN_DIM"] == np.count_nonzero(rows["index"] != 0)
+
+
 def test_nonzero_mean_constant_form_is_not_exact():
     cfg = make_torus(preset("dual"), 1)
-    trig = cfg.trig_space(1)
+    trig = TrigSpace.build(cfg.ncoords, 1)
     fn_sys = assemble_function_constraints(cfg, 1)
     B = trig.size
     fn_sol = scatter_rows(solve_nullspace(fn_sys), B)
@@ -263,7 +285,7 @@ def test_function_differential_of_a_stack_is_row_by_row():
     # per index against trig_derivative on the dense stack, bit for bit, on
     # rows on index 0, on cos and on sin indices
     cfg = make_torus(preset("trunc:3"), 1)
-    trig = cfg.trig_space(1)
+    trig = TrigSpace.build(cfg.ncoords, 1)
     rng = np.random.default_rng(3)
     index = np.concatenate([[0], rng.integers(1, trig.size, 7)])
     rows = solution_rows(index, rng.standard_normal((8, cfg.n)))
@@ -281,7 +303,7 @@ def test_injectivity_without_function_solutions_is_the_zero_mean_norm():
     cfg = make_torus(preset("dual"), 1)
     form_sys = assemble_form_constraints(cfg, 1)
     form = solve_nullspace(form_sys)
-    zm = zero_mean_combinations(form)["vec"]
+    zm = form[form["index"] != 0]["vec"]
     none = function_differential(solve_nullspace(assemble_function_constraints(cfg, 1))[:0],
                                  form_sys.trig)
     assert none["vec"].shape == (0, form_sys.frame.shape[0])

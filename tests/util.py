@@ -1025,8 +1025,7 @@ def reference_standard_basis(A):
             worst = max(worst, float(np.abs(prod).max()))
         if worst <= linalg.RANK_TOL * (1.0 + float(np.linalg.norm(vec))):
             socle.append(k)
-    socle_dim = reference_socle_basis(A).shape[0]
-    if len(socle) != socle_dim:
+    if len(socle) != reference_socle_basis(A).shape[0]:
         raise SpanFailure("standard basis monomials do not span the socle")
 
     return StandardBasisInfo(
@@ -1036,7 +1035,6 @@ def reference_standard_basis(A):
         socle=tuple(socle),
         nu=nu,
         radical=rad,
-        socle_dim=socle_dim,
         filtration_dims=tuple(c.shape[0] for c in chain),
     )
 
