@@ -5,8 +5,8 @@ per angular coordinate, each stored as (component, trig index) coefficients.
 A form is A-linear when on every slot j its n x n value matrix commutes with
 every L_a. For commutative unital A those matrices are exactly the L_b (the
 A-module maps x -> x * b, b the image of 1), so the unknowns are coordinates
-on the orthonormal frame of ``commutant_frame`` (L_b on slot j, m*n
-columns). The symbol S(k) on the mode of frequency k (see ``torus``) is
+on the frame of ``commutant_frame``, the Q of ``TorusConfig.slot_basis`` on
+each slot (m*n columns). The symbol S(k) on the mode of frequency k is
 (|k| I - k k^T / |k|) (x) I_n F, N*n rows: S^T S = F^T (Z^T Z (x) I_n) F for
 the closedness rows Z(k) of d(omega) = 0 (d*d + dd* = |k|^2 on 1-forms), so
 S has their singular values and nullspace, and S(0) = 0.
@@ -60,10 +60,11 @@ INJECTIVITY_TOL = 1e-9  # largest residual of a zero-mean solution off the diffe
 
 def commutant_frame(cfg: TorusConfig) -> np.ndarray:
     """Orthonormal frame (N*n, m*n) of the A-linear 1-form values: column
-    (j, b) is L_b[i, c] at (coordinate c*m + j, component i), then QR."""
+    (j, b) is Q[(c, i), b] at (coordinate c*m + j, component i). Columns of
+    different slots have disjoint support, so they need no QR."""
     n, m = cfg.n, cfg.m
-    blocks = np.einsum("bic,jk->cjikb", cfg.mults, np.eye(m))
-    return np.linalg.qr(blocks.reshape(cfg.ncoords * n, m * n))[0]
+    Q = cfg.slot_basis[:, :n].reshape(n, n, n)
+    return np.einsum("cib,jk->cjikb", Q, np.eye(m)).reshape(cfg.ncoords * n, m * n)
 
 
 def assemble_form_constraints(cfg: TorusConfig, degree: int,

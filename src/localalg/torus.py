@@ -16,10 +16,10 @@ annihilates its cos coefficients and its sin coefficients on every mode. So
 the nullspace has a basis of vectors on one trig index each, and a solution
 is kept as that index and its vector (``solution_rows``), not as a dense row.
 
-For a function the symbol is C (k tensor I_n), where C holds the A-linearity
-rows on (coordinate, component) values: a function is A-differentiable
-exactly when its differential is A-linear. The 1-forms of ``forms`` solve
-on a frame of the kernel of C, with a Hodge projector of closedness rows.
+A function is A-differentiable exactly when its differential is A-linear,
+in span{L_b} on every slot. Its symbol is the differential's coordinates on
+the complement R of that span in ``TorusConfig.slot_basis``; the 1-forms of
+``forms`` solve on its frame Q, with a Hodge projector of closedness rows.
 
 The real part is critical on the leaf minimizing the e1 leaf-average
 (Molino, Riemannian foliations, 1988). Every solution row sits on one trig
@@ -111,7 +111,10 @@ class TrigSpace:
 
 @dataclass
 class TorusConfig:
-    """A torus over the algebra: standard-basis algebra, its info, and m."""
+    """A torus over the algebra: standard-basis algebra, its info, and m.
+    ``slot_basis``: a complete QR of the (n^2, n) matrix whose column b is
+    L_b[i, c] at (c, i); its first n columns Q span the A-linear maps of one
+    slot, and the other n^2 - n columns R their orthogonal complement."""
 
     algebra: StructureConstants
     info: StandardBasisInfo
@@ -119,6 +122,8 @@ class TorusConfig:
 
     def __post_init__(self):
         self.mults = self.algebra.basis_mult_matrices()
+        vec = self.mults.transpose(2, 1, 0).reshape(self.n**2, self.n)
+        self.slot_basis = np.linalg.qr(vec, mode="complete")[0]
 
     @property
     def n(self) -> int:
@@ -149,9 +154,10 @@ class ConstraintSystem:
     is block diagonal over modes. Up to an orthogonal change of its rows, the
     block of a pair applies S(k) to the cos and to the sin coefficients, so it
     has the singular values of S(k), each taken twice. Unknowns take values
-    only on the orthonormal ``frame`` F (the identity for functions): the
-    symbols act on x = F^T u. Solutions are ``solution_rows``, one trig index
-    and one vector of length unknowns per row.
+    only on the orthonormal ``frame`` F: the symbols act on x = F^T u. Of
+    ``TorusConfig.slot_basis``, functions take R^T as rows on the identity F,
+    and forms Q on every slot as F. Solutions are ``solution_rows``, one trig
+    index and one vector of length unknowns per row.
     """
 
     trig: TrigSpace
@@ -170,7 +176,8 @@ class ConstraintSystem:
         """Largest constraint violation of ``solution_rows``: the symbol of
         each row's mode (trig index b is in mode (b + 1) // 2) on X = vec F,
         and the part vec - X F^T off the frame. The system is block diagonal
-        by trig index, so this is exact for any rows; no rows give 0."""
+        by trig index, so this is exact for any rows; no rows give 0. For
+        functions (ADIFF_RESIDUAL) it is the largest coordinate on R."""
         X = rows["vec"] @ self.frame
         off = np.abs(rows["vec"] - X @ self.frame.T).max(initial=0.0)
         modes = np.take(self.symbols, (rows["index"] + 1) // 2, axis=0)
@@ -219,24 +226,16 @@ def assemble_function_constraints(cfg: TorusConfig, degree: int,
                                   cap: int = DEFAULT_CAP) -> ConstraintSystem:
     """Linear system whose kernel is the space of A-differentiable functions.
 
-    Unknowns: the n components of one A-valued function. The symbol is
-    C (k tensor I_n): the differential of mode k, k_a g^i at (coordinate a,
-    component i), fed to the A-linearity rows C. For slot j and radical basis
-    element e_a, the n x n matrix W with W[i, c] the value at (coordinate
-    c*m + j, component i) must commute with L_a; on W flattened row-major,
-    W L_a - L_a W is kron(I, L_a^T) - kron(L_a, I). The differential of mode
-    k on slot j is W = I (x) k_j, k_j[c] = k at coordinate c*m + j, so the
-    symbol is assembled slot by slot, rows (j, a, i, b).
+    Unknowns: the n components of one A-valued function. On slot j the
+    differential of mode k is D_j = k_j tensor I_n on (c, i), k_j[c] = k at
+    coordinate c*m + j, and the symbol is R^T D_j, rows (j, r). S^T S = sum_j
+    D_j^T (I - Q Q^T) D_j: the nullspace of [W, L_a] = 0, singular values <= |k|.
     """
     trig = capped_trig_space(cfg, degree, cfg.n, cap)
-    n, eye, L = cfg.n, np.eye(cfg.n), cfg.mults[1:]
-    comm = (eye[:, None, :, None] * L.transpose(0, 2, 1)[:, None, :, None, :]
-            - L[:, :, None, :, None] * eye[:, None, :]).reshape(-1, n * n)
+    n, R = cfg.n, cfg.slot_basis[:, cfg.n:]
     k = trig.mode_freqs().reshape(-1, n, cfg.m).transpose(0, 2, 1)
-    diff = np.zeros(k.shape[:2] + (n, n, n))  # I (x) k_j: [p, j, i, c, i] = k[p, j, c]
-    diff[:, :, np.arange(n), :, np.arange(n)] = k
-    symbols = (comm @ diff.reshape(len(k), cfg.m, n * n, n)).reshape(len(k), -1, n)
-    return ConstraintSystem(trig, symbols, eye)
+    symbols = (k @ R.reshape(n, n, -1).transpose(0, 2, 1).reshape(n, -1)).reshape(len(k), -1, n)
+    return ConstraintSystem(trig, symbols, np.eye(n))
 
 
 def solve_nullspace(system: ConstraintSystem,

@@ -1,5 +1,6 @@
 """Shared helpers and independent oracles for the test suite."""
 
+import functools
 import importlib.util
 import itertools
 import math
@@ -788,6 +789,47 @@ def commutator_rows(cfg):
     return rows.reshape(-1, cfg.ncoords * n)
 
 
+def commutant_complement(cfg):
+    """I - V V^T on (coordinate, component) values, (N*n, N*n), for V the
+    SVD nullspace of ``commutator_rows``: the projector off the A-linear
+    values, built without the slot basis. The nullity must be m*n."""
+    _, s, vh = np.linalg.svd(commutator_rows(cfg))
+    keep = len(vh) - cfg.m * cfg.n
+    assert s[keep - 1] > 1e-8 * s[0] and np.all(s[keep:] <= 1e-12 * s[0])
+    return np.eye(len(vh)) - vh[keep:].T @ vh[keep:]
+
+
+def commutator_symbols(cfg, trig):
+    """The function symbols as the commutator rows times the differential,
+    C (k tensor I_n), (modes, m(n-1)n^2, n): the A-linearity of the
+    differential stated without an orthonormal basis of the A-linear maps."""
+    D = np.kron(trig.mode_freqs()[:, :, None], np.eye(cfg.n))
+    return commutator_rows(cfg) @ D
+
+
+def function_differential_off_commutant(u, cfg, trig):
+    """The differential of function coefficient rows (S, n*B) off the
+    A-linear values, (S, N*n, B): ``commutant_complement`` applied to
+    ``dense_function_differential`` on every trig index."""
+    dG = dense_function_differential(u, cfg, trig).reshape(-1, cfg.ncoords * cfg.n, trig.size)
+    return commutant_complement(cfg) @ dG
+
+
+def rank_margin(stack, tol=DEFAULT_NULL_TOL):
+    """The rank rule's decision data over a (modes, rows, cols) stack, from
+    one SVD of every mode: (ref, s_kept, s_null, margin) with ref the largest
+    singular value, s_kept the smallest one above tol * ref, s_null the
+    largest one at or below it, and margin = min(s_kept / (tol ref),
+    tol ref / s_null); a side with no value, or an exact zero, is infinitely
+    far from the cut."""
+    s = np.linalg.svd(stack, compute_uv=False)
+    ref = float(s.max(initial=0.0))
+    cut = tol * ref
+    s_kept, s_null = float(s[s > cut].min(initial=np.inf)), float(s[s <= cut].max(initial=0.0))
+    up = s_kept / cut if np.isfinite(s_kept) else np.inf
+    return ref, s_kept, s_null, min(up, cut / s_null if s_null > 0 else np.inf)
+
+
 # -- reference Taylor lift: each derivative re-built and each tree re-walked ------
 
 
@@ -1073,7 +1115,13 @@ def standardize_corpus():
     """Algebras the standardize step is pinned on, by name: the presets and
     the staircases, each also in two random bases of either kind; the
     ``--spec`` files of the benchmark's spec_algebras and known_failures
-    passes, seeds 1-5; and R[x, y]/(x^2, xy, y^3) in 20 random bases (q4)."""
+    passes, seeds 1-5; and R[x, y]/(x^2, xy, y^3) in 20 random bases (q4).
+    Built once per process; each call returns a new dict of the same tables."""
+    return dict(_standardize_corpus())
+
+
+@functools.cache
+def _standardize_corpus():
     out = {name: algebra.preset(name) for name in ["dual"]
            + [f"trunc:{k}" for k in range(1, 10)] + [f"square:{r}" for r in range(1, 5)]}
     out.update({f"staircase{i}": A for i, A in enumerate(staircase_quotients())})
