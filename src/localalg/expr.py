@@ -9,7 +9,7 @@ evaluation for a small expression language:
     atom   := number | 'x'uint | func '(' expr ')' | '(' expr ')'
     func   := sin | cos | exp | log
 
-Only integer powers are supported so that lifted evaluation stays exact.
+Only integer powers are supported; the lifted series of x^e ends at order e.
 No simplification is performed beyond constant folding.
 
 Nodes are hash-consed by ``Expr.__new__``: structurally equal trees are one

@@ -8,13 +8,13 @@ smooth g then extends to A^m by the finite Taylor sum
 
 which terminates because the radical parts satisfy rad^nu = 0. Two independent
 routes are provided: ``taylor_lift`` evaluates that sum with exact symbolic
-derivatives and one stack of terms, while ``lift_eval`` walks the expression
-DAG in algebra arithmetic over a stack of points at once, every primitive (and
-1/x for a quotient) applied through one truncated-series kernel. Both must
-agree; their agreement and the commutation of numerical Jacobian blocks with
-the multiplication operators (``adiff_defect``, one evaluation of all its
-central differences) are the working definitions of differentiability over A
-used throughout. A result that leaves the float range is a DomainError.
+derivatives and one stack of terms, while ``lift_eval`` walks the expression DAG
+in algebra arithmetic over a stack of points at once, every primitive (sin, cos,
+exp, log, ``IntPow``, and 1/x for a quotient) applied through one
+truncated-series kernel. Both must agree; their agreement and the commutation of
+numerical Jacobian blocks with the multiplication operators (``adiff_defect``,
+one evaluation of all its central differences) are the working definitions of
+differentiability over A. A result that leaves the float range is a DomainError.
 """
 
 from __future__ import annotations
@@ -68,10 +68,7 @@ def taylor_lift(e: ex.Expr, X: np.ndarray, A: StructureConstants,
             coeff /= math.factorial(pi)
         kept[p] = coeff
 
-    rad = np.where(np.arange(A.n) > 0, X, 0.0)  # each slot's radical part
-    powers = np.tile(A.unit(), (nu, m, 1))  # [k, j]: slot j's radical part to the k
-    for k in range(1, nu):
-        powers[k] = _products(A, powers[k - 1], rad)
+    powers = _radical_powers(A, X, nu)  # [k, j]: slot j's radical part to the k
     exps = np.array(list(kept), dtype=int).reshape(-1, m)
     terms = np.tile(A.unit(), (len(exps), 1))
     for j in range(m):  # each term times its power of slot j, slots in order
@@ -97,30 +94,38 @@ def _finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
+def _radical_powers(A: StructureConstants, u: np.ndarray, count: int) -> np.ndarray:
+    """r^0..r^(count-1) for the radical parts r of the stack u, shape (count, P, n)."""
+    powers = [np.tile(A.unit(), (len(u), 1)), np.where(np.arange(A.n) > 0, u, 0.0)]
+    for _ in range(count - 2):
+        powers.append(_products(A, powers[-1], powers[1]))
+    return np.array(powers[:count])
+
+
 def _series_apply(A: StructureConstants, derivative_values: np.ndarray,
                   u: np.ndarray) -> np.ndarray:
     """Apply a primitive via its truncated series at the real parts of u.
 
     ``derivative_values[k]`` holds the k-th derivative at each row's real
-    part, shape (nu, P); the series stops at the radical's power nu - 1.
+    part, shape (K, P), K <= nu; the series stops at the radical's power K - 1.
     """
-    r = u.copy()
-    r[:, 0] = 0.0
-    power = np.tile(A.unit(), (len(u), 1))
     out = np.zeros_like(u)
-    for k, values in enumerate(derivative_values):
-        if k:
-            power = _products(A, power, r)
+    powers = _radical_powers(A, u, len(derivative_values))
+    for k, (values, power) in enumerate(zip(derivative_values, powers)):
         out = out + (values / math.factorial(k))[:, None] * power
     return out
 
 
 def _derivatives(node: ex.Expr, u: np.ndarray, nu: int) -> np.ndarray:
     """Derivatives 0..nu-1 of the primitive at node (1/x for a Div) at the
-    real parts of the stack u, shape (nu, P)."""
-    c = u[:, 0]  # math per point, not numpy's SIMD kernels: the bits of eval_real
+    real parts of the stack u, shape (nu, P); those of x^e stop at the e-th."""
+    c = u[:, 0]  # entry 0 by math per point, not numpy's SIMD kernels: eval_real's bits
     try:
-        if isinstance(node, ex.Div):
+        if isinstance(node, ex.IntPow):
+            e = node.exponent
+            vals = [np.array([x**e for x in c])] + [
+                float(math.perm(e, k)) * c ** (e - k) for k in range(1, min(nu, e + 1))]
+        elif isinstance(node, ex.Div):
             bad = c[np.abs(c) <= UNIT_THRESHOLD * (1.0 + np.linalg.norm(u, axis=1))]
             if bad.size:
                 raise NonUnitError(f"real part {bad[0]} is numerically zero")
@@ -150,14 +155,13 @@ def lift_eval(e: ex.Expr, X, A: StructureConstants,
     pts = np.asarray(X, dtype=float)
     lead = pts.shape[:-2]
     pts = pts.reshape((-1,) + pts.shape[-2:])
-    unit = np.tile(A.unit(), (len(pts), 1))
     memo: dict[ex.Expr, np.ndarray] = {}
 
     def ev(node: ex.Expr) -> np.ndarray:
         if node in memo:
             return memo[node]
         if isinstance(node, ex.Const):
-            v = node.value * unit
+            v = node.value * np.tile(A.unit(), (len(pts), 1))
         elif isinstance(node, ex.Var):
             v = pts[:, node.index - 1]
         elif isinstance(node, ex.Add):
@@ -166,15 +170,11 @@ def lift_eval(e: ex.Expr, X, A: StructureConstants,
             v = ev(node.left) - ev(node.right)
         elif isinstance(node, ex.Mul):
             v = _products(A, ev(node.left), ev(node.right))
-        elif isinstance(node, ex.IntPow):
-            base, v = ev(node.base), unit
-            for _ in range(node.exponent):
-                v = _products(A, v, base)
         elif isinstance(node, ex.Div):
             num, den = ev(node.left), ev(node.right)
             v = _products(A, num, _series_apply(A, _derivatives(node, den, info.nu), den))
-        elif isinstance(node, (ex.Sin, ex.Cos, ex.Exp, ex.Log)):
-            u = ev(node.arg)
+        elif isinstance(node, (ex.IntPow, ex.Sin, ex.Cos, ex.Exp, ex.Log)):
+            u = ev(node.base if isinstance(node, ex.IntPow) else node.arg)
             v = _series_apply(A, _derivatives(node, u, info.nu), u)
         else:
             raise TypeError(f"not an expression node: {node!r}")

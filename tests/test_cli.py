@@ -64,6 +64,16 @@ def test_lift_dual():
     assert "DIFF=0" in proc.stdout
 
 
+def test_lift_huge_power_is_one_series():
+    # the power was e products, one per unit of the exponent: this ran for minutes
+    proc = run("lift", "--preset", "dual", "--expr", "x1^99999999",
+               "--at", "1.00000001 + 1 e1")
+    assert proc.returncode == 0
+    taylor, value, rule, diff = proc.stdout.splitlines()
+    assert taylor.removeprefix("TAYLOR ") == value.removeprefix("EVAL ")
+    assert (rule, diff) == ("---", "DIFF=0")
+
+
 def test_lift_trunc3_exp():
     proc = run("lift", "--preset", "trunc:3", "--expr", "exp(x1)",
                "--at", "0 + 1 e1")

@@ -102,6 +102,9 @@ def test_lift_eval_series_overflow_is_a_domain_error():
         lift_eval(parse("exp(x1)", 1), np.array([[1000.0, 1.0]]), A, info)
     with pytest.raises(DomainError, match="leaves the float range"):
         lift_eval(parse("cos(x1)", 1), np.array([[np.inf, 1.0]]), A, info)
+    # 10^400 overflows in the power's value itself, as in eval_real
+    with pytest.raises(DomainError, match="IntPow leaves the float range"):
+        lift_eval(parse("x1^400", 1), np.array([[10.0, 0.0]]), A, info)
 
 
 def test_non_finite_results_are_domain_errors():
@@ -183,7 +186,8 @@ def test_stack_rows_are_single_point_evaluations(name):
         assert np.array_equal(nested.reshape(6, A.n), rows)
 
 
-@pytest.mark.parametrize("text", ["sin(x1)", "cos(x1)", "exp(x1)", "log(x1)"])
+@pytest.mark.parametrize("text", ["sin(x1)", "cos(x1)", "exp(x1)", "log(x1)",
+                                  "x1^2", "x1^3", "x1^7", "x1^40"])
 def test_primitive_values_are_bitwise_eval_real(text):
     # the series values come from math, as eval_real's do: numpy's vector
     # kernels may round differently and would move the lift reports
@@ -194,6 +198,26 @@ def test_primitive_values_are_bitwise_eval_real(text):
     got = lift_eval(e, stack, A, info)[:, 0]
     want = np.array([eval_real(e, X[:, 0]) for X in stack])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("name", ["trunc:6", "dual"])
+@pytest.mark.parametrize("exponent", [2, 5, 99999999])
+def test_power_costs_the_series_ladder_only(monkeypatch, name, exponent):
+    # x^e is one series term per power of the radical below min(e + 1, nu):
+    # r^0 and r^1 are free, each further power is one stacked product
+    A, info = BATCH_STD[name]
+    calls = []
+    real = lift._products
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lift, "_products", spy)
+    X = np.zeros((1, A.n))
+    X[0, 0], X[0, 1:] = 1.00000001, np.random.default_rng(19).uniform(-1, 1, A.n - 1)
+    lift_eval(parse(f"x1^{exponent}", 1), X, A, info)
+    assert len(calls) == max(min(exponent, info.nu - 1) - 1, 0)
 
 
 @pytest.mark.parametrize("name", BATCH_PRESETS)
@@ -277,9 +301,22 @@ def test_taylor_lift_is_bitwise_the_reference(name):
                 assert np.array_equal(a.view(np.int64), b.view(np.int64)), (name, m, text)
 
 
+def raised_slots(e, x, nu):
+    """Slots j with p_j > 0 in some Taylor term of order 1 <= |p| < nu whose
+    coefficient D^p e (x) is nonzero, that is, a term the lift keeps."""
+    derivs, slots = {(0,) * len(x): e}, set()
+    for p in graded_multiindices(len(x), nu - 1):
+        j = next(i for i, pi in enumerate(p) if pi > 0)
+        parent = tuple(pi - (1 if i == j else 0) for i, pi in enumerate(p))
+        derivs[p] = expr.diff(derivs[parent], j + 1)
+        if eval_real(derivs[p], x) != 0.0:
+            slots |= {i for i, pi in enumerate(p) if pi}
+    return slots
+
+
 def test_taylor_lift_makes_no_mul_calls_and_one_product_per_power_and_slot(monkeypatch):
-    # nu - 1 stacked radical powers, then one stacked product per slot that
-    # some kept term raises to a positive power
+    # radical powers 2..nu-1 on one stack (r^0 and r^1 cost nothing), then one
+    # stacked product per slot that some kept term raises to a positive power
     calls = {"mul": 0, "products": 0}
 
     def counting(key, real):
@@ -298,10 +335,12 @@ def test_taylor_lift_makes_no_mul_calls_and_one_product_per_power_and_slot(monke
         for m in (1, 2, 3):
             X = unit_safe_point(rng, m, A.n)
             for text in corpus_in(m):
+                e = parse(text, m)
                 calls.update(mul=0, products=0)
-                taylor_lift(parse(text, m), X, A, info)
+                taylor_lift(e, X, A, info)
                 assert calls["mul"] == 0, (name, m, text)
-                assert 0 < calls["products"] <= info.nu - 1 + m, (name, m, text)
+                want = max(info.nu - 2, 0) + len(raised_slots(e, X[:, 0], info.nu))
+                assert calls["products"] == want, (name, m, text)
 
 
 def test_taylor_lift_matches_sympy_series():
