@@ -1,7 +1,7 @@
 """Smooth scalar expressions in m real variables.
 
-Recursive-descent parser, exact symbolic partial derivatives and plain real
-evaluation for a small expression language:
+Recursive-descent parser, plain real evaluation and exact symbolic partial derivatives
+(``diff``, for ``lift``'s e1 check and the tests' oracles) of a small expression language:
 
     expr   := ['-'] term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*

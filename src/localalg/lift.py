@@ -7,11 +7,11 @@ smooth g then extends to A^m by the finite Taylor sum
     g(x) + sum_{1 <= |p| < nu} (1/p!) (D^p g)(x) (X - x)^p,
 
 which terminates because the radical parts satisfy rad^nu = 0. Two independent
-routes are provided: ``taylor_lift`` evaluates that sum with exact symbolic
-derivatives and one stack of terms, while ``lift_eval`` walks the expression DAG
-in algebra arithmetic over a stack of points at once, every primitive (sin, cos,
-exp, log, ``IntPow``, and 1/x for a quotient) applied through one
-truncated-series kernel. Both must agree; their agreement and the commutation of
+routes are provided: ``taylor_lift`` evaluates that sum by truncated Taylor
+arithmetic and one stack of terms, while ``lift_eval`` walks the DAG in algebra
+arithmetic over a stack of points at once, every primitive (sin, cos, exp, log,
+``IntPow``, and 1/x for a quotient) applied through one truncated-series kernel.
+Both must agree; their agreement, the symbolic e1 check and the commutation of
 numerical Jacobian blocks with the multiplication operators (``adiff_defect``,
 one evaluation of all its central differences) are the working definitions of
 differentiability over A. A result that leaves the float range is a DomainError.
@@ -19,6 +19,8 @@ differentiability over A. A result that leaves the float range is a DomainError.
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 import re
 from typing import Callable
@@ -42,44 +44,93 @@ UNIT_THRESHOLD = 1e-9
 
 def taylor_lift(e: ex.Expr, X: np.ndarray, A: StructureConstants,
                 info: StandardBasisInfo) -> Element:
-    """Taylor-sum lift at the (m, n) point X with exact symbolic derivatives.
-
-    Terms of total order >= nu vanish (the radical parts live in powers of the
-    radical), so the sum stops at nu - 1. Products run on stacks, one per power
-    and one per slot, and the terms are added in the derivative sweep's order.
-    """
+    """Taylor-sum lift at the (m, n) point X, its coefficients by truncated Taylor
+    arithmetic; terms of order >= nu vanish. Products run on stacks, one per
+    power and one per slot, and the terms are added in graded order."""
     m, nu, x = len(X), info.nu, X[:, 0]
-    # one memo each: every distinct derivative node is built and evaluated once
-    diff_memo, eval_memo = {}, {}
+    coeffs = _taylor_coefficients(e, x, nu)
     head = A.zero()
-    head[0] = ex.eval_real(e, x, eval_memo)
-
-    derivs: dict[tuple[int, ...], ex.Expr] = {(0,) * m: e}
-    kept: dict[tuple[int, ...], float] = {}  # nonzero coefficient of each term
-    for p in graded_multiindices(m, nu - 1):
-        j = next(i for i, pi in enumerate(p) if pi > 0)
-        parent = tuple(pi - (1 if i == j else 0) for i, pi in enumerate(p))
-        dp = ex.diff(derivs[parent], j + 1, diff_memo)
-        derivs[p] = dp
-        coeff = ex.eval_real(dp, x, eval_memo)
-        if coeff == 0.0:
-            continue
-        for pi in p:
-            coeff /= math.factorial(pi)
-        kept[p] = coeff
-
+    head[0] = coeffs[0]
+    kept = 1 + np.flatnonzero(coeffs[1:] != 0.0)  # the nonzero terms of order >= 1
+    exps = _taylor_table(m, nu).exps[kept]
     powers = _radical_powers(A, X, nu)  # [k, j]: slot j's radical part to the k
-    exps = np.array(list(kept), dtype=int).reshape(-1, m)
     terms = np.tile(A.unit(), (len(exps), 1))
     for j in range(m):  # each term times its power of slot j, slots in order
         rows = np.flatnonzero(exps[:, j])
         if rows.size:
             terms[rows] = _products(A, terms[rows], powers[exps[rows, j], j])
     with np.errstate(all="ignore"):
-        summands = np.vstack([head, np.array(list(kept.values()))[:, None] * terms])
+        summands = np.vstack([head, coeffs[kept, None] * terms])
         # row by row from -0.0, which adds exactly: signed zeros stay as they are
         out = np.add.reduce(summands, axis=0, initial=-0.0)
     return _finite(out, "the Taylor lift")
+
+
+# Truncated Taylor polynomials in t_1..t_m of degree < nu, ``exps`` ordered [(0,) * m] +
+# graded_multiindices(m, nu - 1); per pair t^a t^b = t^c of degree < nu, sorted by c and
+# ``starts`` at each (0, c): kd = |a| / |c| and one = 1.0 where |a| > 0
+_TaylorTable = collections.namedtuple("_TaylorTable", "nu exps a b c starts kd one")
+
+
+@functools.cache  # one per (m, nu) and process, as cli._parser
+def _taylor_table(m: int, nu: int) -> _TaylorTable:
+    exps = np.array([(0,) * m] + list(graded_multiindices(m, nu - 1))).reshape(-1, m)
+    deg, rows = exps.sum(axis=1), exps.tolist()
+    pos = {tuple(p): i for i, p in enumerate(rows)}
+    c, a, b = np.array(sorted(  # exps is graded: the b of degree < nu - |a| lead it
+        (pos[tuple(map(sum, zip(rows[i], rows[j])))], i, j)
+        for i in range(len(rows)) for j in range(np.searchsorted(deg, nu - deg[i])))).T
+    return _TaylorTable(nu, exps, a, b, c, np.flatnonzero(np.diff(c, prepend=-1)),
+                        deg[a] / np.maximum(deg[c], 1), (deg[a] > 0) * 1.0)
+
+
+def _taylor_coefficients(e: ex.Expr, x: np.ndarray, nu: int) -> np.ndarray:
+    """D^p e (x) / p! for p in ``_taylor_table(m, nu).exps``: one walk of the DAG over
+    truncated Taylor polynomials (Neidinger, Math. Comp. 2005), each constant term and
+    domain error from one eval_real memo. Primitives solve, as E t^p = |p| t^p, E exp u
+    = exp u E u, E e^(iu) = i e^(iu) E u, u E log u = E u, u E u^e = e u^e E u, v (a/v) = a."""
+    memo: dict[ex.Expr, float] = {}
+    ex.eval_real(e, x, memo)  # which holds each node after its children
+    T, polys = _taylor_table(len(x), nu), {}
+    with np.errstate(all="ignore"):
+        for node, value in memo.items():
+            p = np.zeros(len(T.exps))
+            if isinstance(node, ex.Var):
+                p[node.index] = 1.0
+            elif isinstance(node, (ex.Add, ex.Sub, ex.Mul, ex.Div)):
+                f, g = polys[node.left], polys[node.right]
+                p = (f + g if isinstance(node, ex.Add) else f - g if isinstance(node, ex.Sub)
+                     else _taylor_product(T, f, g) if isinstance(node, ex.Mul)
+                     else _taylor_solve(T, -T.one, g, value, f, g[0]))
+            elif not isinstance(node, ex.Const):
+                u = polys[node.base if isinstance(node, ex.IntPow) else node.arg]
+                if isinstance(node, ex.IntPow) and (u[0] == 0.0 or node.exponent < nu):
+                    p = u.copy()  # e - 1 products, no division by u0; u^nu = 0 at u0 = 0
+                    for _ in range(min(node.exponent, nu) - 1):
+                        p = _taylor_product(T, p, u)
+                elif isinstance(node, ex.IntPow):
+                    p = _taylor_solve(T, (node.exponent + 1) * T.kd - T.one, u, value, den=u[0])
+                elif isinstance(node, (ex.Exp, ex.Log)):
+                    p = (_taylor_solve(T, T.kd, u, value) if isinstance(node, ex.Exp)
+                         else _taylor_solve(T, T.kd - T.one, u, value, u, u[0]))
+                else:
+                    z = _taylor_solve(T, 1j * T.kd, u, complex(math.cos(u[0]), math.sin(u[0])))
+                    p = z.imag if isinstance(node, ex.Sin) else z.real
+            p[0] = value
+            polys[node] = p
+    return polys[e]
+
+
+def _taylor_product(T: _TaylorTable, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return np.bincount(T.c, f[T.a] * g[T.b], minlength=len(T.exps))
+
+
+def _taylor_solve(T: _TaylorTable, w, u: np.ndarray, first, lin=0.0, den=1.0) -> np.ndarray:
+    """q with q_0 = first, q_c = (lin_c + sum over a + b = c of w_ab u_a q_b) / den, w_0b = 0."""
+    t, q = w * u[T.a], np.full(len(T.exps), first)
+    for _ in range(T.nu - 1):  # q_c sees lower degrees only: sweep d fixes degree d
+        q[1:] = ((lin + np.add.reduceat(t * q[T.b], T.starts)) / den)[1:]
+    return q
 
 
 def _products(A: StructureConstants, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -232,12 +283,13 @@ def e1_component_residual(e: ex.Expr, X: np.ndarray, A: StructureConstants,
                           info: StandardBasisInfo) -> float:
     """Gap between the e1-coefficient of the lift and the first-order term.
 
-    For the global Taylor lift the e1-coefficient equals
-    ``sum_j (dg/dx^j)(x) * X_j[1]`` exactly: all higher terms lie in rad^2,
-    whose standard-basis expansion has no e1-component.
-    """
+    The e1-coefficient equals ``sum_j (dg/dx^j)(x) * X_j[1]`` exactly: all higher
+    terms lie in rad^2, which has no e1-component. The first-order term takes
+    dg/dx^j from ``expr.diff`` (one diff and one eval memo across the slots), the
+    lift from Taylor arithmetic: the gap compares two independent routes."""
     lifted = taylor_lift(e, X, A, info)
-    first_order = sum(ex.eval_real(ex.diff(e, j + 1), X[:, 0]) * X[j, 1]
+    diff_memo, eval_memo = {}, {}
+    first_order = sum(ex.eval_real(ex.diff(e, j + 1, diff_memo), X[:, 0], eval_memo) * X[j, 1]
                       for j in range(len(X)))
     return abs(float(lifted[1]) - first_order)
 

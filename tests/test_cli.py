@@ -14,6 +14,7 @@ import numpy as np
 import sympy
 from numpy.testing import assert_allclose
 
+from localalg import lift as lf
 from localalg.algebra import preset
 from localalg.cli import _parser, build_parser, main
 from localalg.lift import format_element, parse_element
@@ -72,6 +73,48 @@ def test_lift_huge_power_is_one_series():
     taylor, value, rule, diff = proc.stdout.splitlines()
     assert taylor.removeprefix("TAYLOR ") == value.removeprefix("EVAL ")
     assert (rule, diff) == ("---", "DIFF=0")
+
+
+@pytest.mark.parametrize("argv, code, first", [
+    (["lift", "--preset", "dual", "--expr", "x1^99999999", "--at", "1.00000001 + 1 e1"],
+     0, "TAYLOR 2.71828177116454 + 271828171.67989051 e1"),
+    (["lift", "--preset", "trunc:4", "--expr", "log(x1)", "--at", "1e-300 + 1 e1"],
+     3, "ERROR the Taylor lift leaves the float range"),
+    (["lift", "--preset", "dual", "--expr", "exp(x1)^2", "--at", "700 + 1 e1"],
+     3, "ERROR IntPow leaves the float range"),
+], ids=("huge-power", "log-near-zero", "power-overflow"))
+def test_lift_power_and_range_edges_keep_their_outcomes(capsys, argv, code, first):
+    # the Taylor arithmetic divides by base values: no numpy warning may reach
+    # stderr, and the outcomes are those of the symbolic derivative sweep
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = time.perf_counter()
+        assert main(argv) == code
+        assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert (out.splitlines()[0], err) == (first, "")
+
+
+def test_check_fails_on_a_wrong_first_order_taylor_coefficient(monkeypatch, capsys):
+    # e1_component_residual compares the Taylor table with expr.diff, so an
+    # error of 1e-6 in the table's first-order entry is reported
+    argv = ["check", "--preset", "trunc:3", "--expr", "sin(x1) * x2",
+            "--at", "0.3 + 1 e1 + 0.5 e2; -0.45 + 0.25 e1", "--tol", "1e-7"]
+    assert main(argv) == 0
+    assert "CHECK e1_component_identity PASS" in capsys.readouterr().out
+    real = lf._taylor_coefficients
+
+    def shifted(e, x, nu):
+        coeffs = real(e, x, nu).copy()
+        coeffs[1] += 1e-6
+        return coeffs
+
+    monkeypatch.setattr(lf, "_taylor_coefficients", shifted)
+    assert main(argv) == 4
+    out = capsys.readouterr().out
+    assert "CHECK e1_component_identity FAIL" in out and "CHECK adiff_defect PASS" in out
+    residual = float(out.split("E1_RESIDUAL=")[1].split()[0])
+    assert abs(residual - 1e-6) <= 1e-12
 
 
 def test_lift_trunc3_exp():

@@ -1,5 +1,7 @@
 """Both lift routes, their equivalence, and the differentiability checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 import sympy
@@ -270,9 +272,13 @@ def test_adiff_defect_is_the_column_loop_reference():
 
 
 TRUNC = {k: standardize(preset(f"trunc:{k}")) for k in range(3, 10)}
-BITWISE_TAYLOR = {**{str(k): TRUNC[k] for k in range(3, 10)},  # trunc:k under the id k
-                  "square:3": standardize(preset("square:3")),
-                  **{f"staircase{i}": standardize(STAIRCASES[i]) for i in (3, 5)}}
+TAYLOR_ALGEBRAS = {**{str(k): TRUNC[k] for k in range(3, 10)},  # trunc:k under the id k
+                   "square:3": standardize(preset("square:3")),
+                   **{f"staircase{i}": standardize(STAIRCASES[i]) for i in (3, 5)}}
+# max |taylor_lift - reference_taylor_lift| / (1 + max |reference|) is at most
+# 4.05e-16 over the cases of test_taylor_lift_matches_the_reference (trunc:8,
+# three slots, exp(x1 + x2) / (1 + x1^2)); the bound is ten times that
+REFERENCE_TOL = 4e-15
 
 
 def corpus_in(m):
@@ -282,41 +288,61 @@ def corpus_in(m):
     return texts + ["x1^3"] + ["exp(x1 * x3) / (2 + x2 * x3)"] * (m == 3)
 
 
-@pytest.mark.parametrize("name", list(BITWISE_TAYLOR))
-def test_taylor_lift_is_bitwise_the_reference(name):
-    # the reference builds and walks each derivative with no memo shared
-    # between them and adds its terms one by one: same floats, signed zeros
-    # included, at 1, 2 and 3 slots
-    A, info = BITWISE_TAYLOR[name]
+def assert_matches_reference(e, X, A, info, what):
+    """The real part bit for bit, signed zeros included (both take it from
+    eval_real), the rest within REFERENCE_TOL of the symbolic reference."""
+    a = taylor_lift(e, X, A, info)
+    b = reference_taylor_lift(e, X, A, info)
+    assert a[:1].view(np.int64) == b[:1].view(np.int64), what
+    assert np.abs(a - b).max() <= REFERENCE_TOL * (1 + np.abs(b).max()), what
+
+
+@pytest.mark.parametrize("name", list(TAYLOR_ALGEBRAS))
+def test_taylor_lift_matches_the_reference(name):
+    # the reference builds and walks each symbolic derivative with no memo
+    # shared between them and adds its terms one by one; at 1, 2 and 3 slots
+    A, info = TAYLOR_ALGEBRAS[name]
     for m in (1, 2, 3):
         rng = np.random.default_rng(100 + A.n + 10 * m)
         points = [unit_safe_point(rng, m, A.n) for _ in range(2)]
         points.append(np.where(rng.random((m, A.n)) < 0.5, -0.0, points[0]))
         points[-1][:, 0] = -0.0
         for text in corpus_in(m):
-            e = parse(text, m)
             for X in points:
-                a = taylor_lift(e, X, A, info)
-                b = reference_taylor_lift(e, X, A, info)
-                assert np.array_equal(a.view(np.int64), b.view(np.int64)), (name, m, text)
+                assert_matches_reference(parse(text, m), X, A, info, (name, m, text))
 
 
-def raised_slots(e, x, nu):
-    """Slots j with p_j > 0 in some Taylor term of order 1 <= |p| < nu whose
-    coefficient D^p e (x) is nonzero, that is, a term the lift keeps."""
-    derivs, slots = {(0,) * len(x): e}, set()
+@pytest.mark.parametrize("name", ["dual", "trunc:3", "trunc:4", "trunc:5", "trunc:7", "trunc:8"])
+@pytest.mark.parametrize("text", ["x1^3", "(x1*x2)^4", "x1^7"])
+@pytest.mark.parametrize("base", [0.0, -0.0, 0.7])
+def test_power_matches_the_reference_below_at_and_above_nu(name, text, base):
+    # below nu, or at a base real part of +-0.0, x^e is e - 1 truncated
+    # products; otherwise u E u^e = e u^e E u, which divides by the base
+    A, info = standardize(preset(name))
+    X = unit_safe_point(np.random.default_rng(21), 2, A.n)
+    X[0, 0] = base
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_matches_reference(parse(text, 2), X, A, info, (name, text, base))
+
+
+def symbolic_kept(e, x, nu):
+    """The p, 1 <= |p| < nu, whose coefficient D^p e (x) the symbolic sweep
+    finds nonzero: the terms it keeps."""
+    derivs, kept = {(0,) * len(x): e}, set()
     for p in graded_multiindices(len(x), nu - 1):
         j = next(i for i, pi in enumerate(p) if pi > 0)
         parent = tuple(pi - (1 if i == j else 0) for i, pi in enumerate(p))
         derivs[p] = expr.diff(derivs[parent], j + 1)
         if eval_real(derivs[p], x) != 0.0:
-            slots |= {i for i, pi in enumerate(p) if pi}
-    return slots
+            kept.add(p)
+    return kept
 
 
 def test_taylor_lift_makes_no_mul_calls_and_one_product_per_power_and_slot(monkeypatch):
     # radical powers 2..nu-1 on one stack (r^0 and r^1 cost nothing), then one
-    # stacked product per slot that some kept term raises to a positive power
+    # stacked product per slot that some kept term raises to a positive power;
+    # every term the symbolic sweep keeps is kept
     calls = {"mul": 0, "products": 0}
 
     def counting(key, real):
@@ -331,16 +357,20 @@ def test_taylor_lift_makes_no_mul_calls_and_one_product_per_power_and_slot(monke
     monkeypatch.setattr(lift, "_products", counting("products", lift._products))
     rng = np.random.default_rng(31)
     for name in ("8", "square:3", "staircase5"):
-        A, info = BITWISE_TAYLOR[name]
+        A, info = TAYLOR_ALGEBRAS[name]
         for m in (1, 2, 3):
             X = unit_safe_point(rng, m, A.n)
+            exps = lift._taylor_table(m, info.nu).exps[1:].tolist()
             for text in corpus_in(m):
                 e = parse(text, m)
+                coeffs = lift._taylor_coefficients(e, X[:, 0], info.nu)[1:]
+                kept = {tuple(p) for p, c in zip(exps, coeffs) if c != 0.0}
+                assert symbolic_kept(e, X[:, 0], info.nu) <= kept, (name, m, text)
                 calls.update(mul=0, products=0)
                 taylor_lift(e, X, A, info)
                 assert calls["mul"] == 0, (name, m, text)
-                want = max(info.nu - 2, 0) + len(raised_slots(e, X[:, 0], info.nu))
-                assert calls["products"] == want, (name, m, text)
+                raised = {j for p in kept for j, pj in enumerate(p) if pj}
+                assert calls["products"] == max(info.nu - 2, 0) + len(raised), (name, m, text)
 
 
 def test_taylor_lift_matches_sympy_series():
@@ -361,31 +391,64 @@ def test_taylor_lift_matches_sympy_series():
         assert_allclose(lifted, expected, rtol=1e-12, atol=1e-12 * scale, err_msg=text)
 
 
-def test_taylor_lift_builds_and_evaluates_each_node_once(monkeypatch):
-    A, info = TRUNC[9]
-    diff_memos, eval_memos, diff_calls = {}, {}, []
-    differentiate, evaluate = expr.diff, expr.eval_real
+@pytest.mark.parametrize("k, m", [(8, 2), (5, 3)])
+def test_taylor_coefficients_are_sympy_mixed_partials(k, m):
+    # every D^p g(x) / p!, |p| < nu, in the table's order: mixed partials too,
+    # which the series along one direction above cannot tell apart
+    A, info = TRUNC[k]
+    x = (0.3, -0.45, 0.6)[:m]
+    syms = sympy.symbols(f"x1:{m + 1}")
+    at = {s: sympy.Rational(v) for s, v in zip(syms, x)}
+    exps = [tuple(p) for p in lift._taylor_table(m, info.nu).exps.tolist()]
+    extra = ["1/(2+x1*x2)", "log(3+x1*x2)", "(x1-x2)^9"]
+    for text in list(CORPUS) + extra + ["exp(x1 * x3) / (2 + x2 * x3)"] * (m == 3):
+        derivs = {exps[0]: sympy.sympify(text.replace("^", "**"),
+                                         locals={str(s): s for s in syms})}
+        for p in exps[1:]:
+            j = next(i for i, pi in enumerate(p) if pi > 0)
+            derivs[p] = derivs[p[:j] + (p[j] - 1,) + p[j + 1:]].diff(syms[j])
+        expected = np.array([float(sympy.N(derivs[p].subs(at) / sympy.prod(
+            sympy.factorial(pi) for pi in p), 30)) for p in exps])
+        got = lift._taylor_coefficients(parse(text, m), np.array(x), info.nu)
+        scale = np.abs(expected).max()
+        assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale, err_msg=text)
 
-    def diff_spy(e, j, memo=None):
-        diff_memos[id(memo)] = memo
-        diff_calls.append(e)
-        return differentiate(e, j, memo)
+
+def test_taylor_lift_builds_and_evaluates_each_node_once(monkeypatch):
+    # no derivative is built, nothing of lift_eval's route runs, one eval_real
+    # memo holds every constant term, and each node's polynomial costs one kernel
+    # call: a product per Mul and per extra factor of a power below nu, a solve
+    # per quotient and primitive
+    A, info = TRUNC[9]
+    eval_memos, diff_calls, kernels = {}, [], {"_taylor_product": 0, "_taylor_solve": 0}
+    evaluate = expr.eval_real
 
     def eval_spy(e, point, memo=None):
         eval_memos[id(memo)] = memo
         return evaluate(e, point, memo)
 
-    monkeypatch.setattr(expr, "diff", diff_spy)
+    def counting(name):
+        real = getattr(lift, name)
+
+        def spy(*args, **kwargs):
+            kernels[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(expr, "diff", lambda *args: diff_calls.append(args))
     monkeypatch.setattr(expr, "eval_real", eval_spy)
+    for name in kernels:
+        monkeypatch.setattr(lift, name, counting(name))
+    for name in ("_derivatives", "_series_apply", "lift_eval"):  # lift_eval's route
+        monkeypatch.setattr(lift, name, lambda *args, name=name: pytest.fail(name))
     X = unit_safe_point(np.random.default_rng(1), 2, A.n)
-    taylor_lift(parse("exp(x1 + x2) / (1 + x1^2)", 2), X, A, info)
-    (diff_memo,) = diff_memos.values()
+    text = "exp(x1 + x2) / (1 + x1^2) + sin(x1 * x2) * log(3 + x1) - cos(x1)^12"
+    taylor_lift(parse(text, 2), X, A, info)
+    assert diff_calls == []
     (eval_memo,) = eval_memos.values()
-    assert 0 < len(eval_memo) <= 1500
-    # one top-level call per multi-index; each memo entry is built once and
-    # recurses into at most two children
-    orders = len(list(graded_multiindices(2, info.nu - 1)))
-    assert len(diff_calls) <= orders + 2 * len(diff_memo)
+    assert len(eval_memo) == 18  # the distinct nodes, x1 and the constant 1 once each
+    # x1 * x2, sin * log, x1^2; exp, the quotient, sin, log, cos and cos^12
+    assert kernels == {"_taylor_product": 3, "_taylor_solve": 6}
 
 
 # -- structural properties -------------------------------------------------------------
